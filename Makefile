@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint verify figures bench bench-obs bench-shard bench-load bench-wire trace
+.PHONY: build test race lint verify figures bench bench-obs bench-e2e trace
 
 build:
 	$(GO) build ./...
@@ -53,33 +53,12 @@ bench-obs:
 	$(GO) test ./internal/core -run TestSubmitRecorderBoundedAlloc -count=1
 	$(MAKE) bench
 
-# bench-shard mints BENCH_shard.json: the sharded validation plane's
-# Submit-throughput scaling curve at 1/2/4/8 shards (see the
-# BenchmarkShardScaling doc comment and EXPERIMENTS.md for the
-# bottleneck-shard methodology; submit_per_s at shards=8 must stay ≥4×
-# the shards=1 value).
-bench-shard:
-	$(GO) test -run '^$$' -bench BenchmarkShardScaling -benchtime 10x . \
-	  | $(GO) run ./cmd/benchjson > BENCH_shard.json
-
-# bench-load mints BENCH_load.json: the generator hot path (events/s of
-# streaming synthesis, zero allocs) plus the plane's Submit throughput
-# under the streaming FatTree(8) workload at 1/2/4/8 shards (see the
-# BenchmarkLoadStreamScaling doc comment and EXPERIMENTS.md for how to
-# read submit_per_s/partition_x against the bottleneck shard).
-bench-load:
-	{ $(GO) test -run '^$$' -bench BenchmarkSourceNext -benchmem ./internal/loadgen; \
-	  $(GO) test -run '^$$' -bench BenchmarkLoadStreamScaling -benchtime 3x .; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_load.json
-
-# bench-wire mints BENCH_wire.json: both wire codecs moving the same
-# seeded workload over a TCP loopback in one run (cmd/benchwire). The
-# zero-alloc steady-state encode/decode invariant is pinned first, then
-# the bench itself enforces binary >= 5x json envelopes/sec and RTT p99
-# parity (see the cmd/benchwire doc comment for the methodology).
-bench-wire:
-	$(GO) test ./internal/wire -run TestBinCodecZeroAllocSteadyState -count=1
-	$(GO) run ./cmd/benchwire -n 100000 -rtt 2000 -out BENCH_wire.json
+# bench-e2e is the measured benchmark: a real validator service on TCP
+# loopback driven by a seeded closed loop, five workloads, the end-to-end
+# metrics BENCHMARK.json declares (bench/README.md has the glossary and
+# the per-layer budget behind -trace 1).
+bench-e2e:
+	$(GO) run ./bench
 
 # trace produces an example Chrome trace_event file from the quickstart
 # scenario; open trace.json in chrome://tracing or https://ui.perfetto.dev.

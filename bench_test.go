@@ -14,13 +14,10 @@ import (
 	"time"
 
 	jury "github.com/jurysdn/jury"
-	"github.com/jurysdn/jury/internal/cluster"
-	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/experiment"
 	"github.com/jurysdn/jury/internal/faults"
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/policy"
-	"github.com/jurysdn/jury/internal/shard"
 	"github.com/jurysdn/jury/internal/simnet"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
@@ -550,76 +547,6 @@ func BenchmarkSweepThroughputONOS(b *testing.B) {
 		if len(res) != len(cfgs) {
 			b.Fatalf("campaign returned %d of %d points", len(res), len(cfgs))
 		}
-	}
-}
-
-// BenchmarkShardScaling measures the sharded validation plane's Submit
-// throughput at 1/2/4/8 shards (BENCH_shard.json, `make bench-shard`).
-// The workload is the plane's volume driver: the tainted SecondaryExec
-// stream from replicated execution (untainted cache updates ride the
-// existing replication stream, Response.free). Each width reports
-// submit_per_s — the plane's sustained capacity, computed as the measured
-// per-response processing rate scaled by the partition factor
-// triggers/bottleneck-shard-load, so the number is honest on any core
-// count: on a single-CPU host the workers time-slice one core and the
-// wall clock alone cannot show the parallelism, but the bottleneck
-// shard's serial work — which is what gates a multi-core deployment —
-// shrinks near-linearly with the shard count (FNV balance), and that is
-// the scaling this benchmark certifies. partition_x is that factor
-// directly (ideal: the shard count).
-func BenchmarkShardScaling(b *testing.B) {
-	const triggers = 4096
-	members := cluster.NewMembership(cluster.AnyControllerOneMaster,
-		[]store.NodeID{1, 2, 3}, []topo.DPID{1, 2})
-	load := make([]core.Response, 0, 2*triggers)
-	for i := 0; i < triggers; i++ {
-		id := trigger.ID(fmt.Sprintf("τ%04d", i))
-		at := time.Duration(i) * 50 * time.Microsecond
-		for _, ctrl := range []store.NodeID{2, 3} {
-			load = append(load, core.Response{
-				Controller: ctrl, Primary: 1, Trigger: id,
-				Kind: core.SecondaryExec, Tainted: true,
-				Cache: store.LinksDB, Op: store.OpCreate,
-				Key: "k", Value: "up", StateDigest: 9,
-				At: at,
-			})
-			at += 10 * time.Microsecond
-		}
-	}
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			var capacity, partition float64
-			for i := 0; i < b.N; i++ {
-				p, err := shard.New(shard.Config{
-					Shards:            n,
-					Validator:         core.ValidatorConfig{K: 2, Timeout: 20 * time.Millisecond},
-					Members:           members,
-					TimeFromResponses: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				start := time.Now()
-				for _, r := range load {
-					p.Submit(r)
-				}
-				p.Close()
-				wall := time.Since(start)
-				if got := p.Decided(); got != triggers {
-					b.Fatalf("plane decided %d of %d triggers", got, triggers)
-				}
-				var bottleneck int64
-				for s := 0; s < n; s++ {
-					if d := p.ShardDecided(s); d > bottleneck {
-						bottleneck = d
-					}
-				}
-				partition = float64(triggers) / float64(bottleneck)
-				capacity = float64(len(load)) / wall.Seconds() * partition
-			}
-			b.ReportMetric(capacity, "submit_per_s")
-			b.ReportMetric(partition, "partition_x")
-		})
 	}
 }
 

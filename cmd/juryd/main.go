@@ -38,7 +38,7 @@ func run() error {
 		switches   = flag.Int("switches", 24, "number of switches in the deployment")
 		timeout    = flag.Duration("timeout", 130*time.Millisecond, "validation timeout θτ")
 		adaptive   = flag.Bool("adaptive", false, "enable the adaptive (EWMA) validation deadline")
-		shards     = flag.Int("shards", 1, "validator shard count: >1 runs the parallel per-taint shard plane")
+		shards     = flag.Int("shards", 1, "validation plane width: worker goroutines, each owning one validator, triggers hashed across them")
 		queueDepth = flag.Int("queue-depth", 0, "per-shard intake queue bound (0 = default; full queues backpressure, never drop)")
 		alarmsOnly = flag.Bool("alarms-only", false, "push only fault results to clients")
 		codecName  = flag.String("codec", "auto", "wire codec stance: auto (mirror each client's first byte), json (refuse binary handshakes), or binary")
@@ -51,7 +51,7 @@ func run() error {
 
 		flightRing = flag.Int("flight-ring", 0, "flight-recorder ring capacity: retain the last N trigger lifecycle events per shard (0 = off)")
 		flightDump = flag.String("flight-dump", "", "write flight dumps (JSONL) to this path: on every alarm, and a final dump at shutdown")
-		traceOut   = flag.String("trace-out", "", "write the validator's span trace (JSONL, obs.Stitch input) to this path at shutdown; single-shard only")
+		traceOut   = flag.String("trace-out", "", "write the validator's span trace (JSONL, obs.Stitch input) to this path at shutdown")
 	)
 	flag.Parse()
 

@@ -1,8 +1,11 @@
 // Command juryload runs the scale campaign: it sweeps streaming-workload
 // trigger rates against validation-plane shard widths on a Clos
 // fat-tree fabric and prints one row per (rate, shards) point —
-// detection-latency percentiles, false-positive rate, partition factor
-// and estimated Submit capacity. The workload is synthesized lazily by
+// detection-latency percentiles, false-positive rate, and two modeled
+// columns (partition_x_modeled, submit_per_s_modeled: how evenly FNV
+// divides triggers, and the wall rate scaled by it — a model of a
+// many-core deployment, not a measurement; `go run ./bench` measures the
+// real service). The workload is synthesized lazily by
 // internal/loadgen (heavy-tailed arrivals, host churn, link flaps), so
 // host populations far beyond the fabric's physical ports cost nothing.
 //
@@ -170,7 +173,7 @@ func run() error {
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(w, "rate\tshards\tevents\ttriggers\tdecided\tvalid\talarms\ttimeouts\tfp_pct\tp50\tp95\tp99\tpartition_x\twall\tsubmit_per_s\tdigest\tseries\tflight")
+	fmt.Fprintln(w, "rate\tshards\tevents\ttriggers\tdecided\tvalid\talarms\ttimeouts\tfp_pct\tp50\tp95\tp99\tpartition_x_modeled\twall\tsubmit_per_s_modeled\tdigest\tseries\tflight")
 	teleMu.Lock()
 	defer teleMu.Unlock()
 	for _, o := range out {

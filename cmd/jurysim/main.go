@@ -42,7 +42,6 @@ func run() error {
 		duration  = flag.Duration("duration", 15*time.Second, "measured (virtual) duration")
 		seed      = flag.Int64("seed", 42, "simulation seed")
 		timeout   = flag.Duration("timeout", 0, "validation timeout (0 = profile default)")
-		shards    = flag.Int("shards", 1, "validator shard count (verdicts are seed-deterministic at any count)")
 		faultName = flag.String("fault", "", "catalog fault to inject on controller 1 (see -list-faults)")
 		listFault = flag.Bool("list-faults", false, "list the fault catalog and exit")
 		trace     = flag.String("trace", "", "drive a benign trace model instead of -rate: lbnl, univ or smia")
@@ -76,7 +75,6 @@ func run() error {
 		EnableJury:        !*noJury,
 		K:                 *k,
 		ValidationTimeout: *timeout,
-		Shards:            *shards,
 		Policies: []policy.Policy{
 			{Name: "no-proactive-topology-changes", Trigger: "internal", Cache: "LinksDB"},
 			{Name: "match-field-hierarchy", Cache: "FlowsDB", RequireMatchHierarchy: true},

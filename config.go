@@ -81,12 +81,6 @@ type Config struct {
 	// NoStateAware disables the validator's state-aware consensus
 	// refinements (ablation).
 	NoStateAware bool
-	// Shards partitions validator state by trigger taint-ID across this
-	// many shards (default 1). In the simulation all shards share the
-	// event engine, so verdicts and traces are byte-identical at any
-	// shard count for a fixed seed; the knob exercises the same dispatch
-	// path the parallel plane (internal/shard) scales across goroutines.
-	Shards int
 	// Policies is the administrator policy set evaluated by the
 	// validator.
 	Policies []policy.Policy
@@ -135,12 +129,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.EnableJury {
 		if c.K == 0 {
 			c.K = c.ClusterSize - 1
-		}
-		if c.Shards < 0 {
-			return c, fmt.Errorf("jury: shards must be >= 0, got %d", c.Shards)
-		}
-		if c.Shards == 0 {
-			c.Shards = 1
 		}
 		if c.K > c.ClusterSize-1 {
 			return c, fmt.Errorf("jury: k=%d exceeds cluster size n=%d", c.K, c.ClusterSize)
@@ -218,24 +206,22 @@ type ValidatorServiceConfig struct {
 	ValidationTimeout time.Duration
 	// AdaptiveTimeout enables the EWMA adaptive deadline (§VIII-1).
 	AdaptiveTimeout bool
-	// Shards partitions validator state by trigger taint-ID across this
-	// many shards (default 1 — the paper's single decision loop). With
-	// Shards > 1 the service runs the parallel shard plane: one worker
-	// goroutine per shard, responses dispatched by FNV over the taint ID.
+	// Shards is the width of the validation plane: one worker goroutine
+	// and one validator per shard, responses dispatched by FNV over the
+	// taint ID (default 1 — the paper's single decision loop).
 	Shards int
 	// QueueDepth bounds each shard's intake queue (default
 	// shard.DefaultQueueDepth). A full queue applies backpressure to the
-	// dispatching connection — responses are never dropped. Only
-	// meaningful with Shards > 1.
+	// dispatching connection — responses are never dropped.
 	QueueDepth int
 	// AlarmsOnly pushes only fault results to connected clients.
 	AlarmsOnly bool
-	// Tracing arms a per-trigger span tracer on the service's virtual
-	// clock (single-shard mode only; rejected with Shards > 1). The trace
-	// is read back with ValidatorService.WriteTrace — juryd -trace-out.
+	// Tracing arms a per-trigger span tracer on every shard's virtual
+	// clock. The merged trace is read back with wire.Server.WriteTrace —
+	// juryd -trace-out.
 	Tracing bool
-	// FlightRing arms a flight recorder retaining the last N trigger
-	// lifecycle events (per-shard rings when Shards > 1); zero disables.
+	// FlightRing arms a flight recorder on every shard retaining its last
+	// N trigger lifecycle events; zero disables.
 	FlightRing int
 	// OnFlightDump receives dump-on-alarm flight snapshots (reason plus
 	// the merged ring, oldest first), serialized and rate-limited.

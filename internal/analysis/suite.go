@@ -44,7 +44,7 @@ var BridgePackages = []string{"ofconn", "wire", "wire/wiretest", "sweep", "obs",
 // the protocol's time base just as badly as a bridge package would.
 var CmdPackages = []string{
 	"juryd", "jurylive", "jurysim", "juryfig", "jurylint", "benchjson",
-	"juryload", "jurytrace", "benchwire",
+	"juryload", "jurytrace",
 }
 
 // CriticalAPIs returns the FullName list of error-returning calls whose
@@ -80,11 +80,12 @@ func CriticalAPIs(modulePath string) []string {
 		// evidence files — a swallowed write error loses the black box.
 		modulePath + "/internal/obs.WriteEventsJSONL",
 		"(*" + modulePath + "/internal/obs.Series).WriteJSONL",
+		modulePath + "/internal/obs.WriteSpansJSONL",
 		modulePath + "/internal/obs.StitchJSONL",
 		modulePath + "/internal/obs.StitchChromeTrace",
 		"(*" + modulePath + "/internal/wire.Server).WriteTrace",
-		// Scale campaigns: a dropped campaign error means BENCH_load rows
-		// are silently missing points, same stakes as sweep.Run.
+		// Scale campaigns: a dropped campaign error means report rows are
+		// silently missing points, same stakes as sweep.Run.
 		modulePath + "/internal/loadgen.RunCampaign",
 	}
 }

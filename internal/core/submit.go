@@ -47,64 +47,43 @@ type pendingTrigger struct {
 	all []Response
 }
 
-// vshard is one shard of the validation plane: the Ψ table, pending map,
-// adaptive-timeout estimator and timers for the triggers whose taint IDs
-// hash onto it. Every mutable per-trigger structure lives on exactly one
-// shard, so a shard is single-writer by construction: in the simulation
-// all shards share the engine goroutine, and in the parallel plane
-// (internal/shard) each worker goroutine owns its shard's Validator
-// outright. Untainted ψ updates are broadcast to every shard by the
-// dispatch layer, which keeps each shard's Ψ equal to the global table.
-type vshard struct {
-	v  *Validator
-	id int
-
-	// Ψ: per-controller state (running count + latest entry digest).
-	psi map[store.NodeID]psiState
-
-	pending map[trigger.ID]*pendingTrigger
-
-	// Adaptive timeout state (EWMA of consensus time and deviation).
-	// Deliberately shard-local: with Shards>1 and Adaptive on, each shard
-	// tracks the consensus latency of its own trigger population.
-	ewmaMean float64
-	ewmaDev  float64
-	ewmaInit bool
-
-	// Per-shard observability (unregistered zero-value instances when the
-	// validator runs single-sharded, so the hot path never branches).
-	pendingG *obs.Gauge
-	decidedC *obs.Counter
-	faultsC  *obs.Counter
-}
-
-// observe applies an untainted response's Ψ update. The dispatch layer
-// broadcasts these to every shard so state-aware omission checks see the
-// same Ψ regardless of which shard owns the trigger.
-func (s *vshard) observe(r Response) {
-	st := s.psi[r.Controller]
+// ObserveState applies a response's Ψ update without advancing any
+// per-trigger state; tainted responses carry no Ψ update and are ignored.
+// The parallel plane (internal/shard) calls it for the broadcast copies of
+// an untainted response, so every worker's Ψ equals the global table and
+// state-aware omission checks do not depend on which worker owns the
+// trigger.
+func (v *Validator) ObserveState(r Response) {
+	if r.Tainted {
+		return
+	}
+	st := v.psi[r.Controller]
 	if r.IsCache() {
 		st.count++
 		st.latest = r.Body()
 	}
 	st.digest = r.StateDigest
 	st.seen = true
-	st.at = s.v.eng.Now()
-	s.psi[r.Controller] = st
-	if s.v.rec != nil {
-		s.v.rec.Record(obs.Event{
+	st.at = v.eng.Now()
+	v.psi[r.Controller] = st
+	if v.rec != nil {
+		v.rec.Record(obs.Event{
 			AtNS: int64(st.at), Kind: obs.EvPsi,
 			Trigger: string(r.Trigger), Ctrl: int64(r.Controller),
 		})
 	}
 }
 
-// submit runs the per-trigger half of Algorithm 1 for a response whose
-// taint ID hashes onto this shard. Ψ has already been updated (observe
-// runs first for untainted responses).
-func (s *vshard) submit(r Response) {
-	v := s.v
-	p, ok := s.pending[r.Trigger]
+// Submit delivers one controller response ρ = (id, τ, entry) to the
+// validator — the entry point of Algorithm 1. An untainted response
+// updates Ψ; a response attributed to a trigger then advances that
+// trigger's consensus state.
+func (v *Validator) Submit(r Response) {
+	v.ObserveState(r)
+	if r.Trigger == "" {
+		return // unattributed traffic (handshakes) is not validated
+	}
+	p, ok := v.pending[r.Trigger]
 	if !ok {
 		p = &pendingTrigger{
 			id:           r.Trigger,
@@ -112,11 +91,10 @@ func (s *vshard) submit(r Response) {
 			byController: make(map[store.NodeID][]Response),
 			noops:        make(map[store.NodeID]bool),
 		}
-		to := s.timeout()
-		p.timer = v.eng.Schedule(to, func() { s.expire(p) })
-		s.pending[r.Trigger] = p
+		to := v.timeout()
+		p.timer = v.eng.Schedule(to, func() { v.expire(p) })
+		v.pending[r.Trigger] = p
 		v.pendingG.Add(1)
-		s.pendingG.Add(1)
 		if v.tracer != nil {
 			id := string(r.Trigger)
 			// Ensure a root exists (idempotent: the replicator's
@@ -161,7 +139,7 @@ func (s *vshard) submit(r Response) {
 	if r.Primary != 0 {
 		p.primary = r.Primary
 		if !p.primaryPsiSet {
-			p.primaryPsi = s.psi[r.Primary]
+			p.primaryPsi = v.psi[r.Primary]
 			p.primaryPsiSet = true
 		}
 	}
@@ -169,29 +147,28 @@ func (s *vshard) submit(r Response) {
 	// reached on every slot and sanity satisfied, or a quorum already
 	// contradicts the primary).
 	if res, conclusive := v.evaluate(p, false); conclusive {
-		s.finish(p, res, false)
+		v.finish(p, res, false)
 	}
 }
 
-func (s *vshard) timeout() time.Duration {
-	if !s.v.cfg.Adaptive || !s.ewmaInit {
-		return s.v.cfg.Timeout
+func (v *Validator) timeout() time.Duration {
+	if !v.cfg.Adaptive || !v.ewmaInit {
+		return v.cfg.Timeout
 	}
-	t := time.Duration(s.ewmaMean + s.v.cfg.AdaptiveFactor*s.ewmaDev)
+	t := time.Duration(v.ewmaMean + v.cfg.AdaptiveFactor*v.ewmaDev)
 	if min := 2 * time.Millisecond; t < min {
 		t = min
 	}
-	if t > s.v.cfg.Timeout {
-		t = s.v.cfg.Timeout
+	if t > v.cfg.Timeout {
+		t = v.cfg.Timeout
 	}
 	return t
 }
 
-func (s *vshard) expire(p *pendingTrigger) {
+func (v *Validator) expire(p *pendingTrigger) {
 	if p.decided {
 		return
 	}
-	v := s.v
 	v.totalTimeouts.Inc()
 	if v.rec != nil {
 		v.rec.Record(obs.Event{
@@ -202,18 +179,13 @@ func (s *vshard) expire(p *pendingTrigger) {
 	if v.OnTimeoutResponses != nil {
 		v.OnTimeoutResponses(p.id, p.all)
 	}
-	s.decide(p, true)
+	// The full CONSENSUS / SANITY_CHECK / POLICY_CHECK cascade: at expiry
+	// evaluate always returns a result.
+	res, _ := v.evaluate(p, true)
+	v.finish(p, res, true)
 }
 
-// decide runs the full CONSENSUS / SANITY_CHECK / POLICY_CHECK cascade and
-// finishes the trigger.
-func (s *vshard) decide(p *pendingTrigger, timedOut bool) {
-	res, _ := s.v.evaluate(p, true)
-	s.finish(p, res, timedOut)
-}
-
-func (s *vshard) finish(p *pendingTrigger, res Result, timedOut bool) {
-	v := s.v
+func (v *Validator) finish(p *pendingTrigger, res Result, timedOut bool) {
 	p.decided = true
 	p.timer.Cancel()
 	// Retain the decided entry for a grace period so responses still in
@@ -224,10 +196,9 @@ func (s *vshard) finish(p *pendingTrigger, res Result, timedOut bool) {
 		grace = time.Second
 	}
 	v.eng.Schedule(grace, func() {
-		if _, ok := s.pending[p.id]; ok {
-			delete(s.pending, p.id)
+		if _, ok := v.pending[p.id]; ok {
+			delete(v.pending, p.id)
 			v.pendingG.Add(-1)
-			s.pendingG.Add(-1)
 		}
 	})
 	res.Trigger = p.id
@@ -239,9 +210,8 @@ func (s *vshard) finish(p *pendingTrigger, res Result, timedOut bool) {
 	if res.Kind == trigger.External {
 		v.DetectionsExternal.Add(res.DetectionTime)
 	}
-	s.updateAdaptive(res.DetectionTime)
+	v.updateAdaptive(res.DetectionTime)
 	v.totalDecided.Inc()
-	s.decidedC.Inc()
 	switch res.Verdict {
 	case VerdictValid:
 		v.totalValid.Inc()
@@ -249,7 +219,6 @@ func (s *vshard) finish(p *pendingTrigger, res Result, timedOut bool) {
 		v.totalNonDet.Inc()
 	case VerdictFault:
 		v.totalFaults.Inc()
-		s.faultsC.Inc()
 		evidence := p.all
 		if len(evidence) > 32 {
 			evidence = evidence[:32]
@@ -277,18 +246,18 @@ func (s *vshard) finish(p *pendingTrigger, res Result, timedOut bool) {
 	}
 }
 
-func (s *vshard) updateAdaptive(d time.Duration) {
+func (v *Validator) updateAdaptive(d time.Duration) {
 	const alpha = 0.05
 	x := float64(d)
-	if !s.ewmaInit {
-		s.ewmaMean = x
-		s.ewmaInit = true
+	if !v.ewmaInit {
+		v.ewmaMean = x
+		v.ewmaInit = true
 		return
 	}
-	dev := x - s.ewmaMean
+	dev := x - v.ewmaMean
 	if dev < 0 {
 		dev = -dev
 	}
-	s.ewmaMean = (1-alpha)*s.ewmaMean + alpha*x
-	s.ewmaDev = (1-alpha)*s.ewmaDev + alpha*dev
+	v.ewmaMean = (1-alpha)*v.ewmaMean + alpha*x
+	v.ewmaDev = (1-alpha)*v.ewmaDev + alpha*dev
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/jurysdn/jury/internal/cluster"
@@ -129,17 +128,6 @@ type ValidatorConfig struct {
 	AdaptiveFactor float64
 	// MaxAlarms bounds the retained alarm list.
 	MaxAlarms int
-	// Shards partitions validator state by trigger taint-ID across this
-	// many shards (default 1, the paper's single decision loop). Each
-	// shard owns the pending map, Ψ table, adaptive-timeout estimator and
-	// timers of the triggers FNV-hashed onto it; untainted ψ updates are
-	// broadcast so every shard sees the same controller state. Because
-	// triggers partition disjointly and the broadcast preserves
-	// submission order, verdicts, traces and aggregate counters are
-	// identical at any shard count for a fixed seed (with Adaptive on,
-	// each shard tracks its own trigger population's latency, so adaptive
-	// deadlines may legitimately differ across shard counts).
-	Shards int
 	// NoStateAware disables the state-aware consensus refinements
 	// (§IV-C A) — an ablation knob: all conflicting replicas count
 	// toward conviction regardless of their snapshots, and omission
@@ -161,14 +149,13 @@ type ValidatorConfig struct {
 	Recorder *obs.Recorder
 }
 
-// Validator is JURY's out-of-band response validator (Algorithm 1),
-// refactored into a thin dispatch plane over per-taint state shards: the
-// consensus/sanity/policy cascade itself is unchanged, but every mutable
-// structure (pending map, Ψ, timers, EWMA) lives on exactly one vshard.
-// Aggregate accessors merge shard state through atomics and immutable
-// snapshots, so they are safe to call while another goroutine owns the
-// decision loop (the live wire service and the parallel shard plane both
-// do).
+// Validator is JURY's out-of-band response validator: the paper's single
+// decision loop (Algorithm 1, §IV-C). Ψ, the pending map, the timers and
+// the adaptive-timeout estimator have one writer — the goroutine that owns
+// the engine and calls Submit; internal/shard multiplies whole validators
+// across goroutines when one loop is not enough. The accessors read
+// atomics and immutable snapshots, so they are safe to call while another
+// goroutine owns the decision loop (the shard plane's stats side does).
 type Validator struct {
 	eng     *simnet.Engine
 	cfg     ValidatorConfig
@@ -191,9 +178,14 @@ type Validator struct {
 	// OnResult observes every decision.
 	OnResult func(Result)
 
-	// shards are the per-taint state partitions; Submit dispatches by
-	// FNV over the trigger ID.
-	shards []*vshard
+	// Ψ: per-controller state (running count + latest entry digest).
+	psi     map[store.NodeID]psiState
+	pending map[trigger.ID]*pendingTrigger
+
+	// Adaptive timeout state (EWMA of consensus time and deviation).
+	ewmaMean float64
+	ewmaDev  float64
+	ewmaInit bool
 
 	// Aggregates. The counters live in the obs registry so a live
 	// /metrics endpoint can scrape them; the accessors below are thin
@@ -208,8 +200,8 @@ type Validator struct {
 	totalNonDet        *obs.Counter
 	totalTimeouts      *obs.Counter
 	lateResponses      *obs.Counter
-	// pendingG counts open pending entries across shards; an atomic
-	// gauge, so Pending() is safe under concurrent Submit.
+	// pendingG counts open pending entries; an atomic gauge, so Pending()
+	// is safe under concurrent Submit.
 	pendingG *obs.Gauge
 	// alarms retains fault results as a single-writer snapshot log, so
 	// Alarms() is safe under concurrent Submit.
@@ -228,9 +220,6 @@ func NewValidator(eng *simnet.Engine, members *cluster.Membership, cfg Validator
 	if cfg.AdaptiveFactor <= 0 {
 		cfg.AdaptiveFactor = 4
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -242,6 +231,8 @@ func NewValidator(eng *simnet.Engine, members *cluster.Membership, cfg Validator
 		reg:     reg,
 		tracer:  cfg.Tracer,
 		rec:     cfg.Recorder,
+		psi:     make(map[store.NodeID]psiState),
+		pending: make(map[trigger.ID]*pendingTrigger),
 	}
 	v.totalDecided = reg.Counter("jury_validator_decided_total", "Triggers decided.")
 	v.totalValid = reg.Counter("jury_validator_valid_total", "Triggers judged valid.")
@@ -252,30 +243,6 @@ func NewValidator(eng *simnet.Engine, members *cluster.Membership, cfg Validator
 	v.pendingG = reg.Gauge("jury_validator_pending", "Triggers awaiting decision.")
 	reg.Histogram("jury_validator_detection_seconds", "Detection time per decided trigger.", &v.Detections)
 	reg.Histogram("jury_validator_detection_external_seconds", "Detection time for external triggers (Figs. 4a-4d).", &v.DetectionsExternal)
-	v.shards = make([]*vshard, cfg.Shards)
-	for i := range v.shards {
-		s := &vshard{
-			v:       v,
-			id:      i,
-			psi:     make(map[store.NodeID]psiState),
-			pending: make(map[trigger.ID]*pendingTrigger),
-		}
-		if cfg.Shards > 1 {
-			// Per-shard children of the validator families; the
-			// unlabeled aggregates above keep their PR 4 identity.
-			l := obs.L("shard", strconv.Itoa(i))
-			s.pendingG = reg.Gauge("jury_validator_shard_pending", "Triggers awaiting decision, per shard.", l)
-			s.decidedC = reg.Counter("jury_validator_shard_decided_total", "Triggers decided, per shard.", l)
-			s.faultsC = reg.Counter("jury_validator_shard_faults_total", "Alarms raised, per shard.", l)
-		} else {
-			// Unregistered zero-value instances keep the hot path free
-			// of nil checks without polluting single-shard /metrics.
-			s.pendingG = &obs.Gauge{}
-			s.decidedC = &obs.Counter{}
-			s.faultsC = &obs.Counter{}
-		}
-		v.shards[i] = s
-	}
 	return v
 }
 
@@ -303,6 +270,23 @@ func (v *Validator) NonDeterministic() int64 { return v.totalNonDet.Value() }
 
 // Timeouts returns the number of decisions forced by timer expiry.
 func (v *Validator) Timeouts() int64 { return v.totalTimeouts.Value() }
+
+// LateResponses returns the number of responses that arrived after their
+// trigger's verdict.
+func (v *Validator) LateResponses() int64 { return v.lateResponses.Value() }
+
+// Pending returns the number of triggers awaiting decision (including
+// decided entries inside their late-response grace window). Backed by an
+// atomic gauge, so it is safe to call from outside the goroutine that owns
+// the decision loop.
+func (v *Validator) Pending() int { return int(v.pendingG.Value()) }
+
+// Alarms returns the retained alarm results in decision order. The list
+// is an immutable snapshot published by the decision loop, so concurrent
+// Submit traffic on the owning goroutine cannot race a reader.
+func (v *Validator) Alarms() []Result {
+	return v.alarms.Snapshot()
+}
 
 // FalsePositiveRate returns alarms / decisions — meaningful on benign runs.
 func (v *Validator) FalsePositiveRate() float64 {

@@ -444,7 +444,7 @@ func TestValidatorAdaptiveTimeoutShrinks(t *testing.T) {
 		v.Submit(execResp(2, 1, trig, "k", "up", 7))
 		v.Submit(execResp(3, 1, trig, "k", "up", 7))
 	}
-	if got := v.shards[0].timeout(); got >= time.Second {
+	if got := v.timeout(); got >= time.Second {
 		t.Fatalf("adaptive timeout did not shrink: %v", got)
 	}
 	_ = eng

@@ -105,8 +105,8 @@ func (g *Gauge) HighWatermark() float64 { return math.Float64frombits(g.hwm.Load
 // exposes quantiles, sum and count as a Prometheus summary (in seconds).
 // Observe serializes against exposition with an internal mutex; callers
 // that mutate a wrapped Distribution directly (the simulation does) must
-// serialize their own scrapes externally, as cmd/juryd does under the
-// wire server's lock.
+// serialize their own scrapes externally, as cmd/jurylive does by
+// hopping the scrape onto its pump goroutine.
 type Histogram struct {
 	mu sync.Mutex
 	d  *metrics.Distribution
@@ -132,12 +132,13 @@ const (
 	kindCounter metricKind = iota + 1
 	kindGauge
 	kindGaugeFunc
+	kindCounterFunc
 	kindHistogram
 )
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
 	case kindGauge, kindGaugeFunc:
 		return "gauge"
@@ -154,6 +155,7 @@ type child struct {
 	counter   *Counter
 	gauge     *Gauge
 	gaugeFn   func() float64
+	counterFn func() int64
 	histogram *Histogram
 }
 
@@ -225,10 +227,19 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 // The function must be safe to call from the exposition goroutine (or
-// the caller must serialize scrapes, as cmd/juryd does).
+// the caller must serialize scrapes, as cmd/jurylive does).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	c := r.childOf(name, help, kindGaugeFunc, labels)
 	c.gaugeFn = fn
+}
+
+// CounterFunc registers a counter whose value is computed at scrape time
+// — an aggregate over counters that live elsewhere (the shard plane sums
+// its workers' private counters this way). fn must be monotonic and safe
+// to call from the exposition goroutine.
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+	c := r.childOf(name, help, kindCounterFunc, labels)
+	c.counterFn = fn
 }
 
 // Histogram returns a histogram registered under name and labels. When
@@ -287,6 +298,8 @@ func writeChild(bw *bufio.Writer, f *family, c *child) {
 		fmt.Fprintf(bw, "%s%s %s\n", f.name, c.labels, formatFloat(c.gauge.Value()))
 	case kindGaugeFunc:
 		fmt.Fprintf(bw, "%s%s %s\n", f.name, c.labels, formatFloat(c.gaugeFn()))
+	case kindCounterFunc:
+		fmt.Fprintf(bw, "%s%s %s\n", f.name, c.labels, strconv.FormatInt(c.counterFn(), 10))
 	case kindHistogram:
 		snap := c.histogram.Snapshot()
 		for _, q := range summaryQuantiles {

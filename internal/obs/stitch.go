@@ -58,24 +58,15 @@ func readStitchSpans(in StitchInput) ([]Span, error) {
 // traces always yields the same bytes — the golden stitched-trace test
 // pins this.
 func stitchSpans(inputs []StitchInput) ([]Span, error) {
-	var all []Span
+	sets := make([][]Span, 0, len(inputs))
 	for _, in := range inputs {
 		spans, err := readStitchSpans(in)
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, spans...)
+		sets = append(sets, spans)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].StartNS != all[j].StartNS {
-			return all[i].StartNS < all[j].StartNS
-		}
-		if all[i].Origin != all[j].Origin {
-			return all[i].Origin < all[j].Origin
-		}
-		return all[i].Seq < all[j].Seq
-	})
-	return all, nil
+	return MergeSpans(sets...), nil
 }
 
 // StitchJSONL joins the JSONL span streams of N processes into one
@@ -86,17 +77,7 @@ func StitchJSONL(w io.Writer, inputs ...StitchInput) error {
 	if err != nil {
 		return err
 	}
-	for _, s := range spans {
-		line, err := json.Marshal(s)
-		if err != nil {
-			return fmt.Errorf("obs: marshal stitched span: %w", err)
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			return fmt.Errorf("obs: write stitched span: %w", err)
-		}
-	}
-	return nil
+	return WriteSpansJSONL(w, spans)
 }
 
 // StitchChromeTrace joins the JSONL span streams of N processes into one

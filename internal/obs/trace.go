@@ -250,10 +250,26 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := append([]Span(nil), t.done...)
-	sort.Slice(out, func(i, j int) bool {
+	return MergeSpans(t.done)
+}
+
+// MergeSpans merges span sets into one canonical order: start time, then
+// origin, then the recorder's own open sequence — the order of a single
+// tracer's export, of a plane's per-worker tracers merged at export and of
+// a cross-process stitch alike. Spans that tie on all three (two tracers
+// of one process opening their n-th span at the same instant) keep
+// argument order, so the result is a pure function of the inputs.
+func MergeSpans(sets ...[]Span) []Span {
+	var out []Span
+	for _, set := range sets {
+		out = append(out, set...)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].StartNS != out[j].StartNS {
 			return out[i].StartNS < out[j].StartNS
+		}
+		if out[i].Origin != out[j].Origin {
+			return out[i].Origin < out[j].Origin
 		}
 		return out[i].Seq < out[j].Seq
 	})
@@ -263,7 +279,13 @@ func (t *Tracer) Spans() []Span {
 // WriteJSONL writes one canonical JSON object per span. Output is
 // byte-deterministic for a deterministic simulation run.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
-	for _, s := range t.Spans() {
+	return WriteSpansJSONL(w, t.Spans())
+}
+
+// WriteSpansJSONL writes spans as JSONL, one canonical object per line —
+// the format Tracer.WriteJSONL emits and StitchJSONL reads.
+func WriteSpansJSONL(w io.Writer, spans []Span) error {
+	for _, s := range spans {
 		line, err := json.Marshal(s)
 		if err != nil {
 			return fmt.Errorf("obs: marshal span: %w", err)

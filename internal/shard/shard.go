@@ -2,27 +2,29 @@
 // out-of-band validator (internal/core, Algorithm 1) across N worker
 // goroutines by partitioning triggers over per-shard bounded queues.
 //
-// A thin dispatcher hashes Response.Trigger (FNV-1a64, the same family
-// internal/sweep uses for seed derivation — see core.ShardForTrigger)
-// onto a shard; each worker owns a private simnet engine and a
-// single-shard core.Validator outright, so every pending map, Ψ table and
-// timer has exactly one writer and the sim contract holds inside each
-// worker. Untainted responses are broadcast to every worker (ψ updates
-// keep all shards' view of controller state identical); tainted responses
-// go only to the owning shard. Because each trigger's response
-// subsequence is delivered in submission order to a single owner, and
-// worker engines advance to each response's virtual timestamp before
-// submitting, verdicts are identical at any shard count for a fixed
-// input — the wall-clock interleaving of workers is invisible in the
-// results.
+// It is the only sharding layer and the only package that hashes a
+// trigger: a thin dispatcher maps Response.Trigger onto a shard
+// (ShardForTrigger); each worker owns a private simnet engine and a
+// core.Validator — the paper's single decision loop — outright, so every
+// pending map, Ψ table and timer has exactly one writer and the sim
+// contract holds inside each worker. One shard is one worker: the live
+// service always fronts a Plane, at any width. Untainted responses are
+// broadcast to every worker (ψ updates keep all shards' view of
+// controller state identical); tainted responses go only to the owning
+// shard. Because each trigger's response subsequence is delivered in
+// submission order to a single owner, and worker engines advance to each
+// response's virtual timestamp before submitting, verdicts are identical
+// at any shard count for a fixed input — the wall-clock interleaving of
+// workers is invisible in the results.
 //
-// Concurrency contract: Submit, Advance, Drain, Kill and Close form the
-// dispatch side and must be serialized by the caller (one dispatcher
-// goroutine, or an external lock — the wire server uses its own mutex).
-// The stats accessors (Decided, Faults, Pending, Alarms, ...) are safe
-// from any goroutine at any time: they read atomic counters and immutable
-// snapshots. The cluster membership handed to New must not be mutated
-// while the plane runs.
+// Concurrency contract: Submit, Advance, Sync, Drain, TraceSpans, Kill,
+// Stop and Close form the dispatch side and must be serialized by the
+// caller (one dispatcher goroutine, or an external lock — the wire server
+// uses its own mutex). The stats accessors (Decided, Faults, Pending,
+// Alarms, ...) and a scrape of Metrics() are safe from any goroutine at
+// any time: they read atomic counters, immutable snapshots and internally
+// locked histograms. The cluster membership handed to New must not be
+// mutated while the plane runs.
 //
 // This package is a jurylint concurrency bridge: it owns goroutines and
 // channels, unlike the sim-contract core it multiplies.
@@ -57,10 +59,13 @@ type Config struct {
 	// counted in jury_shard_overflow_total.
 	QueueDepth int
 	// Validator carries K, timeout and adaptive settings for every
-	// worker's validator. Shards, Metrics and Tracer inside it are
-	// overridden: each worker runs single-sharded against a private
-	// registry, and the span tracer is single-goroutine so it cannot
-	// cross the plane.
+	// worker's validator. Metrics, Tracer and Recorder inside it are
+	// per-validator resources the plane replaces: each worker runs against
+	// a private registry (the plane aggregates) and, when FlightRing is
+	// set, its own flight ring. A non-nil Tracer arms tracing, but the
+	// instance is only a template — the span tracer is single-goroutine
+	// and reads one engine's clock, so each worker gets its own tracer on
+	// its own engine clock (same MaxSpans) and TraceSpans merges them.
 	Validator core.ValidatorConfig
 	// Members is the deployment's governance map, shared read-only by
 	// every worker.
@@ -143,6 +148,10 @@ type worker struct {
 	// zero). The worker's validator appends to it; dump goroutines
 	// snapshot it concurrently (the recorder has its own mutex).
 	rec *obs.Recorder
+	// tracer is the shard's span tracer (nil unless tracing is armed),
+	// written only by this worker's goroutine; TraceSpans reads it behind
+	// a Sync barrier.
+	tracer *obs.Tracer
 
 	depth    *obs.Gauge
 	enqueued *obs.Counter
@@ -160,6 +169,9 @@ type Plane struct {
 	// needs no lock.
 	alive []bool
 	wg    sync.WaitGroup
+	// stop tells every worker to exit without flushing; closed by Stop.
+	stop     chan struct{}
+	stopOnce sync.Once
 
 	// resMu serializes result aggregation and the user's OnResult hook
 	// across worker goroutines.
@@ -169,6 +181,10 @@ type Plane struct {
 	faults   *obs.Counter
 	nondet   *obs.Counter
 	timeouts *obs.Counter
+	// Detection-time summaries, observed per decision under resMu. The
+	// histograms lock internally, so a scrape never waits on a worker.
+	detections         *obs.Histogram
+	detectionsExternal *obs.Histogram
 
 	// dumpMu serializes flight dumps (predicates fire from both the
 	// dispatcher and worker result paths) and guards dumpSeen, the total
@@ -178,7 +194,8 @@ type Plane struct {
 	dumpSeen uint64
 }
 
-// New builds and starts a validation plane. The workers run until Close.
+// New builds and starts a validation plane. The workers run until Stop
+// (or Close).
 func New(cfg Config) (*Plane, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -198,18 +215,20 @@ func New(cfg Config) (*Plane, error) {
 		reg:     reg,
 		workers: make([]*worker, cfg.Shards),
 		alive:   make([]bool, cfg.Shards),
+		stop:    make(chan struct{}),
 	}
 	p.decided = reg.Counter("jury_validator_decided_total", "Triggers decided.")
 	p.valid = reg.Counter("jury_validator_valid_total", "Triggers judged valid.")
 	p.faults = reg.Counter("jury_validator_faults_total", "Alarms raised (fault verdicts).")
 	p.nondet = reg.Counter("jury_validator_nondeterministic_total", "Triggers labeled non-deterministic.")
 	p.timeouts = reg.Counter("jury_validator_timeouts_total", "Decisions forced by timer expiry.")
+	reg.CounterFunc("jury_validator_late_responses_total", "Responses arriving after the verdict.", p.LateResponses)
 	reg.GaugeFunc("jury_validator_pending", "Triggers awaiting decision across shards.",
 		func() float64 { return float64(p.Pending()) })
+	p.detections = reg.Histogram("jury_validator_detection_seconds", "Detection time per decided trigger.", nil)
+	p.detectionsExternal = reg.Histogram("jury_validator_detection_external_seconds", "Detection time for external triggers (Figs. 4a-4d).", nil)
 	vcfg := cfg.Validator
-	vcfg.Shards = 1
 	vcfg.Metrics = nil // per-worker private registries; the plane aggregates
-	vcfg.Tracer = nil  // the span tracer is single-goroutine by contract
 	for i := range p.workers {
 		w := &worker{
 			id:       i,
@@ -223,6 +242,12 @@ func New(cfg Config) (*Plane, error) {
 			w.rec.SetShard(i)
 			vcfg.Recorder = w.rec
 		}
+		if tmpl := cfg.Validator.Tracer; tmpl != nil {
+			w.tracer = obs.NewTracer(w.eng.Now)
+			w.tracer.MaxSpans = tmpl.MaxSpans
+			w.tracer.InstrumentMetrics(reg)
+			vcfg.Tracer = w.tracer
+		}
 		w.v = core.NewValidator(w.eng, cfg.Members, vcfg)
 		w.v.OnResult = p.onResult
 		l := obs.L("shard", strconv.Itoa(i))
@@ -233,7 +258,7 @@ func New(cfg Config) (*Plane, error) {
 		p.workers[i] = w
 		p.alive[i] = true
 		p.wg.Add(1)
-		go w.run(&p.wg)
+		go w.run(&p.wg, p.stop)
 	}
 	return p, nil
 }
@@ -265,6 +290,10 @@ func (p *Plane) onResult(r core.Result) {
 	if r.TimedOut {
 		p.timeouts.Inc()
 	}
+	p.detections.Observe(r.DetectionTime)
+	if r.Kind == trigger.External {
+		p.detectionsExternal.Observe(r.DetectionTime)
+	}
 	if p.cfg.OnResult != nil {
 		p.cfg.OnResult(r)
 	}
@@ -279,10 +308,12 @@ func (p *Plane) onResult(r core.Result) {
 // on the next item, and decisions themselves surface through OnResult.
 //
 //jurylint:allow errcrit -- benign Run errors for a live plane; see above
-func (w *worker) run(wg *sync.WaitGroup) {
+func (w *worker) run(wg *sync.WaitGroup, stop <-chan struct{}) {
 	defer wg.Done()
 	for {
 		select {
+		case <-stop:
+			return
 		case reply := <-w.dieC:
 			w.die(reply, nil)
 			return
@@ -385,6 +416,32 @@ func (p *Plane) enqueue(w *worker, it item) {
 	}
 }
 
+// FNV-1a64 parameters — the same hash family internal/sweep uses for
+// per-point seed derivation, inlined so the dispatch hot path does not
+// allocate a hash.Hash64 per response.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// ShardForTrigger maps a taint ID onto one of n shards: FNV-1a64 over the
+// ID bytes, folded modulo the shard count. The assignment is pure — the
+// same trigger always lands on the same shard at a given shard count —
+// which is what makes per-trigger state single-writer and the whole plane
+// deterministic: a shard's verdicts depend only on its own response
+// subsequence plus the broadcast Ψ stream.
+func ShardForTrigger(id trigger.ID, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= fnvPrime64
+	}
+	return int(h % uint64(n))
+}
+
 // ownerOf maps a trigger onto its live owning shard: the FNV home shard,
 // or the next live shard after it when the home was killed.
 func (p *Plane) ownerOf(id trigger.ID) int {
@@ -392,7 +449,7 @@ func (p *Plane) ownerOf(id trigger.ID) int {
 		return -1
 	}
 	n := len(p.workers)
-	home := core.ShardForTrigger(id, n)
+	home := ShardForTrigger(id, n)
 	for probe := 0; probe < n; probe++ {
 		if i := (home + probe) % n; p.alive[i] {
 			return i
@@ -539,21 +596,47 @@ func (p *Plane) Kill(i int) int {
 	return adopted
 }
 
-// Close drains every live shard and stops all workers. Dispatch side:
-// callers serialize; no dispatch call may follow Close.
+// TraceSpans returns every worker's completed spans merged into the
+// (start, origin, seq) order obs.StitchJSONL defines, or nil when tracing
+// is not armed. Each tracer belongs to its worker's goroutine, so the read
+// happens behind a Sync barrier: every live worker has acked and sits idle
+// (the caller holds the dispatch side, so nothing new is queued), and dead
+// workers exited before Kill or Stop returned. At one shard the result is
+// that shard's Tracer.Spans(). Dispatch side: callers serialize.
+func (p *Plane) TraceSpans() []obs.Span {
+	if !p.Tracing() {
+		return nil
+	}
+	p.Sync(0)
+	per := make([][]obs.Span, len(p.workers))
+	for i, w := range p.workers {
+		per[i] = w.tracer.Spans()
+	}
+	return obs.MergeSpans(per...)
+}
+
+// Tracing reports whether the plane's span tracers are armed.
+func (p *Plane) Tracing() bool { return p.workers[0].tracer != nil }
+
+// Stop halts every worker where it stands: queued items are abandoned
+// and no engine is flushed, so open triggers stay undecided instead of
+// expiring into omission alarms nobody raised — a service shutting down
+// calls this. Dispatch side: callers serialize; after Stop every shard is
+// dead, so further dispatch calls are no-ops and TraceSpans still reads.
+func (p *Plane) Stop() {
+	p.stopOnce.Do(func() { close(p.stop) })
+	p.wg.Wait()
+	for i := range p.alive {
+		p.alive[i] = false
+	}
+}
+
+// Close drains every live shard — every submitted trigger reaches its
+// decision — and then stops the workers; campaigns and benchmarks end on
+// it. Dispatch side: callers serialize.
 func (p *Plane) Close() {
 	p.Drain()
-	for i, w := range p.workers {
-		if !p.alive[i] {
-			continue
-		}
-		w.dead.Store(true)
-		p.alive[i] = false
-		reply := make(chan []item)
-		w.dieC <- reply
-		<-reply // empty: the plane was drained and the dispatcher is here
-	}
-	p.wg.Wait()
+	p.Stop()
 }
 
 // Metrics returns the registry carrying the plane's families.
@@ -576,6 +659,16 @@ func (p *Plane) NonDeterministic() int64 { return p.nondet.Value() }
 
 // Timeouts returns the decisions forced by timer expiry across shards.
 func (p *Plane) Timeouts() int64 { return p.timeouts.Value() }
+
+// LateResponses returns the responses that arrived after their trigger's
+// verdict, summed across shards.
+func (p *Plane) LateResponses() int64 {
+	var total int64
+	for _, w := range p.workers {
+		total += w.v.LateResponses()
+	}
+	return total
+}
 
 // Pending returns the triggers awaiting decision, summed across shards.
 func (p *Plane) Pending() int {

@@ -57,6 +57,30 @@ func doneAt(ctrl, primary store.NodeID, trig string, digest uint64, at time.Dura
 	}
 }
 
+func TestShardForTriggerStableAndInRange(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8} {
+		counts := make([]int, n)
+		for i := 0; i < 1000; i++ {
+			id := trigger.ID(fmt.Sprintf("τ%d", i))
+			s := ShardForTrigger(id, n)
+			if s < 0 || s >= n {
+				t.Fatalf("ShardForTrigger(%q, %d) = %d out of range", id, n, s)
+			}
+			if again := ShardForTrigger(id, n); again != s {
+				t.Fatalf("assignment not stable: %d then %d", s, again)
+			}
+			counts[s]++
+		}
+		// FNV over distinct IDs must actually spread load: no shard may
+		// end up empty at any width.
+		for s, c := range counts {
+			if c == 0 {
+				t.Fatalf("n=%d: shard %d received no triggers", n, s)
+			}
+		}
+	}
+}
+
 // mixedWorkload returns the test corpus in global submission order: 240
 // triggers spaced 1ms apart mixing early-valid consensus, omission faults,
 // same-state value conflicts and no-op agreement, each response stamped
@@ -178,7 +202,7 @@ func TestPlaneKillAdoptsBacklog(t *testing.T) {
 	var owned []string
 	for i := 0; len(owned) < 8; i++ {
 		id := fmt.Sprintf("κ%d", i)
-		if core.ShardForTrigger(trigger.ID(id), shards) == victim {
+		if ShardForTrigger(trigger.ID(id), shards) == victim {
 			owned = append(owned, id)
 		}
 	}
@@ -282,7 +306,7 @@ func TestPlaneKillSplitTrigger(t *testing.T) {
 	var id trigger.ID
 	for i := 0; ; i++ {
 		id = trigger.ID(fmt.Sprintf("σ%d", i))
-		if core.ShardForTrigger(id, shards) == victim {
+		if ShardForTrigger(id, shards) == victim {
 			break
 		}
 	}
@@ -444,6 +468,54 @@ func TestPlaneOverflowBackpressure(t *testing.T) {
 	if got := w.enqueued.Value(); got != 4 {
 		// stall + 2 responses + the close-path flush
 		t.Fatalf("enqueued counter = %d, want 4", got)
+	}
+}
+
+// TestPlaneStopVsClose pins the two endings: Close drains, so an open
+// trigger reaches its (omission) decision; Stop halts the workers where
+// they stand, so it stays undecided — and the trace, read after either,
+// holds only what was decided.
+func TestPlaneStopVsClose(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		end     func(*Plane)
+		decided int64
+	}{
+		{"Close", (*Plane).Close, 1},
+		{"Stop", (*Plane).Stop, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := New(Config{
+				Shards: 2,
+				Validator: core.ValidatorConfig{
+					K: 2, Timeout: 50 * time.Millisecond,
+					Tracer: obs.NewTracer(nil),
+				},
+				Members:           members3(),
+				TimeFromResponses: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Submit(execAt(2, 1, "τ", "k", "up", 9, 0))
+			p.Submit(execAt(3, 1, "τ", "k", "up", 9, time.Millisecond))
+			p.Sync(time.Millisecond)
+			if got := p.Pending(); got != 1 {
+				t.Fatalf("Pending() = %d before the end, want 1", got)
+			}
+			tc.end(p)
+			if got := p.Decided(); got != tc.decided {
+				t.Fatalf("Decided() = %d after %s, want %d", got, tc.name, tc.decided)
+			}
+			if got := p.Faults(); got != tc.decided {
+				t.Fatalf("Faults() = %d after %s, want %d", got, tc.name, tc.decided)
+			}
+			// One root span and one validate span per decided trigger.
+			if got := int64(len(p.TraceSpans())); got != 2*tc.decided {
+				t.Fatalf("TraceSpans() = %d spans after %s, want %d", got, tc.name, 2*tc.decided)
+			}
+			tc.end(p) // ending twice is harmless
+		})
 	}
 }
 

@@ -37,9 +37,9 @@ const (
 // BinMagic is the one-byte codec handshake a binary client writes before
 // its first frame. It can never begin a JSON protocol line: encoding/json
 // output starts with '{' (0x7B), so an old JSON-only peer is never
-// mistaken for a binary one. Exported for protocol tooling (the
-// cmd/benchwire raw-loopback harness); production peers never write it
-// by hand — Client and Server speak the handshake automatically.
+// mistaken for a binary one. Exported for protocol tooling; production
+// peers never write it by hand — Client and Server speak the handshake
+// automatically.
 const BinMagic = 0xBF
 
 // binHandshake is the handshake write, shared so every (re)connect does

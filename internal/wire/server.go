@@ -15,7 +15,6 @@ import (
 	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/shard"
-	"github.com/jurysdn/jury/internal/simnet"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 )
@@ -43,18 +42,14 @@ type ServerConfig struct {
 	// AlarmsOnly pushes only fault results to clients (default: all
 	// results are pushed).
 	AlarmsOnly bool
-	// Shards runs the validator as a parallel shard plane
-	// (internal/shard) with this many worker goroutines, responses
-	// dispatched by FNV over the trigger taint ID. Zero or one keeps the
-	// single engine+validator under the server lock — today's behavior.
-	// The plane cannot carry a per-trigger span tracer (the obs tracer is
-	// single-goroutine by contract), so Shards > 1 with Validator.Tracer
-	// set is rejected at Serve time rather than silently dropping spans.
+	// Shards is the width of the validation plane (internal/shard) the
+	// service fronts: this many worker goroutines, each owning one
+	// validator, responses dispatched by FNV over the trigger taint ID.
+	// Zero or one is one worker — the paper's single decision loop.
 	Shards int
 	// QueueDepth bounds each shard's intake queue (default
-	// shard.DefaultQueueDepth); only meaningful with Shards > 1.
-	// Deployments tune it through ValidatorServiceConfig.QueueDepth
-	// (juryd -queue-depth).
+	// shard.DefaultQueueDepth). Deployments tune it through
+	// ValidatorServiceConfig.QueueDepth (juryd -queue-depth).
 	QueueDepth int
 	// Tick is the wall-clock granularity at which validator timers fire
 	// (default 5ms).
@@ -78,25 +73,23 @@ type ServerConfig struct {
 	// WriteTimeout bounds one push write so a stalled peer cannot wedge
 	// the event loop (default DefaultWriteTimeout; negative disables).
 	WriteTimeout time.Duration
-	// Tracing arms a per-trigger span tracer on the service's virtual
-	// clock; the trace is read back with WriteTrace. Only the single
-	// engine+validator mode can trace (the obs tracer is single-goroutine
-	// by contract), so Tracing with Shards > 1 is rejected at Serve time.
+	// Tracing arms a per-trigger span tracer on every shard's virtual
+	// clock; WriteTrace reads the merged trace back.
 	Tracing bool
 	// FlightRing, when positive, arms a flight recorder of that capacity
-	// on the validator (per-shard rings when Shards > 1): the last N
-	// trigger lifecycle events are always on hand, and a fault verdict
-	// dumps them to OnFlightDump. FlightSnapshot reads the ring on demand
-	// (juryd's shutdown dump and -flight-dump flag).
+	// on every shard: the last N trigger lifecycle events are always on
+	// hand, and a fault verdict dumps them to OnFlightDump. FlightSnapshot
+	// reads the rings on demand (juryd's shutdown dump and -flight-dump
+	// flag).
 	FlightRing int
 	// OnFlightDump receives each dump-on-alarm flight snapshot (merged
 	// oldest-first) with the reason that fired it. Calls are serialized
 	// and rate-limited to one dump per newly recorded event. The hook
 	// must not call back into the server.
 	OnFlightDump func(reason string, events []obs.Event)
-	// Metrics is the registry for the connection-lifecycle metric
-	// families (jury_wire_*); nil shares the validator's registry, so
-	// juryd's /metrics page carries them with no extra wiring.
+	// Metrics is the registry the plane's families and the
+	// connection-lifecycle families (jury_wire_*) are published on — the
+	// page WriteMetrics renders; nil creates a private one.
 	Metrics *obs.Registry
 	// Sleep waits between Accept retries; nil selects the real-time
 	// sleeper. Tests inject one to pin the backoff schedule.
@@ -194,48 +187,31 @@ type srvConn struct {
 	lastPing time.Time // guarded by connsMu
 }
 
-// Server hosts a validator behind a TCP listener.
+// Server hosts a validation plane behind a TCP listener.
 //
-// Two locks split the server. mu serializes the dispatch side: the
-// engine/validator calls, and the plane's Submit/Advance (whose contract
-// requires one dispatcher). connsMu guards the connection registry and
-// every socket write, including the result broadcast. The only permitted
-// nesting is mu → connsMu (a single-engine validator decides inside
-// Submit and broadcasts synchronously); connsMu holders never dispatch
-// into the plane and only do deadline-bounded work. That asymmetry is
-// load-bearing: a shard worker delivering a result must not wait on mu,
-// because the dispatcher may hold mu while blocked on that same worker's
-// full intake queue (backpressure) — broadcast under mu would deadlock
-// the whole server.
+// Two locks split the server and never nest. mu serializes the plane's
+// dispatch side (Submit, Advance, TraceSpans — its contract requires one
+// dispatcher at a time) and guards traceShifts. connsMu guards the
+// connection registry and every socket write, including the result
+// broadcast; its holders never dispatch and only do deadline-bounded
+// work. Decisions land on the plane's worker goroutines, which take only
+// connsMu: a worker delivering a result must not wait on mu, because a
+// dispatcher may hold mu while blocked on that same worker's full intake
+// queue (backpressure). Stats, alarms, flight snapshots and the metrics
+// scrape read the plane's lock-free stats side and take neither lock.
 type Server struct {
 	ln  net.Listener
 	cfg ServerConfig
 	m   *serverMetrics
 
-	mu        sync.Mutex
-	eng       *simnet.Engine  // guarded by mu
-	validator *core.Validator // guarded by mu
-	// tracer is the single-engine mode's span tracer (nil unless
-	// ServerConfig.Tracing); single-goroutine, so every touch is under mu.
-	tracer *obs.Tracer // guarded by mu
+	mu sync.Mutex
 	// traceShifts maps each client origin to the estimated clock-base
 	// shift (receiver elapsed − sender BaseNS at first sight), the ShiftNS
 	// obs.Stitch needs to align that origin's trace onto this server's
 	// timeline.
 	traceShifts map[string]int64 // guarded by mu
-	// rec is the single-engine mode's flight recorder (nil unless
-	// ServerConfig.FlightRing > 0; the plane owns its own rings instead).
-	// The recorder is internally locked, so snapshots need no mu.
-	rec *obs.Recorder
-
-	// dumpMu guards dumpSeen, the recorded-event total at the last
-	// dump-on-alarm — the same rate limiter the shard plane uses.
-	dumpMu   sync.Mutex
-	dumpSeen uint64
-	// plane replaces eng+validator when cfg.Shards > 1. The pointer is
-	// immutable after construction; its dispatch calls (Submit/Advance)
-	// still run under mu because the plane's dispatch side must be
-	// serialized, while its stats side is lock-free by contract.
+	// plane is immutable after construction; mu serializes its dispatch
+	// side, its stats side is lock-free by contract.
 	plane   *shard.Plane
 	started time.Time
 
@@ -270,74 +246,34 @@ func ServeListener(ln net.Listener, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("wire: no cluster members configured")
 	}
 	members := cluster.NewMembership(cluster.AnyControllerOneMaster, cfg.Members, cfg.Switches)
-	var (
-		eng       *simnet.Engine
-		validator *core.Validator
-		plane     *shard.Plane
-		reg       *obs.Registry
-	)
-	var tracer *obs.Tracer
-	var rec *obs.Recorder
-	if cfg.Shards > 1 {
-		if cfg.Validator.Tracer != nil || cfg.Tracing {
-			_ = ln.Close()
-			return nil, fmt.Errorf("wire: per-trigger tracing is single-goroutine and cannot cross the shard plane; unset Validator.Tracer/Tracing or run with Shards <= 1")
-		}
-		var err error
-		plane, err = shard.New(shard.Config{
-			Shards:       cfg.Shards,
-			QueueDepth:   cfg.QueueDepth,
-			Validator:    cfg.Validator,
-			Members:      members,
-			Metrics:      cfg.Metrics,
-			FlightRing:   cfg.FlightRing,
-			OnFlightDump: cfg.OnFlightDump,
-		})
-		if err != nil {
-			_ = ln.Close()
-			return nil, fmt.Errorf("wire: shard plane: %w", err)
-		}
-		reg = plane.Metrics()
-	} else {
-		eng = simnet.NewEngine(0)
-		if cfg.Tracing && cfg.Validator.Tracer == nil {
-			cfg.Validator.Tracer = obs.NewTracer(eng.Now)
-		}
-		tracer = cfg.Validator.Tracer
-		if cfg.FlightRing > 0 {
-			rec = obs.NewRecorder(cfg.FlightRing)
-			cfg.Validator.Recorder = rec
-		}
-		validator = core.NewValidator(eng, members, cfg.Validator)
-		reg = cfg.Metrics
-		if reg == nil {
-			reg = validator.Metrics()
-		}
-		tracer.InstrumentMetrics(reg)
+	if cfg.Tracing && cfg.Validator.Tracer == nil {
+		// The plane treats the tracer as a template and arms one per shard.
+		cfg.Validator.Tracer = obs.NewTracer(nil)
+	}
+	plane, err := shard.New(shard.Config{
+		Shards:       cfg.Shards,
+		QueueDepth:   cfg.QueueDepth,
+		Validator:    cfg.Validator,
+		Members:      members,
+		Metrics:      cfg.Metrics,
+		FlightRing:   cfg.FlightRing,
+		OnFlightDump: cfg.OnFlightDump,
+	})
+	if err != nil {
+		_ = ln.Close()
+		return nil, fmt.Errorf("wire: shard plane: %w", err)
 	}
 	s := &Server{
 		ln:          ln,
 		cfg:         cfg,
-		eng:         eng,
-		validator:   validator,
-		tracer:      tracer,
-		rec:         rec,
+		m:           newServerMetrics(plane.Metrics()),
 		traceShifts: make(map[string]int64),
 		plane:       plane,
 		started:     cfg.Clock(),
 		conns:       make(map[net.Conn]*srvConn),
 		stop:        make(chan struct{}),
 	}
-	s.m = newServerMetrics(reg)
-	// broadcast takes only connsMu, never mu: plane decisions land on
-	// worker goroutines, and a worker waiting on the dispatch lock while
-	// the dispatcher holds it blocked on that worker's full intake queue
-	// would freeze the server permanently.
-	if plane != nil {
-		plane.SetOnResult(s.broadcast)
-	} else {
-		validator.OnResult = s.broadcast
-	}
+	plane.SetOnResult(s.broadcast)
 	s.done.Add(2)
 	go s.acceptLoop()
 	go s.tickLoop()
@@ -347,44 +283,27 @@ func ServeListener(ln net.Listener, cfg ServerConfig) (*Server, error) {
 // Addr returns the listener address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Stats returns a snapshot of the validator counters.
+// Stats returns a snapshot of the validator counters (atomic aggregates;
+// no lock).
 func (s *Server) Stats() Stats {
-	if s.plane != nil {
-		// Plane stats are atomic aggregates; no lock needed.
-		return Stats{
-			Decided:  s.plane.Decided(),
-			Valid:    s.plane.Valid(),
-			Faults:   s.plane.Faults(),
-			Timeouts: s.plane.Timeouts(),
-			Pending:  s.plane.Pending(),
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return Stats{
-		Decided:  s.validator.Decided(),
-		Valid:    s.validator.Valid(),
-		Faults:   s.validator.Faults(),
-		Timeouts: s.validator.Timeouts(),
-		Pending:  s.validator.Pending(),
+		Decided:  s.plane.Decided(),
+		Valid:    s.plane.Valid(),
+		Faults:   s.plane.Faults(),
+		Timeouts: s.plane.Timeouts(),
+		Pending:  s.plane.Pending(),
 	}
 }
 
-// WriteMetrics renders the validator's metrics registry in Prometheus
-// text format under the server lock, serializing the scrape against the
-// event loop (the registry wraps distributions the validator mutates, so
-// an unlocked scrape would race with decisions). Pass it as the Write
-// hook of an obs exposition endpoint. When ServerConfig.Metrics was nil,
-// the page includes the jury_wire_* connection-lifecycle families.
+// WriteMetrics renders the service's metrics registry in Prometheus text
+// format: the plane's jury_validator_* and jury_shard_* families and,
+// when ServerConfig.Metrics was nil, the jury_wire_* connection-lifecycle
+// families. Every family is an atomic, a function over atomics or an
+// internally locked histogram, so the scrape takes no server lock and
+// cannot stall dispatch. Pass it as the Write hook of an obs exposition
+// endpoint.
 func (s *Server) WriteMetrics(w io.Writer) error {
-	if s.plane != nil {
-		// The plane's families are atomics and gauge funcs over atomics;
-		// the scrape needs no serialization against the workers.
-		return s.plane.Metrics().WritePrometheus(w)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.validator.Metrics().WritePrometheus(w)
+	return s.plane.Metrics().WritePrometheus(w)
 }
 
 // TraceOrigins returns the estimated clock-base shift for every client
@@ -402,36 +321,27 @@ func (s *Server) TraceOrigins() map[string]int64 {
 }
 
 // WriteTrace writes the service's span trace as JSONL (the obs.Stitch
-// input format), serialized against the event loop. Errors unless the
-// server was started with Tracing (or an injected Validator.Tracer).
+// input format): every shard's spans, merged. The spans are collected
+// under the dispatch lock and written outside it. Errors unless the
+// server was started with Tracing.
 func (s *Server) WriteTrace(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tracer == nil {
+	if !s.plane.Tracing() {
 		return fmt.Errorf("wire: server has no tracer; start it with ServerConfig.Tracing")
 	}
-	return s.tracer.WriteJSONL(w)
+	s.mu.Lock()
+	spans := s.plane.TraceSpans()
+	s.mu.Unlock()
+	return obs.WriteSpansJSONL(w, spans)
 }
 
-// FlightSnapshot returns the flight recorder's merged ring (oldest
+// FlightSnapshot returns the flight recorders' merged rings (oldest
 // first), or nil when ServerConfig.FlightRing was zero. Safe from any
 // goroutine.
-func (s *Server) FlightSnapshot() []obs.Event {
-	if s.plane != nil {
-		return s.plane.FlightSnapshot()
-	}
-	return s.rec.Snapshot()
-}
+func (s *Server) FlightSnapshot() []obs.Event { return s.plane.FlightSnapshot() }
 
-// Alarms returns the validator's retained alarms.
-func (s *Server) Alarms() []core.Result {
-	if s.plane != nil {
-		return s.plane.Alarms() // merged immutable snapshots; lock-free
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.validator.Alarms()
-}
+// Alarms returns the validator's retained alarms (merged immutable
+// snapshots; no lock).
+func (s *Server) Alarms() []core.Result { return s.plane.Alarms() }
 
 // Close stops the service and waits for its goroutines. Safe to call
 // more than once. The closed flag flips under connsMu before the
@@ -453,11 +363,11 @@ func (s *Server) Close() error {
 			_ = conn.Close()
 		}
 		s.done.Wait()
-		if s.plane != nil {
-			// All dispatchers (reader goroutines, tick loop) are gone;
-			// this is the plane's final serialized dispatch call.
-			s.plane.Close()
-		}
+		// All dispatchers (reader goroutines, tick loop) are gone; this is
+		// the plane's final serialized dispatch call. Stop, not Close:
+		// draining would expire every still-open trigger into an omission
+		// alarm (and a flight dump) that no controller caused.
+		s.plane.Stop()
 	})
 	return err
 }
@@ -527,19 +437,10 @@ func (s *Server) tickLoop() {
 	}
 }
 
-// advance runs the validator engine up to the current elapsed clock time.
-// Run's error is deliberately dropped: ErrStopped and event-budget
-// overruns are benign for a live service that ticks again shortly.
-// Every call site holds s.mu (proven by the guardedby call graph).
-//
-//jurylint:allow errcrit -- benign Run errors for a live service; see above
+// advance moves every shard's virtual clock up to the current elapsed
+// clock time. Dispatch side: every call site holds s.mu.
 func (s *Server) advance() {
-	elapsed := s.cfg.Clock().Sub(s.started)
-	if s.plane != nil {
-		s.plane.Advance(elapsed)
-		return
-	}
-	_ = s.eng.Run(elapsed)
+	s.plane.Advance(s.cfg.Clock().Sub(s.started))
 }
 
 // heartbeatSweep pings idle connections and reaps half-open peers whose
@@ -738,11 +639,7 @@ func (s *Server) handleEnvelope(sc *srvConn, env *Envelope, borrowed bool) {
 				s.traceShifts[strings.Clone(tc.Origin)] = int64(elapsed) - tc.BaseNS
 			}
 		}
-		if s.plane != nil {
-			s.plane.Submit(resp)
-		} else {
-			s.validator.Submit(resp)
-		}
+		s.plane.Submit(resp)
 		s.mu.Unlock()
 	case TypeStats:
 		st := s.Stats()
@@ -771,25 +668,11 @@ func (s *Server) touch(sc *srvConn) {
 
 // broadcast pushes a result to every connected client; a client whose
 // write fails is dropped from the registry so later broadcasts stop
-// encoding to a dead peer. It is the result hook of both modes: a
-// single-engine validator invokes it synchronously inside Submit/advance
-// (mu held — the permitted mu → connsMu nesting), the shard plane
-// invokes it from worker goroutines with no server lock held. It takes
-// only connsMu and never calls into the dispatch side, so a worker
-// delivering a result cannot deadlock against a dispatcher blocked on
-// that worker's full intake queue.
+// encoding to a dead peer. The plane invokes it from worker goroutines
+// with no server lock held. It takes only connsMu and never calls into
+// the dispatch side, so a worker delivering a result cannot deadlock
+// against a dispatcher blocked on that worker's full intake queue.
 func (s *Server) broadcast(r core.Result) {
-	if r.Verdict == core.VerdictFault && s.rec != nil && s.cfg.OnFlightDump != nil {
-		// Single-engine dump-on-alarm (the plane runs its own). Reading
-		// the ring takes only the recorder's internal lock, so this holds
-		// no server lock and cannot deadlock either mode.
-		s.dumpMu.Lock()
-		if total := s.rec.Total(); total != s.dumpSeen {
-			s.dumpSeen = total
-			s.cfg.OnFlightDump("verdict:"+r.Fault.String(), s.rec.Snapshot())
-		}
-		s.dumpMu.Unlock()
-	}
 	if s.cfg.AlarmsOnly && r.Verdict != core.VerdictFault {
 		return
 	}

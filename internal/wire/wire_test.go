@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/jurysdn/jury/internal/core"
-	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
@@ -285,12 +284,20 @@ func TestServerWithInjectedClock(t *testing.T) {
 // dispatch lock — under the old locking (broadcast re-acquiring s.mu
 // from worker goroutines) this test wedged the server permanently.
 func TestServerShardPlaneBroadcastUnderBackpressure(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testBroadcastUnderBackpressure(t, shards)
+		})
+	}
+}
+
+func testBroadcastUnderBackpressure(t *testing.T, shards int) {
 	s, err := Serve("127.0.0.1:0", ServerConfig{
 		Validator:  core.ValidatorConfig{K: 2, Timeout: 500 * time.Millisecond},
 		Members:    []store.NodeID{1, 2, 3},
 		Switches:   []topo.DPID{1},
 		Tick:       time.Millisecond,
-		Shards:     2,
+		Shards:     shards,
 		QueueDepth: 1,
 	})
 	if err != nil {
@@ -334,25 +341,5 @@ func TestServerShardPlaneBroadcastUnderBackpressure(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close after backpressure load: %v", err)
-	}
-}
-
-// TestServeRejectsTracerWithShardPlane pins the tracing limitation as an
-// explicit configuration error: the per-trigger span tracer is
-// single-goroutine and cannot cross the shard plane, so enabling both
-// must fail loudly instead of silently dropping spans.
-func TestServeRejectsTracerWithShardPlane(t *testing.T) {
-	_, err := Serve("127.0.0.1:0", ServerConfig{
-		Validator: core.ValidatorConfig{
-			K:       2,
-			Timeout: 100 * time.Millisecond,
-			Tracer:  obs.NewTracer(func() time.Duration { return 0 }),
-		},
-		Members:  []store.NodeID{1, 2, 3},
-		Switches: []topo.DPID{1},
-		Shards:   2,
-	})
-	if err == nil {
-		t.Fatal("Serve accepted Tracer together with Shards > 1")
 	}
 }

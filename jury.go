@@ -173,7 +173,6 @@ func (s *Simulation) wireJury() error {
 			Timeout:      cfg.ValidationTimeout,
 			Adaptive:     cfg.AdaptiveTimeout,
 			NoStateAware: cfg.NoStateAware,
-			Shards:       cfg.Shards,
 		},
 		RelayAll: cfg.RelayAll,
 		Metrics:  cfg.Metrics,
