@@ -48,9 +48,11 @@ bench:
 # bench-obs is the observability-overhead regression step: it refreshes
 # BENCH_obs.json (same recipe as bench, which now includes the flight
 # recorder and series rows) and fails if the always-on recorder allocates
-# on the Submit hot path (TestSubmitRecorderBoundedAlloc pins it at zero).
+# on the Submit hot path (TestSubmitRecorderBoundedAlloc pins it at zero)
+# or a benign flow7 trigger costs the core more than its allocation budget
+# (TestTriggerAllocBudget).
 bench-obs:
-	$(GO) test ./internal/core -run TestSubmitRecorderBoundedAlloc -count=1
+	$(GO) test ./internal/core -run 'TestSubmitRecorderBoundedAlloc|TestTriggerAllocBudget' -count=1
 	$(MAKE) bench
 
 # bench-e2e is the measured benchmark: a real validator service on TCP

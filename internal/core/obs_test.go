@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"github.com/jurysdn/jury/internal/simnet"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
+	"github.com/jurysdn/jury/internal/trigger"
 )
 
 // TestSubmitDisabledTracerZeroAlloc is the tentpole's hot-path guarantee:
@@ -257,3 +259,91 @@ func BenchmarkValidatorSubmitRecorded(b *testing.B) {
 		b.Fatalf("decided %d of %d triggers", v.Decided(), b.N)
 	}
 }
+
+// benignTrigger renders the responses of one benign trigger the way the
+// end-to-end bench's workloads do: the primary's cache write (plus its
+// FLOW_MOD on flow workloads) and k replicated executions reporting the
+// same write. flow7 is n=7 on FlowsDB, light3 n=3 on HostDB.
+func benignTrigger(n int, flow bool) []Response {
+	base := Response{
+		Primary: 1,
+		Cache:   store.HostDB, Op: store.OpCreate, Key: "00:00:00:00:00:01",
+		Value:       `{"mac":"00:00:00:00:00:01","ip":"10.0.0.1","dpid":1,"port":1}`,
+		StateDigest: 9,
+	}
+	var rs []Response
+	if flow {
+		rule := ruleFor(1, "", 0)
+		base.Cache, base.Key, base.Value = store.FlowsDB, rule.Key(), rule.Encode()
+		rs = append(rs, netResp(1, 1, "", rule))
+	}
+	own := base
+	own.Controller, own.Kind = 1, CacheUpdate
+	rs = append([]Response{own}, rs...)
+	for c := 2; c <= n; c++ {
+		r := base
+		r.Controller, r.Kind, r.Tainted = store.NodeID(c), SecondaryExec, true
+		rs = append(rs, r)
+	}
+	return rs
+}
+
+// TestTriggerAllocBudget is the regression CI fails on: one benign n=7
+// FlowsDB trigger through the whole core — 8 Submits, the early decision
+// and the grace-window expiry, tracer and recorder off — stays within 60
+// allocations (the map-based path that re-derived every comparison form
+// per evaluate took 315).
+func TestTriggerAllocBudget(t *testing.T) {
+	eng, v := propValidator(6)
+	rs := benignTrigger(7, true)
+	ids := make([]trigger.ID, 300)
+	for i := range ids {
+		ids[i] = trigger.ID(fmt.Sprintf("τ%d", i))
+	}
+	seq := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, r := range rs {
+			r.Trigger = ids[seq]
+			v.Submit(r)
+		}
+		seq++
+		if err := eng.Run(eng.Now() + 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if int(v.Decided()) != seq || v.Faults() != 0 || v.Timeouts() != 0 || v.Pending() != 0 {
+		t.Fatalf("decided %d of %d, %d faults, %d timeouts, %d pending", v.Decided(), seq, v.Faults(), v.Timeouts(), v.Pending())
+	}
+	if allocs > 60 {
+		t.Fatalf("benign flow7 trigger allocated %.0f/op in the core, budget 60", allocs)
+	}
+	t.Logf("benign flow7 trigger: %.0f allocs in the core", allocs)
+}
+
+func benchTrigger(b *testing.B, n int, flow bool) {
+	eng, v := propValidator(n - 1)
+	rs := benignTrigger(n, flow)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := trigger.ID("τ" + strconv.Itoa(i))
+		for _, r := range rs {
+			r.Trigger = id
+			v.Submit(r)
+		}
+		if i%64 == 63 { // let grace windows close, as a live stream does
+			_ = eng.Run(eng.Now() + 2*time.Second)
+		}
+	}
+	if int(v.Decided()) != b.N || v.Faults() != 0 {
+		b.Fatalf("decided %d of %d triggers, %d faults", v.Decided(), b.N, v.Faults())
+	}
+}
+
+// BenchmarkValidatorTriggerFlow7 is one benign trigger of the bench's
+// flow7 workloads (n=7, FlowsDB + FLOW_MOD, 8 responses) through the core.
+func BenchmarkValidatorTriggerFlow7(b *testing.B) { benchTrigger(b, 7, true) }
+
+// BenchmarkValidatorTriggerLight3 is one benign trigger of the bench's
+// light3 workloads (n=3, HostDB, 3 responses).
+func BenchmarkValidatorTriggerLight3(b *testing.B) { benchTrigger(b, 3, false) }

@@ -116,9 +116,16 @@ func (r Response) Body() string {
 		return "done"
 	}
 	if r.IsCache() {
-		return "cache|" + string(r.Cache) + "|" + r.Op.String() + "|" + r.Key + "|" + normalizeValue(r.Cache, r.Value)
+		return r.cacheBody(normalizeValue(r.Cache, r.Value))
 	}
 	return "net|" + r.DPID.String() + "|" + r.MsgType.String() + "|" + r.MsgBody
+}
+
+// cacheBody is Body for a cache response whose normalized value the caller
+// already holds (the validator, which decodes a primary's rule once for
+// both the body and the sanity check).
+func (r Response) cacheBody(normalized string) string {
+	return "cache|" + string(r.Cache) + "|" + r.Op.String() + "|" + r.Key + "|" + normalized
 }
 
 // Slot returns the comparison slot within a trigger: triggers may elicit
@@ -132,6 +139,28 @@ func (r Response) Slot() string {
 		return "cache|" + string(r.Cache) + "|" + r.Key
 	}
 	return "net|" + r.DPID.String() + "|" + r.MsgType.String()
+}
+
+// sameSlotFields reports whether two responses agree on every field Slot
+// reads, so one's slot is the other's; sameBodyFields, for two responses
+// that do, extends that to the fields Body reads. The validator uses them
+// to let byte-equal replicas share one canonicalization; ExecDone's
+// constant forms are never worth sharing.
+func sameSlotFields(a, b *Response) bool {
+	if a.Kind == ExecDone || b.Kind == ExecDone || a.IsCache() != b.IsCache() {
+		return false
+	}
+	if a.IsCache() {
+		return a.Cache == b.Cache && a.Key == b.Key
+	}
+	return a.DPID == b.DPID && a.MsgType == b.MsgType
+}
+
+func sameBodyFields(a, b *Response) bool {
+	if a.IsCache() {
+		return a.Op == b.Op && a.Value == b.Value
+	}
+	return a.MsgBody == b.MsgBody
 }
 
 // Size estimates the validator-bound wire size in bytes. Replicated
@@ -160,6 +189,12 @@ func normalizeValue(cache store.CacheName, value string) string {
 	if err != nil {
 		return value
 	}
+	return canonicalRule(rule)
+}
+
+// canonicalRule is normalizeValue's result for a FlowsDB value that decoded
+// to rule.
+func canonicalRule(rule controller.FlowRule) string {
 	rule.Origin = 0
 	rule.Trigger = ""
 	rule.State = ""

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/jurysdn/jury/internal/cluster"
@@ -12,7 +11,6 @@ import (
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/simnet"
 	"github.com/jurysdn/jury/internal/store"
-	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
 )
 
@@ -178,9 +176,20 @@ type Validator struct {
 	// OnResult observes every decision.
 	OnResult func(Result)
 
-	// Ψ: per-controller state (running count + latest entry digest).
-	psi     map[store.NodeID]psiState
+	// Ψ: each controller's last self-reported state snapshot.
+	psi map[store.NodeID]psiState
+	// pending maps a trigger to its open state or, once decided and until
+	// the late-response grace window closes, to the shared tombstone tomb.
 	pending map[trigger.ID]*pendingTrigger
+	tomb    *pendingTrigger
+	// free is the pool of recycled pendingTriggers; primary, slots, group
+	// and rules are evaluate's scratch lists. They point into the trigger
+	// being evaluated and are dead once evaluate returns.
+	free    []*pendingTrigger
+	primary []*entry
+	slots   []*entry
+	group   []*entry
+	rules   []*entry
 
 	// Adaptive timeout state (EWMA of consensus time and deviation).
 	ewmaMean float64
@@ -233,6 +242,7 @@ func NewValidator(eng *simnet.Engine, members *cluster.Membership, cfg Validator
 		rec:     cfg.Recorder,
 		psi:     make(map[store.NodeID]psiState),
 		pending: make(map[trigger.ID]*pendingTrigger),
+		tomb:    &pendingTrigger{},
 	}
 	v.totalDecided = reg.Counter("jury_validator_decided_total", "Triggers decided.")
 	v.totalValid = reg.Counter("jury_validator_valid_total", "Triggers judged valid.")
@@ -299,29 +309,29 @@ func (v *Validator) FalsePositiveRate() float64 {
 
 // evaluate implements the consensus core. When final is false it only
 // reports conclusive early outcomes; at expiry (final=true) it always
-// returns a result.
+// returns a result. While a trigger is still short of its response
+// complement the answer comes from the per-trigger counters alone.
 func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 	kind := trigger.Internal
-	if p.tainted || p.responses > v.cfg.K+2 {
+	if p.taintedResponders > 0 || len(p.entries) > v.cfg.K+2 {
 		kind = trigger.External
 	}
 	res := Result{Kind: kind, Verdict: VerdictValid}
 
 	primaryID := p.primary
-	primary := v.primaryResponses(p, primaryID)
 
-	if len(primary) == 0 {
+	if p.primaryEntries == 0 {
 		if !final {
 			// No-op consensus: every one of the k replicated executions
 			// completed without side-effects, so the expected primary
 			// behaviour is silence; nothing further to wait for.
-			if kind == trigger.External && v.taintedResponders(p) >= v.cfg.K &&
-				v.secondariesWithEffects(p) == 0 {
+			if kind == trigger.External && p.taintedResponders >= v.cfg.K &&
+				p.withEffects == 0 {
 				return res, true
 			}
 			return Result{}, false
 		}
-		if kind == trigger.External && p.tainted {
+		if kind == trigger.External && p.taintedResponders > 0 {
 			// A primary producing no side-effects is indistinguishable
 			// from one that never responded — unless the secondaries'
 			// replicated executions were also side-effect-free, in which
@@ -331,7 +341,7 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 			// secondaries agreeing that action was required, at least
 			// one of them executing from the primary's last known state
 			// (state-aware omission, §IV-C A).
-			if v.secondariesWithEffects(p) < quorumOf(v.cfg.K) {
+			if p.withEffects < quorumOf(v.cfg.K) {
 				return res, true
 			}
 			// State-aware mitigation (§IV-C A), applied to network-only
@@ -341,9 +351,9 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 			// primary's last known state (Ψ[primary] at trigger open).
 			// Cache-write evidence is the deterministic, state-logged
 			// action class the paper validates and convicts directly.
-			if !v.cfg.NoStateAware && !v.cacheEffectsPresent(p) &&
+			if !v.cfg.NoStateAware && !cacheEffectsPresent(p) &&
 				p.primaryPsiSet && p.primaryPsi.seen &&
-				!v.effectFromState(p, p.primaryPsi.digest) {
+				!effectFromState(p, p.primaryPsi.digest) {
 				return res, true
 			}
 			// Secondaries produced side-effects; the primary never did:
@@ -360,29 +370,23 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 		return res, true
 	}
 
-	quorum := quorumOf(v.cfg.K)
-
-	switch kind {
-	case trigger.External:
-		// The paper's validator waits for responses from all replicas
-		// before checking for controllers with equivalent network view
-		// (§VII-A): an early decision therefore requires the full
-		// complement of k replicated executions, which is what makes
-		// detection time grow with k and with slow (faulty) replicas.
-		if !final && v.taintedResponders(p) < v.cfg.K {
-			return Result{}, false
-		}
-		r, conclusive := v.consensusExternal(p, primary, primaryID, quorum, final)
-		if !conclusive {
-			return Result{}, false
-		}
-		res = r
-	default:
-		r, conclusive := v.consensusInternal(p, primary, primaryID, quorum, final)
-		if !conclusive {
-			return Result{}, false
-		}
-		res = r
+	// The paper's validator waits for responses from all replicas before
+	// checking for controllers with equivalent network view (§VII-A): an
+	// early decision on an external trigger therefore requires the full
+	// complement of k replicated executions, which is what makes detection
+	// time grow with k and with slow (faulty) replicas.
+	if kind == trigger.External && !final && p.taintedResponders < v.cfg.K {
+		return Result{}, false
+	}
+	primary := v.primaryResponses(p)
+	var conclusive bool
+	if kind == trigger.External {
+		res, conclusive = v.consensusExternal(p, primary, quorumOf(v.cfg.K), final)
+	} else {
+		res, conclusive = v.consensusInternal(p, primary, final)
+	}
+	if !conclusive {
+		return Result{}, false
 	}
 	if res.Verdict == VerdictFault {
 		res.Kind = kind
@@ -390,7 +394,7 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 	}
 
 	// SANITY_CHECK: network writes must be consistent with cache state.
-	sres, bad, complete := v.sanityCheck(p, primary, final)
+	sres, bad, complete := v.sanityCheck(primary, final)
 	if bad {
 		sres.Kind = kind
 		return sres, true
@@ -402,7 +406,7 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 	// POLICY_CHECK on the primary's responses.
 	if v.Policy != nil {
 		for _, pr := range primary {
-			if name, violated := v.Policy(kind, primaryID, pr); violated {
+			if name, violated := v.Policy(kind, primaryID, pr.r); violated {
 				return Result{
 					Kind:     kind,
 					Verdict:  VerdictFault,
@@ -417,106 +421,113 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 	return res, true
 }
 
-// primaryResponses collects the primary controller's own (untainted)
-// responses.
-func (v *Validator) primaryResponses(p *pendingTrigger, primaryID store.NodeID) []Response {
-	var out []Response
-	for _, r := range p.byController[primaryID] {
-		if !r.Tainted {
-			out = append(out, r)
+// primaryResponses collects the primary's responses (isPrimaryEntry) into
+// the validator's scratch list: the primary controller's own first, then
+// other controllers' network writes in controller-ID order — the sanity
+// check's first-mismatch verdict depends on this order.
+func (v *Validator) primaryResponses(p *pendingTrigger) []*entry {
+	out := v.primary[:0]
+	for i := range p.entries {
+		if e := &p.entries[i]; !e.r.Tainted && e.r.Controller == p.primary {
+			out = append(out, e)
 		}
 	}
-	// Untainted responses from other controllers (e.g. the master of a
-	// remote switch materializing the primary's FlowsDB write) also count
-	// as authoritative cluster actions for this trigger. Controllers are
-	// visited in ID order: the collected responses feed the sanity check,
-	// whose first-mismatch verdict depends on their order.
-	for _, id := range controllerIDs(p) {
-		if id == primaryID {
+	own := len(out)
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.r.Tainted || e.r.Controller == p.primary || e.r.Kind != NetworkWrite {
 			continue
 		}
-		for _, r := range p.byController[id] {
-			if !r.Tainted && r.Kind == NetworkWrite {
-				out = append(out, r)
-			}
+		// Stable insertion by controller ID keeps arrival order within
+		// one controller.
+		j := len(out)
+		out = append(out, e)
+		for ; j > own && out[j-1].r.Controller > e.r.Controller; j-- {
+			out[j] = out[j-1]
 		}
+		out[j] = e
 	}
+	v.primary = out
 	return out
 }
 
-// controllerIDs returns the trigger's responders in sorted order so
-// order-sensitive consumers visit controllers deterministically.
-func controllerIDs(p *pendingTrigger) []store.NodeID {
-	ids := make([]store.NodeID, 0, len(p.byController))
-	for id := range p.byController {
-		ids = append(ids, id)
+// slotsOf collects, from the primary's responses that pass keep, one entry
+// per slot — the last in primary order, as a later write supersedes an
+// earlier one — sorted by slot: per-slot verdict loops report the first
+// faulting slot, so evaluation order must not depend on arrival order.
+func (v *Validator) slotsOf(primary []*entry, keep func(*Response) bool) []*entry {
+	out := v.slots[:0]
+next:
+	for _, e := range primary {
+		if !keep(&e.r) {
+			continue
+		}
+		for i, o := range out {
+			if o.slot == e.slot {
+				out[i] = e
+				continue next
+			}
+		}
+		j := len(out)
+		out = append(out, e)
+		for ; j > 0 && out[j-1].slot > e.slot; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = e
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// sortedKeys returns a response map's keys in sorted order; per-slot
-// verdict loops report the first faulting slot, so evaluation order must
-// not depend on map iteration.
-func sortedKeys(m map[string]Response) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	v.slots = out
+	return out
 }
 
 // consensusExternal validates the primary's side-effects against the
 // independent replicated executions of the secondaries, slot by slot.
-func (v *Validator) consensusExternal(p *pendingTrigger, primary []Response, primaryID store.NodeID, quorum int, final bool) (Result, bool) {
-	slots := make(map[string]Response)
-	for _, r := range primary {
-		if r.Kind == NetworkWrite && r.MsgType == openflow.TypeFlowMod {
-			// FLOW_MODs materialize from the flow cache, which
-			// secondaries never write (side-effect suppression), so no
-			// replicated execution can vouch for this slot directly:
-			// it is validated against the replicated cache copies by
-			// SANITY_CHECK instead.
-			continue
+func (v *Validator) consensusExternal(p *pendingTrigger, primary []*entry, quorum int, final bool) (Result, bool) {
+	slots := v.slotsOf(primary, func(r *Response) bool {
+		// FLOW_MODs materialize from the flow cache, which secondaries
+		// never write (side-effect suppression), so no replicated
+		// execution can vouch for this slot directly: it is validated
+		// against the replicated cache copies by SANITY_CHECK instead.
+		if r.Kind == NetworkWrite {
+			return r.MsgType != openflow.TypeFlowMod
 		}
-		if r.Kind == CacheUpdate || r.Kind == NetworkWrite {
-			slots[r.Slot()] = r
-		}
-	}
+		return r.Kind == CacheUpdate
+	})
 	if len(slots) == 0 {
 		// Primary reported only no-ops; nothing to validate.
 		return Result{Verdict: VerdictValid}, final
 	}
 	allAgreed := true
-	for _, slot := range sortedKeys(slots) {
-		pr := slots[slot]
-		agree, sameStateConflicts, _ := v.tally(p, pr, slot, primaryID)
+	for _, pr := range slots {
+		agree, sameStateConflicts, anyConflicts := v.tally(p, pr)
 		// A conflicting quorum is reached either by secondaries sharing
 		// the primary's pre-trigger state, or by a group of secondaries
 		// with equivalent views among themselves that independently
 		// computed the same different answer.
-		if g := v.conflictGroup(p, pr, slot, primaryID); g > sameStateConflicts {
-			sameStateConflicts = g
+		group := 0
+		if anyConflicts > 0 {
+			group = v.conflictGroup(p, pr)
+		}
+		if group > sameStateConflicts {
+			sameStateConflicts = group
 		}
 		if sameStateConflicts >= quorum {
 			// Known non-deterministic applications are exempt from
 			// conviction (§VIII-2 future work).
-			if v.NonDetExempt != nil && v.NonDetExempt(pr) {
+			if v.NonDetExempt != nil && v.NonDetExempt(pr.r) {
 				return Result{Verdict: VerdictNonDeterministic}, true
 			}
 			// Non-determinism check (§IV-C B): when every response on
 			// the slot is pairwise distinct, the application logic is
 			// non-deterministic and the action is labeled non-faulty
 			// rather than convicted.
-			if v.allDistinct(p, slot) {
+			if allDistinct(p, pr.slot) {
 				return Result{Verdict: VerdictNonDeterministic}, true
 			}
 			return Result{
 				Verdict:  VerdictFault,
 				Fault:    FaultValue,
-				Offender: primaryID,
-				Reason:   fmt.Sprintf("slot %s: %d same-state replicas contradict the primary", slot, sameStateConflicts),
+				Offender: p.primary,
+				Reason:   fmt.Sprintf("slot %s: %d same-state replicas contradict the primary", pr.slot, sameStateConflicts),
 			}, true
 		}
 		if agree+1 < quorum { // +1 for the primary itself
@@ -524,23 +535,23 @@ func (v *Validator) consensusExternal(p *pendingTrigger, primary []Response, pri
 			if final {
 				// Non-determinism check (§IV-C B): all responses on this
 				// slot pairwise distinct → non-deterministic app logic.
-				if v.allDistinct(p, slot) {
+				if allDistinct(p, pr.slot) {
 					return Result{Verdict: VerdictNonDeterministic}, true
 				}
 				// Only same-state counter-evidence convicts: replicas
 				// whose snapshot differed from the primary's are
 				// excluded to avert false positives from transient
 				// state asynchrony (§IV-C A).
-				counter := sameStateConflicts + v.sameStateNoops(p, pr)
-				if g := v.conflictGroup(p, pr, slot, primaryID); g > counter {
-					counter = g
+				counter := sameStateConflicts + sameStateNoops(p, pr)
+				if group > counter {
+					counter = group
 				}
 				if counter >= quorum {
 					return Result{
 						Verdict:  VerdictFault,
 						Fault:    FaultValue,
-						Offender: primaryID,
-						Reason:   fmt.Sprintf("slot %s: majority of same-state replicas disagree with the primary", slot),
+						Offender: p.primary,
+						Reason:   fmt.Sprintf("slot %s: majority of same-state replicas disagree with the primary", pr.slot),
 					}, true
 				}
 				// Insufficient counter-evidence: accept.
@@ -556,81 +567,60 @@ func (v *Validator) consensusExternal(p *pendingTrigger, primary []Response, pri
 // consensusInternal validates internal triggers: the k+1 cache-update
 // copies must agree (they are replicas of one event, so disagreement means
 // corruption in flight or at a replica).
-func (v *Validator) consensusInternal(p *pendingTrigger, primary []Response, primaryID store.NodeID, quorum int, final bool) (Result, bool) {
-	slots := make(map[string]Response)
-	for _, r := range primary {
-		if r.Kind == CacheUpdate {
-			slots[r.Slot()] = r
-		}
-	}
-	for _, slot := range sortedKeys(slots) {
-		pr := slots[slot]
-		conflicts := 0
-		//jurylint:allow maprange -- commutative conflict count; visit order cannot change it
-		for id, rs := range p.byController {
-			if id == primaryID {
+func (v *Validator) consensusInternal(p *pendingTrigger, primary []*entry, final bool) (Result, bool) {
+	for _, pr := range v.slotsOf(primary, func(r *Response) bool { return r.Kind == CacheUpdate }) {
+		for i := range p.entries {
+			e := &p.entries[i]
+			if e.r.Controller == p.primary || e.r.Kind != CacheUpdate || e.slot != pr.slot {
 				continue
 			}
-			for _, r := range rs {
-				if r.Kind != CacheUpdate || r.Slot() != slot {
-					continue
-				}
-				if r.Body() != pr.Body() {
-					conflicts++
-				}
+			if e.body != pr.body {
+				return Result{
+					Verdict:  VerdictFault,
+					Fault:    FaultValue,
+					Offender: p.primary,
+					Reason:   fmt.Sprintf("slot %s: replica cache copies diverge", pr.slot),
+				}, true
 			}
-		}
-		if conflicts > 0 {
-			return Result{
-				Verdict:  VerdictFault,
-				Fault:    FaultValue,
-				Offender: primaryID,
-				Reason:   fmt.Sprintf("slot %s: replica cache copies diverge", slot),
-			}, true
 		}
 	}
 	// An internal trigger's response complement is not knowable up
 	// front (more cache writes may still arrive), so a clean verdict
 	// waits for the timer (Algorithm 1 decides internal triggers at
 	// expiry).
-	if !final {
-		return Result{}, false
-	}
-	_ = quorum
-	return Result{Verdict: VerdictValid}, true
+	return Result{Verdict: VerdictValid}, final
 }
 
-// tally counts, for one slot, secondaries agreeing with the primary's body
-// and conflicting responses (split by state equivalence, §IV-C A).
-func (v *Validator) tally(p *pendingTrigger, pr Response, slot string, primaryID store.NodeID) (agree, sameStateConflicts, anyConflicts int) {
-	want := pr.Body()
-	//jurylint:allow maprange -- commutative tally; per-controller counts do not depend on visit order
-	for id, rs := range p.byController {
-		if id == primaryID {
+// tally counts, for one of the primary's slots, the secondaries agreeing
+// with the primary's body and the conflicting ones (split by state
+// equivalence, §IV-C A). A controller with any matching response agrees.
+func (v *Validator) tally(p *pendingTrigger, pr *entry) (agree, sameStateConflicts, anyConflicts int) {
+	for i := range p.ctrls {
+		c := &p.ctrls[i]
+		c.matched, c.conflicted, c.sameState = false, false, false
+	}
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.r.Controller == p.primary || e.r.Kind == ExecDone || e.slot != pr.slot {
 			continue
 		}
-		matched := false
-		conflicted := false
-		sameState := false
-		for _, r := range rs {
-			if r.Slot() != slot || r.Kind == ExecDone {
-				continue
-			}
-			if r.Body() == want {
-				matched = true
-				continue
-			}
-			conflicted = true
-			if v.cfg.NoStateAware || equivState(r, pr) {
-				sameState = true
-			}
+		c := &p.ctrls[e.ctrl]
+		if e.body == pr.body {
+			c.matched = true
+			continue
 		}
-		switch {
-		case matched:
+		c.conflicted = true
+		if v.cfg.NoStateAware || equivState(&e.r, &pr.r) {
+			c.sameState = true
+		}
+	}
+	for i := range p.ctrls {
+		switch c := &p.ctrls[i]; {
+		case c.matched:
 			agree++
-		case conflicted:
+		case c.conflicted:
 			anyConflicts++
-			if sameState {
+			if c.sameState {
 				sameStateConflicts++
 			}
 		}
@@ -642,51 +632,47 @@ func (v *Validator) tally(p *pendingTrigger, pr Response, slot string, primaryID
 // disagree with the primary on a slot while agreeing with each other on
 // both the response body and their own state snapshot — an
 // equivalent-view consensus contradicting the primary.
-func (v *Validator) conflictGroup(p *pendingTrigger, pr Response, slot string, primaryID store.NodeID) int {
-	want := pr.Body()
-	groups := make(map[string]map[store.NodeID]bool)
-	//jurylint:allow maprange -- commutative grouping; membership sets do not depend on visit order
-	for id, rs := range p.byController {
-		if id == primaryID {
+func (v *Validator) conflictGroup(p *pendingTrigger, pr *entry) int {
+	cand := v.group[:0]
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.r.Controller == p.primary || e.r.Kind == ExecDone || e.slot != pr.slot || e.body == pr.body {
 			continue
 		}
-		for _, r := range rs {
-			if r.Slot() != slot || r.Kind == ExecDone {
-				continue
-			}
-			body := r.Body()
-			if body == want {
-				continue
-			}
-			// Group conviction applies to cache slots, where the
-			// per-entry prior value pins the view the group acted from;
-			// network responses (deliveries) depend on racy lookups and
-			// only count when their whole-store snapshot matches the
-			// primary's (handled by the per-replica tally).
-			if !r.IsCache() && !v.cfg.NoStateAware && !equivState(r, pr) {
-				continue
-			}
-			// A group of replicas that is *behind* the primary (fewer
-			// events applied at replay time) merely replayed from stale
-			// state; only groups at least as current as the primary can
-			// contradict it.
-			if !v.cfg.NoStateAware && r.StateApplied < pr.StateApplied {
-				continue
-			}
-			key := fmt.Sprintf("%s|%s", stateKey(r), body)
-			set := groups[key]
-			if set == nil {
-				set = make(map[store.NodeID]bool)
-				groups[key] = set
-			}
-			set[id] = true
+		// Group conviction applies to cache slots, where the
+		// per-entry prior value pins the view the group acted from;
+		// network responses (deliveries) depend on racy lookups and
+		// only count when their whole-store snapshot matches the
+		// primary's (handled by the per-replica tally).
+		if !e.r.IsCache() && !v.cfg.NoStateAware && !equivState(&e.r, &pr.r) {
+			continue
 		}
+		// A group of replicas that is *behind* the primary (fewer
+		// events applied at replay time) merely replayed from stale
+		// state; only groups at least as current as the primary can
+		// contradict it.
+		if !v.cfg.NoStateAware && e.r.StateApplied < pr.r.StateApplied {
+			continue
+		}
+		cand = append(cand, e)
+	}
+	v.group = cand
+	for i := range p.ctrls {
+		p.ctrls[i].mark = 0
 	}
 	best := 0
-	//jurylint:allow maprange -- commutative max; visit order cannot change the largest size
-	for _, set := range groups {
-		if len(set) > best {
-			best = len(set)
+	for i, a := range cand {
+		// Distinct controllers among the candidates sharing a's body and
+		// view; mark stamps a controller as counted for group i.
+		size := 0
+		for _, b := range cand {
+			if c := &p.ctrls[b.ctrl]; c.mark != i+1 && b.body == a.body && sameView(&a.r, &b.r) {
+				c.mark = i + 1
+				size++
+			}
+		}
+		if size > best {
+			best = size
 		}
 	}
 	return best
@@ -696,30 +682,38 @@ func (v *Validator) conflictGroup(p *pendingTrigger, pr Response, slot string, p
 // views: for cache writes, both responders saw the same prior value of the
 // acted-on entry (the per-entry refinement of Ψ's "latest update"); for
 // other responses, the whole-store snapshot digests must match.
-func equivState(a, b Response) bool {
+func equivState(a, b *Response) bool {
 	if a.IsCache() && b.IsCache() {
 		return a.PrevOK == b.PrevOK && a.Prev == b.Prev
 	}
 	return a.StateDigest == b.StateDigest
 }
 
-// stateKey renders the comparable view of a response for grouping.
-func stateKey(r Response) string {
-	if r.IsCache() {
-		if !r.PrevOK {
-			return "absent"
-		}
-		return "prev:" + r.Prev
+// sameView reports whether two responses on one slot belong to the same
+// conflict group: cache writes by the acted-on entry's prior value (any two
+// absent priors are one view), other responses by snapshot digest.
+func sameView(a, b *Response) bool {
+	if a.IsCache() != b.IsCache() {
+		return false
 	}
-	return fmt.Sprintf("digest:%x", r.StateDigest)
+	if !a.IsCache() {
+		return a.StateDigest == b.StateDigest
+	}
+	return a.PrevOK == b.PrevOK && (!a.PrevOK || a.Prev == b.Prev)
 }
 
-// sameStateNoops counts secondaries that reported a no-op execution from
-// the same pre-trigger state as the primary's response.
-func (v *Validator) sameStateNoops(p *pendingTrigger, pr Response) int {
+// sameStateNoops counts the distinct secondaries that reported a no-op
+// execution from the same pre-trigger state as the primary's response; a
+// retransmitted ExecDone is still one controller's testimony.
+func sameStateNoops(p *pendingTrigger, pr *entry) int {
+	for i := range p.ctrls {
+		p.ctrls[i].mark = 0
+	}
 	count := 0
-	for _, r := range p.all {
-		if r.Kind == ExecDone && r.StateDigest == pr.StateDigest {
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.r.Kind == ExecDone && e.r.StateDigest == pr.r.StateDigest && p.ctrls[e.ctrl].mark == 0 {
+			p.ctrls[e.ctrl].mark = 1
 			count++
 		}
 	}
@@ -729,28 +723,11 @@ func (v *Validator) sameStateNoops(p *pendingTrigger, pr Response) int {
 // quorumOf returns the majority threshold over the k+1 participants.
 func quorumOf(k int) int { return k/2 + 1 }
 
-// taintedResponders counts distinct controllers that reported replicated
-// execution (side-effects or ExecDone) for the trigger.
-func (v *Validator) taintedResponders(p *pendingTrigger) int {
-	count := 0
-	//jurylint:allow maprange -- commutative count of distinct responders
-	for id, rs := range p.byController {
-		_ = id
-		for _, r := range rs {
-			if r.Tainted {
-				count++
-				break
-			}
-		}
-	}
-	return count
-}
-
 // cacheEffectsPresent reports whether any replicated execution produced a
 // cache-write side-effect.
-func (v *Validator) cacheEffectsPresent(p *pendingTrigger) bool {
-	for _, r := range p.all {
-		if r.Tainted && r.Kind != ExecDone && r.IsCache() {
+func cacheEffectsPresent(p *pendingTrigger) bool {
+	for i := range p.entries {
+		if r := &p.entries[i].r; r.Tainted && r.Kind != ExecDone && r.IsCache() {
 			return true
 		}
 	}
@@ -759,121 +736,121 @@ func (v *Validator) cacheEffectsPresent(p *pendingTrigger) bool {
 
 // effectFromState reports whether some side-effect-producing secondary
 // executed from the given state snapshot.
-func (v *Validator) effectFromState(p *pendingTrigger, digest uint64) bool {
-	for _, r := range p.all {
-		if r.Tainted && r.Kind != ExecDone && r.StateDigest == digest {
+func effectFromState(p *pendingTrigger, digest uint64) bool {
+	for i := range p.entries {
+		if r := &p.entries[i].r; r.Tainted && r.Kind != ExecDone && r.StateDigest == digest {
 			return true
 		}
 	}
 	return false
 }
 
-// secondariesWithEffects counts distinct secondaries whose replicated
-// execution produced at least one side-effect.
-func (v *Validator) secondariesWithEffects(p *pendingTrigger) int {
-	seen := make(map[store.NodeID]bool)
-	for _, r := range p.all {
-		if r.Tainted && r.Kind != ExecDone {
-			seen[r.Controller] = true
-		}
-	}
-	return len(seen)
-}
-
-// allDistinct reports whether every response on a slot has a unique body.
-func (v *Validator) allDistinct(p *pendingTrigger, slot string) bool {
-	seen := make(map[string]bool)
-	for _, r := range p.all {
-		if r.Slot() != slot || r.Kind == ExecDone {
+// allDistinct reports whether every response on a slot has a unique body
+// (and there is more than one).
+func allDistinct(p *pendingTrigger, slot string) bool {
+	n := 0
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.slot != slot || e.r.Kind == ExecDone {
 			continue
 		}
-		if seen[r.Body()] {
-			return false
+		n++
+		for j := 0; j < i; j++ {
+			if o := &p.entries[j]; o.slot == slot && o.r.Kind != ExecDone && o.body == e.body {
+				return false
+			}
 		}
-		seen[r.Body()] = true
 	}
-	return len(seen) > 1
+	return n > 1
 }
 
 // sanityCheck asserts cache/network consistency for the primary's
 // responses: every non-delete FlowsDB cache write must be matched by an
 // equivalent FLOW_MOD on the network, and every FLOW_MOD must be backed by
-// a cache write (§II-A3).
-func (v *Validator) sanityCheck(p *pendingTrigger, primary []Response, final bool) (res Result, bad, complete bool) {
-	var (
-		cacheRules = make(map[string]Response) // canonical net body -> cache response
-		netWrites  []Response
-	)
-	for _, r := range primary {
-		switch r.Kind {
-		case CacheUpdate:
-			if r.Cache == store.FlowsDB && r.Op != store.OpDelete {
-				if body, dpid, ok := expectedNetBody(r); ok {
-					cacheRules["net|"+dpid.String()+"|FLOW_MOD|"+body] = r
-				}
-			}
-		case NetworkWrite:
-			if r.MsgType == openflow.TypeFlowMod {
-				netWrites = append(netWrites, r)
-			}
-		}
-	}
-	// Every FLOW_MOD must correspond to a cache rule.
-	for _, nw := range netWrites {
-		key := "net|" + nw.DPID.String() + "|FLOW_MOD|" + nw.MsgBody
-		if _, ok := cacheRules[key]; ok {
-			delete(cacheRules, key)
+// a cache write (§II-A3). A cache write's expected FLOW_MOD (entry.netBody)
+// and a FLOW_MOD's own body are the same canonical form.
+func (v *Validator) sanityCheck(primary []*entry, final bool) (res Result, bad, complete bool) {
+	// rules: the cache writes still waiting for their FLOW_MOD, one per
+	// distinct expected FLOW_MOD, sorted by it.
+	rules := v.rules[:0]
+next:
+	for _, e := range primary {
+		if e.r.Kind != CacheUpdate || e.netBody == "" {
 			continue
 		}
-		if len(cacheRules) > 0 {
+		j := len(rules)
+		for i, o := range rules {
+			if o.netBody == e.netBody {
+				continue next
+			}
+			if o.netBody > e.netBody && j == len(rules) {
+				j = i
+			}
+		}
+		rules = append(rules, nil)
+		copy(rules[j+1:], rules[j:])
+		rules[j] = e
+	}
+	v.rules = rules
+	// Every FLOW_MOD must correspond to a cache rule.
+	for _, nw := range primary {
+		if nw.r.Kind != NetworkWrite || nw.r.MsgType != openflow.TypeFlowMod {
+			continue
+		}
+		matched := false
+		for i, o := range rules {
+			if o.netBody == nw.body {
+				rules = append(rules[:i], rules[i+1:]...)
+				matched = true
+				break
+			}
+		}
+		if matched {
+			continue
+		}
+		if len(rules) > 0 {
 			// A cache rule exists but the network write differs: the
 			// network write is inconsistent with the replicated cache
 			// state (T2, e.g. the undesirable-FLOW_MOD fault).
 			return Result{
 				Verdict:  VerdictFault,
 				Fault:    FaultInconsistent,
-				Offender: nw.Controller,
-				Reason:   fmt.Sprintf("FLOW_MOD to %s disagrees with FlowsDB state", nw.DPID),
+				Offender: nw.r.Controller,
+				Reason:   fmt.Sprintf("FLOW_MOD to %s disagrees with FlowsDB state", nw.r.DPID),
 			}, true, true
 		}
 		return Result{
 			Verdict:  VerdictFault,
 			Fault:    FaultNetworkOnly,
-			Offender: nw.Controller,
-			Reason:   fmt.Sprintf("FLOW_MOD to %s without any cache update", nw.DPID),
+			Offender: nw.r.Controller,
+			Reason:   fmt.Sprintf("FLOW_MOD to %s without any cache update", nw.r.DPID),
 		}, true, true
 	}
 	// Remaining cache rules lack their FLOW_MOD. Before the timeout this
 	// just means we must keep waiting; at expiry it is a T2 fault when the
-	// target switch has a live master that should have acted.
-	if len(cacheRules) > 0 {
-		if !final {
-			return Result{}, false, false
-		}
-		// Sorted so the same orphaned rule is convicted on every run.
-		for _, key := range sortedKeys(cacheRules) {
-			cr := cacheRules[key]
-			if rule, err := controller.DecodeFlowRule(cr.Value); err == nil {
-				if master, ok := v.members.Master(rule.DPID); ok && v.members.IsAlive(master) {
-					return Result{
-						Verdict:  VerdictFault,
-						Fault:    FaultMissingNetwork,
-						Offender: master,
-						Reason:   fmt.Sprintf("FlowsDB rule for %s never written to the network", rule.DPID),
-					}, true, true
-				}
-			}
+	// target switch has a live master that should have acted. The rules
+	// are sorted, so the same orphaned rule is convicted on every run.
+	if len(rules) > 0 && !final {
+		return Result{}, false, false
+	}
+	for _, cr := range rules {
+		if master, ok := v.members.Master(cr.netDPID); ok && v.members.IsAlive(master) {
+			return Result{
+				Verdict:  VerdictFault,
+				Fault:    FaultMissingNetwork,
+				Offender: master,
+				Reason:   fmt.Sprintf("FlowsDB rule for %s never written to the network", cr.netDPID),
+			}, true, true
 		}
 	}
 	return Result{}, false, true
 }
 
-// expectedNetBody derives the canonical FLOW_MOD body a FlowsDB cache
-// entry should produce on the wire.
-func expectedNetBody(r Response) (body string, dpid topo.DPID, ok bool) {
-	rule, err := controller.DecodeFlowRule(r.Value)
-	if err != nil {
-		return "", 0, false
-	}
-	return CanonicalMessage(rule.FlowMod(0)), rule.DPID, true
+// expectedFlowMod derives, from a decoded FlowsDB rule, the Body() of the
+// FLOW_MOD network write the rule should produce on the wire.
+func expectedFlowMod(rule controller.FlowRule) string {
+	return Response{
+		Kind: NetworkWrite, DPID: rule.DPID,
+		MsgType: openflow.TypeFlowMod, MsgBody: CanonicalMessage(rule.FlowMod(0)),
+	}.Body()
 }

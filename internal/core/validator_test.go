@@ -400,6 +400,41 @@ func TestValidatorLateResponsesAbsorbed(t *testing.T) {
 	}
 }
 
+// TestDuplicateExecDoneDoesNotConvict: a secondary's no-op report delivered
+// twice (a retransmit) is still one controller's testimony. With K=2 the
+// primary's write plus one secondary's ExecDone is short of a quorum of
+// same-state counter-evidence, however many copies of it arrive.
+func TestDuplicateExecDoneDoesNotConvict(t *testing.T) {
+	for _, copies := range []int{1, 2, 3} {
+		eng, v := newValidator(t, 2)
+		var res *Result
+		v.OnResult = func(r Result) { res = &r }
+		v.Submit(cacheResp(1, 1, "τ", "k", "up", 7))
+		for i := 0; i < copies; i++ {
+			v.Submit(doneResp(2, 1, "τ", 7))
+		}
+		if err := eng.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		if res == nil || res.Verdict != VerdictValid {
+			t.Fatalf("%d copies of one ExecDone: res = %+v, want valid", copies, res)
+		}
+	}
+	// Two distinct same-state secondaries reporting no-ops are a quorum.
+	eng, v := newValidator(t, 2)
+	var res *Result
+	v.OnResult = func(r Result) { res = &r }
+	v.Submit(cacheResp(1, 1, "τ", "k", "up", 7))
+	v.Submit(doneResp(2, 1, "τ", 7))
+	v.Submit(doneResp(3, 1, "τ", 7))
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || res.Fault != FaultValue || res.Offender != 1 {
+		t.Fatalf("two secondaries' no-ops: res = %+v, want value fault on C1", res)
+	}
+}
+
 func TestValidatorUnattributedResponsesIgnored(t *testing.T) {
 	_, v := newValidator(t, 2)
 	r := cacheResp(1, 1, "", "k", "v", 7)
