@@ -39,7 +39,7 @@ func run() error {
 		timeout    = flag.Duration("timeout", 130*time.Millisecond, "validation timeout θτ")
 		adaptive   = flag.Bool("adaptive", false, "enable the adaptive (EWMA) validation deadline")
 		shards     = flag.Int("shards", 1, "validation plane width: worker goroutines, each owning one validator, triggers hashed across them")
-		queueDepth = flag.Int("queue-depth", 0, "per-shard intake queue bound (0 = default; full queues backpressure, never drop)")
+		queueDepth = flag.Int("queue-depth", 0, "per-shard intake queue bound in batches (0 = default; full queues backpressure, never drop)")
 		alarmsOnly = flag.Bool("alarms-only", false, "push only fault results to clients")
 		codecName  = flag.String("codec", "auto", "wire codec stance: auto (mirror each client's first byte), json (refuse binary handshakes), or binary")
 		statsEvery = flag.Duration("stats-every", 10*time.Second, "period for logging aggregate stats (0 = off)")

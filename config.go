@@ -211,8 +211,10 @@ type ValidatorServiceConfig struct {
 	// taint ID (default 1 — the paper's single decision loop).
 	Shards int
 	// QueueDepth bounds each shard's intake queue (default
-	// shard.DefaultQueueDepth). A full queue applies backpressure to the
-	// dispatching connection — responses are never dropped.
+	// shard.DefaultQueueDepth), counted in batches: one per socket read a
+	// connection hands over, at most 256 responses each. A full queue
+	// applies backpressure to the dispatching connection — responses are
+	// never dropped.
 	QueueDepth int
 	// AlarmsOnly pushes only fault results to connected clients.
 	AlarmsOnly bool

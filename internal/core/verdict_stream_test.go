@@ -460,7 +460,10 @@ func runBare(t *testing.T, sp streamSpec, stream []core.Response) (rLines, tLine
 
 // runPlane replays the stream through a shard.Plane in deterministic mode
 // and returns its R lines sorted (worker interleaving is not ordered).
-func runPlane(t *testing.T, sp streamSpec, stream []core.Response, width int) []string {
+// With cuts the stream goes in through the batch entry point, cut into
+// batches of random sizes 1…64 — the metamorphic relation "verdicts are
+// invariant under the client's MaxBatch" — else response by response.
+func runPlane(t *testing.T, sp streamSpec, stream []core.Response, width int, cuts *rand.Rand) []string {
 	t.Helper()
 	var results []core.Result
 	p, err := shard.New(shard.Config{
@@ -471,8 +474,15 @@ func runPlane(t *testing.T, sp streamSpec, stream []core.Response, width int) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range stream {
-		p.Submit(r)
+	for len(stream) > 0 {
+		if cuts == nil {
+			p.Submit(stream[0])
+			stream = stream[1:]
+			continue
+		}
+		n := min(1+cuts.Intn(64), len(stream))
+		p.SubmitBatch(stream[:n], 0)
+		stream = stream[n:]
 	}
 	p.Close()
 	lines := make([]string, len(results))
@@ -515,7 +525,8 @@ func diffLines(t *testing.T, what string, got, want []string) {
 
 // TestVerdictStreamGolden: the bare validator reproduces the captured
 // Result stream (and timeout observations) byte for byte, and every plane
-// width reproduces the same set of results.
+// width reproduces the same set of results — fed response by response and
+// fed in random batches.
 func TestVerdictStreamGolden(t *testing.T) {
 	if *updateGolden {
 		var buf bytes.Buffer
@@ -554,7 +565,9 @@ func TestVerdictStreamGolden(t *testing.T) {
 			sorted := append([]string(nil), r...)
 			sort.Strings(sorted)
 			for _, width := range sp.widths {
-				diffLines(t, fmt.Sprintf("plane width %d", width), runPlane(t, sp, stream, width), sorted)
+				diffLines(t, fmt.Sprintf("plane width %d", width), runPlane(t, sp, stream, width, nil), sorted)
+				cuts := rand.New(rand.NewSource(sp.seed<<8 + int64(width)))
+				diffLines(t, fmt.Sprintf("plane width %d, random batches", width), runPlane(t, sp, stream, width, cuts), sorted)
 			}
 		})
 	}

@@ -17,10 +17,17 @@
 // at any shard count for a fixed input — the wall-clock interleaving of
 // workers is invisible in the results.
 //
-// Concurrency contract: Submit, Advance, Sync, Drain, TraceSpans, Kill,
-// Stop and Close form the dispatch side and must be serialized by the
-// caller (one dispatcher goroutine, or an external lock — the wire server
-// uses its own mutex). The stats accessors (Decided, Faults, Pending,
+// The unit of hand-off is a batch, not a response: SubmitBatch partitions
+// what one caller has in hand into one pooled slice per addressed shard
+// (submission order kept, owner copies and Ψ-only copies side by side) and
+// enqueues one small item per shard that also carries the advance target,
+// so a shard's queue, channel operation and wake-up are paid per batch.
+// Submit is the one-element case of the same path.
+//
+// Concurrency contract: Submit, SubmitBatch, Advance, Sync, Drain,
+// TraceSpans, Kill, Stop and Close form the dispatch side and must be
+// serialized by the caller (one dispatcher goroutine, or an external lock —
+// the wire server uses its own mutex). The stats accessors (Decided, Faults, Pending,
 // Alarms, ...) and a scrape of Metrics() are safe from any goroutine at
 // any time: they read atomic counters, immutable snapshots and internally
 // locked histograms. The cluster membership handed to New must not be
@@ -54,9 +61,11 @@ type Config struct {
 	// Shards is the worker count (default 1).
 	Shards int
 	// QueueDepth bounds each shard's intake queue (default
-	// DefaultQueueDepth). A full queue applies backpressure to the
-	// dispatcher — responses are never dropped — and each stall is
-	// counted in jury_shard_overflow_total.
+	// DefaultQueueDepth), counted in queue items: one per SubmitBatch call
+	// that addresses the shard (so one per response under Submit), one per
+	// Advance. A full queue applies backpressure to the dispatcher —
+	// responses are never dropped — and each stall is counted in
+	// jury_shard_overflow_total.
 	QueueDepth int
 	// Validator carries K, timeout and adaptive settings for every
 	// worker's validator. Metrics, Tracer and Recorder inside it are
@@ -105,27 +114,55 @@ type Config struct {
 type itemKind uint8
 
 const (
-	itemResponse itemKind = iota + 1
-	itemAdvance
+	// itemBatch is the work item: advance the worker's engine to the
+	// item's target (never past it), then submit the batch's entries in
+	// order, then ack if asked. Without entries it is a pure advance (the
+	// service tick); with an ack it is the barrier behind Plane.Sync, which
+	// campaign telemetry uses to sample all shards at one virtual instant.
+	itemBatch itemKind = iota + 1
+	// itemFlush runs the worker's engine until idle, expiring every timer
+	// whatever its deadline, and acks — the drain behind Plane.Drain.
 	itemFlush
-	// itemSync advances the worker's engine to an exact virtual instant
-	// (never past it, unlike itemFlush) and acks — the barrier behind
-	// Plane.Sync, which campaign telemetry uses to sample all shards at
-	// one virtual timestamp.
-	itemSync
 	// itemStall blocks the worker on a gate channel — a test hook for
 	// deterministically building a backlog behind a live worker.
 	itemStall
 )
 
-// item is one entry on a shard's intake queue.
-type item struct {
-	kind  itemKind
+// entry is one response of a batch as one shard sees it: the owning
+// shard's copy is submitted, any other shard's copy of an untainted
+// response only updates Ψ.
+type entry struct {
 	r     core.Response
 	owner bool
-	to    time.Duration // vclock:wire -- advance target on the virtual time base
-	ack   chan struct{}
-	gate  chan struct{}
+}
+
+// item is one entry on a shard's intake queue. It is small on purpose —
+// the responses travel behind the entries pointer — so the channel copies
+// a few words per batch.
+type item struct {
+	kind itemKind
+	to   time.Duration // vclock:wire -- advance target on the virtual time base
+	// entries is this shard's share of one batch, leased from entryPool by
+	// the dispatcher. Ownership moves with the item: the worker that
+	// processes it (or Kill, for an adopted backlog) returns it to the pool.
+	entries *[]entry
+	ack     chan struct{}
+	gate    chan struct{}
+}
+
+// entryPool recycles per-shard batch slices between the dispatcher that
+// fills them and the workers that consume them. A fresh slice starts empty
+// and is sized by the appends of its first batch: a one-response batch
+// (Submit, a JSON line) must not cost a many-entry backing array whenever
+// the dispatcher runs ahead of the workers and the pool is dry.
+var entryPool = sync.Pool{New: func() any { return new([]entry) }}
+
+// putEntries returns a consumed batch slice to the pool, cleared so the
+// pool does not pin the responses' strings.
+func putEntries(es *[]entry) {
+	clear(*es)
+	*es = (*es)[:0]
+	entryPool.Put(es)
 }
 
 // worker is one shard: a goroutine that owns a private engine and
@@ -141,8 +178,12 @@ type worker struct {
 	dieC chan chan []item
 	// dead is set by the dispatcher before the die handshake; the worker
 	// checks it before processing each item so nothing is validated after
-	// the shard is declared dead.
+	// the shard is declared dead (a batch already in progress completes).
 	dead atomic.Bool
+	// decided marks that the item in progress produced a result, so the
+	// worker owes the plane's flush hook a call when the item is finished.
+	// Worker-goroutine state.
+	decided bool
 
 	// rec is the shard's flight recorder (nil when Config.FlightRing is
 	// zero). The worker's validator appends to it; dump goroutines
@@ -168,14 +209,19 @@ type Plane struct {
 	// the serialized Submit/Kill/Close side reads or writes it, so it
 	// needs no lock.
 	alive []bool
-	wg    sync.WaitGroup
+	// staged holds, per shard, the slice SubmitBatch is filling for the
+	// batch in hand; all nil between calls. Dispatcher-owned like alive.
+	staged []*[]entry
+	wg     sync.WaitGroup
 	// stop tells every worker to exit without flushing; closed by Stop.
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// resMu serializes result aggregation and the user's OnResult hook
-	// across worker goroutines.
-	resMu    sync.Mutex
+	// resMu serializes result aggregation, the user's OnResult hook and
+	// the flush hook across worker goroutines.
+	resMu sync.Mutex
+	// flush is the hook installed by SetOnResult; see there.
+	flush    func()
 	decided  *obs.Counter
 	valid    *obs.Counter
 	faults   *obs.Counter
@@ -215,6 +261,7 @@ func New(cfg Config) (*Plane, error) {
 		reg:     reg,
 		workers: make([]*worker, cfg.Shards),
 		alive:   make([]bool, cfg.Shards),
+		staged:  make([]*[]entry, cfg.Shards),
 		stop:    make(chan struct{}),
 	}
 	p.decided = reg.Counter("jury_validator_decided_total", "Triggers decided.")
@@ -249,27 +296,36 @@ func New(cfg Config) (*Plane, error) {
 			vcfg.Tracer = w.tracer
 		}
 		w.v = core.NewValidator(w.eng, cfg.Members, vcfg)
-		w.v.OnResult = p.onResult
+		w.v.OnResult = func(r core.Result) {
+			w.decided = true
+			p.onResult(r)
+		}
 		l := obs.L("shard", strconv.Itoa(i))
-		w.depth = reg.Gauge("jury_shard_queue_depth", "Items queued to the shard's intake.", l)
+		w.depth = reg.Gauge("jury_shard_queue_depth", "Items (batches, advances) queued to the shard's intake.", l)
 		w.enqueued = reg.Counter("jury_shard_enqueued_total", "Items enqueued to the shard.", l)
 		w.overflow = reg.Counter("jury_shard_overflow_total", "Backpressure stalls on a full shard queue.", l)
 		w.steals = reg.Counter("jury_shard_steals_total", "Responses adopted from a killed shard.", l)
 		p.workers[i] = w
 		p.alive[i] = true
 		p.wg.Add(1)
-		go w.run(&p.wg, p.stop)
+		go w.run(p)
 	}
 	return p, nil
 }
 
 // SetOnResult installs (or replaces) the decision observer after New —
-// for callers that need the plane pointer inside the hook. Serialized
-// with result delivery; install it before the first Submit so no
-// decision slips past the hook.
-func (p *Plane) SetOnResult(fn func(core.Result)) {
+// for callers that need the plane pointer inside the hook — together with
+// an optional flush hook for observers that buffer what they are handed.
+// A worker calls flush once when it finishes a queue item that produced at
+// least one result (a batch, a tick that expired timers, the flush at
+// shard death), on its own goroutine, so buffered output leaves in the
+// same worker iteration that decided it: no timer, no linger. Both hooks
+// are serialized by the plane and must not call back into the dispatch
+// side; install them before the first Submit so no decision slips past.
+func (p *Plane) SetOnResult(fn func(core.Result), flush func()) {
 	p.resMu.Lock()
 	p.cfg.OnResult = fn
+	p.flush = flush
 	p.resMu.Unlock()
 }
 
@@ -308,14 +364,14 @@ func (p *Plane) onResult(r core.Result) {
 // on the next item, and decisions themselves surface through OnResult.
 //
 //jurylint:allow errcrit -- benign Run errors for a live plane; see above
-func (w *worker) run(wg *sync.WaitGroup, stop <-chan struct{}) {
-	defer wg.Done()
+func (w *worker) run(p *Plane) {
+	defer p.wg.Done()
 	for {
 		select {
-		case <-stop:
+		case <-p.stop:
 			return
 		case reply := <-w.dieC:
-			w.die(reply, nil)
+			w.die(p, reply, nil)
 			return
 		case it := <-w.q:
 			w.depth.Add(-1)
@@ -324,11 +380,26 @@ func (w *worker) run(wg *sync.WaitGroup, stop <-chan struct{}) {
 				// everything still queued and wait for the kill
 				// handshake to hand it over.
 				backlog := append([]item{it}, w.drain()...)
-				w.die(<-w.dieC, backlog)
+				w.die(p, <-w.dieC, backlog)
 				return
 			}
 			w.process(it)
+			w.flushDecided(p)
 		}
+	}
+}
+
+// flushDecided runs the plane's flush hook if the item just finished
+// produced a result.
+func (w *worker) flushDecided(p *Plane) {
+	if !w.decided {
+		return
+	}
+	w.decided = false
+	p.resMu.Lock()
+	defer p.resMu.Unlock()
+	if p.flush != nil {
+		p.flush()
 	}
 }
 
@@ -337,9 +408,10 @@ func (w *worker) run(wg *sync.WaitGroup, stop <-chan struct{}) {
 // unprocessed backlog to the dispatcher and exits.
 //
 //jurylint:allow errcrit -- benign RunUntilIdle error at shard death
-func (w *worker) die(reply chan<- []item, backlog []item) {
+func (w *worker) die(p *Plane, reply chan<- []item, backlog []item) {
 	backlog = append(backlog, w.drain()...)
 	_ = w.eng.RunUntilIdle()
+	w.flushDecided(p)
 	reply <- backlog
 }
 
@@ -360,35 +432,33 @@ func (w *worker) drain() []item {
 //jurylint:allow errcrit -- benign Run errors for a live plane; see run
 func (w *worker) process(it item) {
 	switch it.kind {
-	case itemResponse:
-		if w.timeFrom && it.r.At > w.eng.Now() {
-			_ = w.eng.Run(it.r.At)
-		}
-		if it.owner {
-			w.v.Submit(it.r)
-		} else {
-			w.v.ObserveState(it.r)
-		}
-	case itemAdvance:
+	case itemBatch:
+		// Advance to the target exactly — never RunUntilIdle, which would
+		// overshoot and expire timers beyond a Sync barrier.
 		if it.to > w.eng.Now() {
 			_ = w.eng.Run(it.to)
+		}
+		if it.entries != nil {
+			for i := range *it.entries {
+				e := &(*it.entries)[i]
+				if w.timeFrom && e.r.At > w.eng.Now() {
+					_ = w.eng.Run(e.r.At)
+				}
+				if e.owner {
+					w.v.Submit(e.r)
+				} else {
+					w.v.ObserveState(e.r)
+				}
+			}
+			putEntries(it.entries)
 		}
 	case itemFlush:
 		_ = w.eng.RunUntilIdle()
-		if it.ack != nil {
-			it.ack <- struct{}{}
-		}
-	case itemSync:
-		// Advance to the sync instant exactly — never RunUntilIdle, which
-		// would overshoot and expire timers beyond the barrier.
-		if it.to > w.eng.Now() {
-			_ = w.eng.Run(it.to)
-		}
-		if it.ack != nil {
-			it.ack <- struct{}{}
-		}
 	case itemStall:
 		<-it.gate
+	}
+	if it.ack != nil {
+		it.ack <- struct{}{}
 	}
 }
 
@@ -397,6 +467,11 @@ func (w *worker) process(it item) {
 // queue crossing 3/4 of its depth, is a saturation signal and fires a
 // flight dump.
 func (p *Plane) enqueue(w *worker, it item) {
+	// Count before sending: the worker decrements on receipt, so a gauge
+	// bumped after the send could be decremented first, read −1 and
+	// under-report its high watermark by one. A stalled dispatcher's item
+	// therefore already counts while it waits for room.
+	w.depth.Add(1)
 	stalled := false
 	select {
 	case w.q <- it:
@@ -406,7 +481,6 @@ func (p *Plane) enqueue(w *worker, it item) {
 		w.q <- it
 	}
 	w.enqueued.Inc()
-	w.depth.Add(1)
 	if w.rec != nil {
 		if stalled {
 			p.FlightDump("overflow")
@@ -458,24 +532,61 @@ func (p *Plane) ownerOf(id trigger.ID) int {
 	return -1
 }
 
-// Submit dispatches one controller response. Untainted responses are
-// broadcast to every live shard (the ψ update) with the owner flag set on
-// the owning shard's copy; tainted responses go only to the owner.
-// Dispatch side: callers serialize.
+// Submit dispatches one controller response: the one-element case of
+// SubmitBatch, with no advance target. Dispatch side: callers serialize.
 func (p *Plane) Submit(r core.Response) {
-	owner := p.ownerOf(r.Trigger)
-	if r.Tainted {
-		if owner >= 0 {
-			p.enqueue(p.workers[owner], item{kind: itemResponse, r: r, owner: true})
-		}
-		return
-	}
-	for i, w := range p.workers {
-		if !p.alive[i] {
+	p.SubmitBatch([]core.Response{r}, 0)
+}
+
+// SubmitBatch dispatches the responses one caller has in hand as one unit.
+// The batch is partitioned per shard in submission order — a tainted
+// response goes only to its owner, an untainted one to every live shard
+// (the ψ update) with the owner flag set on the owning shard's copy — and
+// each addressed shard receives ONE queue item carrying its share and the
+// advance target `to`: its engine moves up to `to` (the live service's
+// arrival time, stamped once per read; zero for none) before the share is
+// submitted. Shards the batch does not address are not woken; the service
+// tick advances them. rs is copied, not retained. Dispatch side: callers
+// serialize.
+func (p *Plane) SubmitBatch(rs []core.Response, to time.Duration) {
+	for i := range rs {
+		r := &rs[i]
+		owner := p.ownerOf(r.Trigger)
+		if r.Tainted {
+			if owner >= 0 {
+				p.stage(owner, r, true)
+			}
 			continue
 		}
-		p.enqueue(w, item{kind: itemResponse, r: r, owner: i == owner})
+		for s := range p.workers {
+			if p.alive[s] {
+				p.stage(s, r, s == owner)
+			}
+		}
 	}
+	p.enqueueStaged(to)
+}
+
+// enqueueStaged hands every staged share to its shard as one queue item
+// that also carries the advance target.
+func (p *Plane) enqueueStaged(to time.Duration) {
+	for s, es := range p.staged {
+		if es != nil {
+			p.staged[s] = nil
+			p.enqueue(p.workers[s], item{kind: itemBatch, to: to, entries: es})
+		}
+	}
+}
+
+// stage appends one response to the slice being filled for a shard,
+// leasing the slice on first use.
+func (p *Plane) stage(shard int, r *core.Response, owner bool) {
+	es := p.staged[shard]
+	if es == nil {
+		es = entryPool.Get().(*[]entry)
+		p.staged[shard] = es
+	}
+	*es = append(*es, entry{r: *r, owner: owner})
 }
 
 // Advance asynchronously moves every live shard's virtual clock to the
@@ -485,7 +596,7 @@ func (p *Plane) Submit(r core.Response) {
 func (p *Plane) Advance(to time.Duration) {
 	for i, w := range p.workers {
 		if p.alive[i] {
-			p.enqueue(w, item{kind: itemAdvance, to: to})
+			p.enqueue(w, item{kind: itemBatch, to: to})
 		}
 	}
 }
@@ -497,14 +608,20 @@ func (p *Plane) Advance(to time.Duration) {
 // read immediately after form a consistent snapshot — the campaign
 // time-series sampler runs on this. Dispatch side: callers serialize.
 func (p *Plane) Sync(to time.Duration) {
+	p.barrier(item{kind: itemBatch, to: to})
+}
+
+// barrier enqueues it on every live shard with a fresh ack channel and
+// waits for all of them.
+func (p *Plane) barrier(it item) {
 	acks := make([]chan struct{}, 0, len(p.workers))
 	for i, w := range p.workers {
 		if !p.alive[i] {
 			continue
 		}
-		ack := make(chan struct{}, 1)
-		p.enqueue(w, item{kind: itemSync, to: to, ack: ack})
-		acks = append(acks, ack)
+		it.ack = make(chan struct{}, 1)
+		p.enqueue(w, it)
+		acks = append(acks, it.ack)
 	}
 	for _, ack := range acks {
 		<-ack
@@ -516,18 +633,7 @@ func (p *Plane) Sync(to time.Duration) {
 // expiries included). It returns when all shards have flushed. Dispatch
 // side: callers serialize.
 func (p *Plane) Drain() {
-	acks := make([]chan struct{}, 0, len(p.workers))
-	for i, w := range p.workers {
-		if !p.alive[i] {
-			continue
-		}
-		ack := make(chan struct{}, 1)
-		p.enqueue(w, item{kind: itemFlush, ack: ack})
-		acks = append(acks, ack)
-	}
-	for _, ack := range acks {
-		<-ack
-	}
+	p.barrier(item{kind: itemFlush})
 }
 
 // Kill abruptly stops one shard, models a worker crash, and hands its
@@ -570,27 +676,29 @@ func (p *Plane) Kill(i int) int {
 	backlog := <-reply
 	adopted := 0
 	for _, it := range backlog {
-		switch it.kind {
-		case itemResponse:
+		if it.entries != nil {
+			// An adopted batch is re-partitioned per response: each owned
+			// response goes to its trigger's successor, in backlog order.
 			// Non-owner copies were ψ broadcasts; every other live shard
 			// already received its own copy, so only owned responses move.
 			// The successor re-observes an adopted untainted response (its
-			// broadcast copy already updated ψ); the duplicate touches
-			// only Ψ bookkeeping counts, never verdicts.
-			if !it.owner {
-				continue
+			// broadcast copy already updated ψ); the duplicate touches only
+			// Ψ bookkeeping counts, never verdicts.
+			for j := range *it.entries {
+				e := &(*it.entries)[j]
+				to := p.ownerOf(e.r.Trigger)
+				if !e.owner || to < 0 {
+					continue
+				}
+				p.stage(to, &e.r, true)
+				p.workers[to].steals.Inc()
+				adopted++
 			}
-			to := p.ownerOf(it.r.Trigger)
-			if to < 0 {
-				continue
-			}
-			p.enqueue(p.workers[to], item{kind: itemResponse, r: it.r, owner: true})
-			p.workers[to].steals.Inc()
-			adopted++
-		case itemFlush, itemSync:
-			if it.ack != nil {
-				it.ack <- struct{}{} // the dead engine flushed in die
-			}
+			p.enqueueStaged(0)
+			putEntries(it.entries)
+		}
+		if it.ack != nil {
+			it.ack <- struct{}{} // the dead engine flushed in die
 		}
 	}
 	return adopted

@@ -208,15 +208,27 @@ func TestPlaneKillAdoptsBacklog(t *testing.T) {
 	}
 
 	// Stall the victim behind a gate, then queue an omission burst it owns:
-	// tainted-only responses, so no other shard holds a copy.
+	// tainted-only responses, so no other shard holds a copy. The backlog
+	// mixes single responses with multi-response batches, and the batches
+	// also carry a Ψ-only update — the victim's copy of a broadcast, which
+	// must not be adopted (every other shard already has its own).
 	gate := make(chan struct{})
 	p.enqueue(p.workers[victim], item{kind: itemStall, gate: gate})
 	burst := 0
-	for i, id := range owned {
+	for i := 0; i < len(owned); i += 2 {
 		at := time.Duration(i) * time.Millisecond
-		p.Submit(execAt(2, 1, id, "k", "up", 9, at))
-		p.Submit(execAt(3, 1, id, "k", "up", 9, at+time.Millisecond))
-		burst += 2
+		p.Submit(execAt(2, 1, owned[i], "k", "up", 9, at))
+		p.Submit(execAt(3, 1, owned[i], "k", "up", 9, at+time.Millisecond))
+		at += time.Millisecond
+		p.SubmitBatch([]core.Response{
+			execAt(2, 1, owned[i+1], "k", "up", 9, at),
+			cacheAt(1, 1, "", "psi", "up", 9, at),
+			execAt(3, 1, owned[i+1], "k", "up", 9, at+time.Millisecond),
+		}, 0)
+		burst += 4
+	}
+	if got, want := p.workers[victim].enqueued.Value(), int64(1+3*len(owned)/2); got != want {
+		t.Fatalf("victim holds %d queue items, want %d: a batch is one item", got, want)
 	}
 
 	// Declare the shard dead before releasing it so it provably processes
@@ -321,7 +333,10 @@ func TestPlaneKillSplitTrigger(t *testing.T) {
 	// Second half: parked in the victim's backlog behind a stall gate.
 	gate := make(chan struct{})
 	p.enqueue(p.workers[victim], item{kind: itemStall, gate: gate})
-	p.Submit(execAt(3, 1, string(id), "k", "up", 9, time.Millisecond))
+	p.SubmitBatch([]core.Response{
+		cacheAt(1, 1, "", "psi", "up", 9, time.Millisecond), // Ψ-only: not adopted
+		execAt(3, 1, string(id), "k", "up", 9, time.Millisecond),
+	}, 0)
 
 	p.workers[victim].dead.Store(true)
 	close(gate)
@@ -681,6 +696,18 @@ func TestPlaneSyncAcrossKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Submit(execAt(2, 1, "τk", "k", "up", 9, 0))
+	// A multi-response batch homed on the shard about to die. Whether the
+	// victim consumed it or the successor adopts it is a race, but a batch
+	// is never split: each of its triggers decides exactly once.
+	var batch []core.Response
+	for i, n := 0, 0; n < 4; i++ {
+		id := fmt.Sprintf("β%d", i)
+		if ShardForTrigger(trigger.ID(id), 3) == 1 {
+			batch = append(batch, execAt(2, 1, id, "k", "up", 9, 0), execAt(3, 1, id, "k", "up", 9, time.Millisecond))
+			n++
+		}
+	}
+	p.SubmitBatch(batch, 0)
 	p.Kill(1)
 	done := make(chan struct{})
 	go func() {
@@ -692,5 +719,135 @@ func TestPlaneSyncAcrossKill(t *testing.T) {
 	case <-time.After(5 * time.Second): //jurylint:allow wallclock -- liveness watchdog for the barrier, not a measurement
 		t.Fatal("Sync hung after Kill")
 	}
+	p.Close()
+	if got := p.Decided(); got != 5 {
+		t.Fatalf("Decided() = %d, want 5: τk and the batch's four triggers, once each", got)
+	}
+	if got := p.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after close, want 0", got)
+	}
+}
+
+// TestPlaneBatchPartition pins the hand-off unit: one SubmitBatch call
+// costs one queue item per ADDRESSED shard — not one per response, and
+// none for a shard the batch does not touch — and decides what the same
+// responses submitted one by one decide.
+func TestPlaneBatchPartition(t *testing.T) {
+	const shards = 4
+	load := mixedWorkload()
+	ref, _ := runPlane(t, shards, load)
+
+	results := make(map[trigger.ID]core.Result)
+	p, err := New(Config{
+		Shards:            shards,
+		Validator:         core.ValidatorConfig{K: 2, Timeout: 50 * time.Millisecond},
+		Members:           members3(),
+		TimeFromResponses: true,
+		OnResult:          func(r core.Result) { results[r.Trigger] = r },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := func() (total int64) {
+		for _, w := range p.workers {
+			total += w.enqueued.Value()
+		}
+		return total
+	}
+	// Tainted responses of one trigger address exactly one shard.
+	p.SubmitBatch([]core.Response{
+		execAt(2, 1, "solo", "k", "up", 9, 0),
+		execAt(3, 1, "solo", "k", "up", 9, 0),
+	}, 0)
+	if got := items(); got != 1 {
+		t.Fatalf("a one-shard batch cost %d queue items, want 1", got)
+	}
+	p.SubmitBatch(nil, 0)
+	if got := items(); got != 1 {
+		t.Fatalf("an empty batch cost %d queue items, want none", got-1)
+	}
+	// The whole mixed workload in one call: every shard is addressed (the
+	// untainted responses are broadcast), each exactly once.
+	p.SubmitBatch(load, 0)
+	if got := items(); got != 1+shards {
+		t.Fatalf("a %d-response batch cost %d queue items, want %d", len(load), got-1, shards)
+	}
+	p.Close()
+	delete(results, "solo")
+	if !reflect.DeepEqual(ref, results) {
+		t.Fatalf("batched submission decided differently: %d vs %d triggers", len(results), len(ref))
+	}
+}
+
+// TestPlaneQueueDepthCountsBeforeSend pins the gauge fix: the depth is
+// bumped before the channel send, so however fast the worker decrements it
+// never reads negative, and it returns to zero when the queue is drained.
+func TestPlaneQueueDepthCountsBeforeSend(t *testing.T) {
+	p, err := New(Config{
+		Validator:         core.ValidatorConfig{K: 2, Timeout: 5 * time.Millisecond},
+		Members:           members3(),
+		TimeFromResponses: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := p.workers[0]
+	stop := make(chan struct{})
+	negative := make(chan float64, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if v := w.depth.Value(); v < 0 {
+				select {
+				case negative <- v:
+				default:
+				}
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20000; i++ {
+		p.Submit(doneAt(2, 1, fmt.Sprintf("τ%d", i), 7, time.Duration(i)*time.Microsecond))
+	}
+	p.Drain()
+	close(stop)
+	wg.Wait()
+	select {
+	case v := <-negative:
+		t.Fatalf("queue depth gauge read %v", v)
+	default:
+	}
+	if got := w.depth.Value(); got != 0 {
+		t.Fatalf("queue depth = %v after drain, want 0", got)
+	}
+	if got := p.QueueHighWatermark(0); got < 1 {
+		t.Fatalf("high watermark = %d, want at least 1", got)
+	}
+	p.Close()
+
+	// With the worker parked, the high watermark is exact.
+	p, err = New(Config{Validator: core.ValidatorConfig{K: 2}, Members: members3()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	p.enqueue(p.workers[0], item{kind: itemStall, gate: gate})
+	for p.workers[0].depth.Value() != 0 {
+		time.Sleep(100 * time.Microsecond) // wallclock:boundary -- wait for the worker to block on the gate
+	}
+	for i := 0; i < 3; i++ {
+		p.Advance(time.Duration(i))
+	}
+	if got := p.QueueHighWatermark(0); got != 3 {
+		t.Fatalf("high watermark = %d with three items parked, want 3", got)
+	}
+	close(gate)
 	p.Close()
 }

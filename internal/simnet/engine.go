@@ -6,7 +6,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -24,7 +23,6 @@ type Event struct {
 	seq  uint64
 	fn   func()
 	dead bool
-	idx  int
 }
 
 // Cancel prevents a pending event from firing. Cancelling an already-fired
@@ -86,7 +84,7 @@ func (e *Engine) At(t time.Duration, fn func()) *Event {
 	}
 	ev := &Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -95,11 +93,8 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the next pending event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev, ok := heap.Pop(&e.queue).(*Event)
-		if !ok {
-			return false
-		}
+	for len(e.queue) > 0 {
+		ev := e.queue.pop()
 		if ev.dead {
 			continue
 		}
@@ -116,7 +111,7 @@ func (e *Engine) Step() bool {
 // early so measurements over a fixed window remain well-defined.
 func (e *Engine) Run(horizon time.Duration) error {
 	e.stopped = false
-	for e.queue.Len() > 0 {
+	for len(e.queue) > 0 {
 		if e.stopped {
 			return ErrStopped
 		}
@@ -131,7 +126,7 @@ func (e *Engine) Run(horizon time.Duration) error {
 			// overshooting the clock (a decided trigger's cancelled timer
 			// at t≤horizon must not pull its grace event at t+grace into
 			// this run).
-			heap.Pop(&e.queue)
+			e.queue.pop()
 			continue
 		}
 		if next.at > horizon {
@@ -160,40 +155,68 @@ func (e *Engine) RunUntilIdle() error {
 }
 
 // Pending reports the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
-// eventQueue is a min-heap ordered by (time, seq).
+// eventQueue is a binary min-heap ordered by (time, seq). The order is
+// strict — seq is unique — so the pop sequence is fully determined by the
+// set of scheduled events, whatever the heap's internal layout. The sifts
+// are written out over []*Event rather than going through container/heap,
+// whose any-boxed Push/Pop and interface-dispatched Less/Swap were the
+// engine's largest flat cost.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a fires ahead of b.
+func before(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		return
+// push adds ev and sifts it up to its place.
+func (q *eventQueue) push(ev *Event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(ev, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	ev.idx = len(*q)
-	*q = append(*q, ev)
+	h[i] = ev
+	*q = h
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest event; the queue must not be empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	// Sift the former last element down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && before(h[r], h[child]) {
+			child = r
+		}
+		if !before(h[child], last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = last
+	return top
 }

@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -359,5 +361,90 @@ func TestServerSaturated(t *testing.T) {
 	srv.Submit(time.Second, nil)
 	if !srv.Saturated() {
 		t.Fatal("not saturated with busy worker + backlog")
+	}
+}
+
+// TestEventHeapPopsInTimeSeqOrder pins the typed heap against the only
+// order the engine promises: 10^4 randomly scheduled events — heavy ties,
+// cancellations, and callbacks that schedule and cancel further events
+// while the heap is mid-run — fire in exactly sort-by-(at, seq) order, and
+// an event cancelled while pending never fires.
+func TestEventHeapPopsInTimeSeqOrder(t *testing.T) {
+	type rec struct {
+		ev        *Event
+		at        time.Duration
+		seq       int
+		fired     bool
+		cancelled bool
+	}
+	const total = 10000
+	eng := NewEngine(1)
+	rng := rand.New(rand.NewSource(7))
+	var (
+		recs  []*rec
+		fired []*rec
+	)
+	var schedule func()
+	cancelOne := func() {
+		r := recs[rng.Intn(len(recs))]
+		r.ev.Cancel()
+		if !r.fired {
+			r.cancelled = true
+		}
+	}
+	schedule = func() {
+		if len(recs) >= total {
+			return
+		}
+		// 64 distinct instants over 10^4 events: most events tie with many
+		// others, so the seq tie-break carries the order.
+		at := eng.Now() + time.Duration(rng.Intn(64))*time.Millisecond
+		r := &rec{at: at, seq: len(recs)}
+		recs = append(recs, r)
+		r.ev = eng.At(at, func() {
+			r.fired = true
+			fired = append(fired, r)
+			for n := rng.Intn(3); n > 0; n-- {
+				schedule() // re-entrant: pushes while Step is between pop and return
+			}
+			if rng.Intn(4) == 0 {
+				cancelOne()
+			}
+		})
+	}
+	for i := 0; i < total/4; i++ {
+		schedule()
+		if i%5 == 0 {
+			cancelOne()
+		}
+	}
+	for len(recs) < total || eng.Pending() > 0 {
+		if err := eng.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			schedule()
+		}
+	}
+	var want []*rec
+	for _, r := range recs {
+		if !r.cancelled {
+			want = append(want, r)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	if len(recs) != total || len(want) == total || len(fired) != len(want) {
+		t.Fatalf("scheduled %d, %d never cancelled, %d fired", len(recs), len(want), len(fired))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("pop %d fired (at=%v seq=%d), want (at=%v seq=%d)",
+				i, fired[i].at, fired[i].seq, want[i].at, want[i].seq)
+		}
 	}
 }

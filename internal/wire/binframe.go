@@ -442,6 +442,22 @@ func (br *BinReader) ReadEnvelope() (*Envelope, error) {
 	return br.dec.Decode(buf)
 }
 
+// FrameBuffered reports whether a complete frame — length prefix and the
+// whole payload it declares — is already in the reader's buffer, so that
+// the next ReadEnvelope returns without touching the underlying reader.
+// It never blocks and never reads: a caller holding decoded envelopes
+// uses it to decide between decoding on and handing off what it has. An
+// unreadable prefix reports false; ReadEnvelope then surfaces the error.
+func (br *BinReader) FrameBuffered() bool {
+	have := br.r.Buffered()
+	if have == 0 {
+		return false
+	}
+	head, _ := br.r.Peek(min(have, binary.MaxVarintLen64)) // within Buffered: no read
+	n, k := binary.Uvarint(head)
+	return k > 0 && n <= uint64(have-k)
+}
+
 // discard consumes an oversized frame's declared payload so the next
 // ReadEnvelope starts cleanly.
 func (br *BinReader) discard(n uint64) error {
@@ -459,16 +475,41 @@ func (br *BinReader) discard(n uint64) error {
 }
 
 // CloneResponse deep-copies a decoded response so it can outlive the
-// decoder's borrow window (BinDecoder's ownership contract): every
-// string is re-allocated off the shared frame buffer.
+// decoder's borrow window (BinDecoder's ownership contract).
 func CloneResponse(r core.Response) core.Response {
-	r.Trigger = trigger.ID(strings.Clone(string(r.Trigger)))
-	r.Cache = store.CacheName(strings.Clone(string(r.Cache)))
-	r.Key = strings.Clone(r.Key)
-	r.Value = strings.Clone(r.Value)
-	r.MsgBody = strings.Clone(r.MsgBody)
-	r.Prev = strings.Clone(r.Prev)
+	cloneStrings(&r)
 	return r
+}
+
+// cloneStrings re-points every string of r at ONE freshly allocated
+// backing string — one allocation per response instead of one per
+// non-empty field. The fields are substrings of it, so whoever retains
+// one keeps the response's whole text (a hundred-odd bytes) alive.
+func cloneStrings(r *core.Response) {
+	n := len(r.Trigger) + len(r.Cache) + len(r.Key) + len(r.Value) + len(r.MsgBody) + len(r.Prev)
+	if n == 0 {
+		return
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(string(r.Trigger))
+	b.WriteString(string(r.Cache))
+	b.WriteString(r.Key)
+	b.WriteString(r.Value)
+	b.WriteString(r.MsgBody)
+	b.WriteString(r.Prev)
+	text := b.String()
+	cut := func(n int) string {
+		s := text[:n]
+		text = text[n:]
+		return s
+	}
+	r.Trigger = trigger.ID(cut(len(r.Trigger)))
+	r.Cache = store.CacheName(cut(len(r.Cache)))
+	r.Key = cut(len(r.Key))
+	r.Value = cut(len(r.Value))
+	r.MsgBody = cut(len(r.MsgBody))
+	r.Prev = cut(len(r.Prev))
 }
 
 // CloneResult deep-copies a decoded result (evidence included) past the

@@ -142,6 +142,49 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 	}
 }
 
+// queued is one outgoing envelope as the client holds it, in the ring and
+// in flight: the bodies a client ever sends (a response, its trace
+// context) by value, so queueing a response allocates nothing. An
+// Envelope's pointers are aimed at the slot only while it is encoded.
+type queued struct {
+	// typ is the envelope type as its wire byte (binType), not the MsgType
+	// string: escape analysis does not tell a struct's fields apart, so
+	// storing the caller's string would drag the caller's body pointers —
+	// and with them every sent response — to the heap.
+	typ      byte
+	resp     core.Response
+	trace    TraceContext
+	hasResp  bool
+	hasTrace bool
+}
+
+// hold copies env's bodies into a slot; env's pointers are not retained.
+func hold(env Envelope) queued {
+	q := queued{typ: binType(env.Type)}
+	if env.Response != nil {
+		q.resp, q.hasResp = *env.Response, true
+	}
+	if env.Trace != nil {
+		q.trace, q.hasTrace = *env.Trace, true
+	}
+	return q
+}
+
+// envelope returns the wire envelope of a slot, pointing into it: valid
+// while the slot stays put, which the retained in-flight batch does until
+// its write succeeds.
+func (q *queued) envelope() Envelope {
+	env := Envelope{}
+	env.Type, _ = typeFromBin(q.typ)
+	if q.hasResp {
+		env.Response = &q.resp
+	}
+	if q.hasTrace {
+		env.Trace = &q.trace
+	}
+	return env
+}
+
 // envRing is the client's bounded outgoing queue: a fixed-capacity ring
 // whose backing array is allocated once and never grows. The previous
 // slice queue advanced its head with queue[1:] and appended, so shed
@@ -149,37 +192,37 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 // shed/append cycles regrew it without bound; the ring overwrites the
 // oldest slot in place instead.
 type envRing struct {
-	buf  []Envelope
+	buf  []queued
 	head int // index of the oldest entry
 	n    int // live entries
 }
 
-func (r *envRing) init(capacity int) { r.buf = make([]Envelope, capacity) }
+func (r *envRing) init(capacity int) { r.buf = make([]queued, capacity) }
 
 // push appends env, shedding the oldest entry in place when full; it
 // reports whether an entry was shed.
 func (r *envRing) push(env Envelope) (shed bool) {
 	if r.n == len(r.buf) {
-		r.buf[r.head] = env // shed oldest: fresh state beats stale state
+		r.buf[r.head] = hold(env) // shed oldest: fresh state beats stale state
 		r.head = (r.head + 1) % len(r.buf)
 		return true
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = env
+	r.buf[(r.head+r.n)%len(r.buf)] = hold(env)
 	r.n++
 	return false
 }
 
 // pop removes and returns the oldest entry, zeroing its slot so popped
 // envelopes do not pin their response bodies until overwritten.
-func (r *envRing) pop() (Envelope, bool) {
+func (r *envRing) pop() (queued, bool) {
 	if r.n == 0 {
-		return Envelope{}, false
+		return queued{}, false
 	}
-	env := r.buf[r.head]
-	r.buf[r.head] = Envelope{}
+	q := r.buf[r.head]
+	r.buf[r.head] = queued{}
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
-	return env, true
+	return q, true
 }
 
 func (r *envRing) len() int { return r.n }
@@ -208,7 +251,7 @@ type Client struct {
 	// successful socket write: one envelope under JSON, up to MaxBatch
 	// under the binary codec. Retained across a reconnect and
 	// retransmitted first.
-	inflight []Envelope // guarded by mu
+	inflight []queued // guarded by mu
 	// pongDebt records that a heartbeat ping arrived and a pong is owed.
 	// It is a bool, not a counter: a pong proves liveness idempotently,
 	// so a flapping link that delivers a burst of pings is answered
@@ -284,8 +327,9 @@ func (c *Client) handshake(conn net.Conn) error {
 }
 
 // Send streams one response to the validator. It never blocks on the
-// network: the response is queued and the call only fails once the
-// client is closed. A full queue sheds its oldest entry (counted on
+// network: the response is queued (by value — enqueue retains neither
+// pointer, so nothing here moves to the heap) and the call only fails once
+// the client is closed. A full queue sheds its oldest entry (counted on
 // Dropped()).
 func (c *Client) Send(r core.Response) error {
 	env := Envelope{Type: TypeResponse, Response: &r}
@@ -396,7 +440,7 @@ func (c *Client) writeLoop() {
 			return
 		}
 		conn, enc := c.conn, c.enc
-		var batch []Envelope
+		var batch []queued
 		if conn != nil {
 			batch = c.takeBatchLocked()
 		}
@@ -422,7 +466,8 @@ func (c *Client) writeLoop() {
 				bufp := getFrameBuf()
 				buf := *bufp
 				for i := range batch {
-					buf = AppendEnvelope(buf, &batch[i])
+					env := batch[i].envelope()
+					buf = AppendEnvelope(buf, &env)
 				}
 				armWriteDeadline(conn, c.cfg.WriteTimeout)
 				_, err := conn.Write(buf)
@@ -436,7 +481,7 @@ func (c *Client) writeLoop() {
 				}
 			} else {
 				armWriteDeadline(conn, c.cfg.WriteTimeout)
-				if err := enc.Encode(batch[0]); err != nil {
+				if err := enc.Encode(batch[0].envelope()); err != nil {
 					c.dropLink(conn)
 					continue
 				}
@@ -454,13 +499,13 @@ func (c *Client) writeLoop() {
 // under JSON (a line per envelope), up to MaxBatch under the binary
 // codec. The returned slice is c.inflight, retained until its write
 // succeeds. Runs with c.mu held (proven by the guardedby call graph).
-func (c *Client) takeBatchLocked() []Envelope {
+func (c *Client) takeBatchLocked() []queued {
 	if len(c.inflight) > 0 {
 		return c.inflight
 	}
 	if c.pongDebt {
 		c.pongDebt = false
-		c.inflight = append(c.inflight[:0], Envelope{Type: TypePong})
+		c.inflight = append(c.inflight[:0], queued{typ: binTypePong})
 		return c.inflight
 	}
 	c.fillFromRingLocked()
@@ -475,11 +520,11 @@ func (c *Client) fillFromRingLocked() {
 		max = c.cfg.MaxBatch
 	}
 	for len(c.inflight) < max {
-		env, ok := c.ring.pop()
+		q, ok := c.ring.pop()
 		if !ok {
 			return
 		}
-		c.inflight = append(c.inflight, env)
+		c.inflight = append(c.inflight, q)
 	}
 }
 
@@ -487,8 +532,8 @@ func (c *Client) fillFromRingLocked() {
 // stopped short of MaxBatch (the queue drained) waits FlushIdle for more
 // envelopes to coalesce, then tops up once and flushes. Returns nil only
 // when the client closed during the wait.
-func (c *Client) linger(batch []Envelope) []Envelope {
-	if c.cfg.FlushIdle <= 0 || len(batch) >= c.cfg.MaxBatch || batch[0].Type == TypePong {
+func (c *Client) linger(batch []queued) []queued {
+	if c.cfg.FlushIdle <= 0 || len(batch) >= c.cfg.MaxBatch || batch[0].typ == binTypePong {
 		return batch
 	}
 	if !c.cfg.Sleep(c.cfg.FlushIdle, c.stop) {

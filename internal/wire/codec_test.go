@@ -371,6 +371,13 @@ func TestPongDebtCapped(t *testing.T) {
 	if err := c.Send(resp(1, "τpong", core.CacheUpdate, false, "up")); err != nil {
 		t.Fatal(err)
 	}
+	// Only once the writer holds the response in flight: a ping that beat
+	// it there would be answered first (pongs jump the queue).
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.inflight) == 1
+	})
 	// A burst of pings arrives while the writer is blocked; a trailing
 	// stats reply proves (in-order) that all three were processed.
 	for i := 0; i < 3; i++ {

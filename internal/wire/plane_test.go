@@ -292,7 +292,8 @@ func TestServerTraceAcrossShards(t *testing.T) {
 // script at one and four shards: the page must carry the same families —
 // the detection summaries and late_responses_total included — and, for
 // everything but the per-shard queue families (whose totals count the Ψ
-// broadcast, one copy per shard), the same values.
+// broadcast, one copy per shard) and the push-write count (one flush per
+// deciding worker), the same values.
 func TestServerMetricsParityAcrossWidths(t *testing.T) {
 	pages := make(map[int]map[string]float64)
 	for _, shards := range []int{1, 4} {
@@ -331,8 +332,8 @@ func TestServerMetricsParityAcrossWidths(t *testing.T) {
 		t.Fatalf("metric names differ across widths:\n shards=1 %v\n shards=4 %v", n1, n4)
 	}
 	for name, v := range one {
-		if strings.HasPrefix(name, "jury_shard_") {
-			continue
+		if strings.HasPrefix(name, "jury_shard_") || name == "jury_wire_push_writes_total" {
+			continue // workers flush independently: writes depend on the width
 		}
 		if four[name] != v {
 			t.Errorf("%s = %v at one shard, %v at four", name, v, four[name])
@@ -417,17 +418,19 @@ func TestServerScrapeWhileDispatchBlocked(t *testing.T) {
 			return nil
 		}
 	}
-	// The worker counts the decision and then blocks pushing it to the
-	// stalled sink, holding connsMu — which parks the tick loop and the
-	// connection readers before they reach the dispatch lock. The test
-	// therefore dispatches directly: the Advance item fills the queue and
-	// Submit blocks behind it with the dispatch lock held.
+	// The worker counts the decision and then blocks flushing it to the
+	// stalled sink, holding connsMu — which parks the tick loop in its
+	// heartbeat sweep, one Advance item after the worker stopped consuming.
+	// The test dispatches one more batch directly: whichever of the two
+	// items finds the depth-1 queue full blocks with the dispatch lock
+	// held.
 	waitFor(t, func() bool { return scrape()["jury_validator_decided_total"] == 1 })
-	next := resp(1, "τ2", core.CacheUpdate, false, "up")
 	dispatched := make(chan struct{})
 	go func() {
 		defer close(dispatched)
-		s.handleEnvelope(&srvConn{}, &Envelope{Type: TypeResponse, Response: &next}, false)
+		in := ingest{s: s, sc: &srvConn{}}
+		in.add(&Envelope{Type: TypeResponse, Response: &core.Response{Controller: 1, Trigger: "τ2"}}, false)
+		in.dispatch()
 	}()
 	waitFor(t, func() bool {
 		// Held across consecutive probes: a dispatcher merely passing

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/jurysdn/jury/internal/cluster"
@@ -48,8 +49,10 @@ type ServerConfig struct {
 	// Zero or one is one worker — the paper's single decision loop.
 	Shards int
 	// QueueDepth bounds each shard's intake queue (default
-	// shard.DefaultQueueDepth). Deployments tune it through
-	// ValidatorServiceConfig.QueueDepth (juryd -queue-depth).
+	// shard.DefaultQueueDepth) in queue items — one per batch a reader
+	// hands over, so at most QueueDepth × maxIngestBatch responses.
+	// Deployments tune it through ValidatorServiceConfig.QueueDepth
+	// (juryd -queue-depth).
 	QueueDepth int
 	// Tick is the wall-clock granularity at which validator timers fire
 	// (default 5ms).
@@ -133,6 +136,7 @@ type serverMetrics struct {
 	readErrors    *obs.Counter
 	codecRejected *obs.Counter
 	pushErrors    *obs.Counter
+	pushWrites    *obs.Counter
 	reapedIdle    *obs.Counter
 	pingsSent     *obs.Counter
 	pongsReceived *obs.Counter
@@ -159,6 +163,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		codecRejected: lineErr("codec"),
 		pushErrors: reg.Counter("jury_wire_push_errors_total",
 			"Result/ping/stats writes that failed and dropped the connection."),
+		pushWrites: reg.Counter("jury_wire_push_writes_total",
+			"Socket writes carrying pushed results, pings or stats replies (one per flush)."),
 		reapedIdle: reg.Counter("jury_wire_conns_reaped_idle_total",
 			"Half-open connections reaped by the idle-timeout heartbeat."),
 		pingsSent: reg.Counter("jury_wire_pings_sent_total",
@@ -168,37 +174,58 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 }
 
+// Hand-off bounds. Both are fixed: neither is a knob.
+const (
+	// maxIngestBatch caps the responses one reader hands the plane in one
+	// call, so a shard's QueueDepth items bound its backlog at
+	// QueueDepth × maxIngestBatch responses.
+	maxIngestBatch = 256
+	// pushFlushBytes is the early-flush bound on a connection's pending
+	// output: a burst of verdicts shares one write up to this size, past
+	// it the write goes out without waiting for the queue item to finish.
+	pushFlushBytes = 32 << 10
+)
+
 // srvConn is one registered client connection.
 type srvConn struct {
 	conn net.Conn
-	enc  *json.Encoder
 	// codec is the connection's resolved wire encoding. It starts from
 	// the server's stance (binary only under CodecBinary) and is
 	// overwritten by the codec the peer's first byte announces, so
 	// pushes always mirror what the client speaks once it has spoken.
 	codec Codec // guarded by connsMu
-	// wbuf is the binary push scratch, reused across pushes so the
-	// steady-state encode path allocates nothing.
-	wbuf []byte // guarded by connsMu
-	// lastSeen is the clock reading of the last received line; lastPing
-	// is when the last heartbeat probe went out. Both are protected by
-	// the server's connsMu.
-	lastSeen time.Time // guarded by connsMu
+	// out is the connection's pending output: pushes are encoded onto it
+	// and leave in one write per flush. The buffer is reused across
+	// flushes, so the steady-state push path allocates nothing.
+	out []byte // guarded by connsMu
+	// lastSeen is the service-clock reading (UnixNano) of the last read
+	// that delivered anything. An atomic, so the read path records
+	// liveness without the registry lock — a reader must never wait behind
+	// a write to some other, stalled peer.
+	lastSeen atomic.Int64
+	// lastPing is when the last heartbeat probe went out.
 	lastPing time.Time // guarded by connsMu
 }
 
 // Server hosts a validation plane behind a TCP listener.
 //
+// The unit of hand-off through the service is a batch: a reader hands the
+// plane everything one socket read delivered in one call, and the verdicts
+// a worker decides while processing one queue item leave in one write.
+//
 // Two locks split the server and never nest. mu serializes the plane's
-// dispatch side (Submit, Advance, TraceSpans — its contract requires one
-// dispatcher at a time) and guards traceShifts. connsMu guards the
-// connection registry and every socket write, including the result
-// broadcast; its holders never dispatch and only do deadline-bounded
-// work. Decisions land on the plane's worker goroutines, which take only
-// connsMu: a worker delivering a result must not wait on mu, because a
-// dispatcher may hold mu while blocked on that same worker's full intake
-// queue (backpressure). Stats, alarms, flight snapshots and the metrics
-// scrape read the plane's lock-free stats side and take neither lock.
+// dispatch side (SubmitBatch, Advance, TraceSpans, Stop — its contract
+// requires one dispatcher at a time) and guards traceShifts. connsMu guards
+// the connection registry, every connection's pending output and every
+// socket write; its holders never dispatch and only do deadline-bounded
+// work. Readers take connsMu only to answer a stats request or a ping —
+// never per frame, so a write stalled on one peer cannot freeze ingest
+// from the others. Decisions land on the plane's worker goroutines, which
+// take only connsMu (broadcast appends, flush writes): a worker delivering
+// a result must not wait on mu, because a dispatcher may hold mu while
+// blocked on that same worker's full intake queue (backpressure). Stats,
+// alarms, flight snapshots and the metrics scrape read the plane's
+// lock-free stats side and take neither lock.
 type Server struct {
 	ln  net.Listener
 	cfg ServerConfig
@@ -273,7 +300,7 @@ func ServeListener(ln net.Listener, cfg ServerConfig) (*Server, error) {
 		conns:       make(map[net.Conn]*srvConn),
 		stop:        make(chan struct{}),
 	}
-	plane.SetOnResult(s.broadcast)
+	plane.SetOnResult(s.broadcast, s.flush)
 	s.done.Add(2)
 	go s.acceptLoop()
 	go s.tickLoop()
@@ -344,30 +371,34 @@ func (s *Server) FlightSnapshot() []obs.Event { return s.plane.FlightSnapshot() 
 func (s *Server) Alarms() []core.Result { return s.plane.Alarms() }
 
 // Close stops the service and waits for its goroutines. Safe to call
-// more than once. The closed flag flips under connsMu before the
-// connection sweep, so a connection accepted concurrently can never be
-// registered after the sweep and leak a blocked reader past Close.
+// more than once. The closed flag flips under connsMu before anything
+// else, so a connection accepted concurrently can never be registered
+// after the sweep and leak a blocked reader past Close. The plane stops
+// before the sockets are torn down: a worker finishes the queue item it is
+// on — flush included — so a verdict decided just before Close still
+// reaches its clients.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		s.connsMu.Lock()
 		s.closed = true
-		conns := make([]net.Conn, 0, len(s.conns))
-		for conn := range s.conns {
-			conns = append(conns, conn)
-		}
 		s.connsMu.Unlock()
 		close(s.stop)
 		err = s.ln.Close()
-		for _, conn := range conns {
-			_ = conn.Close()
-		}
-		s.done.Wait()
-		// All dispatchers (reader goroutines, tick loop) are gone; this is
-		// the plane's final serialized dispatch call. Stop, not Close:
-		// draining would expire every still-open trigger into an omission
-		// alarm (and a flight dump) that no controller caused.
+		// Stop, not Close: draining would expire every still-open trigger
+		// into an omission alarm (and a flight dump) that no controller
+		// caused. Readers still running dispatch into a stopped plane,
+		// which is a no-op.
+		s.mu.Lock()
 		s.plane.Stop()
+		s.mu.Unlock()
+		s.connsMu.Lock()
+		s.flushLocked()
+		for conn := range s.conns {
+			s.dropConnLocked(conn)
+		}
+		s.connsMu.Unlock()
+		s.done.Wait()
 	})
 	return err
 }
@@ -397,7 +428,7 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		bo.Reset()
-		sc := &srvConn{conn: conn, enc: json.NewEncoder(conn), codec: s.preHandshakeCodec()}
+		sc := &srvConn{conn: conn, codec: s.preHandshakeCodec()}
 		s.connsMu.Lock()
 		if s.closed {
 			s.connsMu.Unlock()
@@ -405,7 +436,7 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		now := s.cfg.Clock()
-		sc.lastSeen = now
+		sc.lastSeen.Store(now.UnixNano())
 		sc.lastPing = now
 		s.conns[conn] = sc
 		s.connsMu.Unlock()
@@ -427,32 +458,26 @@ func (s *Server) tickLoop() {
 		case <-s.stop:
 			return
 		case <-ticker.C:
+			now := s.cfg.Clock()
 			s.mu.Lock()
-			s.advance()
+			s.plane.Advance(now.Sub(s.started))
 			s.mu.Unlock()
 			s.connsMu.Lock()
-			s.heartbeatSweep()
+			s.heartbeatSweep(now)
 			s.connsMu.Unlock()
 		}
 	}
 }
 
-// advance moves every shard's virtual clock up to the current elapsed
-// clock time. Dispatch side: every call site holds s.mu.
-func (s *Server) advance() {
-	s.plane.Advance(s.cfg.Clock().Sub(s.started))
-}
-
 // heartbeatSweep pings idle connections and reaps half-open peers whose
 // idle time passed IdleTimeout (a dead TCP peer never answers, so its
 // lastSeen stops moving). Runs with s.connsMu held from the tick loop.
-func (s *Server) heartbeatSweep() {
+func (s *Server) heartbeatSweep(now time.Time) {
 	if s.cfg.HeartbeatEvery <= 0 {
 		return
 	}
-	now := s.cfg.Clock()
 	for conn, sc := range s.conns {
-		idle := now.Sub(sc.lastSeen)
+		idle := now.Sub(time.Unix(0, sc.lastSeen.Load()))
 		if s.cfg.IdleTimeout > 0 && idle >= s.cfg.IdleTimeout {
 			s.m.reapedIdle.Inc()
 			s.dropConnLocked(conn)
@@ -461,7 +486,7 @@ func (s *Server) heartbeatSweep() {
 		if idle >= s.cfg.HeartbeatEvery && now.Sub(sc.lastPing) >= s.cfg.HeartbeatEvery {
 			sc.lastPing = now
 			s.m.pingsSent.Inc()
-			s.pushLocked(conn, sc, Envelope{Type: TypePing})
+			s.replyLocked(sc, &Envelope{Type: TypePing})
 		}
 	}
 }
@@ -476,22 +501,86 @@ func (s *Server) preHandshakeCodec() Codec {
 	return CodecJSON
 }
 
-// pushLocked encodes one envelope to a registered connection under a
-// write deadline, in the connection's resolved codec; a failed or
-// timed-out write drops the connection. Runs with s.connsMu held.
-func (s *Server) pushLocked(conn net.Conn, sc *srvConn, env Envelope) {
-	armWriteDeadline(conn, s.cfg.WriteTimeout)
-	var err error
+// pushLocked appends one envelope to a connection's pending output in the
+// connection's resolved codec — no syscall; a flush writes it. Runs with
+// s.connsMu held.
+func (s *Server) pushLocked(sc *srvConn, env *Envelope) {
 	if sc.codec == CodecBinary {
-		sc.wbuf = AppendEnvelope(sc.wbuf[:0], &env)
-		_, err = conn.Write(sc.wbuf)
+		sc.out = AppendEnvelope(sc.out, env)
 	} else {
-		err = sc.enc.Encode(env)
+		sc.out = appendJSONLine(sc.out, env)
 	}
+	if len(sc.out) >= pushFlushBytes {
+		s.flushConnLocked(sc)
+	}
+}
+
+// appendJSONLine appends env as one JSON protocol line. encoding/json
+// takes an interface, which would make every caller's result escape to the
+// heap on the binary path too, so the line is built from copies: the
+// bodies by value, the type through its wire byte (escape analysis does
+// not tell a struct's fields apart — copying the type string alone would
+// count as leaking the body pointers beside it).
+func appendJSONLine(dst []byte, env *Envelope) []byte {
+	var line Envelope
+	line.Type, _ = typeFromBin(binType(env.Type))
+	if env.Result != nil {
+		r := *env.Result
+		line.Result = &r
+	}
+	if env.Stats != nil {
+		st := *env.Stats
+		line.Stats = &st
+	}
+	b, err := json.Marshal(&line)
+	if err != nil {
+		return dst // unreachable: every pushed body marshals
+	}
+	return append(append(dst, b...), '\n')
+}
+
+// replyLocked pushes one envelope that must not wait for a worker — a
+// stats reply, a pong, a heartbeat ping — and flushes the connection at
+// once. Whatever was already pending leaves ahead of it in the same write,
+// so order is preserved. Runs with s.connsMu held.
+func (s *Server) replyLocked(sc *srvConn, env *Envelope) {
+	s.pushLocked(sc, env)
+	s.flushConnLocked(sc)
+}
+
+// flushConnLocked writes a connection's pending output — one deadline,
+// one write; a failed or timed-out write drops the connection. Runs with
+// s.connsMu held.
+func (s *Server) flushConnLocked(sc *srvConn) {
+	if len(sc.out) == 0 {
+		return
+	}
+	s.m.pushWrites.Inc() // before the write: a reader of the bytes sees them counted
+	armWriteDeadline(sc.conn, s.cfg.WriteTimeout)
+	_, err := sc.conn.Write(sc.out)
+	sc.out = sc.out[:0]
 	if err != nil {
 		s.m.pushErrors.Inc()
-		s.dropConnLocked(conn)
+		s.dropConnLocked(sc.conn)
 	}
+}
+
+// flushLocked flushes every connection with pending output. Runs with
+// s.connsMu held.
+func (s *Server) flushLocked() {
+	for _, sc := range s.conns {
+		s.flushConnLocked(sc)
+	}
+}
+
+// flush is the plane's flush hook: the worker that finished a queue item
+// which decided something writes out what broadcast buffered, so a lone
+// verdict leaves in the same worker iteration that decided it and a burst
+// shares a syscall. Like broadcast it takes only connsMu.
+func (s *Server) flush() {
+	s.connsMu.Lock()
+	s.flushLocked()
+	s.connsMu.Unlock()
 }
 
 // dropConnLocked closes and unregisters one connection. Runs with
@@ -552,16 +641,109 @@ func (s *Server) setConnCodec(sc *srvConn, codec Codec) {
 	s.connsMu.Unlock()
 }
 
-// serveLines is the JSON read side: newline-delimited envelopes.
+// ingest is one reader's hand-off state: the batch of responses it has
+// decoded but not yet dispatched, reused across reads. Reader-goroutine
+// state; nothing in it is shared.
+type ingest struct {
+	s     *Server
+	sc    *srvConn
+	batch []core.Response
+	// origin is the last trace origin this reader registered, so the
+	// steady state compares one string and takes no lock.
+	origin string
+}
+
+// add appends one response envelope to the batch. borrowed marks envelopes
+// whose strings alias the binary reader's frame buffer: the validator
+// retains submitted responses and the shift map retains origin keys, so
+// those are copied before the borrow window closes.
+func (in *ingest) add(env *Envelope, borrowed bool) {
+	if env.Response == nil {
+		return
+	}
+	in.batch = append(in.batch, *env.Response)
+	if borrowed {
+		cloneStrings(&in.batch[len(in.batch)-1])
+	}
+	if tc := env.Trace; tc != nil && tc.Origin != "" && tc.Origin != in.origin {
+		in.origin = strings.Clone(tc.Origin)
+		in.s.noteOrigin(in.origin, tc.BaseNS)
+	}
+}
+
+// noteOrigin fixes an origin's clock-base shift at first sight: our
+// elapsed time minus the sender's virtual clock at send time. One sample
+// suffices — both clocks advance at the same rate, only their bases
+// differ.
+func (s *Server) noteOrigin(origin string, baseNS int64) {
+	elapsed := s.cfg.Clock().Sub(s.started)
+	s.mu.Lock()
+	if _, ok := s.traceShifts[origin]; !ok {
+		s.traceShifts[origin] = int64(elapsed) - baseNS
+	}
+	s.mu.Unlock()
+}
+
+// dispatch hands the plane everything the reader has in hand as one
+// batch — the single dispatch function of both codecs. The clock is read
+// once: it stamps the connection's liveness and is the arrival time every
+// response of the batch is submitted at.
+func (in *ingest) dispatch() {
+	if len(in.batch) == 0 {
+		return
+	}
+	s := in.s
+	now := s.cfg.Clock()
+	in.sc.lastSeen.Store(now.UnixNano())
+	s.m.responses.Add(int64(len(in.batch)))
+	s.mu.Lock()
+	s.plane.SubmitBatch(in.batch, now.Sub(s.started))
+	s.mu.Unlock()
+	in.batch = in.batch[:0]
+}
+
+// control handles everything a reader receives that is not a response to
+// batch — a non-response envelope, a rejected line or frame (env nil) —
+// after first dispatching what is in hand, so ordering is preserved.
+func (in *ingest) control(env *Envelope) {
+	in.dispatch()
+	s := in.s
+	in.sc.lastSeen.Store(s.cfg.Clock().UnixNano())
+	if env == nil {
+		return
+	}
+	switch env.Type {
+	case TypeStats:
+		st := s.Stats()
+		s.reply(in.sc, &Envelope{Type: TypeStats, Stats: &st})
+	case TypePing:
+		s.reply(in.sc, &Envelope{Type: TypePong})
+	case TypePong:
+		s.m.pongsReceived.Inc()
+	}
+}
+
+// reply answers one connection at once, if it is still registered.
+func (s *Server) reply(sc *srvConn, env *Envelope) {
+	s.connsMu.Lock()
+	if _, ok := s.conns[sc.conn]; ok {
+		s.replyLocked(sc, env)
+	}
+	s.connsMu.Unlock()
+}
+
+// serveLines is the JSON read side: newline-delimited envelopes, each
+// dispatched as a batch of one.
 func (s *Server) serveLines(sc *srvConn, r *bufio.Reader) {
 	lr := NewLineReader(r, s.cfg.MaxLineBytes)
+	in := ingest{s: s, sc: sc}
 	for {
 		line, err := lr.ReadLine()
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrLineTooLong):
 				s.m.oversized.Inc()
-				s.touch(sc)
+				in.control(nil)
 				continue
 			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
 				return // clean close, or dropped by Close/sweep
@@ -570,118 +752,71 @@ func (s *Server) serveLines(sc *srvConn, r *bufio.Reader) {
 				return
 			}
 		}
-		s.touch(sc)
-		if len(line) == 0 {
-			continue
-		}
 		var env Envelope
-		if err := json.Unmarshal(line, &env); err != nil {
-			s.m.malformed.Inc()
-			continue // tolerate malformed lines from misbehaving peers
+		if len(line) > 0 && json.Unmarshal(line, &env) != nil {
+			s.m.malformed.Inc() // tolerate malformed lines from misbehaving peers
+			env = Envelope{}
 		}
-		s.handleEnvelope(sc, &env, false)
+		if env.Type == TypeResponse {
+			in.add(&env, false)
+			in.dispatch()
+		} else {
+			in.control(&env)
+		}
 	}
 }
 
 // serveFrames is the binary read side: length-prefixed frames decoded
-// into borrowed envelopes (BinDecoder's ownership contract — anything
-// the dispatch retains is cloned in handleEnvelope).
+// into borrowed envelopes (BinDecoder's ownership contract — ingest.add
+// copies what the dispatch retains). Responses accumulate while a
+// complete frame is already buffered and are dispatched as one batch the
+// moment the next read could block: the reader never waits for bytes with
+// responses in hand.
 func (s *Server) serveFrames(sc *srvConn, r *bufio.Reader) {
 	br := NewBinReader(r, s.cfg.MaxLineBytes)
+	in := ingest{s: s, sc: sc}
 	for {
 		env, err := br.ReadEnvelope()
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrFrameTooLong):
-				s.m.oversized.Inc()
-				s.touch(sc)
-				continue
-			case errors.Is(err, ErrMalformedFrame):
-				s.m.malformed.Inc()
-				s.touch(sc)
-				continue
-			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
-				return
-			default:
-				s.m.readErrors.Inc()
-				return
+		switch {
+		case err == nil && env.Type == TypeResponse:
+			in.add(env, true)
+			if len(in.batch) >= maxIngestBatch || !br.FrameBuffered() {
+				in.dispatch()
 			}
-		}
-		s.touch(sc)
-		s.handleEnvelope(sc, env, true)
-	}
-}
-
-// handleEnvelope dispatches one received envelope. borrowed marks
-// envelopes whose strings alias the binary reader's frame buffer: the
-// validator retains submitted responses and the shift map retains origin
-// keys, so those are deep-copied before crossing the borrow window.
-func (s *Server) handleEnvelope(sc *srvConn, env *Envelope, borrowed bool) {
-	switch env.Type {
-	case TypeResponse:
-		if env.Response == nil {
+		case err == nil:
+			in.control(env)
+		case errors.Is(err, ErrFrameTooLong):
+			s.m.oversized.Inc()
+			in.control(nil)
+		case errors.Is(err, ErrMalformedFrame):
+			s.m.malformed.Inc()
+			in.control(nil)
+		default:
+			in.dispatch()
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				s.m.readErrors.Inc()
+			}
 			return
 		}
-		s.m.responses.Inc()
-		resp := *env.Response
-		if borrowed {
-			resp = CloneResponse(resp)
-		}
-		s.mu.Lock()
-		s.advance()
-		if tc := env.Trace; tc != nil && tc.Origin != "" {
-			// First sight of an origin fixes its clock-base shift:
-			// our elapsed time minus the sender's virtual clock at
-			// send time. One sample suffices — both clocks advance
-			// at the same rate, only their bases differ.
-			if _, ok := s.traceShifts[tc.Origin]; !ok {
-				elapsed := s.cfg.Clock().Sub(s.started)
-				s.traceShifts[strings.Clone(tc.Origin)] = int64(elapsed) - tc.BaseNS
-			}
-		}
-		s.plane.Submit(resp)
-		s.mu.Unlock()
-	case TypeStats:
-		st := s.Stats()
-		s.connsMu.Lock()
-		if cur, ok := s.conns[sc.conn]; ok {
-			s.pushLocked(sc.conn, cur, Envelope{Type: TypeStats, Stats: &st})
-		}
-		s.connsMu.Unlock()
-	case TypePing:
-		s.connsMu.Lock()
-		if cur, ok := s.conns[sc.conn]; ok {
-			s.pushLocked(sc.conn, cur, Envelope{Type: TypePong})
-		}
-		s.connsMu.Unlock()
-	case TypePong:
-		s.m.pongsReceived.Inc()
 	}
 }
 
-// touch records liveness for the heartbeat sweep.
-func (s *Server) touch(sc *srvConn) {
-	s.connsMu.Lock()
-	sc.lastSeen = s.cfg.Clock()
-	s.connsMu.Unlock()
-}
-
-// broadcast pushes a result to every connected client; a client whose
-// write fails is dropped from the registry so later broadcasts stop
-// encoding to a dead peer. The plane invokes it from worker goroutines
-// with no server lock held. It takes only connsMu and never calls into
-// the dispatch side, so a worker delivering a result cannot deadlock
-// against a dispatcher blocked on that worker's full intake queue.
+// broadcast appends a result to every connected client's pending output;
+// the worker that decided it flushes when its queue item is finished (see
+// flush). The plane invokes it from worker goroutines with no server lock
+// held. It takes only connsMu and never calls into the dispatch side, so a
+// worker delivering a result cannot deadlock against a dispatcher blocked
+// on that worker's full intake queue.
 func (s *Server) broadcast(r core.Result) {
 	if s.cfg.AlarmsOnly && r.Verdict != core.VerdictFault {
 		return
 	}
 	env := Envelope{Type: TypeResult, Result: &r}
 	s.connsMu.Lock()
-	defer s.connsMu.Unlock()
-	for conn, sc := range s.conns {
-		s.pushLocked(conn, sc, env)
+	for _, sc := range s.conns {
+		s.pushLocked(sc, &env)
 	}
+	s.connsMu.Unlock()
 }
 
 // armWriteDeadline bounds the next write on conn. Socket deadlines are
