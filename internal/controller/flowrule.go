@@ -3,7 +3,7 @@ package controller
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/store"
@@ -44,28 +44,15 @@ const (
 // Key returns the FlowsDB key for the rule: target switch plus a digest of
 // the match and priority, so add/modify/delete address the same entry.
 func (r FlowRule) Key() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", r.DPID, r.Match.String(), r.Priority)
-	return fmt.Sprintf("%s/%016x", r.DPID, h.Sum64())
-}
-
-// Encode serializes the rule for storage in FlowsDB.
-func (r FlowRule) Encode() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// Marshal of this struct cannot fail; keep the API infallible.
-		return "{}"
+	var buf [256]byte
+	b := strconv.AppendUint(buf[:0], uint64(r.DPID), 10)
+	b = r.Match.AppendTo(append(b, '|'))
+	b = strconv.AppendUint(append(b, '|'), uint64(r.Priority), 10)
+	h := uint64(14695981039346656037) // FNV-1a, as hash/fnv's New64a
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
 	}
-	return string(b)
-}
-
-// DecodeFlowRule parses a FlowsDB value.
-func DecodeFlowRule(s string) (FlowRule, error) {
-	var r FlowRule
-	if err := json.Unmarshal([]byte(s), &r); err != nil {
-		return FlowRule{}, fmt.Errorf("controller: decode flow rule: %w", err)
-	}
-	return r, nil
+	return string(openflow.AppendHex(append(r.DPID.AppendTo(buf[:0]), '/'), h, 16))
 }
 
 // FlowMod converts the rule to its OpenFlow message.

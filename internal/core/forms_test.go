@@ -32,6 +32,14 @@ var malformedValues = []string{
 	`{"dpid":"one"}`, `{"actions":[{"Port":99999999999999999999}]}`, "\xff\xfe",
 }
 
+// normalizeValue is the value part of a cache response's Body(): a FlowsDB
+// rule that decodes, re-encoded without per-controller attribution, or else
+// the raw value.
+func normalizeValue(cache store.CacheName, value string) string {
+	r := Response{Kind: CacheUpdate, Cache: cache, Value: value}
+	return strings.TrimPrefix(r.Body(), "cache|"+string(cache)+"|"+r.Op.String()+"||")
+}
+
 func formsRule(i int) controller.FlowRule {
 	return controller.FlowRule{
 		DPID:        topo.DPID(1 + i%3),

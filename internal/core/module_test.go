@@ -302,6 +302,9 @@ func TestReplicateREST(t *testing.T) {
 	if replicas != 2 {
 		t.Fatalf("replicas = %d", replicas)
 	}
+	if want := int64(2 * (len(rule.Encode()) + 64)); rep.ReplicatedBytes() != want {
+		t.Fatalf("replicated bytes = %d, want k × (encoded rule + 64) = %d", rep.ReplicatedBytes(), want)
+	}
 }
 
 func TestSystemRequiresControllersBeforeSwitches(t *testing.T) {

@@ -182,10 +182,11 @@ func (r *Replicator) ReplicateREST(target store.NodeID, rule controller.FlowRule
 		r.tracer.StartTrigger(string(ctx.ID), "rest-install")
 	}
 	r.eng.Schedule(r.cfg.Latency, func() { install(target, rule, ctx) })
+	size := int64(len(rule.Encode()) + 64)
 	for _, id := range r.pickSecondaries(target) {
 		replicaCtx := ctx.ReplicaOf()
 		sid := id
-		r.replicatedBytes.Add(int64(len(rule.Encode()) + 64))
+		r.replicatedBytes.Add(size)
 		r.replicatedMsgs.Inc()
 		r.eng.Schedule(r.cfg.Latency, func() { install(sid, rule, replicaCtx) })
 	}

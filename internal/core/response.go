@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -115,17 +116,32 @@ func (r Response) Body() string {
 	if r.Kind == ExecDone {
 		return "done"
 	}
-	if r.IsCache() {
-		return r.cacheBody(normalizeValue(r.Cache, r.Value))
+	var buf [512]byte
+	if !r.IsCache() {
+		return string(append(append(appendNetSlot(buf[:0], r.DPID, r.MsgType), '|'), r.MsgBody...))
 	}
-	return "net|" + r.DPID.String() + "|" + r.MsgType.String() + "|" + r.MsgBody
+	if r.Cache == store.FlowsDB {
+		if rule, err := controller.DecodeFlowRule(r.Value); err == nil {
+			return string(r.appendCacheBody(buf[:0], &rule))
+		}
+	}
+	return string(r.appendCacheBody(buf[:0], nil))
 }
 
-// cacheBody is Body for a cache response whose normalized value the caller
-// already holds (the validator, which decodes a primary's rule once for
-// both the body and the sanity check).
-func (r Response) cacheBody(normalized string) string {
-	return "cache|" + string(r.Cache) + "|" + r.Op.String() + "|" + r.Key + "|" + normalized
+// appendCacheBody appends a cache response's Body(). rule is its FlowsDB
+// value decoded, rendered without per-controller attribution (origin,
+// trigger taint, state) so the same rule computed by different replicas
+// compares equal; nil (another cache, or a value that does not decode)
+// compares the value raw.
+func (r *Response) appendCacheBody(b []byte, rule *controller.FlowRule) []byte {
+	b = append(append(append(b, "cache|"...), r.Cache...), '|')
+	b = append(append(append(append(b, r.Op.String()...), '|'), r.Key...), '|')
+	if rule == nil {
+		return append(b, r.Value...)
+	}
+	canon := *rule
+	canon.Origin, canon.Trigger, canon.State = 0, "", ""
+	return canon.AppendEncode(b)
 }
 
 // Slot returns the comparison slot within a trigger: triggers may elicit
@@ -138,7 +154,13 @@ func (r Response) Slot() string {
 	if r.IsCache() {
 		return "cache|" + string(r.Cache) + "|" + r.Key
 	}
-	return "net|" + r.DPID.String() + "|" + r.MsgType.String()
+	var buf [64]byte
+	return string(appendNetSlot(buf[:0], r.DPID, r.MsgType))
+}
+
+// appendNetSlot appends the Slot() of a network response.
+func appendNetSlot(b []byte, dpid topo.DPID, t openflow.MsgType) []byte {
+	return append(append(dpid.AppendTo(append(b, "net|"...)), '|'), t.String()...)
 }
 
 // sameSlotFields reports whether two responses agree on every field Slot
@@ -178,41 +200,13 @@ func (r Response) Size() int {
 	return 64 + len(r.MsgBody)/2
 }
 
-// normalizeValue strips per-controller attribution (origin, trigger taint)
-// from FlowsDB values so that the same rule computed by different replicas
-// compares equal.
-func normalizeValue(cache store.CacheName, value string) string {
-	if cache != store.FlowsDB {
-		return value
-	}
-	rule, err := controller.DecodeFlowRule(value)
-	if err != nil {
-		return value
-	}
-	return canonicalRule(rule)
-}
-
-// canonicalRule is normalizeValue's result for a FlowsDB value that decoded
-// to rule.
-func canonicalRule(rule controller.FlowRule) string {
-	rule.Origin = 0
-	rule.Trigger = ""
-	rule.State = ""
-	return rule.Encode()
-}
-
 // CanonicalMessage renders a southbound message for comparison: FLOW_MODs
 // by their rule semantics, PACKET_OUTs by their action and payload class.
 func CanonicalMessage(msg openflow.Message) string {
 	switch m := msg.(type) {
 	case *openflow.FlowMod:
-		var b strings.Builder
-		fmt.Fprintf(&b, "flowmod|%s|prio=%d|%s|", m.Command, m.Priority, m.Match.String())
-		for _, a := range m.Actions {
-			fmt.Fprintf(&b, "out:%d,", a.Port)
-		}
-		fmt.Fprintf(&b, "|idle=%d|hard=%d", m.IdleTimeout, m.HardTimeout)
-		return b.String()
+		var buf [256]byte
+		return string(appendFlowMod(buf[:0], m.Command, m.Priority, m.Match, m.Actions, m.IdleTimeout, m.HardTimeout))
 	case *openflow.PacketOut:
 		var b strings.Builder
 		b.WriteString("packetout|")
@@ -227,4 +221,26 @@ func CanonicalMessage(msg openflow.Message) string {
 	default:
 		return strings.ToLower(msg.Type().String())
 	}
+}
+
+// appendFlowMod appends CanonicalMessage's form of a FLOW_MOD with these
+// fields.
+func appendFlowMod(b []byte, cmd openflow.FlowModCommand, prio uint16, match openflow.Match, actions []openflow.Action, idle, hard uint16) []byte {
+	b = cmd.AppendTo(append(b, "flowmod|"...))
+	b = strconv.AppendUint(append(b, "|prio="...), uint64(prio), 10)
+	b = append(match.AppendTo(append(b, '|')), '|')
+	for _, a := range actions {
+		b = append(strconv.AppendUint(append(b, "out:"...), uint64(a.Port), 10), ',')
+	}
+	b = strconv.AppendUint(append(b, "|idle="...), uint64(idle), 10)
+	return strconv.AppendUint(append(b, "|hard="...), uint64(hard), 10)
+}
+
+// appendExpectedFlowMod appends the Body() of the FLOW_MOD network write a
+// decoded FlowsDB rule must produce on the wire: a NetworkWrite to rule.DPID
+// whose MsgBody is CanonicalMessage(rule.FlowMod(xid)), rendered from the
+// rule without building the message.
+func appendExpectedFlowMod(b []byte, rule *controller.FlowRule) []byte {
+	b = append(appendNetSlot(b, rule.DPID, openflow.TypeFlowMod), '|')
+	return appendFlowMod(b, openflow.FlowModCommand(rule.Command), rule.Priority, rule.Match, rule.Actions, rule.IdleTimeout, rule.HardTimeout)
 }

@@ -22,7 +22,7 @@ type psiState struct {
 
 // entry is one stored response beside its comparison forms. The forms are
 // computed once, when Submit stores the response, by the definitions in
-// response.go (Slot, Body) and expectedFlowMod; consensus and the sanity
+// response.go (Slot, Body, appendExpectedFlowMod); consensus and the sanity
 // check only compare these strings.
 type entry struct {
 	r    Response
@@ -115,12 +115,14 @@ func (p *pendingTrigger) store(r Response) {
 		e.slot = r.Slot()
 	}
 	if needNet {
-		// One decode serves both forms of a primary's FlowsDB write.
+		// One decode serves both forms of a primary's FlowsDB write, each
+		// rendered from the rule straight into its one string.
 		if rule, err := controller.DecodeFlowRule(r.Value); err == nil {
+			var buf [512]byte
 			if e.body == "" {
-				e.body = r.cacheBody(canonicalRule(rule))
+				e.body = string(r.appendCacheBody(buf[:0], &rule))
 			}
-			e.netBody, e.netDPID = expectedFlowMod(rule), rule.DPID
+			e.netBody, e.netDPID = string(appendExpectedFlowMod(buf[:0], &rule)), rule.DPID
 		}
 	}
 	if e.body == "" {

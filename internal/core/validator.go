@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/jurysdn/jury/internal/cluster"
-	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/metrics"
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/openflow"
@@ -844,13 +843,4 @@ next:
 		}
 	}
 	return Result{}, false, true
-}
-
-// expectedFlowMod derives, from a decoded FlowsDB rule, the Body() of the
-// FLOW_MOD network write the rule should produce on the wire.
-func expectedFlowMod(rule controller.FlowRule) string {
-	return Response{
-		Kind: NetworkWrite, DPID: rule.DPID,
-		MsgType: openflow.TypeFlowMod, MsgBody: CanonicalMessage(rule.FlowMod(0)),
-	}.Body()
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -570,5 +571,124 @@ func TestVerdictStreamGolden(t *testing.T) {
 				diffLines(t, fmt.Sprintf("plane width %d, random batches", width), runPlane(t, sp, stream, width, cuts), sorted)
 			}
 		})
+	}
+}
+
+// TestVerdictStreamReencodedRules is the metamorphic row for FlowsDB value
+// bytes: every well-formed rule value of the flow streams, re-encoded with
+// whitespace between tokens, keys permuted and upper-cased and now and then
+// one key character written as a \u escape, gives the same Result stream,
+// bare and behind the plane at widths 1 and 4. Only the Evidence digest,
+// which hashes the raw values, may move.
+func TestVerdictStreamReencodedRules(t *testing.T) {
+	for _, sp := range streamSpecs {
+		if !sp.flow {
+			continue
+		}
+		sp := sp
+		t.Run(sp.name, func(t *testing.T) {
+			stream := buildStream(sp)
+			rng := rand.New(rand.NewSource(sp.seed))
+			re := append([]core.Response(nil), stream...)
+			n := 0
+			for i := range re {
+				if re[i].Cache != store.FlowsDB {
+					continue
+				}
+				if v, ok := reencodeJSON(re[i].Value, rng); ok {
+					re[i].Value = v
+					n++
+				}
+			}
+			if n == 0 {
+				t.Fatal("no FlowsDB value re-encoded")
+			}
+			want, _ := runBare(t, sp, stream)
+			got, _ := runBare(t, sp, re)
+			diffLines(t, "bare validator", withoutEvidence(got, false), withoutEvidence(want, false))
+			sorted := withoutEvidence(want, true)
+			for _, width := range sp.widths {
+				if width == 1 || width == 4 {
+					diffLines(t, fmt.Sprintf("plane width %d", width), withoutEvidence(runPlane(t, sp, re, width, nil), true), sorted)
+				}
+			}
+		})
+	}
+}
+
+// withoutEvidence drops the Evidence digest, the last field of each R line;
+// sorted re-sorts the rest, as the digest was part of the plane's sort key.
+func withoutEvidence(lines []string, sorted bool) []string {
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		out[i] = l[:strings.LastIndexByte(l, ' ')]
+	}
+	if sorted {
+		sort.Strings(out)
+	}
+	return out
+}
+
+// reencodeJSON writes a JSON value again with the same meaning and other
+// bytes; ok is false when value is not one well-formed JSON value.
+func reencodeJSON(value string, rng *rand.Rand) (string, bool) {
+	dec := json.NewDecoder(strings.NewReader(value))
+	dec.UseNumber()
+	var v any
+	if dec.Decode(&v) != nil || dec.More() {
+		return "", false
+	}
+	var b strings.Builder
+	writeJSON(&b, v, rng)
+	return b.String(), true
+}
+
+func writeJSON(b *strings.Builder, v any, rng *rand.Rand) {
+	space := func() { b.WriteString([]string{"", " ", "\n", "\t ", "\r\n  "}[rng.Intn(5)]) }
+	switch x := v.(type) {
+	case map[string]any:
+		keys := make([]string, 0, len(x))
+		for k := range x {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		b.WriteByte('{')
+		for i, k := range keys {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			space()
+			name := k
+			if rng.Intn(2) == 0 {
+				name = strings.ToUpper(name)
+			}
+			// Member names are ASCII letters: no other character needs escaping.
+			if j := rng.Intn(len(name)); rng.Intn(3) == 0 {
+				fmt.Fprintf(b, "\"%s\\u%04x%s\"", name[:j], name[j], name[j+1:])
+			} else {
+				fmt.Fprintf(b, "\"%s\"", name)
+			}
+			space()
+			b.WriteByte(':')
+			space()
+			writeJSON(b, x[k], rng)
+			space()
+		}
+		b.WriteByte('}')
+	case []any:
+		b.WriteByte('[')
+		for i, e := range x {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			space()
+			writeJSON(b, e, rng)
+			space()
+		}
+		b.WriteByte(']')
+	default: // string, json.Number, bool or nil
+		enc, _ := json.Marshal(x)
+		b.Write(enc)
 	}
 }

@@ -2,8 +2,7 @@ package openflow
 
 import (
 	"encoding/binary"
-	"fmt"
-	"strings"
+	"strconv"
 )
 
 // MatchLen is the encoded length of ofp_match (OpenFlow 1.0).
@@ -32,7 +31,28 @@ type MAC [6]byte
 
 // String renders the address in colon-hex form.
 func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+	var buf [17]byte
+	return string(m.AppendTo(buf[:0]))
+}
+
+// AppendTo appends String's rendering to b.
+func (m MAC) AppendTo(b []byte) []byte {
+	for i, x := range m {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = AppendHex(b, uint64(x), 2)
+	}
+	return b
+}
+
+// AppendHex appends the low 4*digits bits of v as that many lower-case hex
+// digits, zero-padded as fmt's %0*x would.
+func AppendHex(b []byte, v uint64, digits int) []byte {
+	for shift := 4 * (digits - 1); shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[v>>uint(shift)&0xF])
+	}
+	return b
 }
 
 // IsZero reports whether the address is all zeros.
@@ -43,7 +63,19 @@ type IPv4 [4]byte
 
 // String renders the address in dotted-quad form.
 func (ip IPv4) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
+	var buf [15]byte
+	return string(ip.AppendTo(buf[:0]))
+}
+
+// AppendTo appends String's rendering to b.
+func (ip IPv4) AppendTo(b []byte) []byte {
+	for i, x := range ip {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(x), 10)
+	}
+	return b
 }
 
 // Uint32 returns the address as a big-endian integer.
@@ -265,39 +297,56 @@ func (m Match) normalize() Match {
 
 // String renders the non-wildcarded fields.
 func (m Match) String() string {
-	var parts []string
+	var buf [192]byte
+	return string(m.AppendTo(buf[:0]))
+}
+
+// AppendTo appends String's rendering to b.
+func (m Match) AppendTo(b []byte) []byte {
+	n := len(b)
 	w := m.Wildcards
 	if w&WildcardInPort == 0 {
-		parts = append(parts, fmt.Sprintf("in_port=%d", m.InPort))
+		b = strconv.AppendUint(appendField(b, n, "in_port="), uint64(m.InPort), 10)
 	}
 	if w&WildcardDLSrc == 0 {
-		parts = append(parts, "dl_src="+m.DLSrc.String())
+		b = m.DLSrc.AppendTo(appendField(b, n, "dl_src="))
 	}
 	if w&WildcardDLDst == 0 {
-		parts = append(parts, "dl_dst="+m.DLDst.String())
+		b = m.DLDst.AppendTo(appendField(b, n, "dl_dst="))
 	}
 	if w&WildcardDLType == 0 {
-		parts = append(parts, fmt.Sprintf("dl_type=0x%04x", m.DLType))
+		b = AppendHex(appendField(b, n, "dl_type=0x"), uint64(m.DLType), 4)
 	}
 	if w&WildcardNWProto == 0 {
-		parts = append(parts, fmt.Sprintf("nw_proto=%d", m.NWProto))
+		b = strconv.AppendUint(appendField(b, n, "nw_proto="), uint64(m.NWProto), 10)
 	}
-	if m.NWSrcMaskBits() < 32 {
-		parts = append(parts, fmt.Sprintf("nw_src=%s/%d", m.NWSrc, 32-m.NWSrcMaskBits()))
+	if bits := m.NWSrcMaskBits(); bits < 32 {
+		b = m.NWSrc.AppendTo(appendField(b, n, "nw_src="))
+		b = strconv.AppendUint(append(b, '/'), uint64(32-bits), 10)
 	}
-	if m.NWDstMaskBits() < 32 {
-		parts = append(parts, fmt.Sprintf("nw_dst=%s/%d", m.NWDst, 32-m.NWDstMaskBits()))
+	if bits := m.NWDstMaskBits(); bits < 32 {
+		b = m.NWDst.AppendTo(appendField(b, n, "nw_dst="))
+		b = strconv.AppendUint(append(b, '/'), uint64(32-bits), 10)
 	}
 	if w&WildcardTPSrc == 0 {
-		parts = append(parts, fmt.Sprintf("tp_src=%d", m.TPSrc))
+		b = strconv.AppendUint(appendField(b, n, "tp_src="), uint64(m.TPSrc), 10)
 	}
 	if w&WildcardTPDst == 0 {
-		parts = append(parts, fmt.Sprintf("tp_dst=%d", m.TPDst))
+		b = strconv.AppendUint(appendField(b, n, "tp_dst="), uint64(m.TPDst), 10)
 	}
-	if len(parts) == 0 {
-		return "match=*"
+	if len(b) == n {
+		return append(b, "match=*"...)
 	}
-	return strings.Join(parts, ",")
+	return b
+}
+
+// appendField appends a field's "name=" prefix, after a comma unless it is
+// the first field since offset n.
+func appendField(b []byte, n int, name string) []byte {
+	if len(b) > n {
+		b = append(b, ',')
+	}
+	return append(b, name...)
 }
 
 func (m Match) put(b []byte) {

@@ -2,7 +2,7 @@ package openflow
 
 import (
 	"encoding/binary"
-	"fmt"
+	"strconv"
 )
 
 // Special port numbers (ofp_port).
@@ -27,22 +27,22 @@ const (
 	FlowDeleteStrict FlowModCommand = 4
 )
 
+var flowModCommandNames = [...]string{"ADD", "MODIFY", "MODIFY_STRICT", "DELETE", "DELETE_STRICT"}
+
 // String returns the spec name of the command.
 func (c FlowModCommand) String() string {
-	switch c {
-	case FlowAdd:
-		return "ADD"
-	case FlowModify:
-		return "MODIFY"
-	case FlowModifyStrict:
-		return "MODIFY_STRICT"
-	case FlowDelete:
-		return "DELETE"
-	case FlowDeleteStrict:
-		return "DELETE_STRICT"
-	default:
-		return fmt.Sprintf("CMD(%d)", uint16(c))
+	if int(c) < len(flowModCommandNames) {
+		return flowModCommandNames[c]
 	}
+	return string(c.AppendTo(nil))
+}
+
+// AppendTo appends String's rendering to b.
+func (c FlowModCommand) AppendTo(b []byte) []byte {
+	if int(c) < len(flowModCommandNames) {
+		return append(b, flowModCommandNames[c]...)
+	}
+	return append(strconv.AppendUint(append(b, "CMD("...), uint64(c), 10), ')')
 }
 
 // PacketInReason is the ofp_packet_in reason.

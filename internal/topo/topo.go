@@ -16,7 +16,15 @@ import (
 type DPID uint64
 
 // String renders the DPID as the usual hex form.
-func (d DPID) String() string { return fmt.Sprintf("of:%016x", uint64(d)) }
+func (d DPID) String() string {
+	var buf [19]byte
+	return string(d.AppendTo(buf[:0]))
+}
+
+// AppendTo appends String's rendering to b.
+func (d DPID) AppendTo(b []byte) []byte {
+	return openflow.AppendHex(append(b, "of:"...), uint64(d), 16)
+}
 
 // HostID identifies a host.
 type HostID string
