@@ -1,9 +1,9 @@
 // Command juryd runs JURY's out-of-band validator as a standalone network
 // service (the separate validator host of Fig. 2). Controller modules
 // connect over TCP and stream responses as JSON lines or length-prefixed
-// binary frames (negotiated per connection by a one-byte handshake; see
-// -codec); juryd pushes every validation result (or only alarms, with
-// -alarms-only) back to all connected clients and logs them.
+// binary frames (each connection's first byte says which, and juryd
+// answers in kind); juryd pushes every validation result (or only alarms,
+// with -alarms-only) back to all connected clients and logs them.
 //
 // Usage:
 //
@@ -41,7 +41,6 @@ func run() error {
 		shards     = flag.Int("shards", 1, "validation plane width: worker goroutines, each owning one validator, triggers hashed across them")
 		queueDepth = flag.Int("queue-depth", 0, "per-shard intake queue bound in batches (0 = default; full queues backpressure, never drop)")
 		alarmsOnly = flag.Bool("alarms-only", false, "push only fault results to clients")
-		codecName  = flag.String("codec", "auto", "wire codec stance: auto (mirror each client's first byte), json (refuse binary handshakes), or binary")
 		statsEvery = flag.Duration("stats-every", 10*time.Second, "period for logging aggregate stats (0 = off)")
 		metricsAt  = flag.String("metrics", "", "serve Prometheus /metrics and /healthz on this address (e.g. 127.0.0.1:9091; empty = off)")
 
@@ -58,10 +57,6 @@ func run() error {
 	if *flightDump != "" && *flightRing == 0 {
 		*flightRing = obs.DefaultFlightRing
 	}
-	codec, err := wire.ParseCodec(*codecName)
-	if err != nil {
-		return fmt.Errorf("juryd: %w", err)
-	}
 	svcCfg := jury.ValidatorServiceConfig{
 		ClusterSize:       *members,
 		K:                 *k,
@@ -71,7 +66,6 @@ func run() error {
 		Shards:            *shards,
 		QueueDepth:        *queueDepth,
 		AlarmsOnly:        *alarmsOnly,
-		Codec:             codec,
 		Tracing:           *traceOut != "",
 		FlightRing:        *flightRing,
 		MaxLineBytes:      *maxLine,
@@ -96,7 +90,7 @@ func run() error {
 		return err
 	}
 	defer srv.Close()
-	log.Printf("juryd: validating on %s (k=%d, n=%d, timeout=%v, shards=%d, codec=%s)", srv.Addr(), *k, *members, *timeout, *shards, codec)
+	log.Printf("juryd: validating on %s (k=%d, n=%d, timeout=%v, shards=%d)", srv.Addr(), *k, *members, *timeout, *shards)
 
 	if *metricsAt != "" {
 		expo, err := obs.ServeExpo(*metricsAt, obs.ExpoConfig{Write: srv.WriteMetrics})

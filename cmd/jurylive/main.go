@@ -63,7 +63,7 @@ func run() error {
 
 		validatorAt = flag.String("validator", "", "stream egress FLOW_MODs to a juryd validator at this address (empty = off)")
 		validatorK  = flag.Int("validator-k", 2, "fabricated secondary responses per egress (must match juryd -k)")
-		codecName   = flag.String("codec", "json", "wire codec toward the validator: json (newline-delimited, the default) or binary (length-prefixed frames, batched writes)")
+		codecName   = flag.String("codec", "json", "wire codec toward the validator: json (newline-delimited, the default) or binary (length-prefixed frames)")
 		traceOut    = flag.String("trace-out", "", "write the controller-side span trace (JSONL) to this path at exit; stitch against juryd -trace-out with jurytrace")
 	)
 	flag.Parse()

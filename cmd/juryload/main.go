@@ -1,13 +1,12 @@
 // Command juryload runs the scale campaign: it sweeps streaming-workload
 // trigger rates against validation-plane shard widths on a Clos
 // fat-tree fabric and prints one row per (rate, shards) point —
-// detection-latency percentiles, false-positive rate, and two modeled
-// columns (partition_x_modeled, submit_per_s_modeled: how evenly FNV
-// divides triggers, and the wall rate scaled by it — a model of a
-// many-core deployment, not a measurement; `go run ./bench` measures the
-// real service). The workload is synthesized lazily by
-// internal/loadgen (heavy-tailed arrivals, host churn, link flaps), so
-// host populations far beyond the fabric's physical ports cost nothing.
+// detection-latency percentiles, false-positive rate, and partition_x
+// (triggers divided by the most loaded shard's count: the measured balance
+// of FNV ownership, not a throughput — `go run ./bench` measures the real
+// service). The workload is synthesized lazily by internal/loadgen
+// (heavy-tailed arrivals, host churn, link flaps), so host populations
+// far beyond the fabric's physical ports cost nothing.
 //
 // Usage:
 //
@@ -70,7 +69,7 @@ func run() error {
 		smoke    = flag.Bool("smoke", false, "run the 1k-switch smoke instead: one brief point on FatTree(30)")
 
 		wireAt    = flag.String("wire", "", "stream the synthesized workload to a running juryd at this address over the wire client instead of validating in-process (uses the first -rates point and -window)")
-		codecName = flag.String("codec", "json", "wire codec for -wire: json (newline-delimited) or binary (length-prefixed frames, batched writes)")
+		codecName = flag.String("codec", "json", "wire codec for -wire: json (newline-delimited) or binary (length-prefixed frames)")
 
 		seriesOut   = flag.String("series-out", "", "write per-point campaign time series (columnar JSONL) into this directory (empty = off)")
 		seriesEvery = flag.Duration("series-every", 10*time.Millisecond, "virtual sampling period for -series-out")
@@ -173,7 +172,7 @@ func run() error {
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(w, "rate\tshards\tevents\ttriggers\tdecided\tvalid\talarms\ttimeouts\tfp_pct\tp50\tp95\tp99\tpartition_x_modeled\twall\tsubmit_per_s_modeled\tdigest\tseries\tflight")
+	fmt.Fprintln(w, "rate\tshards\tevents\ttriggers\tdecided\tvalid\talarms\ttimeouts\tfp_pct\tp50\tp95\tp99\tpartition_x\twall\tdigest\tseries\tflight")
 	teleMu.Lock()
 	defer teleMu.Unlock()
 	for _, o := range out {
@@ -185,11 +184,10 @@ func run() error {
 		if p, ok := flightPaths[o.Point]; ok {
 			flight = p
 		}
-		fmt.Fprintf(w, "%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.3f\t%v\t%v\t%v\t%.2f\t%v\t%.0f\t%016x\t%s\t%s\n",
+		fmt.Fprintf(w, "%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.3f\t%v\t%v\t%v\t%.2f\t%v\t%016x\t%s\t%s\n",
 			o.Point.Rate, o.Point.Shards, r.Events, r.Triggers, r.Decided, r.Valid,
 			r.Faults, r.Timeouts, r.FPRate*100, r.P50, r.P95, r.P99,
-			r.PartitionX, o.Elapsed.Round(time.Millisecond),
-			o.SubmitPerSec(cfg.Replicas+1), r.Digest, series, flight)
+			r.PartitionX, o.Elapsed.Round(time.Millisecond), r.Digest, series, flight)
 	}
 	return w.Flush()
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/jurysdn/jury/internal/policy"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
-	"github.com/jurysdn/jury/internal/wire"
 )
 
 // ControllerKind selects a calibrated controller profile.
@@ -229,13 +228,6 @@ type ValidatorServiceConfig struct {
 	// the merged ring, oldest first), serialized and rate-limited.
 	OnFlightDump func(reason string, events []obs.Event)
 
-	// Codec is the service's wire-codec stance (juryd -codec).
-	// wire.CodecAuto (the default) mirrors each connection's first byte,
-	// so old JSON-only clients and binary-framing clients interoperate on
-	// the same port with no configuration; wire.CodecJSON refuses the
-	// binary handshake; wire.CodecBinary additionally speaks binary on
-	// pushes that race ahead of a client's first byte.
-	Codec wire.Codec
 	// MaxLineBytes caps one protocol line; oversized lines are rejected
 	// and counted without killing the connection (default
 	// wire.DefaultMaxLineBytes).

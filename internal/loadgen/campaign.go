@@ -101,9 +101,9 @@ type PointResult struct {
 	Untracked uint64  // flows past the Source's MaxActive bound
 	// Detection-latency percentiles over all decided triggers.
 	P50, P95, P99 time.Duration
-	// PartitionX is triggers / bottleneck-shard load: the factor by
-	// which FNV ownership divides the triggers (ideal: Shards). A model of
-	// the parallel gain, not a measurement of it.
+	// PartitionX is triggers / bottleneck-shard load: the measured factor
+	// by which FNV ownership divides the triggers (ideal: Shards). It is a
+	// balance ratio, not a throughput.
 	PartitionX float64
 	// Digest is FNV-1a64 over the binary event stream — two runs agree
 	// on it iff they generated byte-identical streams.
@@ -117,19 +117,6 @@ type PointOutcome struct {
 	Seed    int64
 	Result  PointResult
 	Elapsed time.Duration // wall clock; not deterministic, excluded from Result
-}
-
-// SubmitPerSec models the plane's Submit capacity on a host with a core
-// per shard: the measured per-response wall rate scaled by the partition
-// factor. It is an extrapolation — the wall clock on the host that ran
-// the point is Elapsed; the measured multi-shard figure is bench/'s
-// flow7-bin-s4-w64 workload.
-func (o PointOutcome) SubmitPerSec(responsesPerTrigger int) float64 {
-	if o.Elapsed <= 0 {
-		return 0
-	}
-	resp := float64(o.Result.Triggers) * float64(responsesPerTrigger)
-	return resp / o.Elapsed.Seconds() * o.Result.PartitionX
 }
 
 func (c CampaignConfig) withDefaults() CampaignConfig {

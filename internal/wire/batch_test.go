@@ -335,7 +335,7 @@ func TestServerIngestAllocBudget(t *testing.T) {
 	for i := 0; i < 2*runs; i++ {
 		lates = frames(lates, late)
 	}
-	in := ingest{s: s, sc: &srvConn{}}
+	in := ingest{s: s, sc: &srvConn{}, borrowed: true}
 	fr := NewBinReader(bytes.NewReader(lates), 0)
 	ingested := int64(0)
 	ingestOne := func() {
@@ -343,7 +343,7 @@ func TestServerIngestAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in.add(env, true)
+		in.add(env)
 		in.dispatch()
 		// Steady state is a worker that keeps up: let it consume the batch
 		// and hand the slice back before the next one is leased.

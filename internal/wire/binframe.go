@@ -458,6 +458,8 @@ func (br *BinReader) FrameBuffered() bool {
 	return k > 0 && n <= uint64(have-k)
 }
 
+func (br *BinReader) borrows() bool { return true }
+
 // discard consumes an oversized frame's declared payload so the next
 // ReadEnvelope starts cleanly.
 func (br *BinReader) discard(n uint64) error {

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -17,10 +16,10 @@ var ErrClientClosed = errors.New("wire: client closed")
 
 // ClientConfig parameterizes a validator client.
 type ClientConfig struct {
-	// Codec selects the wire encoding: CodecJSON (and CodecAuto, the
-	// zero value) keeps the newline-delimited JSON protocol; CodecBinary
-	// sends the one-byte handshake at connect and speaks length-prefixed
-	// binary frames both ways, with writes coalesced into batches.
+	// Codec selects the wire encoding: CodecJSON (the zero value) keeps
+	// the newline-delimited JSON protocol; CodecBinary sends the one-byte
+	// handshake at connect and speaks length-prefixed binary frames both
+	// ways.
 	Codec Codec
 	// MaxLineBytes caps one received protocol line or binary frame
 	// (default DefaultMaxLineBytes).
@@ -30,14 +29,13 @@ type ClientConfig struct {
 	// Dropped() — backpressure never blocks the caller and loss is
 	// never silent.
 	QueueSize int
-	// MaxBatch caps how many queued envelopes one binary write coalesces
-	// into a single socket write (default DefaultMaxBatch). JSON writes
-	// one line per envelope regardless.
+	// MaxBatch caps how many queued envelopes — lines or frames — one
+	// socket write coalesces (default DefaultMaxBatch).
 	MaxBatch int
-	// FlushIdle, with the binary codec, lets a batch smaller than
-	// MaxBatch linger this long for more envelopes to coalesce before
-	// the write goes out — trading bounded latency for fewer, fuller
-	// writes. Zero (the default) flushes as soon as the queue drains.
+	// FlushIdle lets a batch smaller than MaxBatch linger this long for
+	// more envelopes to coalesce before the write goes out — trading
+	// bounded latency for fewer, fuller writes. Zero (the default) flushes
+	// as soon as the queue drains.
 	FlushIdle time.Duration
 	// ReconnectBase/ReconnectMax bound the redial backoff envelope
 	// (defaults DefaultReconnectBase/DefaultReconnectMax).
@@ -75,14 +73,11 @@ type ClientConfig struct {
 	OnStats func(Stats)
 }
 
-// DefaultMaxBatch is the binary codec's write-coalescing cap: one socket
-// write carries at most this many envelopes.
+// DefaultMaxBatch is the client's write-coalescing cap: one socket write
+// carries at most this many envelopes.
 const DefaultMaxBatch = 64
 
 func (cfg *ClientConfig) fillDefaults() {
-	if cfg.Codec == CodecAuto {
-		cfg.Codec = CodecJSON // a client has no peer byte to mirror
-	}
 	if cfg.MaxLineBytes == 0 {
 		cfg.MaxLineBytes = DefaultMaxLineBytes
 	}
@@ -248,9 +243,8 @@ type Client struct {
 	mu   sync.Mutex
 	ring envRing // guarded by mu
 	// inflight is the write unit taken but not yet acknowledged by a
-	// successful socket write: one envelope under JSON, up to MaxBatch
-	// under the binary codec. Retained across a reconnect and
-	// retransmitted first.
+	// successful socket write: up to MaxBatch envelopes. Retained across a
+	// reconnect and retransmitted first.
 	inflight []queued // guarded by mu
 	// pongDebt records that a heartbeat ping arrived and a pong is owed.
 	// It is a bool, not a counter: a pong proves liveness idempotently,
@@ -263,10 +257,9 @@ type Client struct {
 	// proven connection: a server that accepts and immediately drops
 	// (crash loop) keeps the schedule growing instead of being re-dialed
 	// at the base interval forever.
-	proven    bool          // guarded by mu
-	enc       *json.Encoder // guarded by mu
-	connected bool          // guarded by mu
-	closed    bool          // guarded by mu
+	proven    bool // guarded by mu
+	connected bool // guarded by mu
+	closed    bool // guarded by mu
 
 	kick chan struct{}
 	stop chan struct{}
@@ -300,7 +293,6 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("wire: handshake: %w", err)
 	}
 	c.conn = conn
-	c.enc = json.NewEncoder(conn)
 	c.connected = true
 	c.done.Add(2)
 	go c.readLoop(conn)
@@ -426,10 +418,10 @@ func (c *Client) Close() error {
 // writeLoop is the single owner of the outgoing side: it drains the
 // queue onto the current connection, and when the link is down it
 // re-dials on the backoff schedule. Heartbeat pongs jump the queue so a
-// backlogged client still proves liveness. Under the binary codec,
-// queued envelopes coalesce into one socket write of up to MaxBatch
-// frames (lingering FlushIdle for more when the queue drained early),
-// and the whole batch is the retransmit unit across a reconnect.
+// backlogged client still proves liveness. Queued envelopes coalesce into
+// one socket write of up to MaxBatch lines or frames (lingering FlushIdle
+// for more when the queue drained early), and the whole batch is the
+// retransmit unit across a reconnect.
 func (c *Client) writeLoop() {
 	defer c.done.Done()
 	bo := NewBackoff(c.cfg.ReconnectBase, c.cfg.ReconnectMax, c.cfg.Seed)
@@ -439,7 +431,7 @@ func (c *Client) writeLoop() {
 			c.mu.Unlock()
 			return
 		}
-		conn, enc := c.conn, c.enc
+		conn := c.conn
 		var batch []queued
 		if conn != nil {
 			batch = c.takeBatchLocked()
@@ -458,33 +450,25 @@ func (c *Client) writeLoop() {
 			case <-c.kick:
 			}
 		default:
-			if c.cfg.Codec == CodecBinary {
-				batch = c.linger(batch)
-				if batch == nil {
-					return // closed during the linger
-				}
-				bufp := getFrameBuf()
-				buf := *bufp
-				for i := range batch {
-					env := batch[i].envelope()
-					buf = AppendEnvelope(buf, &env)
-				}
-				armWriteDeadline(conn, c.cfg.WriteTimeout)
-				_, err := conn.Write(buf)
-				*bufp = buf[:0]
-				putFrameBuf(bufp)
-				if err != nil {
-					// The in-flight batch is retained and retried after
-					// the reconnect; only queue shedding loses data.
-					c.dropLink(conn)
-					continue
-				}
-			} else {
-				armWriteDeadline(conn, c.cfg.WriteTimeout)
-				if err := enc.Encode(batch[0].envelope()); err != nil {
-					c.dropLink(conn)
-					continue
-				}
+			batch = c.linger(batch)
+			if batch == nil {
+				return // closed during the linger
+			}
+			bufp := getFrameBuf()
+			buf := *bufp
+			for i := range batch {
+				env := batch[i].envelope()
+				buf = c.cfg.Codec.appendEnv(buf, &env)
+			}
+			armWriteDeadline(conn, c.cfg.WriteTimeout)
+			_, err := conn.Write(buf)
+			*bufp = buf[:0]
+			putFrameBuf(bufp)
+			if err != nil {
+				// The in-flight batch is retained and retried after the
+				// reconnect; only queue shedding loses data.
+				c.dropLink(conn)
+				continue
 			}
 			c.mu.Lock()
 			c.inflight = c.inflight[:0]
@@ -495,9 +479,8 @@ func (c *Client) writeLoop() {
 }
 
 // takeBatchLocked picks the next write unit: the retained in-flight
-// batch first, then an owed heartbeat pong, then queued envelopes — one
-// under JSON (a line per envelope), up to MaxBatch under the binary
-// codec. The returned slice is c.inflight, retained until its write
+// batch first, then an owed heartbeat pong, then up to MaxBatch queued
+// envelopes. The returned slice is c.inflight, retained until its write
 // succeeds. Runs with c.mu held (proven by the guardedby call graph).
 func (c *Client) takeBatchLocked() []queued {
 	if len(c.inflight) > 0 {
@@ -512,14 +495,10 @@ func (c *Client) takeBatchLocked() []queued {
 	return c.inflight
 }
 
-// fillFromRingLocked tops the in-flight batch up from the ring to the
-// codec's batch cap. Runs with c.mu held.
+// fillFromRingLocked tops the in-flight batch up from the ring to
+// MaxBatch. Runs with c.mu held.
 func (c *Client) fillFromRingLocked() {
-	max := 1
-	if c.cfg.Codec == CodecBinary {
-		max = c.cfg.MaxBatch
-	}
-	for len(c.inflight) < max {
+	for len(c.inflight) < c.cfg.MaxBatch {
 		q, ok := c.ring.pop()
 		if !ok {
 			return
@@ -528,9 +507,9 @@ func (c *Client) fillFromRingLocked() {
 	}
 }
 
-// linger implements flush-on-idle for the binary codec: a batch that
-// stopped short of MaxBatch (the queue drained) waits FlushIdle for more
-// envelopes to coalesce, then tops up once and flushes. Returns nil only
+// linger implements flush-on-idle: a batch that stopped short of MaxBatch
+// (the queue drained) waits FlushIdle for more envelopes to coalesce, then
+// tops up once and flushes. Returns nil only
 // when the client closed during the wait.
 func (c *Client) linger(batch []queued) []queued {
 	if c.cfg.FlushIdle <= 0 || len(batch) >= c.cfg.MaxBatch || batch[0].typ == binTypePong {
@@ -589,7 +568,6 @@ func (c *Client) redial(bo *Backoff) bool {
 			return false
 		}
 		c.conn = conn
-		c.enc = json.NewEncoder(conn)
 		c.connected = true
 		c.proven = false // health is proven by traffic, not by the dial
 		c.mu.Unlock()
@@ -609,7 +587,7 @@ func (c *Client) dropLink(conn net.Conn) {
 	c.mu.Lock()
 	lost := false
 	if c.conn == conn {
-		c.conn, c.enc = nil, nil
+		c.conn = nil
 		c.connected = false
 		lost = !c.closed
 	}
@@ -631,25 +609,18 @@ func (c *Client) markProven(conn net.Conn) {
 }
 
 // readLoop reads pushed results, stats replies and heartbeat pings from
-// one connection until it dies.
+// one connection until it dies. Oversized and malformed lines or frames
+// are counted and skipped.
 func (c *Client) readLoop(conn net.Conn) {
 	defer c.done.Done()
 	defer c.dropLink(conn)
-	if c.cfg.Codec == CodecBinary {
-		c.readFrames(conn)
-		return
-	}
-	c.readLines(conn)
-}
-
-// readLines is the JSON read side: newline-delimited envelopes.
-func (c *Client) readLines(conn net.Conn) {
-	lr := NewLineReader(conn, c.cfg.MaxLineBytes)
+	rd := c.cfg.Codec.newReader(conn, c.cfg.MaxLineBytes)
+	borrowed := rd.borrows()
 	proved := false
 	for {
-		line, err := lr.ReadLine()
+		env, err := rd.ReadEnvelope()
 		if err != nil {
-			if errors.Is(err, ErrLineTooLong) {
+			if isOversize(err) || isMalformed(err) {
 				c.m.lineErrors.Inc()
 				continue
 			}
@@ -659,37 +630,7 @@ func (c *Client) readLines(conn net.Conn) {
 			proved = true
 			c.markProven(conn)
 		}
-		if len(line) == 0 {
-			continue
-		}
-		var env Envelope
-		if err := json.Unmarshal(line, &env); err != nil {
-			c.m.lineErrors.Inc()
-			continue
-		}
-		c.handleEnvelope(&env, false)
-	}
-}
-
-// readFrames is the binary read side: length-prefixed frames decoded
-// into borrowed envelopes.
-func (c *Client) readFrames(conn net.Conn) {
-	br := NewBinReader(conn, c.cfg.MaxLineBytes)
-	proved := false
-	for {
-		env, err := br.ReadEnvelope()
-		if err != nil {
-			if errors.Is(err, ErrFrameTooLong) || errors.Is(err, ErrMalformedFrame) {
-				c.m.lineErrors.Inc()
-				continue
-			}
-			return
-		}
-		if !proved {
-			proved = true
-			c.markProven(conn)
-		}
-		c.handleEnvelope(env, true)
+		c.handleEnvelope(env, borrowed)
 	}
 }
 

@@ -5,32 +5,21 @@ import (
 	"sync"
 )
 
-// Codec selects the wire encoding of one connection or one endpoint's
-// stance toward it. The protocol self-describes per connection: a binary
-// peer sends the single handshake byte BinMagic before its first frame,
-// and a JSON peer's first byte is never BinMagic (JSON lines start with
-// '{' or whitespace), so a server can mirror whichever codec each client
-// speaks with no out-of-band configuration.
+// Codec selects a client's wire encoding. The protocol self-describes per
+// connection: a binary client sends the single handshake byte BinMagic
+// before its first frame, and a JSON client's first byte is never BinMagic
+// (JSON lines start with '{' or whitespace), so the server mirrors
+// whichever codec each client speaks with no configuration. Pushes that
+// race ahead of a client's first byte are JSON.
 type Codec uint8
 
-// Codec stances.
+// Client codecs.
 const (
-	// CodecAuto is the zero-value compat default. On a server it means
-	// "mirror each connection's first byte": a BinMagic handshake flips
-	// the connection to binary frames, anything else keeps JSON lines,
-	// and pushes sent before the first byte arrives use JSON. On a
-	// client it is equivalent to CodecJSON.
-	CodecAuto Codec = iota
-	// CodecJSON is the newline-delimited JSON protocol (the original
-	// codec, and what every pre-binary peer speaks). A server configured
-	// CodecJSON is strict: it refuses the binary handshake (counted on
-	// jury_wire_line_errors_total{reason="codec"}) instead of parsing
-	// frames as garbled lines.
-	CodecJSON
-	// CodecBinary is the length-prefixed binary framing. A client sends
-	// the handshake byte at connect and speaks frames both ways; a
-	// server additionally speaks binary on pushes that race ahead of the
-	// peer's first byte (JSON peers are still mirrored once they speak).
+	// CodecJSON, the zero value, is the newline-delimited JSON protocol
+	// (the original codec, and what every pre-binary peer speaks).
+	CodecJSON Codec = iota
+	// CodecBinary is the length-prefixed binary framing: the client sends
+	// the handshake byte at connect and speaks frames both ways.
 	CodecBinary
 )
 
@@ -46,30 +35,24 @@ const BinMagic = 0xBF
 // not allocate it.
 var binHandshake = []byte{BinMagic}
 
-// ParseCodec parses a -codec flag value: "auto", "json" or "binary".
+// ParseCodec parses a -codec flag value: "json" or "binary".
 func ParseCodec(s string) (Codec, error) {
 	switch s {
-	case "auto", "":
-		return CodecAuto, nil
 	case "json":
 		return CodecJSON, nil
 	case "binary":
 		return CodecBinary, nil
 	default:
-		return CodecAuto, fmt.Errorf("wire: unknown codec %q (want auto, json or binary)", s)
+		return CodecJSON, fmt.Errorf("wire: unknown codec %q (want json or binary)", s)
 	}
 }
 
 // String names the codec.
 func (c Codec) String() string {
-	switch c {
-	case CodecJSON:
-		return "json"
-	case CodecBinary:
+	if c == CodecBinary {
 		return "binary"
-	default:
-		return "auto"
 	}
+	return "json"
 }
 
 // framePool recycles binary encode buffers across batches and

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -25,10 +27,10 @@ func TestParseCodec(t *testing.T) {
 		want Codec
 		ok   bool
 	}{
-		{"", CodecAuto, true},
-		{"auto", CodecAuto, true},
 		{"json", CodecJSON, true},
 		{"binary", CodecBinary, true},
+		{"", 0, false},
+		{"auto", 0, false},
 		{"protobuf", 0, false},
 	}
 	for _, tc := range cases {
@@ -37,7 +39,7 @@ func TestParseCodec(t *testing.T) {
 			t.Fatalf("ParseCodec(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	for _, c := range []Codec{CodecAuto, CodecJSON, CodecBinary} {
+	for _, c := range []Codec{CodecJSON, CodecBinary} {
 		if c.String() == "" {
 			t.Fatalf("Codec(%d).String() empty", c)
 		}
@@ -431,15 +433,12 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-// exerciseCodecPair runs the canonical validate + fault + stats flow over
-// one server/client codec pairing and checks results (evidence strings
+// exerciseCodec runs the canonical validate + fault + stats flow from a
+// client speaking clientCodec and checks results (evidence strings
 // included, which cross the binary borrow window) arrive intact.
-func exerciseCodecPair(t *testing.T, serverCodec, clientCodec Codec) {
+func exerciseCodec(t *testing.T, clientCodec Codec) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	cfg := serverConfig(reg)
-	cfg.Codec = serverCodec
-	s, err := Serve("127.0.0.1:0", cfg)
+	s, err := Serve("127.0.0.1:0", serverConfig(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,40 +515,13 @@ func exerciseCodecPair(t *testing.T, serverCodec, clientCodec Codec) {
 	}
 }
 
-// TestCodecCompatMatrix proves the handshake's interoperability promises:
-// a binary client against a default (auto) server, an old JSON client
-// against a binary-stance server, and a binary client refused loudly by a
-// strict-JSON server.
+// TestCodecCompatMatrix proves the handshake's interoperability promise:
+// with no configuration, the server mirrors whichever codec each client
+// speaks.
 func TestCodecCompatMatrix(t *testing.T) {
-	t.Run("binary-client/auto-server", func(t *testing.T) {
-		exerciseCodecPair(t, CodecAuto, CodecBinary)
-	})
-	t.Run("json-client/binary-server", func(t *testing.T) {
-		exerciseCodecPair(t, CodecBinary, CodecJSON)
-	})
-	t.Run("binary-client/binary-server", func(t *testing.T) {
-		exerciseCodecPair(t, CodecBinary, CodecBinary)
-	})
-	t.Run("binary-client/strict-json-server", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		cfg := serverConfig(reg)
-		cfg.Codec = CodecJSON
-		s, err := Serve("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		c, err := DialConfig(s.Addr(), ClientConfig{Codec: CodecBinary, Sleep: fastSleep})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		rejected := reg.Counter("jury_wire_line_errors_total", "", obs.L("reason", "codec"))
-		waitFor(t, func() bool { return rejected.Value() >= 1 })
-		if got := reg.Counter("jury_wire_responses_total", "").Value(); got != 0 {
-			t.Fatalf("responses = %d on a refused codec", got)
-		}
-	})
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(codec.String()+"-client", func(t *testing.T) { exerciseCodec(t, codec) })
+	}
 }
 
 // TestServerSkipsBadBinaryFrames sends an oversized frame and a garbage
@@ -595,98 +567,180 @@ func TestServerSkipsBadBinaryFrames(t *testing.T) {
 	}
 }
 
-// TestClientRetransmitsAfterMidFrameCut is the binary analog of the
-// mid-line cut: the link dies partway through a frame batch, the server
-// counts the torn read, and the retained batch is retransmitted on the
-// next connection with nothing dropped.
-func TestClientRetransmitsAfterMidFrameCut(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := Serve("127.0.0.1:0", serverConfig(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	addr := s.Addr()
-
-	var (
-		dialMu sync.Mutex
-		dials  int
-	)
-	c, err := DialConfig(addr, ClientConfig{
-		Codec: CodecBinary,
-		Seed:  3,
-		Sleep: fastSleep,
-		Dial: func() (net.Conn, error) {
-			inner, err := net.Dial("tcp", addr)
+// TestClientRetransmitsAfterMidCut arms a fault that cuts the connection
+// partway through the first envelope's bytes. The server counts the torn
+// fragment under its codec's reason, never silently: a JSON line cut short
+// arrives without its newline and is malformed, a binary frame cut short
+// is an unexpected-EOF read error. The client retains the in-flight batch,
+// reconnects and retransmits it, so the full complement still validates
+// with zero envelopes lost.
+func TestClientRetransmitsAfterMidCut(t *testing.T) {
+	for _, tc := range []struct {
+		codec  Codec
+		cut    int64 // bytes written before the link dies
+		reason string
+	}{
+		{CodecJSON, 40, "malformed"}, // mid-line: the first envelope is ~200 bytes
+		{CodecBinary, 30, "read"},    // handshake byte + a partial first frame
+	} {
+		t.Run(tc.codec.String(), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			s, err := Serve("127.0.0.1:0", serverConfig(reg))
 			if err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
-			dialMu.Lock()
-			dials++
-			first := dials == 1
-			dialMu.Unlock()
-			if first {
-				fc := wiretest.Wrap(inner)
-				fc.CutAfter(30) // handshake byte + a partial first frame
-				return fc, nil
+			defer s.Close()
+			addr := s.Addr()
+
+			var (
+				dialMu sync.Mutex
+				dials  int
+			)
+			c, err := DialConfig(addr, ClientConfig{
+				Codec: tc.codec,
+				Seed:  3,
+				Sleep: fastSleep,
+				Dial: func() (net.Conn, error) {
+					inner, err := net.Dial("tcp", addr)
+					if err != nil {
+						return nil, err
+					}
+					dialMu.Lock()
+					dials++
+					first := dials == 1
+					dialMu.Unlock()
+					if first {
+						fc := wiretest.Wrap(inner)
+						fc.CutAfter(tc.cut)
+						return fc, nil
+					}
+					return inner, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return inner, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+			defer c.Close()
 
-	_ = c.Send(resp(1, "τcut", core.CacheUpdate, false, "up"))
-	_ = c.Send(resp(2, "τcut", core.SecondaryExec, true, "up"))
-	_ = c.Send(resp(3, "τcut", core.SecondaryExec, true, "up"))
+			_ = c.Send(resp(1, "τcut", core.CacheUpdate, false, "up"))
+			_ = c.Send(resp(2, "τcut", core.SecondaryExec, true, "up"))
+			_ = c.Send(resp(3, "τcut", core.SecondaryExec, true, "up"))
 
-	waitFor(t, func() bool { return s.Stats().Decided == 1 })
-	if c.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0 (the in-flight batch must be retransmitted)", c.Dropped())
-	}
-	if c.Reconnects() != 1 {
-		t.Fatalf("reconnects = %d, want 1", c.Reconnects())
-	}
-	// The torn frame surfaced as an unexpected-EOF read error, not a
-	// silent close.
-	readErrs := reg.Counter("jury_wire_line_errors_total", "", obs.L("reason", "read"))
-	if readErrs.Value() != 1 {
-		t.Fatalf("read errors = %d, want 1 (the cut frame)", readErrs.Value())
+			waitFor(t, func() bool { return s.Stats().Decided == 1 })
+			if c.Dropped() != 0 {
+				t.Fatalf("dropped = %d, want 0 (the in-flight batch must be retransmitted)", c.Dropped())
+			}
+			if c.Reconnects() != 1 {
+				t.Fatalf("reconnects = %d, want 1", c.Reconnects())
+			}
+			torn := reg.Counter("jury_wire_line_errors_total", "", obs.L("reason", tc.reason))
+			if torn.Value() != 1 {
+				t.Fatalf("%s errors = %d, want 1 (the cut envelope)", tc.reason, torn.Value())
+			}
+		})
 	}
 }
 
-// TestBinaryBatchCoalescing proves the write-coalescing contract: a
-// backlog drains in batches of at most MaxBatch envelopes per socket
-// write, and every envelope still arrives exactly once.
-func TestBinaryBatchCoalescing(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := Serve("127.0.0.1:0", serverConfig(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+// writeLog records every write on a connection after the codec handshake
+// and holds them until released, so a backlog builds up behind the first
+// write.
+type writeLog struct {
+	net.Conn
+	release chan struct{}
+	mu      sync.Mutex
+	writes  [][]byte
+}
 
-	c, err := DialConfig(s.Addr(), ClientConfig{
-		Codec:     CodecBinary,
-		MaxBatch:  8,
-		QueueSize: 4096,
-	})
-	if err != nil {
-		t.Fatal(err)
+func (w *writeLog) Write(p []byte) (int, error) {
+	if len(p) == 1 && p[0] == BinMagic {
+		return w.Conn.Write(p)
 	}
-	defer c.Close()
+	<-w.release
+	w.mu.Lock()
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	w.mu.Unlock()
+	return w.Conn.Write(p)
+}
 
-	const total = 300
-	for i := 0; i < total; i++ {
-		if err := c.Send(resp(1, trigID("τbatch", i), core.CacheUpdate, false, "up")); err != nil {
-			t.Fatal(err)
+// envelopesIn counts the lines or frames one write carries.
+func envelopesIn(t *testing.T, codec Codec, write []byte) int {
+	t.Helper()
+	rd := codec.newReader(bytes.NewReader(write), 0)
+	n := 0
+	for {
+		_, err := rd.ReadEnvelope()
+		if errors.Is(err, io.EOF) {
+			return n
 		}
+		if err != nil {
+			t.Fatalf("write %d holds a torn envelope: %v", n, err)
+		}
+		n++
 	}
-	responses := reg.Counter("jury_wire_responses_total", "")
-	waitFor(t, func() bool { return responses.Value() == total })
-	if c.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", c.Dropped())
+}
+
+// TestBinaryBatchCoalescing proves the write-coalescing contract for both
+// codecs: a backlog drains in batches of at most MaxBatch envelopes — lines
+// or frames — per socket write, full batches while the backlog lasts, and
+// every envelope still arrives exactly once.
+func TestBinaryBatchCoalescing(t *testing.T) {
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			s, err := Serve("127.0.0.1:0", serverConfig(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+
+			const maxBatch = 8
+			wl := &writeLog{release: make(chan struct{})}
+			c, err := DialConfig(s.Addr(), ClientConfig{
+				Codec:     codec,
+				MaxBatch:  maxBatch,
+				QueueSize: 4096,
+				Dial: func() (net.Conn, error) {
+					inner, err := net.Dial("tcp", s.Addr())
+					wl.Conn = inner
+					return wl, err
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			const total = 300
+			for i := 0; i < total; i++ {
+				if err := c.Send(resp(1, trigID("τbatch", i), core.CacheUpdate, false, "up")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(wl.release)
+			responses := reg.Counter("jury_wire_responses_total", "")
+			waitFor(t, func() bool { return responses.Value() == total })
+			if c.Dropped() != 0 {
+				t.Fatalf("dropped = %d, want 0", c.Dropped())
+			}
+			wl.mu.Lock()
+			defer wl.mu.Unlock()
+			sent, full := 0, 0
+			for _, w := range wl.writes {
+				n := envelopesIn(t, codec, w)
+				if n > maxBatch {
+					t.Fatalf("one write carried %d envelopes, MaxBatch is %d", n, maxBatch)
+				}
+				if n == maxBatch {
+					full++
+				}
+				sent += n
+			}
+			if sent != total {
+				t.Fatalf("writes carried %d envelopes, want %d", sent, total)
+			}
+			if full < total/maxBatch-1 {
+				t.Fatalf("%d of %d writes were full batches, want at least %d", full, len(wl.writes), total/maxBatch-1)
+			}
+		})
 	}
 }

@@ -270,68 +270,6 @@ func TestServerCloseUnderAcceptStorm(t *testing.T) {
 	}
 }
 
-// TestClientRetransmitsAfterMidLineCut arms a fault that cuts the
-// connection partway through the first envelope's bytes. The server sees
-// a truncated fragment (counted malformed, never silent); the client
-// retains the in-flight envelope, reconnects, and retransmits it, so the
-// full complement still validates with zero envelopes lost.
-func TestClientRetransmitsAfterMidLineCut(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := Serve("127.0.0.1:0", serverConfig(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	addr := s.Addr()
-
-	var (
-		dialMu sync.Mutex
-		dials  int
-	)
-	c, err := DialConfig(addr, ClientConfig{
-		Seed:  3,
-		Sleep: fastSleep,
-		Dial: func() (net.Conn, error) {
-			inner, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			dialMu.Lock()
-			dials++
-			first := dials == 1
-			dialMu.Unlock()
-			if first {
-				fc := wiretest.Wrap(inner)
-				fc.CutAfter(40) // mid-line: the first envelope is ~200 bytes
-				return fc, nil
-			}
-			return inner, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	_ = c.Send(resp(1, "τc", core.CacheUpdate, false, "up"))
-	_ = c.Send(resp(2, "τc", core.SecondaryExec, true, "up"))
-	_ = c.Send(resp(3, "τc", core.SecondaryExec, true, "up"))
-
-	waitFor(t, func() bool { return s.Stats().Decided == 1 })
-	if c.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0 (in-flight envelope must be retransmitted)", c.Dropped())
-	}
-	if c.Reconnects() != 1 {
-		t.Fatalf("reconnects = %d, want 1", c.Reconnects())
-	}
-	// The 40-byte fragment arrived without its newline and was counted as
-	// a malformed line when the cut closed the connection.
-	malformed := reg.Counter("jury_wire_line_errors_total", "", obs.L("reason", "malformed"))
-	if malformed.Value() != 1 {
-		t.Fatalf("malformed = %d, want 1 (the cut fragment)", malformed.Value())
-	}
-}
-
 // TestConcurrentSendsUnderRace hammers one client from many goroutines —
 // Send, RequestStats, and the heartbeat path all share the single writer —
 // and verifies every envelope arrives exactly once. Run with -race this

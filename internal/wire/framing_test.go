@@ -1,11 +1,16 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/jurysdn/jury/internal/core"
 )
 
 func TestLineReaderBasicLines(t *testing.T) {
@@ -117,4 +122,89 @@ func TestLineReaderLargeLineWithinCap(t *testing.T) {
 	if !bytes.Equal(line, payload) {
 		t.Fatalf("reassembled line corrupted: len=%d want %d", len(line), len(payload))
 	}
+}
+
+// FuzzLineReader drives arbitrary byte streams, delivered in arbitrary
+// chunk sizes, through the JSON side of the framing seam (LineReader plus
+// envelope decode) and its complete-line check. It must never panic; a
+// line reported complete must then be returned without touching the
+// underlying reader; every line — accepted, oversized or malformed — must
+// leave the reader at the start of the next one; and the verdict on each
+// line must be the one its bytes call for: oversized past the cap,
+// otherwise malformed exactly when encoding/json rejects it.
+func FuzzLineReader(f *testing.F) {
+	r := resp(1, "τm", core.CacheUpdate, false, "up")
+	valid, err := json.Marshal(Envelope{Type: TypeResponse, Response: &r})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid = append(valid, '\n')
+	for _, seed := range []string{
+		// The TestLineReader* tables.
+		"one\ntwo\r\n\nthree",
+		"ok\n" + strings.Repeat("x", 300) + "\nafter\n",
+		strings.Repeat("y", 1<<12) + "\nnext\n",
+		"partial",
+		strings.Repeat("z", 48) + "\n" + strings.Repeat("z", 49) + "\n",
+		"good\nbad",
+		// The garbage lines of TestServerToleratesGarbageLines and
+		// TestServerToleratesInjectedGarbageMidStream, between good ones.
+		"this is not json\n{\"type\":\"bogus\"}\n",
+		string(valid) + "\x00\x01garbage{{{\n" + string(valid) + "not json either\n" + string(valid),
+		string(valid[:40]), // a line torn mid-envelope
+		"{\"type\":\"stats\"}\r\n{\"type\":\"ping\"}\n\n",
+	} {
+		f.Add([]byte(seed), uint8(7))
+		f.Add([]byte(seed), uint8(255))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		const maxLine = 48
+		src := &chunkReader{data: data, n: int(chunk) + 1}
+		buffered := bufio.NewReaderSize(src, 64)
+		rd := CodecJSON.newReader(buffered, maxLine)
+		consumed := 0 // bytes of data the lines returned so far cover
+		for {
+			complete := rd.FrameBuffered()
+			reads := src.reads
+			env, err := rd.ReadEnvelope()
+			perLine := err == nil || isOversize(err) || isMalformed(err)
+			if complete && (!perLine || src.reads != reads) {
+				t.Fatalf("line reported complete, then ReadEnvelope read %d more times and returned %v", src.reads-reads, err)
+			}
+			if !perLine {
+				if consumed != len(data) {
+					t.Fatalf("stream ended with %v at byte %d of %d", err, consumed, len(data))
+				}
+				return
+			}
+			start := consumed
+			if i := bytes.IndexByte(data[start:], '\n'); i >= 0 {
+				consumed += i + 1
+			} else {
+				consumed = len(data)
+			}
+			if start == consumed {
+				t.Fatalf("ReadEnvelope returned %v past the end of the stream", err)
+			}
+			if got := len(data) - len(src.data) - buffered.Buffered(); got != consumed {
+				t.Fatalf("reader consumed %d bytes, the lines so far end at %d", got, consumed)
+			}
+			line := trimEOL(data[start:consumed])
+			var want Envelope
+			switch {
+			case len(line) > maxLine:
+				if !isOversize(err) {
+					t.Fatalf("%d-byte line over the %d-byte cap returned %v", len(line), maxLine, err)
+				}
+			case len(line) > 0 && json.Unmarshal(line, &want) != nil:
+				if !isMalformed(err) {
+					t.Fatalf("line %q that encoding/json rejects returned %v", line, err)
+				}
+			case err != nil:
+				t.Fatalf("line %q returned %v", line, err)
+			case !reflect.DeepEqual(env, &want):
+				t.Fatalf("line %q decoded to %+v, want %+v", line, env, want)
+			}
+		}
+	})
 }

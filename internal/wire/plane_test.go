@@ -429,7 +429,7 @@ func TestServerScrapeWhileDispatchBlocked(t *testing.T) {
 	go func() {
 		defer close(dispatched)
 		in := ingest{s: s, sc: &srvConn{}}
-		in.add(&Envelope{Type: TypeResponse, Response: &core.Response{Controller: 1, Trigger: "τ2"}}, false)
+		in.add(&Envelope{Type: TypeResponse, Response: &core.Response{Controller: 1, Trigger: "τ2"}})
 		in.dispatch()
 	}()
 	waitFor(t, func() bool {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,16 +21,6 @@ import (
 
 // ServerConfig parameterizes a validator service.
 type ServerConfig struct {
-	// Codec is the service's codec stance. CodecAuto (the default)
-	// mirrors each connection's first byte — a BinMagic handshake
-	// switches that connection to binary frames, anything else keeps
-	// JSON lines — so old JSON-only clients interoperate with no
-	// configuration. CodecJSON is strict: a binary handshake is refused
-	// and counted (jury_wire_line_errors_total{reason="codec"}).
-	// CodecBinary additionally speaks binary on pushes that race ahead
-	// of a peer's first byte (heartbeats to a silent client); JSON peers
-	// are still mirrored once they speak.
-	Codec Codec
 	// Validator carries K, timeout, adaptive settings.
 	Validator core.ValidatorConfig
 	// Members lists the controller IDs of the deployment; mastership is
@@ -134,7 +123,6 @@ type serverMetrics struct {
 	oversized     *obs.Counter
 	malformed     *obs.Counter
 	readErrors    *obs.Counter
-	codecRejected *obs.Counter
 	pushErrors    *obs.Counter
 	pushWrites    *obs.Counter
 	reapedIdle    *obs.Counter
@@ -157,10 +145,9 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Accept failures (backed off, never hot-spun)."),
 		responses: reg.Counter("jury_wire_responses_total",
 			"Controller responses received over the wire."),
-		oversized:     lineErr("oversize"),
-		malformed:     lineErr("malformed"),
-		readErrors:    lineErr("read"),
-		codecRejected: lineErr("codec"),
+		oversized:  lineErr("oversize"),
+		malformed:  lineErr("malformed"),
+		readErrors: lineErr("read"),
 		pushErrors: reg.Counter("jury_wire_push_errors_total",
 			"Result/ping/stats writes that failed and dropped the connection."),
 		pushWrites: reg.Counter("jury_wire_push_writes_total",
@@ -189,10 +176,9 @@ const (
 // srvConn is one registered client connection.
 type srvConn struct {
 	conn net.Conn
-	// codec is the connection's resolved wire encoding. It starts from
-	// the server's stance (binary only under CodecBinary) and is
-	// overwritten by the codec the peer's first byte announces, so
-	// pushes always mirror what the client speaks once it has spoken.
+	// codec is the connection's wire encoding: JSON until the peer's first
+	// byte announces what it speaks, then that, so pushes mirror the client
+	// once it has spoken.
 	codec Codec // guarded by connsMu
 	// out is the connection's pending output: pushes are encoded onto it
 	// and leave in one write per flush. The buffer is reused across
@@ -254,9 +240,6 @@ type Server struct {
 // Serve starts a validator service on addr ("127.0.0.1:0" for an ephemeral
 // port). The returned server owns background goroutines; call Close.
 func Serve(addr string, cfg ServerConfig) (*Server, error) {
-	if len(cfg.Members) == 0 {
-		return nil, fmt.Errorf("wire: no cluster members configured")
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen: %w", err)
@@ -270,6 +253,7 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 func ServeListener(ln net.Listener, cfg ServerConfig) (*Server, error) {
 	cfg.fillDefaults()
 	if len(cfg.Members) == 0 {
+		_ = ln.Close()
 		return nil, fmt.Errorf("wire: no cluster members configured")
 	}
 	members := cluster.NewMembership(cluster.AnyControllerOneMaster, cfg.Members, cfg.Switches)
@@ -428,7 +412,7 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		bo.Reset()
-		sc := &srvConn{conn: conn, codec: s.preHandshakeCodec()}
+		sc := &srvConn{conn: conn}
 		s.connsMu.Lock()
 		if s.closed {
 			s.connsMu.Unlock()
@@ -491,52 +475,14 @@ func (s *Server) heartbeatSweep(now time.Time) {
 	}
 }
 
-// preHandshakeCodec is the codec a fresh connection is pushed with
-// before its first byte resolves what it actually speaks: JSON unless
-// the server is configured binary-first.
-func (s *Server) preHandshakeCodec() Codec {
-	if s.cfg.Codec == CodecBinary {
-		return CodecBinary
-	}
-	return CodecJSON
-}
-
 // pushLocked appends one envelope to a connection's pending output in the
 // connection's resolved codec — no syscall; a flush writes it. Runs with
 // s.connsMu held.
 func (s *Server) pushLocked(sc *srvConn, env *Envelope) {
-	if sc.codec == CodecBinary {
-		sc.out = AppendEnvelope(sc.out, env)
-	} else {
-		sc.out = appendJSONLine(sc.out, env)
-	}
+	sc.out = sc.codec.appendEnv(sc.out, env)
 	if len(sc.out) >= pushFlushBytes {
 		s.flushConnLocked(sc)
 	}
-}
-
-// appendJSONLine appends env as one JSON protocol line. encoding/json
-// takes an interface, which would make every caller's result escape to the
-// heap on the binary path too, so the line is built from copies: the
-// bodies by value, the type through its wire byte (escape analysis does
-// not tell a struct's fields apart — copying the type string alone would
-// count as leaking the body pointers beside it).
-func appendJSONLine(dst []byte, env *Envelope) []byte {
-	var line Envelope
-	line.Type, _ = typeFromBin(binType(env.Type))
-	if env.Result != nil {
-		r := *env.Result
-		line.Result = &r
-	}
-	if env.Stats != nil {
-		st := *env.Stats
-		line.Stats = &st
-	}
-	b, err := json.Marshal(&line)
-	if err != nil {
-		return dst // unreachable: every pushed body marshals
-	}
-	return append(append(dst, b...), '\n')
 }
 
 // replyLocked pushes one envelope that must not wait for a worker — a
@@ -597,11 +543,14 @@ func (s *Server) dropConnLocked(conn net.Conn) {
 // serveConn resolves the connection's codec from its first byte (the
 // compat handshake: BinMagic announces binary frames, anything else is a
 // JSON line) and reads protocol envelopes until the connection dies.
-// Framing and decode failures are counted per reason and never silent:
-// an oversized line or frame is skipped, a malformed one is tolerated,
-// and a genuine read error surfaces in
-// jury_wire_line_errors_total{reason="read"} before the connection is
-// torn down.
+// Responses accumulate while a complete envelope is already buffered and
+// are dispatched as one batch the moment the next read could block: the
+// reader never waits for bytes with responses in hand. Framing and decode
+// failures are counted per reason and never silent: an oversized line or
+// frame is skipped, a malformed one is tolerated, and a genuine read error
+// (a frame torn by the close included) surfaces in
+// jury_wire_line_errors_total{reason="read"} before the connection is torn
+// down.
 func (s *Server) serveConn(sc *srvConn) {
 	defer s.done.Done()
 	defer func() {
@@ -617,28 +566,40 @@ func (s *Server) serveConn(sc *srvConn) {
 		}
 		return
 	}
+	codec := CodecJSON
 	if first[0] == BinMagic {
-		if s.cfg.Codec == CodecJSON {
-			// A strict-JSON deployment refuses the binary handshake
-			// loudly instead of scanning frames as garbled lines.
-			s.m.codecRejected.Inc()
+		_, _ = br.Discard(1)
+		codec = CodecBinary
+		s.connsMu.Lock()
+		sc.codec = codec // pushes mirror the peer from here on
+		s.connsMu.Unlock()
+	}
+	rd := codec.newReader(br, s.cfg.MaxLineBytes)
+	in := ingest{s: s, sc: sc, borrowed: rd.borrows()}
+	for {
+		env, err := rd.ReadEnvelope()
+		switch {
+		case err == nil && env.Type == TypeResponse:
+			in.add(env)
+			if len(in.batch) >= maxIngestBatch || !rd.FrameBuffered() {
+				in.dispatch()
+			}
+		case err == nil:
+			in.control(env)
+		case isOversize(err):
+			s.m.oversized.Inc()
+			in.control(nil)
+		case isMalformed(err):
+			s.m.malformed.Inc()
+			in.control(nil)
+		default:
+			in.dispatch()
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				s.m.readErrors.Inc()
+			}
 			return
 		}
-		_, _ = br.Discard(1)
-		s.setConnCodec(sc, CodecBinary)
-		s.serveFrames(sc, br)
-		return
 	}
-	s.setConnCodec(sc, CodecJSON)
-	s.serveLines(sc, br)
-}
-
-// setConnCodec records the codec the peer's first byte announced, so
-// pushes mirror it from here on.
-func (s *Server) setConnCodec(sc *srvConn, codec Codec) {
-	s.connsMu.Lock()
-	sc.codec = codec
-	s.connsMu.Unlock()
 }
 
 // ingest is one reader's hand-off state: the batch of responses it has
@@ -648,21 +609,22 @@ type ingest struct {
 	s     *Server
 	sc    *srvConn
 	batch []core.Response
+	// borrowed marks a reader whose envelopes' strings alias its buffer:
+	// the validator retains submitted responses and the shift map retains
+	// origin keys, so those are copied before the borrow window closes.
+	borrowed bool
 	// origin is the last trace origin this reader registered, so the
 	// steady state compares one string and takes no lock.
 	origin string
 }
 
-// add appends one response envelope to the batch. borrowed marks envelopes
-// whose strings alias the binary reader's frame buffer: the validator
-// retains submitted responses and the shift map retains origin keys, so
-// those are copied before the borrow window closes.
-func (in *ingest) add(env *Envelope, borrowed bool) {
+// add appends one response envelope to the batch.
+func (in *ingest) add(env *Envelope) {
 	if env.Response == nil {
 		return
 	}
 	in.batch = append(in.batch, *env.Response)
-	if borrowed {
+	if in.borrowed {
 		cloneStrings(&in.batch[len(in.batch)-1])
 	}
 	if tc := env.Trace; tc != nil && tc.Origin != "" && tc.Origin != in.origin {
@@ -685,7 +647,7 @@ func (s *Server) noteOrigin(origin string, baseNS int64) {
 }
 
 // dispatch hands the plane everything the reader has in hand as one
-// batch — the single dispatch function of both codecs. The clock is read
+// batch. The clock is read
 // once: it stamps the connection's liveness and is the arrival time every
 // response of the batch is submitted at.
 func (in *ingest) dispatch() {
@@ -730,75 +692,6 @@ func (s *Server) reply(sc *srvConn, env *Envelope) {
 		s.replyLocked(sc, env)
 	}
 	s.connsMu.Unlock()
-}
-
-// serveLines is the JSON read side: newline-delimited envelopes, each
-// dispatched as a batch of one.
-func (s *Server) serveLines(sc *srvConn, r *bufio.Reader) {
-	lr := NewLineReader(r, s.cfg.MaxLineBytes)
-	in := ingest{s: s, sc: sc}
-	for {
-		line, err := lr.ReadLine()
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrLineTooLong):
-				s.m.oversized.Inc()
-				in.control(nil)
-				continue
-			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
-				return // clean close, or dropped by Close/sweep
-			default:
-				s.m.readErrors.Inc()
-				return
-			}
-		}
-		var env Envelope
-		if len(line) > 0 && json.Unmarshal(line, &env) != nil {
-			s.m.malformed.Inc() // tolerate malformed lines from misbehaving peers
-			env = Envelope{}
-		}
-		if env.Type == TypeResponse {
-			in.add(&env, false)
-			in.dispatch()
-		} else {
-			in.control(&env)
-		}
-	}
-}
-
-// serveFrames is the binary read side: length-prefixed frames decoded
-// into borrowed envelopes (BinDecoder's ownership contract — ingest.add
-// copies what the dispatch retains). Responses accumulate while a
-// complete frame is already buffered and are dispatched as one batch the
-// moment the next read could block: the reader never waits for bytes with
-// responses in hand.
-func (s *Server) serveFrames(sc *srvConn, r *bufio.Reader) {
-	br := NewBinReader(r, s.cfg.MaxLineBytes)
-	in := ingest{s: s, sc: sc}
-	for {
-		env, err := br.ReadEnvelope()
-		switch {
-		case err == nil && env.Type == TypeResponse:
-			in.add(env, true)
-			if len(in.batch) >= maxIngestBatch || !br.FrameBuffered() {
-				in.dispatch()
-			}
-		case err == nil:
-			in.control(env)
-		case errors.Is(err, ErrFrameTooLong):
-			s.m.oversized.Inc()
-			in.control(nil)
-		case errors.Is(err, ErrMalformedFrame):
-			s.m.malformed.Inc()
-			in.control(nil)
-		default:
-			in.dispatch()
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.m.readErrors.Inc()
-			}
-			return
-		}
-	}
 }
 
 // broadcast appends a result to every connected client's pending output;

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -189,43 +192,124 @@ func TestServerToleratesGarbageLines(t *testing.T) {
 	waitFor(t, func() bool { return s.Stats().Decided >= 1 })
 }
 
+// TestMultipleClients splits each trigger's responses across two clients
+// (modules on different hosts) and checks both receive every broadcast
+// result. The mixed row puts a JSON and a binary client on one server: the
+// two codecs must deliver identical Result streams, evidence included.
 func TestMultipleClients(t *testing.T) {
-	s := newServer(t, 400*time.Millisecond)
-	c1, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		codecs [2]Codec
+	}{
+		{"json", [2]Codec{CodecJSON, CodecJSON}},
+		{"mixed", [2]Codec{CodecJSON, CodecBinary}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t, 400*time.Millisecond)
+			var (
+				mu       sync.Mutex
+				received [2][]core.Result
+				clients  [2]*Client
+			)
+			for i, codec := range tc.codecs {
+				i := i
+				c, err := DialConfig(s.Addr(), ClientConfig{
+					Codec: codec,
+					OnResult: func(r core.Result) {
+						mu.Lock()
+						received[i] = append(received[i], r)
+						mu.Unlock()
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				clients[i] = c
+			}
+			c1, c2 := clients[0], clients[1]
+			_ = c1.Send(resp(1, "τ5", core.CacheUpdate, false, "up"))
+			_ = c2.Send(resp(2, "τ5", core.SecondaryExec, true, "up"))
+			_ = c1.Send(resp(3, "τ5", core.SecondaryExec, true, "up"))
+			// A value fault, whose result carries evidence.
+			_ = c2.Send(resp(1, "τ6", core.CacheUpdate, false, "down"))
+			_ = c1.Send(resp(2, "τ6", core.SecondaryExec, true, "up"))
+			_ = c2.Send(resp(3, "τ6", core.SecondaryExec, true, "up"))
+			waitFor(t, func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(received[0]) == 2 && len(received[1]) == 2 // broadcast to both clients
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			if !reflect.DeepEqual(received[0], received[1]) {
+				t.Fatalf("clients received different results:\n%s: %+v\n%s: %+v",
+					tc.codecs[0], received[0], tc.codecs[1], received[1])
+			}
+			evidence := 0
+			for _, r := range received[1] {
+				for _, ev := range r.Evidence {
+					if ev.Trigger != r.Trigger || ev.Key != "k" {
+						t.Fatalf("evidence corrupted across the wire: %+v", ev)
+					}
+					evidence++
+				}
+			}
+			if evidence == 0 {
+				t.Fatalf("no result carried evidence: %+v", received[1])
+			}
+		})
 	}
-	defer c1.Close()
-	c2, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	var (
-		mu       sync.Mutex
-		received int
-	)
-	count := func(core.Result) {
-		mu.Lock()
-		received++
-		mu.Unlock()
-	}
-	c1.OnResult = count
-	c2.OnResult = count
-	// Responses split across clients (modules on different hosts).
-	_ = c1.Send(resp(1, "τ5", core.CacheUpdate, false, "up"))
-	_ = c2.Send(resp(2, "τ5", core.SecondaryExec, true, "up"))
-	_ = c1.Send(resp(3, "τ5", core.SecondaryExec, true, "up"))
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return received == 2 // broadcast to both clients
-	})
 }
 
+// TestServeRejectsEmptyMembership: both entry points refuse a deployment
+// with no members, and ServeListener, which owns the listener it is
+// given, closes it on the way out.
 func TestServeRejectsEmptyMembership(t *testing.T) {
-	if _, err := Serve("127.0.0.1:0", ServerConfig{}); err == nil {
-		t.Fatal("expected error")
+	for _, tc := range []struct {
+		name  string
+		serve func() (*Server, net.Listener, error)
+	}{
+		{"Serve", func() (*Server, net.Listener, error) {
+			s, err := Serve("127.0.0.1:0", ServerConfig{})
+			return s, nil, err
+		}},
+		{"ServeListener", func() (*Server, net.Listener, error) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := ServeListener(ln, ServerConfig{})
+			return s, ln, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ln, err := tc.serve()
+			if err == nil {
+				_ = s.Close()
+				t.Fatal("expected error")
+			}
+			if ln == nil {
+				return
+			}
+			done := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err == nil {
+					_ = conn.Close()
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, net.ErrClosed) {
+					t.Fatalf("Accept after the refusal = %v, want net.ErrClosed", err)
+				}
+			case <-time.After(time.Second):
+				_ = ln.Close()
+				t.Fatal("ServeListener leaked its listener: Accept still blocks")
+			}
+		})
 	}
 }
 

@@ -381,7 +381,6 @@ func ServeValidator(addr string, cfg ValidatorServiceConfig) (*wire.Server, erro
 			Timeout:  cfg.ValidationTimeout,
 			Adaptive: cfg.AdaptiveTimeout,
 		},
-		Codec:          cfg.Codec,
 		Shards:         cfg.Shards,
 		QueueDepth:     cfg.QueueDepth,
 		Members:        ids,
