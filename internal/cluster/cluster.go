@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/jurysdn/jury/internal/obs"
@@ -130,15 +131,21 @@ func (m *Membership) Members() []store.NodeID {
 
 // Alive returns the live controller IDs in order.
 func (m *Membership) Alive() []store.NodeID {
-	out := make([]store.NodeID, 0, len(m.members))
+	return m.AppendAlive(make([]store.NodeID, 0, len(m.members)))
+}
+
+// AppendAlive appends the live controller IDs to dst in order and returns
+// the extended slice; it allocates only when dst lacks the capacity.
+func (m *Membership) AppendAlive(dst []store.NodeID) []store.NodeID {
+	n := len(dst)
 	//jurylint:allow maprange -- filtered keys are sorted before return
 	for id, alive := range m.members {
 		if alive {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // IsAlive reports whether a controller is alive.

@@ -89,6 +89,10 @@ type Controller struct {
 	// overhead model); zero when JURY is off.
 	juryK int
 
+	// hosts memoizes lookupHost's decode per MAC: the EdgesDB value it
+	// decoded and the outcome, reused while the stored value is unchanged.
+	hosts map[openflow.MAC]hostMemo
+
 	// link freshness for liveness expiry
 	linkSeen map[string]time.Duration
 	// reconcileMisses counts consecutive flow-stats polls that failed to
@@ -126,6 +130,7 @@ func New(eng *simnet.Engine, id store.NodeID, profile Profile, node *store.Node,
 		downlinks:       make(map[topo.DPID]func(openflow.Message)),
 		switchPorts:     make(map[topo.DPID][]uint16),
 		alloc:           trigger.NewIDAllocator(fmt.Sprintf("C%d", id)),
+		hosts:           make(map[openflow.MAC]hostMemo),
 		linkSeen:        make(map[string]time.Duration),
 		reconcileMisses: make(map[string]int),
 	}
@@ -443,6 +448,11 @@ func (c *Controller) onStoreEvent(_ store.NodeID, ev store.Event, _ bool) {
 		return
 	}
 	if ev.Op == store.OpDelete {
+		return
+	}
+	// A FlowsDB key is FlowRule.Key(), which leads with the target
+	// switch: a replica that does not master it skips the decode.
+	if dpid, ok := KeyDPID(ev.Key); ok && !c.members.IsMaster(c.id, dpid) {
 		return
 	}
 	rule, err := DecodeFlowRule(ev.Value)

@@ -55,6 +55,30 @@ func (r FlowRule) Key() string {
 	return string(openflow.AppendHex(append(r.DPID.AppendTo(buf[:0]), '/'), h, 16))
 }
 
+// KeyDPID returns the target switch a FlowsDB key names: the inverse of
+// the "of:<16 hex digits>/" prefix Key renders. ok is false when key does
+// not start that way.
+func KeyDPID(key string) (dpid topo.DPID, ok bool) {
+	const digits = 16
+	if len(key) < len("of:")+digits+1 || key[:3] != "of:" || key[3+digits] != '/' {
+		return 0, false
+	}
+	var v uint64
+	for i := 3; i < 3+digits; i++ {
+		c := key[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return 0, false
+		}
+		v = v<<4 | uint64(c)
+	}
+	return topo.DPID(v), true
+}
+
 // FlowMod converts the rule to its OpenFlow message.
 func (r FlowRule) FlowMod(xid uint32) *openflow.FlowMod {
 	return &openflow.FlowMod{

@@ -316,17 +316,29 @@ func (c *Controller) installProactiveRules(rec hostRecord, ctx *trigger.Context)
 	}
 }
 
-// lookupHost reads a host's attachment from EdgesDB.
+// hostMemo is one lookupHost decode: the stored EdgesDB value and what it
+// decoded to.
+type hostMemo struct {
+	stored string
+	rec    hostRecord
+	ok     bool
+}
+
+// lookupHost reads a host's attachment from EdgesDB. The decode is
+// memoized per MAC and redone only when the stored value changes, so the
+// memo holds at most one entry per host ever stored.
 func (c *Controller) lookupHost(mac openflow.MAC) (hostRecord, bool) {
 	v, ok := c.node.Get(store.EdgesDB, mac.String())
 	if !ok {
 		return hostRecord{}, false
 	}
-	rec, err := decodeHostRecord(v)
-	if err != nil {
-		return hostRecord{}, false
+	if m, hit := c.hosts[mac]; hit && m.stored == v {
+		return m.rec, m.ok
 	}
-	return rec, true
+	rec, err := decodeHostRecord(v)
+	m := hostMemo{stored: v, rec: rec, ok: err == nil}
+	c.hosts[mac] = m
+	return m.rec, m.ok
 }
 
 // pathFromLinksDB computes a shortest switch path using this replica's

@@ -94,6 +94,34 @@ func refFlowMod(m *openflow.FlowMod) string {
 	return b.String()
 }
 
+func refPacketOut(m *openflow.PacketOut) string {
+	var b strings.Builder
+	b.WriteString("packetout|")
+	for _, a := range m.Actions {
+		fmt.Fprintf(&b, "out:%d,", a.Port)
+	}
+	if pf, err := openflow.ParsePacket(m.Data, 0); err == nil {
+		fmt.Fprintf(&b, "|eth=0x%04x|src=%s|dst=%s", pf.EthType, pf.EthSrc, pf.EthDst)
+	}
+	return b.String()
+}
+
+// rulePacketOut builds a PACKET_OUT from the rule's actions carrying an
+// Ethernet header from its match (dl_dst, dl_src, dl_type) and 28 zero
+// bytes, or only the first 13 bytes of that when truncate is set: a frame
+// that parses for most ethertypes, not for IPv4, and never when truncated.
+func rulePacketOut(r controller.FlowRule, truncate bool) *openflow.PacketOut {
+	m := r.Match
+	frame := make([]byte, 14+28)
+	copy(frame, m.DLDst[:])
+	copy(frame[6:], m.DLSrc[:])
+	frame[12], frame[13] = byte(m.DLType>>8), byte(m.DLType)
+	if truncate {
+		frame = frame[:13]
+	}
+	return &openflow.PacketOut{Actions: r.Actions, Data: frame}
+}
+
 // checkEncode holds Encode to json.Marshal, and the decoding of its output
 // to json.Unmarshal.
 func checkEncode(t *testing.T, r controller.FlowRule) {
@@ -125,6 +153,8 @@ func checkRenderers(t *testing.T, r controller.FlowRule) {
 		{"FlowModCommand", cmd.String(), refCommand(cmd)},
 		{"Key", r.Key(), refKey(r)},
 		{"CanonicalMessage", core.CanonicalMessage(r.FlowMod(0)), refFlowMod(r.FlowMod(0))},
+		{"CanonicalMessage(PacketOut)", core.CanonicalMessage(rulePacketOut(r, false)), refPacketOut(rulePacketOut(r, false))},
+		{"CanonicalMessage(PacketOut, truncated)", core.CanonicalMessage(rulePacketOut(r, true)), refPacketOut(rulePacketOut(r, true))},
 	} {
 		if c.got != c.want {
 			t.Fatalf("%s renders %q, fmt reference %q", c.what, c.got, c.want)

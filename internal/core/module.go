@@ -1,8 +1,8 @@
 package core
 
 import (
-	"hash/fnv"
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"time"
 
@@ -233,41 +233,27 @@ func (m *Module) shouldRelay(ev store.Event) bool {
 	if ev.Origin == self {
 		return true
 	}
-	peers := m.ctrl.Membership().Alive()
-	var others []store.NodeID
-	for _, id := range peers {
-		if id != ev.Origin {
-			others = append(others, id)
-		}
-	}
+	var buf [16]store.NodeID
+	others := m.ctrl.Membership().AppendAlive(buf[:0])
+	others = slices.DeleteFunc(others, func(id store.NodeID) bool { return id == ev.Origin })
 	if len(others) <= m.cfg.K {
-		for _, id := range others {
-			if id == self {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(others, self)
 	}
 	// Deterministic sample seeded by the event identity so that every
-	// module picks the same k relays.
-	h := fnv.New64a()
-	h.Write([]byte(ev.Tag))
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(ev.Origin) >> (8 * i))
-		buf[8+i] = byte(ev.Seq >> (8 * i))
+	// module picks the same k relays: FNV-1a over the tag, then the
+	// origin and sequence number as little-endian uint64s. mix(seed, ·) is
+	// injective, so the order it sorts by is total.
+	seed := uint64(14695981039346656037)
+	for i := 0; i < len(ev.Tag); i++ {
+		seed = (seed ^ uint64(ev.Tag[i])) * 1099511628211
 	}
-	h.Write(buf[:])
-	seed := h.Sum64()
-	sort.Slice(others, func(i, j int) bool {
-		return mix(seed, others[i]) < mix(seed, others[j])
-	})
-	for i := 0; i < m.cfg.K && i < len(others); i++ {
-		if others[i] == self {
-			return true
+	for _, v := range [2]uint64{uint64(ev.Origin), ev.Seq} {
+		for i := 0; i < 8; i++ {
+			seed = (seed ^ (v >> (8 * i) & 0xFF)) * 1099511628211
 		}
 	}
-	return false
+	slices.SortFunc(others, func(a, b store.NodeID) int { return cmp.Compare(mix(seed, a), mix(seed, b)) })
+	return slices.Contains(others[:max(m.cfg.K, 0)], self)
 }
 
 func mix(seed uint64, id store.NodeID) uint64 {

@@ -208,16 +208,17 @@ func CanonicalMessage(msg openflow.Message) string {
 		var buf [256]byte
 		return string(appendFlowMod(buf[:0], m.Command, m.Priority, m.Match, m.Actions, m.IdleTimeout, m.HardTimeout))
 	case *openflow.PacketOut:
-		var b strings.Builder
-		b.WriteString("packetout|")
+		var buf [128]byte
+		b := append(buf[:0], "packetout|"...)
 		for _, a := range m.Actions {
-			fmt.Fprintf(&b, "out:%d,", a.Port)
+			b = append(strconv.AppendUint(append(b, "out:"...), uint64(a.Port), 10), ',')
 		}
-		pf, err := openflow.ParsePacket(m.Data, 0)
-		if err == nil {
-			fmt.Fprintf(&b, "|eth=0x%04x|src=%s|dst=%s", pf.EthType, pf.EthSrc, pf.EthDst)
+		if pf, err := openflow.ParsePacket(m.Data, 0); err == nil {
+			b = openflow.AppendHex(append(b, "|eth=0x"...), uint64(pf.EthType), 4)
+			b = pf.EthSrc.AppendTo(append(b, "|src="...))
+			b = pf.EthDst.AppendTo(append(b, "|dst="...))
 		}
-		return b.String()
+		return string(b)
 	default:
 		return strings.ToLower(msg.Type().String())
 	}

@@ -7,6 +7,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,6 +42,17 @@ type FlowEntry struct {
 	LastHit     time.Duration
 	Packets     uint64
 	Bytes       uint64
+
+	// key is the entry's identity in its switch's index, fixed at insert.
+	key flowKey
+}
+
+// flowKey identifies a flow entry the way OpenFlow ADD, MODIFY_STRICT and
+// DELETE_STRICT address one: its match with wildcarded values normalized
+// away, and its priority.
+type flowKey struct {
+	match    openflow.Match
+	priority uint16
 }
 
 // NoBuffer is the OpenFlow buffer id meaning "packet not buffered".
@@ -52,7 +64,13 @@ type Switch struct {
 	dpid topo.DPID
 
 	ports []uint16
+	// table holds the entries sorted by descending priority, entries of
+	// equal priority in insertion order. index maps each entry's key to
+	// it: an ADD overwrites the entry of its key, so every key names at
+	// most one entry, and an entry is in table iff index maps its key to
+	// it.
 	table []*FlowEntry
+	index map[flowKey]*FlowEntry
 
 	// sendUp delivers a message on the southbound channel toward the
 	// controller; the replicator interposes here.
@@ -80,7 +98,7 @@ type Switch struct {
 
 // NewSwitch creates a switch. Callbacks are wired by the fabric/cluster.
 func NewSwitch(eng *simnet.Engine, dpid topo.DPID) *Switch {
-	return &Switch{eng: eng, dpid: dpid, TableMissToController: true}
+	return &Switch{eng: eng, dpid: dpid, TableMissToController: true, index: make(map[flowKey]*FlowEntry)}
 }
 
 // DPID returns the datapath id.
@@ -276,9 +294,14 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 		}
 		s.insert(entry)
 		s.scheduleTimeouts(entry)
-	case openflow.FlowModify, openflow.FlowModifyStrict:
+	case openflow.FlowModifyStrict:
+		if e, ok := s.index[flowKey{match.Normalized(), m.Priority}]; ok {
+			e.Actions = m.Actions
+		}
+	case openflow.FlowModify:
+		norm := match.Normalized()
 		for _, e := range s.table {
-			if e.Match.Equal(match) && (m.Command == openflow.FlowModify || e.Priority == m.Priority) {
+			if e.key.match == norm {
 				e.Actions = m.Actions
 			}
 		}
@@ -287,32 +310,57 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 	}
 }
 
+// insert installs entry. An entry of the same key is replaced in place
+// (OpenFlow ADD overwrites); otherwise entry goes after every entry of
+// greater or equal priority.
 func (s *Switch) insert(entry *FlowEntry) {
-	// Replace an identical match at the same priority (OpenFlow ADD
-	// overwrites).
-	for i, e := range s.table {
-		if e.Match.Equal(entry.Match) && e.Priority == entry.Priority {
-			s.table[i] = entry
-			return
-		}
+	entry.key = flowKey{entry.Match.Normalized(), entry.Priority}
+	if old, ok := s.index[entry.key]; ok {
+		s.table[s.position(old)] = entry
+	} else {
+		i := sort.Search(len(s.table), func(i int) bool { return s.table[i].Priority < entry.Priority })
+		s.table = slices.Insert(s.table, i, entry)
 	}
-	s.table = append(s.table, entry)
-	sort.SliceStable(s.table, func(i, j int) bool { return s.table[i].Priority > s.table[j].Priority })
+	s.index[entry.key] = entry
+}
+
+// position returns the index in table of entry, which must be installed:
+// a binary search to the first entry of its priority, then a pointer scan
+// over that priority's run.
+func (s *Switch) position(entry *FlowEntry) int {
+	i := sort.Search(len(s.table), func(i int) bool { return s.table[i].Priority <= entry.Priority })
+	for s.table[i] != entry {
+		i++
+	}
+	return i
+}
+
+// remove uninstalls entry, which must be installed.
+func (s *Switch) remove(entry *FlowEntry) {
+	i := s.position(entry)
+	s.table = slices.Delete(s.table, i, i+1)
+	delete(s.index, entry.key)
 }
 
 func (s *Switch) deleteMatching(match openflow.Match, priority uint16, strict bool) {
+	norm := match.Normalized()
+	if strict {
+		if e, ok := s.index[flowKey{norm, priority}]; ok {
+			s.remove(e)
+			s.emitFlowRemoved(e, openflow.RemovedDelete)
+		}
+		return
+	}
 	kept := s.table[:0]
 	for _, e := range s.table {
-		remove := e.Match.Equal(match)
-		if strict {
-			remove = remove && e.Priority == priority
-		}
-		if remove {
+		if e.key.match == norm {
+			delete(s.index, e.key)
 			s.emitFlowRemoved(e, openflow.RemovedDelete)
 			continue
 		}
 		kept = append(kept, e)
 	}
+	clear(s.table[len(kept):])
 	s.table = kept
 }
 
@@ -340,24 +388,17 @@ func (s *Switch) scheduleIdleCheck(entry *FlowEntry) {
 	})
 }
 
+// expire removes entry on a timeout, unless it was already deleted or
+// replaced by an ADD of its key.
 func (s *Switch) expire(entry *FlowEntry, reason openflow.FlowRemovedReason) {
-	for i, e := range s.table {
-		if e == entry {
-			s.table = append(s.table[:i], s.table[i+1:]...)
-			s.emitFlowRemoved(entry, reason)
-			return
-		}
+	if !s.contains(entry) {
+		return
 	}
+	s.remove(entry)
+	s.emitFlowRemoved(entry, reason)
 }
 
-func (s *Switch) contains(entry *FlowEntry) bool {
-	for _, e := range s.table {
-		if e == entry {
-			return true
-		}
-	}
-	return false
-}
+func (s *Switch) contains(entry *FlowEntry) bool { return s.index[entry.key] == entry }
 
 func (s *Switch) emitFlowRemoved(entry *FlowEntry, reason openflow.FlowRemovedReason) {
 	if entry.Flags&openflow.FlagSendFlowRem == 0 || s.sendUp == nil {

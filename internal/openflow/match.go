@@ -245,10 +245,13 @@ func (m Match) HierarchyValid() bool {
 // Equal reports whether two matches are identical after normalizing the
 // values of wildcarded fields (a wildcarded field's value is irrelevant).
 func (m Match) Equal(o Match) bool {
-	return m.normalize() == o.normalize()
+	return m.Normalized() == o.Normalized()
 }
 
-func (m Match) normalize() Match {
+// Normalized returns m with the value of every wildcarded field zeroed and
+// the masked-off low bits of NWSrc/NWDst cleared, so m.Equal(o) is exactly
+// m.Normalized() == o.Normalized() and a normalized match can key a map.
+func (m Match) Normalized() Match {
 	w := m.Wildcards
 	if w&WildcardInPort != 0 {
 		m.InPort = 0

@@ -18,7 +18,7 @@ package store
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -101,6 +101,12 @@ type Event struct {
 	Prev   string
 	PrevOK bool
 	At     time.Duration
+
+	// digest is eventDigest of the event as Cluster.write built it,
+	// hashed once there for every replica that applies it; digested
+	// says it is set.
+	digest   uint64
+	digested bool
 }
 
 // WireSize estimates the replication message size in bytes for network
@@ -192,6 +198,11 @@ type Cluster struct {
 	eng   *simnet.Engine
 	cfg   Config
 	nodes map[NodeID]*Node
+	// ids lists the keys of nodes in ascending order, so replication
+	// fan-out schedules engine events deterministically. AddNode and
+	// RemoveNode replace it rather than edit it, so a fan-out ranging
+	// over it is never disturbed.
+	ids []NodeID
 
 	// strong-mode global commit order
 	commitBusyUntil time.Duration
@@ -236,6 +247,10 @@ func (c *Cluster) AddNode(id NodeID) *Node {
 		cluster: c,
 		caches:  make(map[CacheName]map[string]string),
 	}
+	if _, ok := c.nodes[id]; !ok {
+		i, _ := slices.BinarySearch(c.ids, id)
+		c.ids = slices.Insert(slices.Clone(c.ids), i, id)
+	}
 	c.nodes[id] = n
 	return n
 }
@@ -247,7 +262,12 @@ func (c *Cluster) Node(id NodeID) (*Node, bool) {
 }
 
 // RemoveNode detaches a node (crash); replication to it stops.
-func (c *Cluster) RemoveNode(id NodeID) { delete(c.nodes, id) }
+func (c *Cluster) RemoveNode(id NodeID) {
+	if i, ok := slices.BinarySearch(c.ids, id); ok {
+		c.ids = slices.Delete(slices.Clone(c.ids), i, i+1)
+	}
+	delete(c.nodes, id)
+}
 
 // Size returns the number of replicas.
 func (c *Cluster) Size() int { return len(c.nodes) }
@@ -276,6 +296,7 @@ func (c *Cluster) write(n *Node, cache CacheName, op Op, key, value, tag string,
 		Tag:    tag,
 		At:     c.eng.Now(),
 	}
+	ev.digest, ev.digested = eventDigest(ev), true
 	switch c.cfg.Consistency {
 	case Strong:
 		c.strongWrite(n, ev, done)
@@ -308,7 +329,7 @@ func (c *Cluster) eventualWrite(n *Node, ev Event, done func()) {
 
 func (c *Cluster) applyAndFanOut(n *Node, ev Event, done func()) {
 	n.apply(ev, true)
-	for _, id := range c.nodeIDs() {
+	for _, id := range c.ids {
 		if id == n.id {
 			continue
 		}
@@ -317,17 +338,6 @@ func (c *Cluster) applyAndFanOut(n *Node, ev Event, done func()) {
 	if done != nil {
 		done()
 	}
-}
-
-// nodeIDs returns the replica IDs in sorted order so replication fan-out
-// schedules engine events deterministically.
-func (c *Cluster) nodeIDs() []NodeID {
-	ids := make([]NodeID, 0, len(c.nodes))
-	for id := range c.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 func (c *Cluster) strongWrite(n *Node, ev Event, done func()) {
@@ -346,7 +356,7 @@ func (c *Cluster) strongWrite(n *Node, ev Event, done func()) {
 			return // origin crashed before commit
 		}
 		n.apply(ev, true)
-		for _, id := range c.nodeIDs() {
+		for _, id := range c.ids {
 			if id == n.id {
 				continue
 			}
@@ -511,7 +521,7 @@ func (n *Node) apply(ev Event, local bool) {
 		n.expected[ev.Origin] = ev.Seq
 	}
 	n.applied++
-	n.digest ^= eventDigest(ev)
+	n.digest ^= EventDigest(ev)
 	for _, l := range n.listeners {
 		l(n.id, ev, local)
 	}
@@ -520,14 +530,44 @@ func (n *Node) apply(ev Event, local bool) {
 // EventDigest hashes one event; node digests XOR-fold these so the digest
 // depends on the set of applied events, not their interleaving. Because
 // the fold is XOR, digest^EventDigest(ev) recovers the pre-apply digest.
+// An event delivered by the store carries the hash Cluster.write took;
+// any other event is hashed here.
 func EventDigest(ev Event) uint64 {
+	if ev.digested {
+		return ev.digest
+	}
 	return eventDigest(ev)
 }
 
-// eventDigest hashes one event; node digests XOR-fold these so the digest
-// depends on the set of applied events, not their interleaving.
+// FNV-1a parameters, as hash/fnv's New64a.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// eventDigest is the 64-bit FNV-1a hash of the bytes
+// fmt.Sprintf("%d|%d|%s|%d|%s|%s", Origin, Seq, Cache, Op, Key, Value)
+// renders, computed without rendering them.
 func eventDigest(ev Event) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s|%d|%s|%s", ev.Origin, ev.Seq, ev.Cache, ev.Op, ev.Key, ev.Value)
-	return h.Sum64()
+	var num [20]byte
+	h := fnvBytes(fnvOffset64, strconv.AppendInt(num[:0], int64(ev.Origin), 10))
+	h = fnvBytes(fnvString(h, "|"), strconv.AppendUint(num[:0], ev.Seq, 10))
+	h = fnvString(fnvString(fnvString(h, "|"), string(ev.Cache)), "|")
+	h = fnvBytes(h, strconv.AppendUint(num[:0], uint64(ev.Op), 10))
+	h = fnvString(fnvString(fnvString(h, "|"), ev.Key), "|")
+	return fnvString(h, ev.Value)
+}
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
 }
