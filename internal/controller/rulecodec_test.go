@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -158,6 +159,51 @@ func checkRenderers(t *testing.T, r controller.FlowRule) {
 	} {
 		if c.got != c.want {
 			t.Fatalf("%s renders %q, fmt reference %q", c.what, c.got, c.want)
+		}
+	}
+	if dpid, ok := controller.KeyDPID(r.Key()); !ok || dpid != r.DPID {
+		t.Fatalf("KeyDPID(%q) = %v, %v; want %v", r.Key(), dpid, ok, r.DPID)
+	}
+}
+
+// TestKeyDPID holds KeyDPID to be the inverse of the switch prefix Key
+// renders, over random rules, and to refuse keys that do not start with
+// exactly "of:", 16 lower-case hex digits and "/".
+func TestKeyDPID(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		r := codecRule()
+		r.DPID = topo.DPID(rng.Uint64() >> uint(rng.Intn(64)))
+		r.Priority = uint16(rng.Intn(1 << 16))
+		r.Match.Wildcards = rng.Uint32()
+		r.Match.DLSrc[rng.Intn(6)] = byte(rng.Intn(256))
+		if dpid, ok := controller.KeyDPID(r.Key()); !ok || dpid != r.DPID {
+			t.Fatalf("KeyDPID(%q) = %v, %v; want %v", r.Key(), dpid, ok, r.DPID)
+		}
+	}
+	for _, c := range []struct {
+		key  string
+		dpid topo.DPID
+		ok   bool
+	}{
+		{"of:0000000000000000/", 0, true},
+		{"of:ffffffffffffffff/x", 1<<64 - 1, true},
+		{"of:00000000000000a1/0123456789abcdef", 0xa1, true},
+		{"", 0, false},
+		{"of:", 0, false},
+		{"of:0000000000000001", 0, false},
+		{"of:00000000000001/0123", 0, false},
+		{"of:0000000000000001x", 0, false},
+		{"of:00000000000000A1/", 0, false},
+		{"of:000000000000000g/", 0, false},
+		{"of: 000000000000001/", 0, false},
+		{"OF:0000000000000001/", 0, false},
+		{"0f:0000000000000001/", 0, false},
+		{"k", 0, false},
+		{"1:2->3:4", 0, false},
+	} {
+		if dpid, ok := controller.KeyDPID(c.key); dpid != c.dpid || ok != c.ok {
+			t.Errorf("KeyDPID(%q) = %v, %v; want %v, %v", c.key, dpid, ok, c.dpid, c.ok)
 		}
 	}
 }

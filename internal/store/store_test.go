@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -275,6 +276,79 @@ func TestDigestOrderInsensitive(t *testing.T) {
 	d2 := EventDigest(evB) ^ EventDigest(evA)
 	if d1 != d2 {
 		t.Fatal("XOR fold must be order-insensitive")
+	}
+}
+
+// refEventDigest is the fmt form eventDigest is held to.
+func refEventDigest(ev Event) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%d|%s|%d|%s|%s", ev.Origin, ev.Seq, ev.Cache, ev.Op, ev.Key, ev.Value)
+	return h.Sum64()
+}
+
+// TestEventDigestMatchesFmtForm holds the fmt-free digest to the FNV-1a of
+// the fmt rendering, for events built outside Cluster.write (no carried
+// hash) — including negative and zero origins, extreme sequence numbers
+// and ops, empty and non-ASCII text, and '|' inside the key or value — and
+// for events delivered through the store, whose carried hash must be the
+// same value.
+func TestEventDigestMatchesFmtForm(t *testing.T) {
+	events := []Event{
+		{},
+		{Origin: 0, Seq: 0, Cache: "", Op: 0, Key: "", Value: ""},
+		{Origin: -1, Seq: 1, Cache: FlowsDB, Op: OpCreate, Key: "k", Value: "v"},
+		{Origin: -9223372036854775808, Seq: 1<<64 - 1, Cache: HostDB, Op: 255, Key: "a", Value: ""},
+		{Origin: 7, Seq: 42, Cache: EdgesDB, Op: OpDelete, Key: "", Value: "x"},
+		{Origin: 3, Seq: 9, Cache: "τ-cache", Op: OpUpdate, Key: "clé→ü", Value: "値\xff\x00"},
+		{Origin: 1, Seq: 2, Cache: LinksDB, Op: OpUpdate, Key: "a|b", Value: "c|d|"},
+		{Origin: 1, Seq: 2, Cache: LinksDB, Op: OpUpdate, Key: "a", Value: "b|c|d|"},
+		{Origin: 12, Seq: 100, Cache: "|", Op: OpCreate, Key: "|", Value: "|", Tag: "ignored", Prev: "p", PrevOK: true},
+	}
+	for _, ev := range events {
+		want := refEventDigest(ev)
+		if got := eventDigest(ev); got != want {
+			t.Errorf("eventDigest(%+v) = %#x, fmt form %#x", ev, got, want)
+		}
+		if got := EventDigest(ev); got != want {
+			t.Errorf("EventDigest(%+v) = %#x, fmt form %#x", ev, got, want)
+		}
+	}
+	if events[6] == events[7] || eventDigest(events[6]) != eventDigest(events[7]) {
+		t.Error("rows 6 and 7 render the same bytes and must hash alike")
+	}
+	prop := func(origin int64, seq uint64, cache string, op uint8, key, value string) bool {
+		ev := Event{Origin: NodeID(origin), Seq: seq, Cache: CacheName(cache), Op: Op(op), Key: key, Value: value}
+		return EventDigest(ev) == refEventDigest(ev)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+
+	eng, _, nodes := newEventualCluster(t, 3)
+	var seen []Event
+	nodes[2].Subscribe(func(_ NodeID, ev Event, _ bool) { seen = append(seen, ev) })
+	var fold uint64
+	for i, ev := range events[1:] {
+		nodes[i%3].WriteTagged(ev.Cache, ev.Op, ev.Key, ev.Value, ev.Tag, nil)
+	}
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(events)-1 {
+		t.Fatalf("replica saw %d events, want %d", len(seen), len(events)-1)
+	}
+	for _, ev := range seen {
+		if !ev.digested {
+			t.Fatalf("%v delivered without its carried hash", ev)
+		}
+		want := refEventDigest(ev)
+		if got := EventDigest(ev); got != want {
+			t.Errorf("carried digest of %v = %#x, fmt form %#x", ev, got, want)
+		}
+		fold ^= want
+	}
+	if got := nodes[2].Digest(); got != fold {
+		t.Errorf("replica digest %#x, XOR of fmt-form digests %#x", got, fold)
 	}
 }
 
