@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -26,47 +28,61 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run parses args, runs the simulation they describe and writes the
+// report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("jurysim", flag.ContinueOnError)
 	var (
-		kindFlag  = flag.String("kind", "onos", "controller profile: onos or odl")
-		n         = flag.Int("n", 7, "cluster size")
-		k         = flag.Int("k", 6, "JURY replication factor")
-		noJury    = flag.Bool("no-jury", false, "run the vanilla cluster without JURY")
-		rate      = flag.Float64("rate", 1000, "new-flow injection rate per second")
-		localPair = flag.Bool("local-pairs", true, "inject flows at the destination's edge switch (1 PACKET_IN per flow)")
-		duration  = flag.Duration("duration", 15*time.Second, "measured (virtual) duration")
-		seed      = flag.Int64("seed", 42, "simulation seed")
-		timeout   = flag.Duration("timeout", 0, "validation timeout (0 = profile default)")
-		faultName = flag.String("fault", "", "catalog fault to inject on controller 1 (see -list-faults)")
-		listFault = flag.Bool("list-faults", false, "list the fault catalog and exit")
-		trace     = flag.String("trace", "", "drive a benign trace model instead of -rate: lbnl, univ or smia")
-		traceOut  = flag.String("trace-out", "", "record a per-trigger span trace and write it here (.jsonl for JSON Lines, otherwise Chrome trace_event JSON for chrome://tracing or Perfetto)")
+		kindFlag  = fs.String("kind", "onos", "controller profile: onos or odl")
+		n         = fs.Int("n", 7, "cluster size")
+		k         = fs.Int("k", 6, "JURY replication factor")
+		noJury    = fs.Bool("no-jury", false, "run the vanilla cluster without JURY")
+		rate      = fs.Float64("rate", 1000, "new-flow injection rate per second")
+		localPair = fs.Bool("local-pairs", true, "inject flows at the destination's edge switch (1 PACKET_IN per flow)")
+		duration  = fs.Duration("duration", 15*time.Second, "measured (virtual) duration")
+		seed      = fs.Int64("seed", 42, "simulation seed")
+		timeout   = fs.Duration("timeout", 0, "validation timeout (0 = profile default)")
+		faultName = fs.String("fault", "", "catalog fault to inject on controller 1 (see -list-faults)")
+		listFault = fs.Bool("list-faults", false, "list the fault catalog and exit")
+		trace     = fs.String("trace", "", "drive a benign trace model instead of -rate: lbnl, univ or smia")
+		traceOut  = fs.String("trace-out", "", "record a per-trigger span trace and write it here (.jsonl for JSON Lines, otherwise Chrome trace_event JSON for chrome://tracing or Perfetto)")
 
-		flightRing = flag.Int("flight-ring", 0, "flight-recorder ring capacity: retain the last N validator lifecycle events (0 = off)")
-		flightDump = flag.String("flight-dump", "", "write the final flight snapshot (JSONL) here at the end of the run")
+		flightRing = fs.Int("flight-ring", 0, "flight-recorder ring capacity: retain the last N validator lifecycle events (0 = off)")
+		flightDump = fs.String("flight-dump", "", "write the final flight snapshot (JSONL) here at the end of the run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *listFault {
-		fmt.Println("fault catalog (§III-B, §VII-A1 and appendix):")
+		fmt.Fprintln(out, "fault catalog (§III-B, §VII-A1 and appendix):")
 		for _, s := range faults.Scenarios() {
 			origin := "synthetic"
 			if s.Real {
 				origin = "real bug"
 			}
-			fmt.Printf("  %-28s [%s, %s] %s\n", s.Kind, s.Class, origin, s.Description)
+			fmt.Fprintf(out, "  %-28s [%s, %s] %s\n", s.Kind, s.Class, origin, s.Description)
 		}
 		return nil
 	}
 
-	kind := jury.ONOS
-	if strings.EqualFold(*kindFlag, "odl") {
+	var kind jury.ControllerKind
+	switch {
+	case strings.EqualFold(*kindFlag, "onos"):
+		kind = jury.ONOS
+	case strings.EqualFold(*kindFlag, "odl"):
 		kind = jury.ODL
+	default:
+		return fmt.Errorf("unknown -kind %q (onos or odl)", *kindFlag)
 	}
 	cfg := jury.Config{
 		Seed:              *seed,
@@ -92,17 +108,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cluster: %s n=%d jury=%v k=%d topology=%d switches\n",
+	fmt.Fprintf(out, "cluster: %s n=%d jury=%v k=%d topology=%d switches\n",
 		kind, *n, !*noJury, *k, sim.Topo.NumSwitches())
 	boot := sim.Boot()
-	fmt.Printf("boot: %v (virtual)\n", boot)
+	fmt.Fprintf(out, "boot: %v (virtual)\n", boot)
 
 	if *faultName != "" {
 		f, err := inject(sim, faults.Kind(*faultName))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("fault: %s\n", f)
+		fmt.Fprintf(out, "fault: %s\n", f)
 	}
 
 	start := sim.Now()
@@ -116,9 +132,9 @@ func run() error {
 		}
 		profile = spec.Profile()
 		join, flap = spec.JoinEvery, spec.FlapEvery
-		fmt.Printf("workload: %s trace model (mean %.0f flows/s)\n", spec.Name, spec.MeanFlowRate)
+		fmt.Fprintf(out, "workload: %s trace model (mean %.0f flows/s)\n", spec.Name, spec.MeanFlowRate)
 	} else {
-		fmt.Printf("workload: %.0f new flows/s\n", *rate)
+		fmt.Fprintf(out, "workload: %.0f new flows/s\n", *rate)
 	}
 	sim.Driver.LocalPairs = *localPair
 	sim.Driver.Start(profile, until)
@@ -127,31 +143,31 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("\n-- data plane --\n")
-	fmt.Printf("flows injected:   %d\n", sim.Driver.Flows())
-	fmt.Printf("PACKET_IN rate:   %.0f/s\n", sim.PacketIns.MeanRate(start, until))
-	fmt.Printf("FLOW_MOD rate:    %.0f/s\n", sim.FlowMods.MeanRate(start, until))
-	fmt.Printf("PACKET_OUT rate:  %.0f/s\n", sim.PacketOuts.MeanRate(start, until))
-	fmt.Printf("host deliveries:  %d\n", sim.Fabric.Delivered())
+	fmt.Fprintf(out, "\n-- data plane --\n")
+	fmt.Fprintf(out, "flows injected:   %d\n", sim.Driver.Flows())
+	fmt.Fprintf(out, "PACKET_IN rate:   %.0f/s\n", sim.PacketIns.MeanRate(start, until))
+	fmt.Fprintf(out, "FLOW_MOD rate:    %.0f/s\n", sim.FlowMods.MeanRate(start, until))
+	fmt.Fprintf(out, "PACKET_OUT rate:  %.0f/s\n", sim.PacketOuts.MeanRate(start, until))
+	fmt.Fprintf(out, "host deliveries:  %d\n", sim.Fabric.Delivered())
 
-	fmt.Printf("\n-- network overhead (§VII-B2) --\n")
+	fmt.Fprintf(out, "\n-- network overhead (§VII-B2) --\n")
 	secs := (*duration).Seconds()
 	ic := float64(sim.Store.ReplicationBytes()) * 8 / secs / 1e6
-	fmt.Printf("inter-controller: %.1f Mbps\n", ic)
+	fmt.Fprintf(out, "inter-controller: %.1f Mbps\n", ic)
 	if sim.System != nil {
 		jr := float64(sim.System.ReplicationBytes()) * 8 / secs / 1e6
 		jv := float64(sim.System.ValidatorBytes()) * 8 / secs / 1e6
-		fmt.Printf("JURY replication: %.1f Mbps\n", jr)
-		fmt.Printf("JURY validator:   %.1f Mbps\n", jv)
-		fmt.Printf("JURY share:       %.1f%% of inter-controller traffic\n", (jr+jv)/ic*100)
+		fmt.Fprintf(out, "JURY replication: %.1f Mbps\n", jr)
+		fmt.Fprintf(out, "JURY validator:   %.1f Mbps\n", jv)
+		fmt.Fprintf(out, "JURY share:       %.1f%% of inter-controller traffic\n", (jr+jv)/ic*100)
 	}
 
 	if v := sim.Validator(); v != nil {
-		fmt.Printf("\n-- validation --\n")
-		fmt.Printf("decided:   %d (valid %d, alarms %d, non-deterministic %d, timeouts %d)\n",
+		fmt.Fprintf(out, "\n-- validation --\n")
+		fmt.Fprintf(out, "decided:   %d (valid %d, alarms %d, non-deterministic %d, timeouts %d)\n",
 			v.Decided(), v.Valid(), v.Faults(), v.NonDeterministic(), v.Timeouts())
 		d := &v.DetectionsExternal
-		fmt.Printf("detection: p50=%v p90=%v p95=%v p99=%v\n",
+		fmt.Fprintf(out, "detection: p50=%v p90=%v p95=%v p99=%v\n",
 			d.Percentile(50), d.Percentile(90), d.Percentile(95), d.Percentile(99))
 		alarms := v.Alarms()
 		show := len(alarms)
@@ -159,21 +175,21 @@ func run() error {
 			show = 10
 		}
 		for _, a := range alarms[:show] {
-			fmt.Printf("ALARM: %-16s offender=C%d trigger=%s detected in %v: %s\n",
+			fmt.Fprintf(out, "ALARM: %-16s offender=C%d trigger=%s detected in %v: %s\n",
 				a.Fault, a.Offender, a.Trigger, a.DetectionTime, a.Reason)
 		}
 		if len(alarms) > show {
-			fmt.Printf("... and %d more alarms\n", len(alarms)-show)
+			fmt.Fprintf(out, "... and %d more alarms\n", len(alarms)-show)
 		}
 	}
 
 	if *traceOut != "" {
-		if err := writeTrace(sim, *traceOut); err != nil {
+		if err := writeTrace(out, sim, *traceOut); err != nil {
 			return err
 		}
 	}
 	if *flightDump != "" {
-		if err := writeFlight(sim, *flightDump); err != nil {
+		if err := writeFlight(out, sim, *flightDump); err != nil {
 			return err
 		}
 	}
@@ -181,7 +197,7 @@ func run() error {
 }
 
 // writeFlight dumps the validator's flight-recorder ring.
-func writeFlight(sim *jury.Simulation, path string) error {
+func writeFlight(out io.Writer, sim *jury.Simulation, path string) error {
 	rec := sim.FlightRecorder()
 	events := rec.Snapshot()
 	f, err := os.Create(path)
@@ -195,14 +211,14 @@ func writeFlight(sim *jury.Simulation, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("\n-- flight --\n")
-	fmt.Printf("wrote %s: %d events (ring %d, %d recorded)\n", path, len(events), rec.Cap(), rec.Total())
+	fmt.Fprintf(out, "\n-- flight --\n")
+	fmt.Fprintf(out, "wrote %s: %d events (ring %d, %d recorded)\n", path, len(events), rec.Cap(), rec.Total())
 	return nil
 }
 
 // writeTrace dumps the recorded span trace and reports its end-to-end
 // coverage of decided triggers.
-func writeTrace(sim *jury.Simulation, path string) error {
+func writeTrace(out io.Writer, sim *jury.Simulation, path string) error {
 	tr := sim.Tracer()
 	f, err := os.Create(path)
 	if err != nil {
@@ -219,11 +235,11 @@ func writeTrace(sim *jury.Simulation, path string) error {
 	if err != nil {
 		return fmt.Errorf("write trace: %w", err)
 	}
-	fmt.Printf("\n-- trace --\n")
-	fmt.Printf("wrote %s: %d spans, %d triggers end-to-end\n",
+	fmt.Fprintf(out, "\n-- trace --\n")
+	fmt.Fprintf(out, "wrote %s: %d spans, %d triggers end-to-end\n",
 		path, len(tr.Spans()), tr.CompletedTriggers())
 	if v := sim.Validator(); v != nil && v.Decided() > 0 {
-		fmt.Printf("coverage: %.1f%% of decided triggers (replicate→verdict)\n",
+		fmt.Fprintf(out, "coverage: %.1f%% of decided triggers (replicate→verdict)\n",
 			100*float64(tr.CompletedTriggers())/float64(v.Decided()))
 	}
 	return nil
