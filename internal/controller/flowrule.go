@@ -65,16 +65,11 @@ func KeyDPID(key string) (dpid topo.DPID, ok bool) {
 	}
 	var v uint64
 	for i := 3; i < 3+digits; i++ {
-		c := key[i]
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		default:
+		x, ok := hexNibble(key[i])
+		if !ok {
 			return 0, false
 		}
-		v = v<<4 | uint64(c)
+		v = v<<4 | uint64(x)
 	}
 	return topo.DPID(v), true
 }

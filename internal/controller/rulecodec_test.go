@@ -168,7 +168,7 @@ func checkRenderers(t *testing.T, r controller.FlowRule) {
 
 // TestKeyDPID holds KeyDPID to be the inverse of the switch prefix Key
 // renders, over random rules, and to refuse keys that do not start with
-// exactly "of:", 16 lower-case hex digits and "/".
+// exactly "of:", 16 hex digits and "/".
 func TestKeyDPID(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -194,7 +194,7 @@ func TestKeyDPID(t *testing.T) {
 		{"of:0000000000000001", 0, false},
 		{"of:00000000000001/0123", 0, false},
 		{"of:0000000000000001x", 0, false},
-		{"of:00000000000000A1/", 0, false},
+		{"of:00000000000000A1/", 0xa1, true},
 		{"of:000000000000000g/", 0, false},
 		{"of: 000000000000001/", 0, false},
 		{"OF:0000000000000001/", 0, false},
