@@ -550,24 +550,18 @@ const (
 // renders, computed without rendering them.
 func eventDigest(ev Event) uint64 {
 	var num [20]byte
-	h := fnvBytes(fnvOffset64, strconv.AppendInt(num[:0], int64(ev.Origin), 10))
-	h = fnvBytes(fnvString(h, "|"), strconv.AppendUint(num[:0], ev.Seq, 10))
-	h = fnvString(fnvString(fnvString(h, "|"), string(ev.Cache)), "|")
-	h = fnvBytes(h, strconv.AppendUint(num[:0], uint64(ev.Op), 10))
-	h = fnvString(fnvString(fnvString(h, "|"), ev.Key), "|")
-	return fnvString(h, ev.Value)
+	h := fnv1a(uint64(fnvOffset64), strconv.AppendInt(num[:0], int64(ev.Origin), 10))
+	h = fnv1a(fnv1a(h, "|"), strconv.AppendUint(num[:0], ev.Seq, 10))
+	h = fnv1a(fnv1a(fnv1a(h, "|"), ev.Cache), "|")
+	h = fnv1a(h, strconv.AppendUint(num[:0], uint64(ev.Op), 10))
+	h = fnv1a(fnv1a(fnv1a(h, "|"), ev.Key), "|")
+	return fnv1a(h, ev.Value)
 }
 
-func fnvString(h uint64, s string) uint64 {
+// fnv1a continues the FNV-1a hash h over the bytes of s.
+func fnv1a[S ~string | ~[]byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
 	}
 	return h
 }
