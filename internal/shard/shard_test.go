@@ -256,6 +256,13 @@ func TestPlaneKillAdoptsBacklog(t *testing.T) {
 	if got := p.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after drain, want 0", got)
 	}
+	var perShard int64
+	for i := 0; i < shards; i++ {
+		perShard += p.ShardDecided(i)
+	}
+	if perShard != p.Decided() {
+		t.Fatalf("Σ ShardDecided = %d, Decided() = %d", perShard, p.Decided())
+	}
 
 	// The crash surface is bounded: re-killing is a no-op and the last
 	// shard alive cannot be killed.
