@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint verify figures bench bench-obs bench-e2e trace
+.PHONY: build test race lint verify figures bench-e2e trace
 
 build:
 	$(GO) build ./...
@@ -32,28 +32,6 @@ verify:
 # the missing points. Delete .jurycache to force a cold regeneration.
 figures:
 	$(GO) run ./cmd/juryfig -all -progress -cache .jurycache > figures.tsv
-
-# bench seeds the performance trajectory: the obs-overhead
-# microbenchmarks and the validator submit path at full statistical
-# weight, plus one pass over the root figure benchmarks, captured as
-# BENCH_obs.json. The file embeds the raw text under .raw, so
-#   jq -r .raw BENCH_obs.json | benchstat /dev/stdin
-# reconstructs benchstat's native input for comparisons against later
-# baselines.
-bench:
-	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/obs ./internal/core; \
-	  $(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_obs.json
-
-# bench-obs is the observability-overhead regression step: it refreshes
-# BENCH_obs.json (same recipe as bench, which now includes the flight
-# recorder and series rows) and fails if the always-on recorder allocates
-# on the Submit hot path (TestSubmitRecorderBoundedAlloc pins it at zero)
-# or a benign flow7 trigger costs the core more than its allocation budget
-# (TestTriggerAllocBudget).
-bench-obs:
-	$(GO) test ./internal/core -run 'TestSubmitRecorderBoundedAlloc|TestTriggerAllocBudget' -count=1
-	$(MAKE) bench
 
 # bench-e2e is the measured benchmark: a real validator service on TCP
 # loopback driven by a seeded closed loop, five workloads, the end-to-end

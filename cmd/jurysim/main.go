@@ -166,7 +166,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "\n-- validation --\n")
 		fmt.Fprintf(out, "decided:   %d (valid %d, alarms %d, non-deterministic %d, timeouts %d)\n",
 			v.Decided(), v.Valid(), v.Faults(), v.NonDeterministic(), v.Timeouts())
-		d := &v.DetectionsExternal
+		d := v.DetectionsExternal
 		fmt.Fprintf(out, "detection: p50=%v p90=%v p95=%v p99=%v\n",
 			d.Percentile(50), d.Percentile(90), d.Percentile(95), d.Percentile(99))
 		alarms := v.Alarms()

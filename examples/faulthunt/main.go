@@ -14,7 +14,7 @@ import (
 	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/faults"
-	"github.com/jurysdn/jury/internal/metrics"
+	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/policy"
 	"github.com/jurysdn/jury/internal/workload"
 )
@@ -183,7 +183,7 @@ func run() error {
 		{Name: "match-field-hierarchy", Cache: "FlowsDB", RequireMatchHierarchy: true},
 	}
 	detected := 0
-	var detectionTimes metrics.Distribution
+	var detectionTimes obs.Distribution
 	for i, sc := range scenarios() {
 		sim, err := jury.New(jury.Config{
 			Seed:        int64(100 + i),

@@ -8,11 +8,13 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
+	"strings"
+	"text/tabwriter"
 	"time"
 
 	jury "github.com/jurysdn/jury"
 	"github.com/jurysdn/jury/internal/controller"
-	"github.com/jurysdn/jury/internal/metrics"
 	"github.com/jurysdn/jury/internal/workload"
 )
 
@@ -72,8 +74,18 @@ func throughputSweep(kind jury.ControllerKind, sizes []int, rates []float64) err
 		}
 		rows = append(rows, row)
 	}
-	fmt.Print(metrics.FormatTable(header, rows))
+	printTable(header, rows)
 	return nil
+}
+
+// printTable writes rows of cells under a header as aligned columns.
+func printTable(header []string, rows [][]string) {
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, strings.Join(header, "\t"))
+	for _, row := range rows {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
+	}
+	tw.Flush()
 }
 
 func jurySweep() error {
@@ -114,7 +126,7 @@ func jurySweep() error {
 		}
 		rows = append(rows, row)
 	}
-	fmt.Print(metrics.FormatTable(header, rows))
+	printTable(header, rows)
 	fmt.Println("paper: <11% FLOW_MOD throughput drop at k=6 (§VII-B1)")
 	return nil
 }

@@ -3,12 +3,12 @@ package analysis
 // SimPackages are the simulation-driven packages: everything in them runs
 // as event handlers on the single simnet engine goroutine, so the full
 // contract applies — no wall clock, no global RNG, no goroutines,
-// channels or locks. metrics and openflow are pure computation consumed
-// by event handlers and are held to the same contract.
+// channels or locks. openflow is pure computation consumed by event
+// handlers and is held to the same contract.
 var SimPackages = []string{
 	"simnet", "core", "controller", "dataplane", "store", "cluster",
 	"faults", "workload", "trigger", "topo", "policy", "experiment",
-	"metrics", "openflow",
+	"openflow",
 }
 
 // BridgePackages carry event-driven components across real TCP and
@@ -43,8 +43,8 @@ var BridgePackages = []string{"ofconn", "wire", "wire/wiretest", "sweep", "obs",
 // driver that leaks virtual nanoseconds into its wire output corrupts
 // the protocol's time base just as badly as a bridge package would.
 var CmdPackages = []string{
-	"juryd", "jurylive", "jurysim", "juryfig", "jurylint", "benchjson",
-	"juryload", "jurytrace",
+	"juryd", "jurylive", "jurysim", "juryfig", "jurylint", "juryload",
+	"jurytrace",
 }
 
 // CriticalAPIs returns the FullName list of error-returning calls whose
@@ -139,6 +139,8 @@ func ErrcritWaived(modulePath string) map[string]string {
 		modulePath + "/internal/store.ParseOp":                       "input validation; returning the error is the contract",
 		"(" + modulePath + "/internal/obs.EventKind).MarshalJSON":    "json.Marshaler contract; encoding/json surfaces the error",
 		"(*" + modulePath + "/internal/obs.EventKind).UnmarshalJSON": "json.Unmarshaler contract; encoding/json surfaces the error",
+		"(" + modulePath + "/internal/obs.Snapshot).MarshalJSON":     "json.Marshaler contract; encoding/json surfaces the error",
+		"(*" + modulePath + "/internal/obs.Snapshot).UnmarshalJSON":  "json.Unmarshaler contract; encoding/json surfaces the error",
 		modulePath + "/internal/sweep.PointKey":                      "key derivation; unmarshalable params surface at campaign setup",
 		"(*" + modulePath + "/internal/wire.LineReader).ReadLine":    "read-loop control flow; io.EOF terminates the loop",
 		"(*" + modulePath + "/internal/wire.BinReader).ReadEnvelope": "read-loop control flow; io.EOF terminates the loop",

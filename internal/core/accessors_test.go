@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -59,5 +60,41 @@ func TestAccessorsSafeUnderConcurrentSubmit(t *testing.T) {
 	}
 	if v.Pending() != 0 {
 		t.Fatalf("Pending() = %d after idle, want 0", v.Pending())
+	}
+}
+
+// TestValidatorScrapeDuringSubmit scrapes a bare validator's registry from
+// a second goroutine while the decision loop decides 2 000 three-response
+// triggers: the detection summaries are observed and rendered under the
+// histogram's lock, so -race stays quiet and nothing is lost.
+func TestValidatorScrapeDuringSubmit(t *testing.T) {
+	_, v := newValidator(t, 2)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := v.Metrics().WritePrometheus(io.Discard); err != nil {
+				t.Errorf("WritePrometheus: %v", err)
+				return
+			}
+		}
+	}()
+	const triggers = 2000
+	for i := 0; i < triggers; i++ {
+		trig := fmt.Sprintf("τ%d", i)
+		v.Submit(cacheResp(1, 1, trig, "k", "up", 7))
+		v.Submit(execResp(2, 1, trig, "k", "up", 7))
+		v.Submit(execResp(3, 1, trig, "k", "up", 7))
+	}
+	close(stop)
+	<-done
+	if got := v.Detections.Count(); v.Decided() != triggers || got != triggers {
+		t.Fatalf("decided %d, detection samples %d, want %d", v.Decided(), got, triggers)
 	}
 }

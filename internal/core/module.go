@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/jurysdn/jury/internal/controller"
-	"github.com/jurysdn/jury/internal/metrics"
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/simnet"
@@ -53,7 +52,7 @@ type Module struct {
 	snapshots map[trigger.ID]uint64
 
 	// DecapTimes records the modeled decapsulation overhead per packet.
-	DecapTimes metrics.Distribution
+	DecapTimes obs.Distribution
 
 	validatorBytes int64
 	validatorMsgs  int64

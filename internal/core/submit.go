@@ -343,9 +343,9 @@ func (v *Validator) finish(p *pendingTrigger, res Result, timedOut bool) {
 	res.DecidedAt = v.eng.Now()
 	res.DetectionTime = res.DecidedAt - p.firstAt
 	res.TimedOut = timedOut
-	v.Detections.Add(res.DetectionTime)
+	v.Detections.Observe(res.DetectionTime)
 	if res.Kind == trigger.External {
-		v.DetectionsExternal.Add(res.DetectionTime)
+		v.DetectionsExternal.Observe(res.DetectionTime)
 	}
 	v.updateAdaptive(res.DetectionTime)
 	v.totalDecided.Inc()

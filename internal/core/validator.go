@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/jurysdn/jury/internal/cluster"
-	"github.com/jurysdn/jury/internal/metrics"
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/simnet"
@@ -131,9 +130,11 @@ type ValidatorConfig struct {
 	// exemptions are skipped. Expect higher false-positive rates under
 	// eventually-consistent churn.
 	NoStateAware bool
-	// Metrics receives the validator's counters and detection-time
-	// distributions; nil falls back to a private registry so the accessor
-	// methods keep working with nothing scraped.
+	// Metrics receives the validator's counters, pending gauge and
+	// detection-time summaries; nil falls back to a private registry so
+	// the accessor methods keep working with nothing scraped.
+	// Registration is get-or-create, so validators handed one registry
+	// share every aggregate and each accessor reads the shared total.
 	Metrics *obs.Registry
 	// Tracer records a "validate" span per trigger and closes the root
 	// span with the verdict; nil disables tracing at zero hot-path cost.
@@ -195,13 +196,14 @@ type Validator struct {
 	ewmaDev  float64
 	ewmaInit bool
 
-	// Aggregates. The counters live in the obs registry so a live
-	// /metrics endpoint can scrape them; the accessors below are thin
-	// reads over the same instances.
-	Detections metrics.Distribution // detection time per decided trigger
+	// Aggregates. They live in the obs registry so a live /metrics
+	// endpoint can scrape them; the accessors below are thin reads over
+	// the same instances. Validators handed one registry (the shard
+	// plane's workers) share them, so every read is the registry's total.
+	Detections *obs.Histogram // detection time per decided trigger
 	// DetectionsExternal records detection time for external triggers
 	// only (the population of Figs. 4a-4d).
-	DetectionsExternal metrics.Distribution
+	DetectionsExternal *obs.Histogram
 	totalDecided       *obs.Counter
 	totalValid         *obs.Counter
 	totalFaults        *obs.Counter
@@ -250,8 +252,8 @@ func NewValidator(eng *simnet.Engine, members *cluster.Membership, cfg Validator
 	v.totalTimeouts = reg.Counter("jury_validator_timeouts_total", "Decisions forced by timer expiry.")
 	v.lateResponses = reg.Counter("jury_validator_late_responses_total", "Responses arriving after the verdict.")
 	v.pendingG = reg.Gauge("jury_validator_pending", "Triggers awaiting decision.")
-	reg.Histogram("jury_validator_detection_seconds", "Detection time per decided trigger.", &v.Detections)
-	reg.Histogram("jury_validator_detection_external_seconds", "Detection time for external triggers (Figs. 4a-4d).", &v.DetectionsExternal)
+	v.Detections = reg.Histogram("jury_validator_detection_seconds", "Detection time per decided trigger.")
+	v.DetectionsExternal = reg.Histogram("jury_validator_detection_external_seconds", "Detection time for external triggers (Figs. 4a-4d).")
 	return v
 }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	jury "github.com/jurysdn/jury"
-	"github.com/jurysdn/jury/internal/metrics"
+	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/sweep"
 )
 
@@ -102,8 +102,8 @@ type DecapsulationConfig struct {
 }
 
 // DecapsulationBatch runs decapsulation points as a parallel campaign.
-func DecapsulationBatch(ctx context.Context, cfgs []DecapsulationConfig, opt BatchOptions) ([]sweep.Result[DecapsulationConfig, metrics.Distribution], error) {
-	return runBatch(ctx, cfgs, opt, func(cfg DecapsulationConfig, seed int64) (metrics.Distribution, error) {
+func DecapsulationBatch(ctx context.Context, cfgs []DecapsulationConfig, opt BatchOptions) ([]sweep.Result[DecapsulationConfig, obs.Snapshot], error) {
+	return runBatch(ctx, cfgs, opt, func(cfg DecapsulationConfig, seed int64) (obs.Snapshot, error) {
 		return Decapsulation(cfg.Rate, cfg.Duration, seed)
 	})
 }

@@ -11,7 +11,7 @@ import (
 	jury "github.com/jurysdn/jury"
 	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/faults"
-	"github.com/jurysdn/jury/internal/metrics"
+	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/workload"
 )
@@ -46,7 +46,7 @@ type DetectionResult struct {
 	Timeouts   int64
 	Faults     int64
 	FPRate     float64
-	Detections metrics.Distribution
+	Detections obs.Snapshot
 }
 
 // Detection runs one detection-time experiment.
@@ -111,7 +111,7 @@ func Detection(cfg DetectionConfig) (*DetectionResult, error) {
 		Timeouts:   v.Timeouts(),
 		Faults:     v.Faults(),
 		FPRate:     v.FalsePositiveRate(),
-		Detections: v.DetectionsExternal,
+		Detections: v.DetectionsExternal.Snapshot(),
 	}, nil
 }
 
@@ -211,7 +211,7 @@ func Cbench(burst int, dur time.Duration, seed int64) (*CbenchResult, error) {
 
 // Decapsulation measures the ODL-path decapsulation overhead distribution
 // (Fig. 4i) at the given flow rate.
-func Decapsulation(rate float64, dur time.Duration, seed int64) (metrics.Distribution, error) {
+func Decapsulation(rate float64, dur time.Duration, seed int64) (obs.Snapshot, error) {
 	sim, err := jury.New(jury.Config{
 		Seed:        seed,
 		Kind:        jury.ODL,
@@ -220,16 +220,16 @@ func Decapsulation(rate float64, dur time.Duration, seed int64) (metrics.Distrib
 		K:           6,
 	})
 	if err != nil {
-		return metrics.Distribution{}, err
+		return obs.Snapshot{}, err
 	}
 	sim.Boot()
 	until := sim.Now() + dur
 	sim.Driver.LocalPairs = true
 	sim.Driver.Start(workload.ConstantRate(rate), until)
 	if err := sim.Run(dur + time.Second); err != nil {
-		return metrics.Distribution{}, err
+		return obs.Snapshot{}, err
 	}
-	var all metrics.Distribution
+	var all obs.Distribution
 	for i := 1; i <= 7; i++ {
 		if m, ok := sim.System.Module(store.NodeID(i)); ok {
 			for _, s := range m.DecapTimes.Samples() {
@@ -237,7 +237,7 @@ func Decapsulation(rate float64, dur time.Duration, seed int64) (metrics.Distrib
 			}
 		}
 	}
-	return all, nil
+	return all.Snapshot(), nil
 }
 
 // OverheadResult carries the §VII-B2 traffic accounting.

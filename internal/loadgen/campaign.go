@@ -10,7 +10,6 @@ import (
 
 	"github.com/jurysdn/jury/internal/cluster"
 	"github.com/jurysdn/jury/internal/core"
-	"github.com/jurysdn/jury/internal/metrics"
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/shard"
 	"github.com/jurysdn/jury/internal/store"
@@ -188,7 +187,6 @@ func runPoint(ctx context.Context, cfg CampaignConfig, pt sweep.Point[CampaignPo
 	}
 	mem := cluster.NewMembership(cluster.AnyControllerOneMaster, members, dpids)
 
-	var detections metrics.Distribution
 	scfg := shard.Config{
 		Shards:            pt.Params.Shards,
 		Validator:         core.ValidatorConfig{K: cfg.Replicas, Timeout: cfg.Timeout},
@@ -196,9 +194,6 @@ func runPoint(ctx context.Context, cfg CampaignConfig, pt sweep.Point[CampaignPo
 		TimeFromResponses: true,
 		Seed:              pt.Seed,
 		FlightRing:        cfg.FlightRing,
-		// Serialized by the plane's result lock; ordering across shards
-		// is racy but the sorted percentiles are order-independent.
-		OnResult: func(r core.Result) { detections.Add(r.DetectionTime) },
 	}
 	if cfg.OnFlightDump != nil {
 		scfg.OnFlightDump = func(reason string, events []obs.Event) {
@@ -243,11 +238,11 @@ func runPoint(ctx context.Context, cfg CampaignConfig, pt sweep.Point[CampaignPo
 		cols := []obs.SeriesColumn{
 			{Name: "events", Fn: func() float64 { return float64(res.Events) }},
 			{Name: "triggers", Fn: func() float64 { return float64(res.Triggers) }},
-			{Name: "decided", Fn: func() float64 { return float64(plane.Decided()) }},
-			{Name: "valid", Fn: func() float64 { return float64(plane.Valid()) }},
-			{Name: "faults", Fn: func() float64 { return float64(plane.Faults()) }},
-			{Name: "timeouts", Fn: func() float64 { return float64(plane.Timeouts()) }},
-			{Name: "pending", Fn: func() float64 { return float64(plane.Pending()) }},
+			{Name: "decided", Fn: func() float64 { return float64(plane.Stats().Decided) }},
+			{Name: "valid", Fn: func() float64 { return float64(plane.Stats().Valid) }},
+			{Name: "faults", Fn: func() float64 { return float64(plane.Stats().Faults) }},
+			{Name: "timeouts", Fn: func() float64 { return float64(plane.Stats().Timeouts) }},
+			{Name: "pending", Fn: func() float64 { return float64(plane.Stats().Pending) }},
 		}
 		for i := 0; i < pt.Params.Shards; i++ {
 			i := i
@@ -352,12 +347,16 @@ func runPoint(ctx context.Context, cfg CampaignConfig, pt sweep.Point[CampaignPo
 	}
 	plane.Close()
 
-	res.Decided = plane.Decided()
-	res.Valid = plane.Valid()
-	res.Faults = plane.Faults()
-	res.Timeouts = plane.Timeouts()
-	res.FPRate = plane.FalsePositiveRate()
+	st := plane.Stats()
+	res.Decided = st.Decided
+	res.Valid = st.Valid
+	res.Faults = st.Faults
+	res.Timeouts = st.Timeouts
+	res.FPRate = st.FalsePositiveRate()
 	res.Untracked = src.Untracked()
+	// The workers observe every detection time into the plane's shared
+	// summary; the sorted percentiles do not depend on arrival order.
+	detections := plane.Metrics().Histogram("jury_validator_detection_seconds", "")
 	res.P50 = detections.Percentile(50)
 	res.P95 = detections.Percentile(95)
 	res.P99 = detections.Percentile(99)

@@ -70,7 +70,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 			L("dpid", fmt.Sprintf("of:%04x", i))).Add(int64(i) * 1000)
 	}
 	r.Counter("jury_validator_decided_total", "Triggers decided.").Add(12345)
-	h := r.Histogram("jury_validator_detection_seconds", "Detection time.", nil)
+	h := r.Histogram("jury_validator_detection_seconds", "Detection time.")
 	for i := 0; i < 1000; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
 	}

@@ -1,6 +1,8 @@
-// Package obs is JURY's observability layer: a typed metrics registry
-// with Prometheus text exposition, a virtual-clock span tracer keyed by
-// trigger (taint) IDs, and a small HTTP server for /metrics + /healthz.
+// Package obs is JURY's observability layer and its one statistics
+// toolkit: a typed metrics registry with Prometheus text exposition, the
+// duration distributions, CDFs and time-binned rate series behind the
+// paper's figures, a virtual-clock span tracer keyed by trigger (taint)
+// IDs, and a small HTTP server for /metrics + /healthz.
 //
 // The package is a concurrency bridge in the jurylint suite: counters and
 // gauges are atomic so a live exposition goroutine can scrape them while
@@ -23,8 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/jurysdn/jury/internal/metrics"
 )
 
 // Label is one name/value pair attached to a metric child.
@@ -101,15 +101,13 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // least zero — the zero value's watermark).
 func (g *Gauge) HighWatermark() float64 { return math.Float64frombits(g.hwm.Load()) }
 
-// Histogram accumulates duration samples into a metrics.Distribution and
-// exposes quantiles, sum and count as a Prometheus summary (in seconds).
-// Observe serializes against exposition with an internal mutex; callers
-// that mutate a wrapped Distribution directly (the simulation does) must
-// serialize their own scrapes externally, as cmd/jurylive does by
-// hopping the scrape onto its pump goroutine.
+// Histogram owns a Distribution of duration samples and exposes
+// quantiles, sum and count as a Prometheus summary (in seconds). Every
+// method takes the histogram's mutex, so decision loops observing into it
+// and exposition goroutines scraping it never race.
 type Histogram struct {
 	mu sync.Mutex
-	d  *metrics.Distribution
+	d  Distribution
 }
 
 // Observe records one duration sample.
@@ -119,11 +117,26 @@ func (h *Histogram) Observe(v time.Duration) {
 	h.mu.Unlock()
 }
 
-// Snapshot returns the immutable sorted view of the backing distribution.
-func (h *Histogram) Snapshot() metrics.Snapshot {
+// Snapshot returns the immutable sorted view of the samples.
+func (h *Histogram) Snapshot() Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.d.Snapshot()
+}
+
+// Count returns the number of samples.
+func (h *Histogram) Count() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.d.Count()
+}
+
+// Percentile returns the p-th percentile of the samples (see
+// Distribution.Percentile).
+func (h *Histogram) Percentile(p float64) time.Duration {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.d.Percentile(p)
 }
 
 type metricKind uint8
@@ -132,13 +145,12 @@ const (
 	kindCounter metricKind = iota + 1
 	kindGauge
 	kindGaugeFunc
-	kindCounterFunc
 	kindHistogram
 )
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounter:
 		return "counter"
 	case kindGauge, kindGaugeFunc:
 		return "gauge"
@@ -155,7 +167,6 @@ type child struct {
 	counter   *Counter
 	gauge     *Gauge
 	gaugeFn   func() float64
-	counterFn func() int64
 	histogram *Histogram
 }
 
@@ -193,6 +204,9 @@ func (r *Registry) family(name, help string, kind metricKind) *family {
 	return f
 }
 
+// childOf returns the (name, labels) child of a family, creating the
+// family, the child and — for the value-holding kinds — its instrument
+// under the registry lock, so a registration never races a scrape.
 func (r *Registry) childOf(name, help string, kind metricKind, labels []Label) *child {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -201,6 +215,14 @@ func (r *Registry) childOf(name, help string, kind metricKind, labels []Label) *
 	c, ok := f.children[key]
 	if !ok {
 		c = &child{labels: key}
+		switch kind {
+		case kindCounter:
+			c.counter = &Counter{}
+		case kindGauge:
+			c.gauge = &Gauge{}
+		case kindHistogram:
+			c.histogram = &Histogram{}
+		}
 		f.children[key] = c
 	}
 	return c
@@ -209,20 +231,12 @@ func (r *Registry) childOf(name, help string, kind metricKind, labels []Label) *
 // Counter returns the counter registered under name and labels, creating
 // it on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := r.childOf(name, help, kindCounter, labels)
-	if c.counter == nil {
-		c.counter = &Counter{}
-	}
-	return c.counter
+	return r.childOf(name, help, kindCounter, labels).counter
 }
 
 // Gauge returns the gauge registered under name and labels.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	c := r.childOf(name, help, kindGauge, labels)
-	if c.gauge == nil {
-		c.gauge = &Gauge{}
-	}
-	return c.gauge
+	return r.childOf(name, help, kindGauge, labels).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
@@ -233,28 +247,11 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	c.gaugeFn = fn
 }
 
-// CounterFunc registers a counter whose value is computed at scrape time
-// — an aggregate over counters that live elsewhere (the shard plane sums
-// its workers' private counters this way). fn must be monotonic and safe
-// to call from the exposition goroutine.
-func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
-	c := r.childOf(name, help, kindCounterFunc, labels)
-	c.counterFn = fn
-}
-
-// Histogram returns a histogram registered under name and labels. When
-// dist is non-nil the histogram exposes that existing distribution (the
-// simulation's detection-time distributions are wrapped this way);
-// otherwise it owns a fresh one.
-func (r *Registry) Histogram(name, help string, dist *metrics.Distribution, labels ...Label) *Histogram {
-	c := r.childOf(name, help, kindHistogram, labels)
-	if c.histogram == nil {
-		if dist == nil {
-			dist = &metrics.Distribution{}
-		}
-		c.histogram = &Histogram{d: dist}
-	}
-	return c.histogram
+// Histogram returns the histogram registered under name and labels,
+// creating it on first use. Registrants of the same (name, labels) share
+// it — the shard plane's workers all observe into one.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
+	return r.childOf(name, help, kindHistogram, labels).histogram
 }
 
 // summaryQuantiles are the quantiles exposed for every histogram.
@@ -298,8 +295,6 @@ func writeChild(bw *bufio.Writer, f *family, c *child) {
 		fmt.Fprintf(bw, "%s%s %s\n", f.name, c.labels, formatFloat(c.gauge.Value()))
 	case kindGaugeFunc:
 		fmt.Fprintf(bw, "%s%s %s\n", f.name, c.labels, formatFloat(c.gaugeFn()))
-	case kindCounterFunc:
-		fmt.Fprintf(bw, "%s%s %s\n", f.name, c.labels, strconv.FormatInt(c.counterFn(), 10))
 	case kindHistogram:
 		snap := c.histogram.Snapshot()
 		for _, q := range summaryQuantiles {

@@ -87,7 +87,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Gauge("jury_cluster_members_alive", "Members alive.").Set(3)
 	r.GaugeFunc("jury_validator_pending", "Triggers awaiting decision.",
 		func() float64 { return 2 })
-	h := r.Histogram("jury_validator_detection_seconds", "Detection time.", nil)
+	h := r.Histogram("jury_validator_detection_seconds", "Detection time.")
 	for _, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond,
 		30 * time.Millisecond, 40 * time.Millisecond} {
 		h.Observe(d)
@@ -154,13 +154,23 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestHistogramWrapsExistingDistribution(t *testing.T) {
+// TestHistogramSharedAcrossRegistrants asserts a histogram owns its
+// samples and that every registrant of one name gets the same instance —
+// the plane's workers observe into one summary this way.
+func TestHistogramSharedAcrossRegistrants(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("jury_wrapped_seconds", "", nil)
+	h := r.Histogram("jury_shared_seconds", "")
+	if r.Histogram("jury_shared_seconds", "") != h {
+		t.Fatal("second registration returned a different histogram")
+	}
 	h.Observe(time.Second)
+	h.Observe(3 * time.Second)
 	snap := h.Snapshot()
-	if snap.Count() != 1 || snap.Sum() != time.Second {
+	if snap.Count() != 2 || snap.Sum() != 4*time.Second {
 		t.Fatalf("snapshot = %d samples / %v sum", snap.Count(), snap.Sum())
+	}
+	if h.Count() != 2 || h.Percentile(100) != 3*time.Second {
+		t.Fatalf("histogram = %d samples / max %v", h.Count(), h.Percentile(100))
 	}
 }
 

@@ -1,9 +1,9 @@
-package metrics
+package obs
 
 import (
+	"encoding/json"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,47 +31,45 @@ func TestDistributionPercentiles(t *testing.T) {
 
 func TestDistributionEmpty(t *testing.T) {
 	var d Distribution
-	if d.Percentile(50) != 0 || d.Mean() != 0 || d.Max() != 0 || d.Min() != 0 {
+	if d.Percentile(50) != 0 || d.Max() != 0 || d.Count() != 0 {
 		t.Fatal("empty distribution should return zeros")
 	}
-	if d.CDF(10) != nil {
+	if d.Snapshot().CDF(10) != nil {
 		t.Fatal("empty CDF should be nil")
 	}
 }
 
-func TestDistributionMeanMinMax(t *testing.T) {
+func TestDistributionMax(t *testing.T) {
 	var d Distribution
-	d.Add(10 * time.Millisecond)
 	d.Add(20 * time.Millisecond)
 	d.Add(30 * time.Millisecond)
-	if d.Mean() != 20*time.Millisecond {
-		t.Errorf("mean = %v", d.Mean())
-	}
-	if d.Min() != 10*time.Millisecond || d.Max() != 30*time.Millisecond {
-		t.Errorf("min/max = %v/%v", d.Min(), d.Max())
+	d.Add(10 * time.Millisecond)
+	if d.Max() != 30*time.Millisecond {
+		t.Errorf("max = %v", d.Max())
 	}
 }
 
-func TestDistributionFractionBelow(t *testing.T) {
+func TestSnapshotFractionBelow(t *testing.T) {
 	var d Distribution
 	for i := 0; i < 10; i++ {
 		d.Add(time.Duration(i) * time.Millisecond)
 	}
-	if got := d.FractionBelow(5 * time.Millisecond); got != 0.5 {
+	snap := d.Snapshot()
+	if got := snap.FractionBelow(5 * time.Millisecond); got != 0.5 {
 		t.Errorf("FractionBelow(5ms) = %v, want 0.5", got)
 	}
-	if got := d.FractionBelow(100 * time.Millisecond); got != 1.0 {
+	if got := snap.FractionBelow(100 * time.Millisecond); got != 1.0 {
 		t.Errorf("FractionBelow(100ms) = %v, want 1", got)
 	}
 }
 
-func TestDistributionCDFMonotonic(t *testing.T) {
+func TestSnapshotCDFMonotonic(t *testing.T) {
 	var d Distribution
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
 		d.Add(time.Duration(rng.Intn(1e6)))
 	}
-	cdf := d.CDF(50)
+	cdf := d.Snapshot().CDF(50)
 	if len(cdf) != 50 {
 		t.Fatalf("points = %d", len(cdf))
 	}
@@ -120,79 +118,43 @@ func TestDistributionSamplesSorted(t *testing.T) {
 	}
 	// Returned slice must be a copy.
 	s[0] = 999
-	if d.Min() == 999 {
+	if d.Percentile(0) == 999 {
 		t.Fatal("Samples leaked internal slice")
 	}
 }
 
-func TestSeriesRates(t *testing.T) {
-	s := NewSeries(time.Second)
+func TestRateSeriesRates(t *testing.T) {
+	s := NewRateSeries(time.Second)
 	for i := 0; i < 10; i++ {
 		s.Record(500 * time.Millisecond) // bin 0
 	}
 	for i := 0; i < 20; i++ {
 		s.Record(1500 * time.Millisecond) // bin 1
 	}
-	if s.Total() != 30 {
+	s.Record(3500 * time.Millisecond) // bin 3; bin 2 stays empty
+	if s.Total() != 31 {
 		t.Fatalf("total = %d", s.Total())
 	}
-	if got := s.Rate(800 * time.Millisecond); got != 10 {
-		t.Fatalf("rate bin0 = %v", got)
+	got := s.Rates()
+	want := []float64{10, 20, 0, 1}
+	if len(got) != len(want) {
+		t.Fatalf("rates = %v, want %v", got, want)
 	}
-	if got := s.Rate(time.Second + 1); got != 20 {
-		t.Fatalf("rate bin1 = %v", got)
-	}
-	if got := s.Rate(10 * time.Second); got != 0 {
-		t.Fatalf("rate empty bin = %v", got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rates = %v, want %v", got, want)
+		}
 	}
 }
 
-func TestSeriesMeanRate(t *testing.T) {
-	s := NewSeries(time.Second)
+func TestRateSeriesMeanRate(t *testing.T) {
+	s := NewRateSeries(time.Second)
 	for i := 0; i < 100; i++ {
 		s.Record(time.Duration(i) * 100 * time.Millisecond) // 10s span
 	}
 	got := s.MeanRate(0, 10*time.Second)
 	if got != 10 {
 		t.Fatalf("mean rate = %v, want 10", got)
-	}
-}
-
-func TestSeriesSteadyRateSkipsWarmup(t *testing.T) {
-	s := NewSeries(time.Second)
-	// Warmup burst in bin 0, steady 5/s in bins 1..9, partial bin 10.
-	for i := 0; i < 1000; i++ {
-		s.Record(100 * time.Millisecond)
-	}
-	for b := 1; b <= 9; b++ {
-		for i := 0; i < 5; i++ {
-			s.Record(time.Duration(b)*time.Second + time.Duration(i)*time.Millisecond)
-		}
-	}
-	s.Record(10*time.Second + time.Millisecond)
-	got := s.SteadyRate(time.Second)
-	if got != 5 {
-		t.Fatalf("steady rate = %v, want 5", got)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Add(7)
-	if c.Value() != 12 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-}
-
-func TestFormatTableAligns(t *testing.T) {
-	out := FormatTable([]string{"a", "long-header"}, [][]string{{"xx", "1"}, {"y", "22"}})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if len(lines[0]) != len(lines[1]) || len(lines[1]) != len(lines[2]) {
-		t.Fatalf("rows not aligned:\n%s", out)
 	}
 }
 
@@ -205,19 +167,19 @@ func TestSnapshotFrozenAcrossAdds(t *testing.T) {
 	if snap.Count() != 3 || snap.Sum() != 60*time.Millisecond {
 		t.Fatalf("snapshot = %d samples / %v sum", snap.Count(), snap.Sum())
 	}
-	if snap.Min() != 10*time.Millisecond || snap.Max() != 30*time.Millisecond {
-		t.Fatalf("snapshot min/max = %v/%v", snap.Min(), snap.Max())
+	if snap.Percentile(0) != 10*time.Millisecond || snap.Percentile(100) != 30*time.Millisecond {
+		t.Fatalf("snapshot min/max = %v/%v", snap.Percentile(0), snap.Percentile(100))
 	}
 	// Mutating the distribution must not disturb the view (copy-on-write).
 	d.Add(5 * time.Millisecond)
 	d.Add(40 * time.Millisecond)
-	if snap.Count() != 3 || snap.Min() != 10*time.Millisecond || snap.Max() != 30*time.Millisecond {
+	if snap.Count() != 3 || snap.Percentile(0) != 10*time.Millisecond || snap.Percentile(100) != 30*time.Millisecond {
 		t.Fatalf("snapshot mutated by later Adds: %d samples, min %v, max %v",
-			snap.Count(), snap.Min(), snap.Max())
+			snap.Count(), snap.Percentile(0), snap.Percentile(100))
 	}
-	if d.Count() != 5 || d.Min() != 5*time.Millisecond || d.Max() != 40*time.Millisecond {
+	if d.Count() != 5 || d.Percentile(0) != 5*time.Millisecond || d.Max() != 40*time.Millisecond {
 		t.Fatalf("distribution lost samples after snapshot: %d / %v / %v",
-			d.Count(), d.Min(), d.Max())
+			d.Count(), d.Percentile(0), d.Max())
 	}
 	if got, want := snap.Percentile(50), 20*time.Millisecond; got != want {
 		t.Fatalf("snapshot p50 = %v, want %v", got, want)
@@ -227,8 +189,7 @@ func TestSnapshotFrozenAcrossAdds(t *testing.T) {
 func TestSnapshotEmpty(t *testing.T) {
 	var d Distribution
 	snap := d.Snapshot()
-	if snap.Count() != 0 || snap.Sum() != 0 || snap.Mean() != 0 ||
-		snap.Min() != 0 || snap.Max() != 0 || snap.Percentile(99) != 0 {
+	if snap.Count() != 0 || snap.Sum() != 0 || snap.Percentile(99) != 0 || snap.FractionBelow(time.Second) != 0 {
 		t.Fatal("empty snapshot returned nonzero statistics")
 	}
 }
@@ -244,8 +205,29 @@ func TestSnapshotMatchesDistributionQueries(t *testing.T) {
 			t.Fatalf("p%v: snapshot %v != distribution %v", p, got, want)
 		}
 	}
-	if snap.Mean() != d.Mean() {
-		t.Fatalf("mean: snapshot %v != distribution %v", snap.Mean(), d.Mean())
+}
+
+// TestSnapshotJSONRoundTrip pins the cached form: sorted nanoseconds, an
+// empty run as [] (not null), and a decode that answers the same queries.
+func TestSnapshotJSONRoundTrip(t *testing.T) {
+	var empty Distribution
+	if b, err := json.Marshal(empty.Snapshot()); err != nil || string(b) != "[]" {
+		t.Fatalf("empty snapshot encodes as %s (%v), want []", b, err)
+	}
+	var d Distribution
+	d.Add(3)
+	d.Add(1)
+	d.Add(2)
+	b, err := json.Marshal(d.Snapshot())
+	if err != nil || string(b) != "[1,2,3]" {
+		t.Fatalf("snapshot encodes as %s (%v), want [1,2,3]", b, err)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Count() != 3 || back.Sum() != 6 || back.Percentile(50) != 2 {
+		t.Fatalf("decoded snapshot = %d samples / %v sum / p50 %v", back.Count(), back.Sum(), back.Percentile(50))
 	}
 }
 
@@ -255,12 +237,11 @@ func TestSortCachedAcrossQueryBatch(t *testing.T) {
 		d.Add(time.Duration(1000-i) * time.Microsecond)
 	}
 	// A batch of queries after a batch of Adds must not re-sort per call:
-	// with the cache each query after the first is O(1)/O(log n).
+	// with the cache each query after the first is O(1).
 	allocs := testing.AllocsPerRun(100, func() {
 		_ = d.Percentile(50)
 		_ = d.Max()
-		_ = d.Min()
-		_ = d.FractionBelow(500 * time.Microsecond)
+		_ = d.Percentile(0)
 	})
 	if allocs != 0 {
 		t.Fatalf("query batch allocated %v/op after sort cache, want 0", allocs)

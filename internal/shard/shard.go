@@ -27,10 +27,12 @@
 // Concurrency contract: Submit, SubmitBatch, Advance, Sync, Drain,
 // TraceSpans, Kill, Stop and Close form the dispatch side and must be
 // serialized by the caller (one dispatcher goroutine, or an external lock —
-// the wire server uses its own mutex). The stats accessors (Decided, Faults, Pending,
-// Alarms, ...) and a scrape of Metrics() are safe from any goroutine at
-// any time: they read atomic counters, immutable snapshots and internally
-// locked histograms. The cluster membership handed to New must not be
+// the wire server uses its own mutex). The stats accessors (Stats,
+// ShardDecided, QueueHighWatermark, Alarms, ...) and a scrape of Metrics()
+// are safe from any goroutine at any time: they read atomic counters,
+// immutable snapshots and internally locked histograms. Every worker's
+// validator counts into the plane's registry, so each decision updates
+// one set of aggregates. The cluster membership handed to New must not be
 // mutated while the plane runs.
 //
 // This package is a jurylint concurrency bridge: it owns goroutines and
@@ -69,12 +71,14 @@ type Config struct {
 	QueueDepth int
 	// Validator carries K, timeout and adaptive settings for every
 	// worker's validator. Metrics, Tracer and Recorder inside it are
-	// per-validator resources the plane replaces: each worker runs against
-	// a private registry (the plane aggregates) and, when FlightRing is
-	// set, its own flight ring. A non-nil Tracer arms tracing, but the
-	// instance is only a template — the span tracer is single-goroutine
-	// and reads one engine's clock, so each worker gets its own tracer on
-	// its own engine clock (same MaxSpans) and TraceSpans merges them.
+	// per-validator resources the plane replaces: every worker counts into
+	// the plane's registry (the jury_validator_* counters, pending gauge
+	// and detection summaries are shared, one instance each) and, when
+	// FlightRing is set, records into its own flight ring. A non-nil
+	// Tracer arms tracing, but the instance is only a template — the span
+	// tracer is single-goroutine and reads one engine's clock, so each
+	// worker gets its own tracer on its own engine clock (same MaxSpans)
+	// and TraceSpans merges them.
 	Validator core.ValidatorConfig
 	// Members is the deployment's governance map, shared read-only by
 	// every worker.
@@ -90,7 +94,7 @@ type Config struct {
 	// so this only matters to code sharing the engines).
 	Seed int64
 	// Metrics receives the plane's families (jury_shard_* and the
-	// aggregate jury_validator_* counters); nil creates a private
+	// jury_validator_* families its workers share); nil creates a private
 	// registry reachable via Metrics().
 	Metrics *obs.Registry
 	// OnResult observes every decision from every shard. Calls are
@@ -184,6 +188,9 @@ type worker struct {
 	// worker owes the plane's flush hook a call when the item is finished.
 	// Worker-goroutine state.
 	decided bool
+	// nDecided counts this shard's decisions (ShardDecided); the plane
+	// totals live in the shared registry.
+	nDecided atomic.Int64
 
 	// rec is the shard's flight recorder (nil when Config.FlightRing is
 	// zero). The worker's validator appends to it; dump goroutines
@@ -217,20 +224,11 @@ type Plane struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// resMu serializes result aggregation, the user's OnResult hook and
-	// the flush hook across worker goroutines.
+	// resMu serializes the user's OnResult hook and the flush hook across
+	// worker goroutines.
 	resMu sync.Mutex
 	// flush is the hook installed by SetOnResult; see there.
-	flush    func()
-	decided  *obs.Counter
-	valid    *obs.Counter
-	faults   *obs.Counter
-	nondet   *obs.Counter
-	timeouts *obs.Counter
-	// Detection-time summaries, observed per decision under resMu. The
-	// histograms lock internally, so a scrape never waits on a worker.
-	detections         *obs.Histogram
-	detectionsExternal *obs.Histogram
+	flush func()
 
 	// dumpMu serializes flight dumps (predicates fire from both the
 	// dispatcher and worker result paths) and guards dumpSeen, the total
@@ -264,18 +262,8 @@ func New(cfg Config) (*Plane, error) {
 		staged:  make([]*[]entry, cfg.Shards),
 		stop:    make(chan struct{}),
 	}
-	p.decided = reg.Counter("jury_validator_decided_total", "Triggers decided.")
-	p.valid = reg.Counter("jury_validator_valid_total", "Triggers judged valid.")
-	p.faults = reg.Counter("jury_validator_faults_total", "Alarms raised (fault verdicts).")
-	p.nondet = reg.Counter("jury_validator_nondeterministic_total", "Triggers labeled non-deterministic.")
-	p.timeouts = reg.Counter("jury_validator_timeouts_total", "Decisions forced by timer expiry.")
-	reg.CounterFunc("jury_validator_late_responses_total", "Responses arriving after the verdict.", p.LateResponses)
-	reg.GaugeFunc("jury_validator_pending", "Triggers awaiting decision across shards.",
-		func() float64 { return float64(p.Pending()) })
-	p.detections = reg.Histogram("jury_validator_detection_seconds", "Detection time per decided trigger.", nil)
-	p.detectionsExternal = reg.Histogram("jury_validator_detection_external_seconds", "Detection time for external triggers (Figs. 4a-4d).", nil)
 	vcfg := cfg.Validator
-	vcfg.Metrics = nil // per-worker private registries; the plane aggregates
+	vcfg.Metrics = reg // every worker counts into the plane's registry
 	for i := range p.workers {
 		w := &worker{
 			id:       i,
@@ -298,6 +286,7 @@ func New(cfg Config) (*Plane, error) {
 		w.v = core.NewValidator(w.eng, cfg.Members, vcfg)
 		w.v.OnResult = func(r core.Result) {
 			w.decided = true
+			w.nDecided.Add(1)
 			p.onResult(r)
 		}
 		l := obs.L("shard", strconv.Itoa(i))
@@ -329,27 +318,12 @@ func (p *Plane) SetOnResult(fn func(core.Result), flush func()) {
 	p.resMu.Unlock()
 }
 
-// onResult aggregates one worker decision into the plane counters and
-// relays it to the user hook, serialized across workers.
+// onResult relays one worker decision to the user hook, serialized across
+// workers. The worker's validator has already counted it in the shared
+// registry.
 func (p *Plane) onResult(r core.Result) {
 	p.resMu.Lock()
 	defer p.resMu.Unlock()
-	p.decided.Inc()
-	switch r.Verdict {
-	case core.VerdictValid:
-		p.valid.Inc()
-	case core.VerdictNonDeterministic:
-		p.nondet.Inc()
-	case core.VerdictFault:
-		p.faults.Inc()
-	}
-	if r.TimedOut {
-		p.timeouts.Inc()
-	}
-	p.detections.Observe(r.DetectionTime)
-	if r.Kind == trigger.External {
-		p.detectionsExternal.Observe(r.DetectionTime)
-	}
 	if p.cfg.OnResult != nil {
 		p.cfg.OnResult(r)
 	}
@@ -753,38 +727,45 @@ func (p *Plane) Metrics() *obs.Registry { return p.reg }
 // Shards returns the plane's shard count (live and dead).
 func (p *Plane) Shards() int { return len(p.workers) }
 
-// Decided returns the number of triggers decided across shards.
-func (p *Plane) Decided() int64 { return p.decided.Value() }
-
-// Valid returns the number of triggers judged valid across shards.
-func (p *Plane) Valid() int64 { return p.valid.Value() }
-
-// Faults returns the number of alarms raised across shards.
-func (p *Plane) Faults() int64 { return p.faults.Value() }
-
-// NonDeterministic returns the triggers labeled non-deterministic.
-func (p *Plane) NonDeterministic() int64 { return p.nondet.Value() }
-
-// Timeouts returns the decisions forced by timer expiry across shards.
-func (p *Plane) Timeouts() int64 { return p.timeouts.Value() }
-
-// LateResponses returns the responses that arrived after their trigger's
-// verdict, summed across shards.
-func (p *Plane) LateResponses() int64 {
-	var total int64
-	for _, w := range p.workers {
-		total += w.v.LateResponses()
-	}
-	return total
+// Stats is one read of the plane's aggregate counters. Every worker's
+// validator counts into the plane's registry, so the figures are the
+// registry's totals. Each is read atomically on its own; read them behind
+// Sync for a consistent cut.
+type Stats struct {
+	Decided          int64 // triggers decided
+	Valid            int64 // triggers judged valid
+	Faults           int64 // alarms raised
+	NonDeterministic int64 // triggers labeled non-deterministic
+	Timeouts         int64 // decisions forced by timer expiry
+	LateResponses    int64 // responses that arrived after their verdict
+	Steals           int64 // responses adopted from killed shards
+	Pending          int   // triggers awaiting decision (grace windows included)
 }
 
-// Pending returns the triggers awaiting decision, summed across shards.
-func (p *Plane) Pending() int {
-	total := 0
-	for _, w := range p.workers {
-		total += w.v.Pending()
+// FalsePositiveRate returns alarms / decisions — meaningful on benign runs.
+func (s Stats) FalsePositiveRate() float64 {
+	if s.Decided == 0 {
+		return 0
 	}
-	return total
+	return float64(s.Faults) / float64(s.Decided)
+}
+
+// Stats reads the plane's aggregate counters.
+func (p *Plane) Stats() Stats {
+	v := p.workers[0].v // any worker's accessors read the shared totals
+	st := Stats{
+		Decided:          v.Decided(),
+		Valid:            v.Valid(),
+		Faults:           v.Faults(),
+		NonDeterministic: v.NonDeterministic(),
+		Timeouts:         v.Timeouts(),
+		LateResponses:    v.LateResponses(),
+		Pending:          v.Pending(),
+	}
+	for _, w := range p.workers {
+		st.Steals += w.steals.Value()
+	}
+	return st
 }
 
 // ShardDecided returns one shard's decided-trigger count.
@@ -792,7 +773,7 @@ func (p *Plane) ShardDecided(i int) int64 {
 	if i < 0 || i >= len(p.workers) {
 		return 0
 	}
-	return p.workers[i].v.Decided()
+	return p.workers[i].nDecided.Load()
 }
 
 // QueueHighWatermark returns the deepest one shard's intake queue has
@@ -846,24 +827,6 @@ func (p *Plane) FlightDump(reason string) {
 	}
 	p.dumpSeen = total
 	p.cfg.OnFlightDump(reason, p.FlightSnapshot())
-}
-
-// Steals returns the responses adopted from killed shards, summed.
-func (p *Plane) Steals() int64 {
-	var total int64
-	for _, w := range p.workers {
-		total += w.steals.Value()
-	}
-	return total
-}
-
-// FalsePositiveRate returns alarms / decisions across shards.
-func (p *Plane) FalsePositiveRate() float64 {
-	decided := p.decided.Value()
-	if decided == 0 {
-		return 0
-	}
-	return float64(p.faults.Value()) / float64(decided)
 }
 
 // Alarms returns the retained alarms merged across shards in decision

@@ -152,7 +152,7 @@ func TestPlaneWidthInvariance(t *testing.T) {
 	if len(ref) != 240 {
 		t.Fatalf("reference plane decided %d triggers, want 240", len(ref))
 	}
-	if pref.Faults() == 0 {
+	if pref.Stats().Faults == 0 {
 		t.Fatal("workload raised no alarms — too benign to prove invariance")
 	}
 	for _, shards := range []int{2, 8} {
@@ -166,16 +166,11 @@ func TestPlaneWidthInvariance(t *testing.T) {
 			}
 			t.Fatalf("shards=%d: decision set diverges (%d vs %d triggers)", shards, len(got), len(ref))
 		}
-		if p.Decided() != pref.Decided() || p.Valid() != pref.Valid() ||
-			p.Faults() != pref.Faults() || p.NonDeterministic() != pref.NonDeterministic() ||
-			p.Timeouts() != pref.Timeouts() {
-			t.Fatalf("shards=%d: aggregate counters diverge", shards)
+		if st, want := p.Stats(), pref.Stats(); st != want {
+			t.Fatalf("shards=%d: aggregate counters diverge: %+v, want %+v", shards, st, want)
 		}
 		if !reflect.DeepEqual(pref.Alarms(), p.Alarms()) {
 			t.Fatalf("shards=%d: merged alarm list diverges", shards)
-		}
-		if p.FalsePositiveRate() != pref.FalsePositiveRate() {
-			t.Fatalf("shards=%d: false-positive rate diverges", shards)
 		}
 	}
 }
@@ -239,29 +234,29 @@ func TestPlaneKillAdoptsBacklog(t *testing.T) {
 	if adopted != burst {
 		t.Fatalf("Kill adopted %d responses, want the full burst of %d", adopted, burst)
 	}
-	if got := p.Steals(); got != int64(burst) {
-		t.Fatalf("Steals() = %d, want %d", got, burst)
+	if got := p.Stats().Steals; got != int64(burst) {
+		t.Fatalf("Stats().Steals = %d, want %d", got, burst)
 	}
 	if got := p.ShardDecided(victim); got != 0 {
 		t.Fatalf("dead shard decided %d triggers, want 0", got)
 	}
 
 	p.Drain()
-	if got := p.Decided(); got != int64(len(owned)) {
-		t.Fatalf("Decided() = %d after drain, want %d — responses were dropped", got, len(owned))
+	if got := p.Stats().Decided; got != int64(len(owned)) {
+		t.Fatalf("Stats().Decided = %d after drain, want %d — responses were dropped", got, len(owned))
 	}
-	if got := p.Faults(); got != int64(len(owned)) {
-		t.Fatalf("Faults() = %d, want %d omission alarms", got, len(owned))
+	if got := p.Stats().Faults; got != int64(len(owned)) {
+		t.Fatalf("Stats().Faults = %d, want %d omission alarms", got, len(owned))
 	}
-	if got := p.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after drain, want 0", got)
+	if got := p.Stats().Pending; got != 0 {
+		t.Fatalf("Stats().Pending = %d after drain, want 0", got)
 	}
 	var perShard int64
 	for i := 0; i < shards; i++ {
 		perShard += p.ShardDecided(i)
 	}
-	if perShard != p.Decided() {
-		t.Fatalf("Σ ShardDecided = %d, Decided() = %d", perShard, p.Decided())
+	if perShard != p.Stats().Decided {
+		t.Fatalf("Σ ShardDecided = %d, Stats().Decided = %d", perShard, p.Stats().Decided)
 	}
 
 	// The crash surface is bounded: re-killing is a no-op and the last
@@ -333,7 +328,7 @@ func TestPlaneKillSplitTrigger(t *testing.T) {
 	// First half: the live victim processes one tainted exec and opens the
 	// trigger (pending, deadline armed, far from expiry).
 	p.Submit(execAt(2, 1, string(id), "k", "up", 9, 0))
-	for p.Pending() != 1 {
+	for p.Stats().Pending != 1 {
 		time.Sleep(100 * time.Microsecond) // wallclock:boundary -- wait for the victim to open the trigger
 	}
 
@@ -350,8 +345,8 @@ func TestPlaneKillSplitTrigger(t *testing.T) {
 	if adopted := p.Kill(victim); adopted != 1 {
 		t.Fatalf("Kill adopted %d responses, want 1", adopted)
 	}
-	if got := p.Steals(); got != 1 {
-		t.Fatalf("Steals() = %d, want 1", got)
+	if got := p.Stats().Steals; got != 1 {
+		t.Fatalf("Stats().Steals = %d, want 1", got)
 	}
 
 	p.Drain()
@@ -363,17 +358,17 @@ func TestPlaneKillSplitTrigger(t *testing.T) {
 	}
 	// Each half alone is below the omission quorum, so both decisions are
 	// timed-out valids; the counters count decisions, not triggers.
-	if got := p.Decided(); got != 2 {
-		t.Fatalf("Decided() = %d, want 2", got)
+	if got := p.Stats().Decided; got != 2 {
+		t.Fatalf("Stats().Decided = %d, want 2", got)
 	}
-	if got := p.Timeouts(); got != 2 {
-		t.Fatalf("Timeouts() = %d, want 2", got)
+	if got := p.Stats().Timeouts; got != 2 {
+		t.Fatalf("Stats().Timeouts = %d, want 2", got)
 	}
-	if got := p.Faults(); got != 0 {
-		t.Fatalf("Faults() = %d, want 0", got)
+	if got := p.Stats().Faults; got != 0 {
+		t.Fatalf("Stats().Faults = %d, want 0", got)
 	}
-	if got := p.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after drain, want 0", got)
+	if got := p.Stats().Pending; got != 0 {
+		t.Fatalf("Stats().Pending = %d after drain, want 0", got)
 	}
 }
 
@@ -403,15 +398,8 @@ func TestPlaneAccessorsSafeUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				_ = p.Pending()
+				_ = p.Stats()
 				_ = p.Alarms()
-				_ = p.Decided()
-				_ = p.Valid()
-				_ = p.Faults()
-				_ = p.NonDeterministic()
-				_ = p.Timeouts()
-				_ = p.Steals()
-				_ = p.FalsePositiveRate()
 				for s := 0; s < p.Shards(); s++ {
 					_ = p.ShardDecided(s)
 				}
@@ -431,14 +419,14 @@ func TestPlaneAccessorsSafeUnderLoad(t *testing.T) {
 	p.Close()
 	close(stop)
 	wg.Wait()
-	if p.Faults() == 0 {
+	if p.Stats().Faults == 0 {
 		t.Fatal("omission workload raised no alarms")
 	}
-	if got := p.Decided(); got != 1500 {
-		t.Fatalf("Decided() = %d, want 1500", got)
+	if got := p.Stats().Decided; got != 1500 {
+		t.Fatalf("Stats().Decided = %d, want 1500", got)
 	}
-	if got := p.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after close, want 0", got)
+	if got := p.Stats().Pending; got != 0 {
+		t.Fatalf("Stats().Pending = %d after close, want 0", got)
 	}
 }
 
@@ -484,8 +472,8 @@ func TestPlaneOverflowBackpressure(t *testing.T) {
 		t.Fatalf("overflow counter = %d, want 1", got)
 	}
 	p.Close()
-	if got := p.Decided(); got != 1 {
-		t.Fatalf("Decided() = %d, want 1 — the stalled response was lost", got)
+	if got := p.Stats().Decided; got != 1 {
+		t.Fatalf("Stats().Decided = %d, want 1 — the stalled response was lost", got)
 	}
 	if got := w.enqueued.Value(); got != 4 {
 		// stall + 2 responses + the close-path flush
@@ -522,15 +510,15 @@ func TestPlaneStopVsClose(t *testing.T) {
 			p.Submit(execAt(2, 1, "τ", "k", "up", 9, 0))
 			p.Submit(execAt(3, 1, "τ", "k", "up", 9, time.Millisecond))
 			p.Sync(time.Millisecond)
-			if got := p.Pending(); got != 1 {
-				t.Fatalf("Pending() = %d before the end, want 1", got)
+			if got := p.Stats().Pending; got != 1 {
+				t.Fatalf("Stats().Pending = %d before the end, want 1", got)
 			}
 			tc.end(p)
-			if got := p.Decided(); got != tc.decided {
-				t.Fatalf("Decided() = %d after %s, want %d", got, tc.name, tc.decided)
+			if got := p.Stats().Decided; got != tc.decided {
+				t.Fatalf("Stats().Decided = %d after %s, want %d", got, tc.name, tc.decided)
 			}
-			if got := p.Faults(); got != tc.decided {
-				t.Fatalf("Faults() = %d after %s, want %d", got, tc.name, tc.decided)
+			if got := p.Stats().Faults; got != tc.decided {
+				t.Fatalf("Stats().Faults = %d after %s, want %d", got, tc.name, tc.decided)
 			}
 			// One root span and one validate span per decided trigger.
 			if got := int64(len(p.TraceSpans())); got != 2*tc.decided {
@@ -592,7 +580,7 @@ func TestPlaneFlightRecorderDumpOnAlarm(t *testing.T) {
 	p.Submit(execAt(2, 1, "τf", "k", "down", 7, 4*time.Millisecond))
 	p.Submit(execAt(3, 1, "τf", "k", "down", 7, 5*time.Millisecond))
 	p.Close()
-	if p.Faults() == 0 {
+	if p.Stats().Faults == 0 {
 		t.Fatal("conflict workload raised no alarm")
 	}
 	dumpMu.Lock()
@@ -648,14 +636,14 @@ func TestPlaneSyncBarrier(t *testing.T) {
 		p.Submit(execAt(2, 1, fmt.Sprintf("τ%d", i), "k", "up", 9, time.Duration(i)*time.Millisecond))
 	}
 	p.Sync(20 * time.Millisecond)
-	if got := p.Decided(); got != 0 {
+	if got := p.Stats().Decided; got != 0 {
 		t.Fatalf("sync to 20ms decided %d triggers; barrier overshot the 50ms deadlines", got)
 	}
 	p.Sync(100 * time.Millisecond)
-	if got := p.Decided(); got != 8 {
+	if got := p.Stats().Decided; got != 8 {
 		t.Fatalf("sync past deadlines decided %d triggers, want 8", got)
 	}
-	if got := p.Timeouts(); got != 8 {
+	if got := p.Stats().Timeouts; got != 8 {
 		t.Fatalf("timeouts = %d, want 8", got)
 	}
 	p.Close()
@@ -727,11 +715,11 @@ func TestPlaneSyncAcrossKill(t *testing.T) {
 		t.Fatal("Sync hung after Kill")
 	}
 	p.Close()
-	if got := p.Decided(); got != 5 {
-		t.Fatalf("Decided() = %d, want 5: τk and the batch's four triggers, once each", got)
+	if got := p.Stats().Decided; got != 5 {
+		t.Fatalf("Stats().Decided = %d, want 5: τk and the batch's four triggers, once each", got)
 	}
-	if got := p.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after close, want 0", got)
+	if got := p.Stats().Pending; got != 0 {
+		t.Fatalf("Stats().Pending = %d after close, want 0", got)
 	}
 }
 

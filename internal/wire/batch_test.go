@@ -347,7 +347,7 @@ func TestServerIngestAllocBudget(t *testing.T) {
 		in.dispatch()
 		// Steady state is a worker that keeps up: let it consume the batch
 		// and hand the slice back before the next one is leased.
-		for ingested++; s.plane.LateResponses() < ingested; {
+		for ingested++; s.plane.Stats().LateResponses < ingested; {
 			runtime.Gosched()
 		}
 	}

@@ -297,12 +297,13 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Stats returns a snapshot of the validator counters (atomic aggregates;
 // no lock).
 func (s *Server) Stats() Stats {
+	st := s.plane.Stats()
 	return Stats{
-		Decided:  s.plane.Decided(),
-		Valid:    s.plane.Valid(),
-		Faults:   s.plane.Faults(),
-		Timeouts: s.plane.Timeouts(),
-		Pending:  s.plane.Pending(),
+		Decided:  st.Decided,
+		Valid:    st.Valid,
+		Faults:   st.Faults,
+		Timeouts: st.Timeouts,
+		Pending:  st.Pending,
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/dataplane"
-	"github.com/jurysdn/jury/internal/metrics"
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/policy"
@@ -53,11 +52,11 @@ type Simulation struct {
 	Driver      *workload.Driver
 
 	// PacketIns counts southbound PACKET_INs over time (per-second bins).
-	PacketIns *metrics.Series
+	PacketIns *obs.RateSeries
 	// FlowMods counts FLOW_MODs actually emitted southbound.
-	FlowMods *metrics.Series
+	FlowMods *obs.RateSeries
 	// PacketOuts counts PACKET_OUTs emitted southbound.
-	PacketOuts *metrics.Series
+	PacketOuts *obs.RateSeries
 	// PacketInKinds histograms southbound PACKET_INs by payload
 	// ethertype (diagnostics).
 	PacketInKinds map[string]int64
@@ -123,9 +122,9 @@ func New(cfg Config) (*Simulation, error) {
 		Fabric:        fabric,
 		Members:       members,
 		Store:         storeCluster,
-		PacketIns:     metrics.NewSeries(time.Second),
-		FlowMods:      metrics.NewSeries(time.Second),
-		PacketOuts:    metrics.NewSeries(time.Second),
+		PacketIns:     obs.NewRateSeries(time.Second),
+		FlowMods:      obs.NewRateSeries(time.Second),
+		PacketOuts:    obs.NewRateSeries(time.Second),
 		PacketInKinds: make(map[string]int64),
 	}
 

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"github.com/jurysdn/jury/internal/core"
-	"github.com/jurysdn/jury/internal/metrics"
+	"github.com/jurysdn/jury/internal/obs"
 )
 
 // Report is a consolidated snapshot of a simulation's measurements — the
@@ -85,12 +85,12 @@ func (s *Simulation) Report(from, to time.Duration) Report {
 
 // DetectionCDF returns the external-trigger detection-time CDF (the
 // series of Figs. 4a-4d), or nil when JURY is disabled.
-func (s *Simulation) DetectionCDF(points int) []metrics.CDFPoint {
+func (s *Simulation) DetectionCDF(points int) []obs.CDFPoint {
 	v := s.Validator()
 	if v == nil {
 		return nil
 	}
-	return v.DetectionsExternal.CDF(points)
+	return v.DetectionsExternal.Snapshot().CDF(points)
 }
 
 // String renders the report as the jurysim-style text block.
