@@ -17,21 +17,21 @@ race:
 
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/jurylint ./...
+	$(GO) run ./cmd/jury lint ./...
 
 # verify is the tier-1 gate: compile, vet, enforce the determinism &
-# concurrency contract with jurylint, then run the test suite.
+# concurrency contract with `jury lint`, then run the test suite.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) run ./cmd/jurylint ./...
+	$(GO) run ./cmd/jury lint ./...
 	$(GO) test ./...
 
 # figures regenerates every TSV series through the cached sweep: reruns
 # resume from .jurycache, so an interrupted campaign only re-executes
 # the missing points. Delete .jurycache to force a cold regeneration.
 figures:
-	$(GO) run ./cmd/juryfig -all -progress -cache .jurycache > figures.tsv
+	$(GO) run ./cmd/jury fig -all -progress -cache .jurycache > figures.tsv
 
 # bench-e2e is the measured benchmark: a real validator service on TCP
 # loopback driven by a seeded closed loop, five workloads, the end-to-end
@@ -43,4 +43,4 @@ bench-e2e:
 # trace produces an example Chrome trace_event file from the quickstart
 # scenario; open trace.json in chrome://tracing or https://ui.perfetto.dev.
 trace:
-	$(GO) run ./cmd/jurysim -n 3 -k 2 -duration 2s -rate 300 -trace-out trace.json
+	$(GO) run ./cmd/jury sim -n 3 -k 2 -duration 2s -rate 300 -trace-out trace.json

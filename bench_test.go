@@ -4,7 +4,7 @@
 // time per iteration) and publish the figures' headline numbers through
 // b.ReportMetric; micro-benchmarks measure the substrate hot paths.
 //
-// Regenerate every full series with: go run ./cmd/juryfig -all
+// Regenerate every full series with: go run ./cmd/jury fig -all
 package jury_test
 
 import (

@@ -1,28 +1,11 @@
-// Command jurylive demonstrates the live (non-simulated) path: a real SDN
-// controller process accepting OpenFlow connections over TCP, with local
-// switch processes dialing in, completing handshakes, and getting flow
-// rules installed reactively — the same event-driven components as the
-// simulation, pumped by wall-clock time (internal/ofconn).
-//
-// With -validator, every egress FLOW_MOD is additionally streamed to a
-// running juryd as a fabricated response complement (one untainted primary
-// response plus -validator-k tainted secondary responses), exercising the
-// out-of-band wire path end to end. The wire client reconnects with
-// backoff, so a juryd restart mid-run costs at most the bounded send
-// backlog — the loss shows up in the dropped count, never silently.
-//
-// Usage:
-//
-//	jurylive -switches 4 -flows 20
-//	jurylive -switches 4 -flows 20 -validator 127.0.0.1:9090 -validator-k 2
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"sync"
 	"time"
 
@@ -40,6 +23,10 @@ import (
 	"github.com/jurysdn/jury/internal/wire"
 )
 
+// maxLiveFlows bounds -flows: flow f rides in two bytes of its source MAC
+// and in source port 10000+f, which must fit a uint16.
+const maxLiveFlows = 1<<16 - 10000
+
 // liveSwitch is one switch in its own pumped event domain, connected to
 // the controller over real TCP.
 type liveSwitch struct {
@@ -48,25 +35,41 @@ type liveSwitch struct {
 	end  *ofconn.SwitchEnd
 }
 
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run() error {
+// runLive demonstrates the live (non-simulated) path: a real SDN
+// controller process accepting OpenFlow connections over TCP, with local
+// switch processes dialing in, completing handshakes, and getting flow
+// rules installed reactively — the same event-driven components as the
+// simulation, pumped by wall-clock time (internal/ofconn).
+//
+// With -validator, every egress FLOW_MOD is additionally streamed to a
+// running `jury serve` as a fabricated response complement (one
+// untainted primary response plus -validator-k tainted secondary
+// responses), exercising the out-of-band wire path end to end. The wire
+// client reconnects with backoff, so a validator restart mid-run costs at
+// most the bounded send backlog — the loss shows up in the dropped
+// count, never silently.
+//
+//	jury live -switches 4 -flows 20
+//	jury live -switches 4 -flows 20 -validator 127.0.0.1:9090 -validator-k 2
+func runLive(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("live", flag.ContinueOnError)
 	var (
-		listen    = flag.String("listen", "127.0.0.1:0", "controller listen address")
-		nSwitches = flag.Int("switches", 4, "number of live switches to connect")
-		nFlows    = flag.Int("flows", 20, "flows to push through each switch")
-		metricsAt = flag.String("metrics", "", "serve Prometheus /metrics and /healthz on this address (empty = off)")
+		listen    = fs.String("listen", "127.0.0.1:0", "controller listen address")
+		nSwitches = fs.Int("switches", 4, "number of live switches to connect")
+		nFlows    = fs.Int("flows", 20, "flows to push through each switch")
+		metricsAt = fs.String("metrics", "", "serve Prometheus /metrics and /healthz on this address (empty = off)")
 
-		validatorAt = flag.String("validator", "", "stream egress FLOW_MODs to a juryd validator at this address (empty = off)")
-		validatorK  = flag.Int("validator-k", 2, "fabricated secondary responses per egress (must match juryd -k)")
-		codecName   = flag.String("codec", "json", "wire codec toward the validator: json (newline-delimited, the default) or binary (length-prefixed frames)")
-		traceOut    = flag.String("trace-out", "", "write the controller-side span trace (JSONL) to this path at exit; stitch against juryd -trace-out with jurytrace")
+		validatorAt = fs.String("validator", "", "stream egress FLOW_MODs to a jury serve validator at this address (empty = off)")
+		validatorK  = fs.Int("validator-k", 2, "fabricated secondary responses per egress (must match the validator's -k)")
+		codecName   = fs.String("codec", "json", "wire codec toward the validator: json (newline-delimited, the default) or binary (length-prefixed frames)")
+		traceOut    = fs.String("trace-out", "", "write the controller-side span trace (JSONL) to this path at exit; stitch against jury serve -trace-out with jury trace")
 	)
-	flag.Parse()
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if *nFlows < 0 || *nFlows > maxLiveFlows {
+		return usagef("-flows %d out of range [0, %d]", *nFlows, maxLiveFlows)
+	}
 
 	// Controller domain: one controller on a wall-clock-pumped engine.
 	ctrlEng := simnet.NewEngine(1)
@@ -100,9 +103,9 @@ func run() error {
 	}
 
 	// Optional out-of-band validation: every egress FLOW_MOD becomes a
-	// fabricated response complement streamed to a juryd over the
-	// resilient wire client (reconnects across a juryd restart; loss is
-	// bounded by the send queue and visible on Dropped()).
+	// fabricated response complement streamed to the validator over the
+	// resilient wire client (reconnects across a validator restart; loss
+	// is bounded by the send queue and visible on Dropped()).
 	var (
 		vc       *wire.Client
 		vmu      sync.Mutex
@@ -113,7 +116,7 @@ func run() error {
 	if *validatorAt != "" {
 		codec, err := wire.ParseCodec(*codecName)
 		if err != nil {
-			return fmt.Errorf("jurylive: %w", err)
+			return usageError{err}
 		}
 		ccfg := wire.ClientConfig{
 			Codec:   codec,
@@ -150,11 +153,11 @@ func run() error {
 		}
 		c, err := wire.DialConfig(*validatorAt, ccfg)
 		if err != nil {
-			return fmt.Errorf("jurylive: validator: %w", err)
+			return fmt.Errorf("validator: %w", err)
 		}
 		defer c.Close()
 		vc = c
-		fmt.Printf("streaming egress FLOW_MODs to validator at %s (k=%d, codec=%s)\n", *validatorAt, *validatorK, codec)
+		fmt.Fprintf(stdout, "streaming egress FLOW_MODs to validator at %s (k=%d, codec=%s)\n", *validatorAt, *validatorK, codec)
 		egress := 0
 		ctrlPump.Do(func() {
 			ctrl.OnEgress = func(dpid topo.DPID, msg openflow.Message, _ *trigger.Context) {
@@ -195,22 +198,17 @@ func run() error {
 		})
 	}
 
-	if *metricsAt != "" {
-		// Scrapes hop onto the controller pump so registry reads are
-		// serialized with the event loop mutating it.
-		expo, err := obs.ServeExpo(*metricsAt, obs.ExpoConfig{
-			Write: func(w io.Writer) error {
-				var werr error
-				ctrlPump.Do(func() { werr = reg.WritePrometheus(w) })
-				return werr
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer expo.Close()
-		fmt.Printf("metrics on http://%s/metrics\n", expo.Addr())
+	// Scrapes hop onto the controller pump so registry reads are
+	// serialized with the event loop mutating it.
+	stopMetrics, err := serveMetrics(*metricsAt, func(w io.Writer) error {
+		var werr error
+		ctrlPump.Do(func() { werr = reg.WritePrometheus(w) })
+		return werr
+	}, stdout)
+	if err != nil {
+		return err
 	}
+	defer stopMetrics()
 
 	sessions := make(map[topo.DPID]bool)
 	ce, err := ofconn.ListenController(*listen, ctrlPump,
@@ -228,7 +226,7 @@ func run() error {
 		return err
 	}
 	defer ce.Close()
-	fmt.Printf("controller listening on %s\n", ce.Addr())
+	fmt.Fprintf(stdout, "controller listening on %s\n", ce.Addr())
 
 	var switches []*liveSwitch
 	for i := 1; i <= *nSwitches; i++ {
@@ -254,17 +252,16 @@ func run() error {
 	for idx, ls := range switches {
 		dst := topo.HostMAC(idx + 1)
 		for f := 0; f < *nFlows; f++ {
-			src := openflow.MAC{0x00, 0xAA, 0, 0, byte(idx), byte(f)}
+			src := openflow.MAC{0x00, 0xAA, 0, byte(idx), byte(f >> 8), byte(f)}
 			frame := openflow.TCPPacket(src, dst, topo.HostIP(100+f), topo.HostIP(idx+1), uint16(10000+f), 80, 0x02, 0)
-			ls := ls
 			ls.pump.Do(func() { ls.sw.Inject(frame, 1) })
 		}
 	}
 
 	// Wait for the rules to cross the wire and land in the tables.
 	want := *nSwitches * *nFlows
-	waitUntil(5*time.Second, func() bool { return countRules(switches) >= want })
-	fmt.Println("switch   rules  packet_ins")
+	waitUntil(ctx, 5*time.Second, func() bool { return countRules(switches) >= want })
+	fmt.Fprintln(stdout, "switch   rules  packet_ins")
 	total := 0
 	for i, ls := range switches {
 		var rules int
@@ -274,12 +271,12 @@ func run() error {
 			pins = ls.sw.PacketIns()
 		})
 		total += rules
-		fmt.Printf("of:%04x  %5d  %10d\n", i+1, rules, pins)
+		fmt.Fprintf(stdout, "of:%04x  %5d  %10d\n", i+1, rules, pins)
 	}
 	if total < want {
 		return fmt.Errorf("only %d of %d rules installed", total, want)
 	}
-	fmt.Printf("OK: %d reactive flow rules installed over live TCP OpenFlow\n", total)
+	fmt.Fprintf(stdout, "OK: %d reactive flow rules installed over live TCP OpenFlow\n", total)
 
 	if vc != nil {
 		// Ask the validator for its aggregate view, then report the wire
@@ -287,59 +284,35 @@ func run() error {
 		if err := vc.RequestStats(); err != nil {
 			log.Printf("jurylive: stats request: %v", err)
 		}
-		waitUntil(3*time.Second, func() bool {
+		waitUntil(ctx, 3*time.Second, func() bool {
 			vmu.Lock()
 			defer vmu.Unlock()
 			return vStats != nil
 		})
 		vmu.Lock()
-		fmt.Printf("validator: %d results received (%d alarms)\n", vResults, vAlarms)
+		fmt.Fprintf(stdout, "validator: %d results received (%d alarms)\n", vResults, vAlarms)
 		if vStats != nil {
-			fmt.Printf("validator: decided=%d valid=%d alarms=%d timeouts=%d pending=%d\n",
-				vStats.Decided, vStats.Valid, vStats.Faults, vStats.Timeouts, vStats.Pending)
+			fmt.Fprintf(stdout, "validator: %s\n", statsLine(*vStats))
 		} else {
-			fmt.Println("validator: no stats reply (validator unreachable?)")
+			fmt.Fprintln(stdout, "validator: no stats reply (validator unreachable?)")
 		}
 		vmu.Unlock()
-		fmt.Printf("wire client: reconnects=%d dropped=%d backlog=%d\n",
+		fmt.Fprintf(stdout, "wire client: reconnects=%d dropped=%d backlog=%d\n",
 			vc.Reconnects(), vc.Dropped(), vc.Backlog())
 	}
 
 	if tracer != nil {
-		f, err := os.Create(*traceOut)
+		err := writeFile(*traceOut, func(w io.Writer) error {
+			var werr error
+			ctrlPump.Do(func() { werr = tracer.WriteJSONL(w) })
+			return werr
+		})
 		if err != nil {
-			return fmt.Errorf("jurylive: trace: %w", err)
+			return fmt.Errorf("trace: %w", err)
 		}
-		var werr error
-		ctrlPump.Do(func() { werr = tracer.WriteJSONL(f) })
-		if werr == nil {
-			werr = f.Close()
-		} else {
-			_ = f.Close()
-		}
-		if werr != nil {
-			return fmt.Errorf("jurylive: trace: %w", werr)
-		}
-		fmt.Printf("controller trace -> %s (%d triggers)\n", *traceOut, tracer.CompletedTriggers())
+		fmt.Fprintf(stdout, "controller trace -> %s (%d triggers)\n", *traceOut, tracer.CompletedTriggers())
 	}
 	return nil
-}
-
-// waitUntil polls cond every 10ms until it reports true or the timeout
-// elapses, returning cond's final value. This is the harness's single
-// wall-clock boundary for readiness checks: the switches, controller and
-// validator all run over real TCP, so their settling time is real time.
-//
-//jurylint:allow wallclock -- live-harness readiness polling is wall-clock by definition
-func waitUntil(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return cond()
 }
 
 func countRules(switches []*liveSwitch) int {

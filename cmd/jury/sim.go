@@ -1,21 +1,10 @@
-// Command jurysim boots a simulated clustered SDN deployment — with or
-// without JURY — drives a workload against it, and prints a full report:
-// throughput, validation counters, detection-time percentiles, alarms, and
-// network-overhead accounting (§VII-B2).
-//
-// Usage:
-//
-//	jurysim -kind onos -n 7 -k 6 -rate 2000 -duration 15s
-//	jurysim -kind odl -n 7 -k 6 -rate 120 -duration 15s -fault odl-flowmod-drop
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"os"
 	"strings"
 	"time"
 
@@ -27,20 +16,15 @@ import (
 	"github.com/jurysdn/jury/internal/workload"
 )
 
-func main() {
-	err := run(os.Args[1:], os.Stdout)
-	if errors.Is(err, flag.ErrHelp) {
-		return
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-// run parses args, runs the simulation they describe and writes the
-// report to out.
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("jurysim", flag.ContinueOnError)
+// runSim boots a simulated clustered SDN deployment — with or without
+// JURY — drives a workload against it, and writes a full report to out:
+// throughput, validation counters, detection-time percentiles, alarms,
+// and network-overhead accounting (§VII-B2).
+//
+//	jury sim -kind onos -n 7 -k 6 -rate 2000 -duration 15s
+//	jury sim -kind odl -n 7 -k 6 -rate 120 -duration 15s -fault odl-flowmod-drop
+func runSim(_ context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
 	var (
 		kindFlag  = fs.String("kind", "onos", "controller profile: onos or odl")
 		n         = fs.Int("n", 7, "cluster size")
@@ -59,7 +43,7 @@ func run(args []string, out io.Writer) error {
 		flightRing = fs.Int("flight-ring", 0, "flight-recorder ring capacity: retain the last N validator lifecycle events (0 = off)")
 		flightDump = fs.String("flight-dump", "", "write the final flight snapshot (JSONL) here at the end of the run")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 
@@ -82,7 +66,7 @@ func run(args []string, out io.Writer) error {
 	case strings.EqualFold(*kindFlag, "odl"):
 		kind = jury.ODL
 	default:
-		return fmt.Errorf("unknown -kind %q (onos or odl)", *kindFlag)
+		return usagef("unknown -kind %q (onos or odl)", *kindFlag)
 	}
 	cfg := jury.Config{
 		Seed:              *seed,
@@ -200,16 +184,8 @@ func run(args []string, out io.Writer) error {
 func writeFlight(out io.Writer, sim *jury.Simulation, path string) error {
 	rec := sim.FlightRecorder()
 	events := rec.Snapshot()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create flight dump: %w", err)
-	}
-	if err := obs.WriteEventsJSONL(f, events); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("write flight dump: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
+	if err := writeFile(path, func(w io.Writer) error { return obs.WriteEventsJSONL(w, events) }); err != nil {
+		return fmt.Errorf("flight dump: %w", err)
 	}
 	fmt.Fprintf(out, "\n-- flight --\n")
 	fmt.Fprintf(out, "wrote %s: %d events (ring %d, %d recorded)\n", path, len(events), rec.Cap(), rec.Total())
@@ -220,20 +196,12 @@ func writeFlight(out io.Writer, sim *jury.Simulation, path string) error {
 // coverage of decided triggers.
 func writeTrace(out io.Writer, sim *jury.Simulation, path string) error {
 	tr := sim.Tracer()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create trace file: %w", err)
-	}
+	write := tr.WriteChromeTrace
 	if strings.HasSuffix(path, ".jsonl") {
-		err = tr.WriteJSONL(f)
-	} else {
-		err = tr.WriteChromeTrace(f)
+		write = tr.WriteJSONL
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("write trace: %w", err)
+	if err := writeFile(path, write); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	fmt.Fprintf(out, "\n-- trace --\n")
 	fmt.Fprintf(out, "wrote %s: %d spans, %d triggers end-to-end\n",
@@ -304,7 +272,7 @@ func inject(sim *jury.Simulation, kind faults.Kind) (*faults.Fault, error) {
 	case faults.ByzantineCorruption:
 		return faults.InjectByzantineCorruption(target, sim.Engine.Rand(), 20), nil
 	default:
-		return nil, fmt.Errorf("unknown fault %q (see -list-faults)", kind)
+		return nil, usagef("unknown fault %q (see -list-faults)", kind)
 	}
 }
 
@@ -314,5 +282,5 @@ func traceByName(name string) (workload.TraceSpec, error) {
 			return spec, nil
 		}
 	}
-	return workload.TraceSpec{}, fmt.Errorf("unknown trace %q (lbnl, univ, smia)", name)
+	return workload.TraceSpec{}, usagef("unknown trace %q (lbnl, univ, smia)", name)
 }

@@ -1,11 +1,12 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
-func TestRun(t *testing.T) {
+func TestSim(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		args []string
@@ -42,15 +43,15 @@ func TestRun(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var out strings.Builder
-			err := run(c.args, &out)
+			err := runSim(context.Background(), c.args, &out)
 			if c.err != "" {
 				if err == nil || !strings.Contains(err.Error(), c.err) {
-					t.Fatalf("run(%q) = %v, want an error containing %q; output:\n%s", c.args, err, c.err, out.String())
+					t.Fatalf("runSim(%q) = %v, want an error containing %q; output:\n%s", c.args, err, c.err, out.String())
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("run(%q): %v", c.args, err)
+				t.Fatalf("runSim(%q): %v", c.args, err)
 			}
 			for _, w := range c.want {
 				if !strings.Contains(out.String(), w) {

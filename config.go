@@ -189,7 +189,7 @@ func (c Config) replicationMode() core.ReplicationMode {
 }
 
 // ValidatorServiceConfig assembles the out-of-band validator service of
-// Fig. 2 (what cmd/juryd runs): the deployment shape the validator
+// Fig. 2 (what `jury serve` runs): the deployment shape the validator
 // assumes plus the wire-bridge resilience knobs. The zero value selects
 // the paper's defaults.
 type ValidatorServiceConfig struct {
@@ -219,7 +219,7 @@ type ValidatorServiceConfig struct {
 	AlarmsOnly bool
 	// Tracing arms a per-trigger span tracer on every shard's virtual
 	// clock. The merged trace is read back with wire.Server.WriteTrace —
-	// juryd -trace-out.
+	// `jury serve -trace-out`.
 	Tracing bool
 	// FlightRing arms a flight recorder on every shard retaining its last
 	// N trigger lifecycle events; zero disables.

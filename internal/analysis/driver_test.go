@@ -40,7 +40,7 @@ func TestDriverGolden(t *testing.T) {
 }
 
 // TestRepoIsLintClean asserts the real module passes its own suite: the
-// tier-1 verify gate (`go run ./cmd/jurylint ./...`) must exit 0.
+// tier-1 verify gate (`go run ./cmd/jury lint ./...`) must exit 0.
 func TestRepoIsLintClean(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {

@@ -42,10 +42,9 @@ var BridgePackages = []string{"ofconn", "wire", "wire/wiretest", "sweep", "obs",
 // guardedby, and serialized output is screened by vclockleak — a live
 // driver that leaks virtual nanoseconds into its wire output corrupts
 // the protocol's time base just as badly as a bridge package would.
-var CmdPackages = []string{
-	"juryd", "jurylive", "jurysim", "juryfig", "jurylint", "juryload",
-	"jurytrace",
-}
+// Entries match import-path suffixes, so the entry keeps its "cmd/"
+// element: a bare "jury" would also match the module root.
+var CmdPackages = []string{"cmd/jury"}
 
 // CriticalAPIs returns the FullName list of error-returning calls whose
 // results must not be silently discarded, for a module rooted at
@@ -171,7 +170,7 @@ func DefaultVClockConfig(modulePath string) VClockConfig {
 	}
 }
 
-// DefaultSuite is the analyzer configuration enforced by cmd/jurylint and
+// DefaultSuite is the analyzer configuration enforced by `jury lint` and
 // the tier-1 verify gate for the module rooted at modulePath. The root
 // facade package (modulePath itself) is simulation-driven too: it wires
 // and runs everything on the engine, so it joins the sim lists.

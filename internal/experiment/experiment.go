@@ -1,7 +1,7 @@
 // Package experiment packages the paper's evaluation runs (§VII) as
 // reusable functions: every figure and table has a runner here, shared by
 // the benchmark harness (bench_test.go) and the figure regenerator
-// (cmd/juryfig).
+// (`jury fig`).
 package experiment
 
 import (

@@ -14,8 +14,8 @@ import (
 type ExpoConfig struct {
 	// Write renders the /metrics page body. Callers whose metrics are
 	// mutated on another goroutine wrap the registry write in their own
-	// lock here (cmd/juryd wraps it in the wire server's mutex). Nil
-	// with a non-nil Registry defaults to Registry.WritePrometheus.
+	// lock here (`jury live` runs it on the controller's event loop).
+	// Nil with a non-nil Registry defaults to Registry.WritePrometheus.
 	Write func(io.Writer) error
 	// Registry is the default metrics source when Write is nil.
 	Registry *Registry

@@ -241,7 +241,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 // The function must be safe to call from the exposition goroutine (or
-// the caller must serialize scrapes, as cmd/jurylive does).
+// the caller must serialize scrapes, as `jury live` does).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	c := r.childOf(name, help, kindGaugeFunc, labels)
 	c.gaugeFn = fn

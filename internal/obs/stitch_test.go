@@ -3,11 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
 
-func jsonlOf(t *testing.T, spans ...Span) string {
+func jsonlOf(t testing.TB, spans ...Span) string {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, s := range spans {
@@ -138,4 +139,45 @@ func TestStitchRejectsGarbage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "bad") {
 		t.Fatalf("err = %v, want parse error naming the origin", err)
 	}
+}
+
+// FuzzStitchJSONL feeds arbitrary span streams to the stitcher, which
+// must never panic. Whatever StitchJSONL accepts, stitching its output
+// again under the same origin with no shift gives the same bytes (the
+// merged order and the canonical encoding are fixed points), and
+// StitchChromeTrace accepts it too.
+func FuzzStitchJSONL(f *testing.F) {
+	for _, spans := range [][]Span{
+		{
+			{Seq: 1, Trigger: "τ1", Name: "flow-mod", Node: "C1", StartNS: 0, DurNS: 5},
+			{Seq: 2, Trigger: "τ1", Name: "validate-rtt", Node: "C1", StartNS: 10, DurNS: 40},
+		},
+		{{Seq: 1, Trigger: "τ1", Name: "validate", Node: "validator", StartNS: 5, DurNS: 20}},
+		{{Seq: 1, Trigger: "τ", Name: "x", Origin: "upstream", StartNS: 1}},
+	} {
+		f.Add([]byte(jsonlOf(f, spans...)), int64(15))
+	}
+	f.Add([]byte("not json\n"), int64(0))
+	f.Add([]byte("\n"), int64(0))
+	long := jsonlOf(f, Span{Seq: 1, Trigger: "τ", Name: "x", Detail: strings.Repeat("d", 70*1024)})
+	f.Add([]byte(long), int64(-3))
+	f.Fuzz(func(t *testing.T, data []byte, shift int64) {
+		in := func(r []byte, shift int64) StitchInput {
+			return StitchInput{Origin: "o", ShiftNS: shift, R: bytes.NewReader(r)}
+		}
+		var first bytes.Buffer
+		if err := StitchJSONL(&first, in(data, shift)); err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := StitchJSONL(&again, in(first.Bytes(), 0)); err != nil {
+			t.Fatalf("stitched output does not stitch again: %v\n%s", err, first.Bytes())
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("re-stitch changed the output:\n%s\nthen:\n%s", first.Bytes(), again.Bytes())
+		}
+		if err := StitchChromeTrace(io.Discard, in(data, shift)); err != nil {
+			t.Fatalf("StitchChromeTrace rejects what StitchJSONL accepts: %v", err)
+		}
+	})
 }

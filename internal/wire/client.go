@@ -226,7 +226,7 @@ func (r *envRing) len() int { return r.n }
 // Sends enqueue into a bounded ring drained by a single writer goroutine
 // that owns the connection: when the link drops, the writer re-dials
 // with exponential backoff and seeded jitter, and the batch being
-// written when the link died is retransmitted first. A juryd restart
+// written when the link died is retransmitted first. A validator restart
 // mid-run therefore loses at most the bounded backlog, and every shed
 // envelope is visible on Dropped().
 type Client struct {

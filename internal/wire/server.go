@@ -41,7 +41,7 @@ type ServerConfig struct {
 	// shard.DefaultQueueDepth) in queue items — one per batch a reader
 	// hands over, so at most QueueDepth × maxIngestBatch responses.
 	// Deployments tune it through ValidatorServiceConfig.QueueDepth
-	// (juryd -queue-depth).
+	// (`jury serve -queue-depth`).
 	QueueDepth int
 	// Tick is the wall-clock granularity at which validator timers fire
 	// (default 5ms).
@@ -71,8 +71,8 @@ type ServerConfig struct {
 	// FlightRing, when positive, arms a flight recorder of that capacity
 	// on every shard: the last N trigger lifecycle events are always on
 	// hand, and a fault verdict dumps them to OnFlightDump. FlightSnapshot
-	// reads the rings on demand (juryd's shutdown dump and -flight-dump
-	// flag).
+	// reads the rings on demand (`jury serve`'s shutdown dump and
+	// -flight-dump flag).
 	FlightRing int
 	// OnFlightDump receives each dump-on-alarm flight snapshot (merged
 	// oldest-first) with the reason that fired it. Calls are serialized

@@ -93,7 +93,7 @@ func (s *Simulation) DetectionCDF(points int) []obs.CDFPoint {
 	return v.DetectionsExternal.Snapshot().CDF(points)
 }
 
-// String renders the report as the jurysim-style text block.
+// String renders the report as the `jury sim`-style text block.
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "flows=%d packet_in=%.0f/s flow_mod=%.0f/s packet_out=%.0f/s drops=%d\n",
