@@ -19,8 +19,9 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/jury lint ./...
 
-# verify is the tier-1 gate: compile, vet, enforce the determinism &
-# concurrency contract with `jury lint`, then run the test suite.
+# verify is the tier-1 gate: compile, vet, enforce the determinism
+# contract with `jury lint`, then run the test suite. Lock discipline is
+# held by the -race tests (`make race`), not by the linter.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...

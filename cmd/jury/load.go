@@ -188,12 +188,10 @@ func runLoad(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 // runWire streams one synthesized workload window to a remote juryd over
-// the resilient wire client, replaying the same event-to-response mapping
-// the in-process campaign uses (FlowArrival fans out into one primary
-// cache write plus tainted secondary executions; churn and flaps become
-// untainted cache updates). It reports the client's own loss accounting
-// alongside the server's aggregate stats, so a codec or throughput
-// regression on the wire path is visible end to end.
+// the resilient wire client, through the event-to-response mapping the
+// in-process campaign uses (loadgen.AppendResponses). It reports the
+// client's own loss accounting alongside the server's aggregate stats, so
+// a codec or throughput regression on the wire path is visible end to end.
 func runWire(ctx context.Context, stdout io.Writer, cfg loadgen.CampaignConfig, addr string, codec wire.Codec) error {
 	top, err := topo.FatTree(cfg.K)
 	if err != nil {
@@ -243,58 +241,27 @@ func runWire(ctx context.Context, stdout io.Writer, cfg loadgen.CampaignConfig, 
 		cfg.K, addr, codec, rate, cfg.Window, cfg.Replicas)
 	start := time.Now() //jurylint:allow wallclock -- wire throughput is measured in wall time
 	var events, envelopes, triggers int64
+	var batch []core.Response
 	var sendErr error
-	send := func(r core.Response) {
-		r.StateDigest = 9
-		envelopes++
-		if sendErr == nil {
-			sendErr = c.Send(r)
-		}
-	}
 	for sendErr == nil {
 		ev := src.Next()
 		if ev.At > cfg.Window {
 			break
 		}
 		events++
-		switch ev.Kind {
-		case loadgen.FlowArrival:
+		var tid trigger.ID
+		keep := true
+		if ev.Kind == loadgen.FlowArrival {
 			triggers++
-			primary := members[ev.Src%uint64(n)]
-			r := core.Response{
-				Controller: primary, Primary: primary, Trigger: trigger.ID(fmt.Sprintf("w-%d", triggers)),
-				Kind: core.CacheUpdate, Cache: store.FlowsDB, Op: store.OpCreate,
-				Key: fmt.Sprintf("flow/%d>%d", ev.Src, ev.Dst), Value: "fwd", At: ev.At,
+			tid = trigger.ID(fmt.Sprintf("w-%d", triggers))
+			keep = cfg.DropRate <= 0 || drop.Float64() >= cfg.DropRate
+		}
+		batch = loadgen.AppendResponses(batch[:0], ev, members, links, tid, keep)
+		for _, r := range batch {
+			envelopes++
+			if sendErr == nil {
+				sendErr = c.Send(r)
 			}
-			if cfg.DropRate <= 0 || drop.Float64() >= cfg.DropRate {
-				send(r)
-			}
-			r.Kind, r.Tainted = core.SecondaryExec, true
-			for _, sec := range members {
-				if sec != primary {
-					r.Controller = sec
-					r.At += time.Microsecond
-					send(r)
-				}
-			}
-		case loadgen.HostJoin, loadgen.HostLeave:
-			op, val := store.OpUpdate, "join"
-			if ev.Kind == loadgen.HostLeave {
-				op, val = store.OpDelete, "gone"
-			}
-			send(core.Response{
-				Controller: members[ev.Src%uint64(n)], Kind: core.CacheUpdate,
-				Cache: store.HostDB, Op: op, Key: topo.HostMAC(int(ev.Src)).String(), Value: val, At: ev.At,
-			})
-		case loadgen.LinkFlap:
-			val := "down"
-			if ev.Up {
-				val = "up"
-			}
-			send(core.Response{
-				Controller: members[uint64(ev.Link)%uint64(n)], Kind: core.CacheUpdate,
-				Cache: store.LinksDB, Op: store.OpUpdate, Key: links[ev.Link].String(), Value: val, At: ev.At,
-			})
 		}
 	}
 	if sendErr != nil {

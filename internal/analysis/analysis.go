@@ -71,9 +71,8 @@ type Analyzer struct {
 	Run      func(*Pass)
 	// Init, when set, runs once per RunAnalyzers call with every loaded
 	// package before the per-package Run passes. Analyzers use it to
-	// build module-wide indexes (cross-package field annotations,
-	// exported-API candidate sets) and to report module-level
-	// diagnostics that have no single home package.
+	// build module-wide indexes (exported-API candidate sets) and to
+	// report module-level diagnostics that have no single home package.
 	Init func(*ModuleContext)
 }
 
@@ -163,15 +162,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			a.Run(pass)
 		}
 	}
-	SortDiagnostics(diags)
-	return diags
-}
-
-// SortDiagnostics orders diagnostics by position then rule — the
-// canonical driver output order. Exposed so drivers that run analyzers
-// one at a time (per-analyzer timing) can merge their outputs back into
-// the same order RunAnalyzers produces.
-func SortDiagnostics(diags []Diagnostic) {
+	// Position then rule is the canonical driver output order.
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -185,6 +176,7 @@ func SortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Rule < b.Rule
 	})
+	return diags
 }
 
 // Format renders diagnostics one per line with filenames relative to
@@ -288,4 +280,12 @@ func (idx *allowIndex) allowed(rule string, pos token.Position) bool {
 		}
 	}
 	return false
+}
+
+// deref strips one level of pointer from t.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }

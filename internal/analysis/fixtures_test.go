@@ -104,7 +104,7 @@ func TestAllowRules(t *testing.T) {
 		want    string
 	}{
 		{"//jurylint:allow wallclock -- reason", "wallclock"},
-		{"//jurylint:allow guardedby,errcrit -- reason", "guardedby,errcrit"},
+		{"//jurylint:allow maprange,errcrit -- reason", "maprange,errcrit"},
 		{"// plain comment", ""},
 		{"//jurylint:allowwallclock", ""},
 	}

@@ -12,11 +12,12 @@ var SimPackages = []string{
 }
 
 // BridgePackages carry event-driven components across real TCP and
-// threads. They are allowed concurrency (checked by guardedby instead of
-// eventloop), but wall-clock reads must stay confined to annotated
-// real-time boundary code. sweep is the experiment-orchestration bridge:
-// it fans whole simulations across a worker pool, so it owns goroutines
-// and channels but must stay deterministic from the outside. obs is the
+// threads. They are allowed concurrency (no eventloop pass; their lock
+// discipline is held by the -race tests, see DESIGN.md), but wall-clock
+// reads must stay confined to annotated real-time boundary code.
+// sweep is the experiment-orchestration bridge: it fans whole
+// simulations across a worker pool, so it owns goroutines and channels
+// but must stay deterministic from the outside. obs is the
 // observability bridge: its tracer runs on the engine goroutine against
 // virtual time, but its registry is scraped by a live exposition server
 // that owns goroutines and reads the wall clock at one annotated boundary.
@@ -38,12 +39,9 @@ var BridgePackages = []string{"ofconn", "wire", "wire/wiretest", "sweep", "obs",
 // CmdPackages are the command-line drivers under cmd/. They are held to
 // the bridge contract, not the sim contract: they own goroutines and
 // channels freely (no eventloop pass), but wall-clock reads must stay in
-// annotated boundary functions, mutex annotations are enforced by
-// guardedby, and serialized output is screened by vclockleak — a live
-// driver that leaks virtual nanoseconds into its wire output corrupts
-// the protocol's time base just as badly as a bridge package would.
-// Entries match import-path suffixes, so the entry keeps its "cmd/"
-// element: a bare "jury" would also match the module root.
+// annotated boundary functions. Entries match import-path suffixes, so
+// the entry keeps its "cmd/" element: a bare "jury" would also match the
+// module root.
 var CmdPackages = []string{"cmd/jury"}
 
 // CriticalAPIs returns the FullName list of error-returning calls whose
@@ -158,18 +156,6 @@ func ErrcritWaived(modulePath string) map[string]string {
 	}
 }
 
-// DefaultVClockConfig returns the vclockleak source configuration for a
-// module rooted at modulePath: the simnet engine clock is the canonical
-// virtual-time source (func() time.Duration clock values, Duration field
-// reads and Duration parameters are sources implicitly).
-func DefaultVClockConfig(modulePath string) VClockConfig {
-	return VClockConfig{
-		Sources: []string{
-			"(*" + modulePath + "/internal/simnet.Engine).Now",
-		},
-	}
-}
-
 // DefaultSuite is the analyzer configuration enforced by `jury lint` and
 // the tier-1 verify gate for the module rooted at modulePath. The root
 // facade package (modulePath itself) is simulation-driven too: it wires
@@ -181,10 +167,8 @@ func DefaultSuite(modulePath string) []*Analyzer {
 	return []*Analyzer{
 		NewWallclock(wallclockPkgs),
 		NewEventloop(sim),
-		NewGuardedBy(nil), // acts only where `// guarded by` annotations exist
 		NewErrCrit(CriticalAPIs(modulePath)),
 		NewMaprange(sim),
-		NewVClockLeak(nil, DefaultVClockConfig(modulePath)),
 		NewErrCritSync(ErrCritSyncConfig{
 			Packages: ErrcritPackages(modulePath),
 			Curated:  CriticalAPIs(modulePath),

@@ -1,5 +1,6 @@
-// Package wire mimics the concurrent bridge layer with one mutex
-// discipline violation for the driver golden test.
+// Package wire mimics the concurrent bridge layer for the driver golden
+// test: a mutex-guarded hub with one exported API the errcrit audit
+// flags.
 package wire
 
 import "sync"
@@ -16,6 +17,3 @@ func (h *Hub) Add(s string) {
 	defer h.mu.Unlock()
 	h.subs = append(h.subs, s)
 }
-
-// Len is deliberately wrong: it reads subs without the lock.
-func (h *Hub) Len() int { return len(h.subs) }

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -525,6 +526,42 @@ func TestLinkKeyRoundTrip(t *testing.T) {
 	if _, _, err := parseLinkKey("bogus"); err == nil {
 		t.Fatal("expected parse error")
 	}
+}
+
+// sscanfLinkKey is the reference parseLinkKey must match: the
+// fmt.Sscanf call it replaced.
+func sscanfLinkKey(key string) (src, dst topo.Port, err error) {
+	var s1, p1, s2, p2 uint64
+	if _, err = fmt.Sscanf(key, "%d:%d->%d:%d", &s1, &p1, &s2, &p2); err != nil {
+		return topo.Port{}, topo.Port{}, err
+	}
+	return topo.Port{DPID: topo.DPID(s1), Port: uint16(p1)},
+		topo.Port{DPID: topo.DPID(s2), Port: uint16(p2)}, nil
+}
+
+// FuzzParseLinkKey is a differential test: the hand parser accepts and
+// rejects exactly the keys fmt.Sscanf(key, "%d:%d->%d:%d") does, and
+// yields the same ports. The seeds run as a table under plain go test.
+//
+//	go test -run '^$' -fuzz FuzzParseLinkKey -fuzztime=10s ./internal/controller
+func FuzzParseLinkKey(f *testing.F) {
+	for _, key := range []string{
+		"12:3->7:2", "0:0->0:0", "18446744073709551615:65535->1:1",
+		"18446744073709551616:1->2:3", "1:65536->2:70000", "007:08->9:010",
+		" 1: 2-> 3:\t4", "1 :2->3:4", "1:2 ->3:4", "1:2-> 3:4 trailing",
+		"1:2->3:4->5:6", "\u00a01:2->3:\u30004", "\u200b1:2->3:4", "\r1:2->3:4",
+		"\n1:2->3:4", "1:2->3:\r\n4", "\xc21:2->3:4", "+1:2->3:4", "-1:2->3:4",
+		"1_0:2->3:4", "1:2->3", "1:2->3:", "1:2-3:4", "1:2>3:4", "", "bogus",
+	} {
+		f.Add(key)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		gs, gd, gerr := parseLinkKey(key)
+		ws, wd, werr := sscanfLinkKey(key)
+		if (gerr == nil) != (werr == nil) || gs != ws || gd != wd {
+			t.Fatalf("parseLinkKey(%q) = %v, %v, %v; Sscanf gives %v, %v, %v", key, gs, gd, gerr, ws, wd, werr)
+		}
+	})
 }
 
 func TestParseMAC(t *testing.T) {

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/store"
@@ -121,12 +124,45 @@ func LinkKey(src, dst topo.Port) string {
 // linkKey is the internal alias of LinkKey.
 func linkKey(src, dst topo.Port) string { return LinkKey(src, dst) }
 
-// parseLinkKey is the inverse of linkKey.
+// parseLinkKey is the inverse of linkKey. It accepts exactly the keys
+// fmt.Sscanf(key, "%d:%d->%d:%d") accepts into four uint64s, with the
+// same values: white space other than a newline may precede each number,
+// the separators must follow the digits directly, anything after the
+// fourth number is ignored, and the ports keep their low 16 bits.
+// FuzzParseLinkKey holds it to that Sscanf call, which it replaces on
+// the per-PACKET_IN path.
 func parseLinkKey(key string) (src, dst topo.Port, err error) {
-	var s1, p1, s2, p2 uint64
-	if _, err = fmt.Sscanf(key, "%d:%d->%d:%d", &s1, &p1, &s2, &p2); err != nil {
-		return topo.Port{}, topo.Port{}, fmt.Errorf("controller: bad link key %q: %w", key, err)
+	var v [4]uint64
+	rest := key
+	for i, sep := range [...]string{":", "->", ":", ""} {
+		var ok bool
+		if v[i], rest, ok = scanDecimal(rest); !ok || !strings.HasPrefix(rest, sep) {
+			return topo.Port{}, topo.Port{}, fmt.Errorf("controller: bad link key %q", key)
+		}
+		rest = rest[len(sep):]
 	}
-	return topo.Port{DPID: topo.DPID(s1), Port: uint16(p1)},
-		topo.Port{DPID: topo.DPID(s2), Port: uint16(p2)}, nil
+	return topo.Port{DPID: topo.DPID(v[0]), Port: uint16(v[1])},
+		topo.Port{DPID: topo.DPID(v[2]), Port: uint16(v[3])}, nil
+}
+
+// scanDecimal reads what fmt's %d verb reads into a uint64: optional
+// white space other than a newline, then one or more ASCII digits whose
+// value fits in 64 bits. It returns the input after the digits.
+func scanDecimal(s string) (v uint64, rest string, ok bool) {
+	for {
+		r, size := utf8.DecodeRuneInString(s)
+		if r == '\n' || !unicode.IsSpace(r) {
+			break
+		}
+		s = s[size:]
+	}
+	n := 0
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		n++
+	}
+	if n == 0 {
+		return 0, s, false
+	}
+	v, err := strconv.ParseUint(s[:n], 10, 64)
+	return v, s[n:], err == nil
 }

@@ -209,7 +209,7 @@ func TestValidatorRecorderLifecycle(t *testing.T) {
 }
 
 // TestValidatorRecorderTimeout asserts the deadline path records EvTimer
-// before the forced verdict.
+// before the forced verdict, both stamped with the deadline in virtual ns.
 func TestValidatorRecorderTimeout(t *testing.T) {
 	eng, v, rec := newRecordedValidator(t, 2, 64)
 	v.Submit(cacheResp(1, 1, "τt", "k", "up", 7))
@@ -229,6 +229,13 @@ func TestValidatorRecorderTimeout(t *testing.T) {
 			}
 		case obs.EvVerdict:
 			sawVerdict = true
+		default:
+			continue
+		}
+		// The dump's time axis is virtual ns: the lone response arrived
+		// at 0, so its deadline fires at the 100ms timeout.
+		if e.AtNS != int64(100*time.Millisecond) {
+			t.Fatalf("%v event at_ns = %d, want %d", e.Kind, e.AtNS, int64(100*time.Millisecond))
 		}
 	}
 	if !sawTimer || !sawVerdict {

@@ -97,7 +97,7 @@ type Response struct {
 	// At is the virtual submission timestamp. It crosses the wire as-is:
 	// the protocol's documented time base is virtual nanoseconds since
 	// simulation/service start on both ends.
-	At time.Duration // vclock:wire -- protocol time base is virtual ns
+	At time.Duration // protocol time base is virtual ns
 
 	// free marks responses that ride an existing replication stream
 	// (cache updates) and therefore cost no additional network traffic.

@@ -97,8 +97,8 @@ type Result struct {
 	Responses int
 	// DetectionTime is the interval from the first response (θτ start)
 	// to the decision.
-	DetectionTime time.Duration // vclock:wire -- protocol time base is virtual ns
-	DecidedAt     time.Duration // vclock:wire -- protocol time base is virtual ns
+	DetectionTime time.Duration // protocol time base is virtual ns
+	DecidedAt     time.Duration // protocol time base is virtual ns
 	TimedOut      bool
 	// Evidence carries the responses behind a fault verdict (bounded),
 	// the diagnostics the paper presents to the administrator (§V).

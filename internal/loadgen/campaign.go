@@ -83,7 +83,7 @@ type CampaignConfig struct {
 type CampaignPoint struct {
 	Rate   float64       `json:"rate"`
 	Shards int           `json:"shards"`
-	Window time.Duration `json:"window_ns"` // vclock:wire -- virtual measurement window, part of the point identity
+	Window time.Duration `json:"window_ns"` // virtual measurement window, part of the point identity
 }
 
 // PointResult is a point's deterministic outcome: every field is a pure
@@ -275,67 +275,14 @@ func runPoint(ctx context.Context, cfg CampaignConfig, pt sweep.Point[CampaignPo
 		hashEvent(digest, buf[:], ev)
 		res.Events++
 		// One event's responses are handed to the plane as one batch.
-		batch = batch[:0]
-		switch ev.Kind {
-		case FlowArrival:
+		var tid trigger.ID
+		keep := true
+		if ev.Kind == FlowArrival {
 			res.Triggers++
-			tid := triggerID(id[:], res.Triggers)
-			primary := members[ev.Src%uint64(n)]
-			key := fmt.Sprintf("flow/%d>%d", ev.Src, ev.Dst)
-			// The primary's authoritative cache write. Dropping it leaves
-			// the secondaries' effects unmatched: an omission alarm at the
-			// deadline — a false positive, since the load is benign.
-			if cfg.DropRate <= 0 || drop.Float64() >= cfg.DropRate {
-				batch = append(batch, core.Response{
-					Controller: primary, Primary: primary, Trigger: tid,
-					Kind: core.CacheUpdate, Tainted: false,
-					Cache: store.FlowsDB, Op: store.OpCreate,
-					Key: key, Value: "fwd", StateDigest: 9,
-					At: ev.At,
-				})
-			}
-			at := ev.At
-			for _, sec := range members {
-				if sec == primary {
-					continue
-				}
-				at += time.Microsecond
-				batch = append(batch, core.Response{
-					Controller: sec, Primary: primary, Trigger: tid,
-					Kind: core.SecondaryExec, Tainted: true,
-					Cache: store.FlowsDB, Op: store.OpCreate,
-					Key: key, Value: "fwd", StateDigest: 9,
-					At: at,
-				})
-			}
-		case HostJoin, HostLeave:
-			op := store.OpUpdate
-			val := "join"
-			if ev.Kind == HostLeave {
-				op, val = store.OpDelete, "gone"
-			}
-			batch = append(batch, core.Response{
-				Controller: members[ev.Src%uint64(n)],
-				Kind:       core.CacheUpdate, Tainted: false,
-				Cache: store.HostDB, Op: op,
-				Key:   topo.HostMAC(int(ev.Src)).String(),
-				Value: val, StateDigest: 9,
-				At: ev.At,
-			})
-		case LinkFlap:
-			val := "down"
-			if ev.Up {
-				val = "up"
-			}
-			batch = append(batch, core.Response{
-				Controller: members[uint64(ev.Link)%uint64(n)],
-				Kind:       core.CacheUpdate, Tainted: false,
-				Cache: store.LinksDB, Op: store.OpUpdate,
-				Key:   links[ev.Link].String(),
-				Value: val, StateDigest: 9,
-				At: ev.At,
-			})
+			tid = triggerID(id[:], res.Triggers)
+			keep = cfg.DropRate <= 0 || drop.Float64() >= cfg.DropRate
 		}
+		batch = AppendResponses(batch[:0], ev, members, links, tid, keep)
 		plane.SubmitBatch(batch, 0)
 	}
 	// The stream ran dry or crossed the window: close out any remaining
@@ -374,6 +321,67 @@ func runPoint(ctx context.Context, cfg CampaignConfig, pt sweep.Point[CampaignPo
 		cfg.OnSeries(pt.Params, pt.Seed, series)
 	}
 	return res, nil
+}
+
+// AppendResponses appends to dst the validator responses ev stands for
+// and returns the extended slice. It is the one event-to-response
+// mapping, shared by the in-process campaign and `jury load -wire`:
+//   - a FlowArrival is trigger tid: the primary's untainted FlowsDB write
+//     (left out unless keepPrimary), then one tainted secondary execution
+//     per other member, each a microsecond after the last;
+//   - HostJoin/HostLeave and LinkFlap are untainted HostDB and LinksDB
+//     updates.
+//
+// The issuing member is members[Src mod n] (members[Link mod n] for a
+// flap). Every response carries the same state digest, so a benign
+// stream decides valid; tid and keepPrimary are ignored for events other
+// than FlowArrival.
+func AppendResponses(dst []core.Response, ev Event, members []store.NodeID, links []topo.Link, tid trigger.ID, keepPrimary bool) []core.Response {
+	n := uint64(len(members))
+	switch ev.Kind {
+	case FlowArrival:
+		primary := members[ev.Src%n]
+		r := core.Response{
+			Controller: primary, Primary: primary, Trigger: tid, Kind: core.CacheUpdate,
+			Cache: store.FlowsDB, Op: store.OpCreate, Key: fmt.Sprintf("flow/%d>%d", ev.Src, ev.Dst),
+			Value: "fwd", StateDigest: 9, At: ev.At,
+		}
+		// The primary's authoritative cache write. Dropping it leaves the
+		// secondaries' effects unmatched: an omission alarm at the
+		// deadline — a false positive, since the load is benign.
+		if keepPrimary {
+			dst = append(dst, r)
+		}
+		r.Kind, r.Tainted = core.SecondaryExec, true
+		for _, sec := range members {
+			if sec != primary {
+				r.Controller = sec
+				r.At += time.Microsecond
+				dst = append(dst, r)
+			}
+		}
+	case HostJoin, HostLeave:
+		op, val := store.OpUpdate, "join"
+		if ev.Kind == HostLeave {
+			op, val = store.OpDelete, "gone"
+		}
+		dst = append(dst, core.Response{
+			Controller: members[ev.Src%n], Kind: core.CacheUpdate,
+			Cache: store.HostDB, Op: op, Key: topo.HostMAC(int(ev.Src)).String(),
+			Value: val, StateDigest: 9, At: ev.At,
+		})
+	case LinkFlap:
+		val := "down"
+		if ev.Up {
+			val = "up"
+		}
+		dst = append(dst, core.Response{
+			Controller: members[uint64(ev.Link)%n], Kind: core.CacheUpdate,
+			Cache: store.LinksDB, Op: store.OpUpdate, Key: links[ev.Link].String(),
+			Value: val, StateDigest: 9, At: ev.At,
+		})
+	}
+	return dst
 }
 
 // triggerID formats a trigger ID into a reusable buffer; the returned

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/jurysdn/jury/internal/obs"
+	"github.com/jurysdn/jury/internal/sweep"
 )
 
 // TestCampaignFatTree8Deterministic is the acceptance determinism test:
@@ -44,6 +45,11 @@ func TestCampaignFatTree8Deterministic(t *testing.T) {
 			t.Fatalf("point %d result diverged between parallelism 1 and 8:\n%+v\n%+v",
 				i, seq[i].Result, par[i].Result)
 		}
+	}
+	// A point's identity, and so its seed, carries the window in virtual
+	// ns under its own key.
+	if key, err := sweep.PointKey(seq[0].Point); err != nil || key != `{"rate":2000,"shards":1,"window_ns":40000000}` {
+		t.Fatalf("point key = %s, %v", key, err)
 	}
 	// Same rate at different shard widths must see the identical event
 	// stream: the plane width cannot reach back into generation.

@@ -66,7 +66,7 @@ func (k EventKind) String() string {
 // Event is one synthesized workload event. Events are plain values —
 // emitting one allocates nothing.
 type Event struct {
-	At   time.Duration `json:"at_ns"` // vclock:wire -- virtual timestamp; consumers must not compare against wall time
+	At   time.Duration `json:"at_ns"` // virtual timestamp; consumers must not compare against wall time
 	Kind EventKind     `json:"kind"`
 	// Src and Dst are 1-based virtual host indices (FlowArrival/FlowEnd);
 	// Src alone identifies the host for HostJoin/HostLeave. Resolve to

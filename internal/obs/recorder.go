@@ -74,7 +74,7 @@ type Event struct {
 	// events recorded at the same virtual instant on the same shard.
 	Seq uint64 `json:"seq"`
 	// AtNS is the virtual timestamp of the event.
-	AtNS int64 `json:"at_ns"` // vclock:wire -- dump format is virtual ns by contract
+	AtNS int64 `json:"at_ns"` // dump format is virtual ns by contract
 	// Kind classifies the event.
 	Kind EventKind `json:"kind"`
 	// Trigger is the taint/trigger ID the event belongs to (τ).

@@ -92,6 +92,54 @@ func TestRecorderConcurrentAppend(t *testing.T) {
 	}
 }
 
+// TestLockDisciplineRecorder runs every Recorder method in its own
+// goroutine, beside a witness that holds mu and rewrites the ring header
+// (nothing else writes it after construction, so a Cap that dropped its
+// lock would otherwise race with nobody). Under -race, any method that
+// touches a guarded field without mu races with a writer.
+func TestLockDisciplineRecorder(t *testing.T) {
+	rec := NewRecorder(16)
+	stop := make(chan struct{})
+	witnessed := make(chan struct{})
+	go func() {
+		defer close(witnessed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec.mu.Lock()
+			ring := rec.ring
+			rec.ring = ring
+			rec.mu.Unlock()
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, f := range []func(i int){
+		func(i int) { rec.Record(Event{AtNS: int64(i), Kind: EvResponse}) },
+		func(i int) { rec.SetShard(i) },
+		func(i int) { rec.SetOrigin("jury") },
+		func(int) { _ = rec.Total() },
+		func(int) { _ = rec.Cap() },
+		func(int) { _ = rec.Snapshot() },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-witnessed
+	if rec.Total() != 500 || rec.Cap() != 16 {
+		t.Fatalf("total = %d, cap = %d; want 500, 16", rec.Total(), rec.Cap())
+	}
+}
+
 // TestMergeEventsDeterministic asserts the merged dump order is a pure
 // function of the event set: virtual time, origin, shard, then append
 // order — regardless of snapshot arrival order.

@@ -18,7 +18,7 @@ type SeriesColumn struct {
 // SeriesRow is one sampling instant: the virtual timestamp plus one value
 // per column, in column order.
 type SeriesRow struct {
-	AtNS int64     `json:"at_ns"` // vclock:wire -- series format is virtual ns by contract
+	AtNS int64     `json:"at_ns"` // series format is virtual ns by contract
 	V    []float64 `json:"v"`
 }
 

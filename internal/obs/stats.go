@@ -148,7 +148,7 @@ func (s Snapshot) MarshalJSON() ([]byte, error) {
 	if samples == nil {
 		samples = []time.Duration{} // an empty run encodes as [], not null
 	}
-	return json.Marshal(samples) //jurylint:allow vclockleak -- dump format is virtual ns by contract (canonical, cache-compared)
+	return json.Marshal(samples) // virtual ns by contract (canonical, cache-compared)
 }
 
 // UnmarshalJSON restores a snapshot serialized by MarshalJSON.

@@ -20,7 +20,7 @@ type StitchInput struct {
 	Origin string
 	// ShiftNS is added to every span's StartNS, mapping the input's
 	// virtual clock base onto the stitched timeline.
-	ShiftNS int64 // vclock:wire -- clock-base shift on the virtual-ns trace axis
+	ShiftNS int64 // clock-base shift on the virtual-ns trace axis
 	// R streams the input's JSONL spans.
 	R io.Reader
 }

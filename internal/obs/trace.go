@@ -27,8 +27,8 @@ type Span struct {
 	// "C3", "store/C2", "validator").
 	Node string `json:"node,omitempty"`
 	// StartNS and DurNS are virtual nanoseconds since simulation start.
-	StartNS int64 `json:"start_ns"` // vclock:wire -- span format is virtual ns by contract
-	DurNS   int64 `json:"dur_ns"`   // vclock:wire -- span format is virtual ns by contract
+	StartNS int64 `json:"start_ns"` // span format is virtual ns by contract
+	DurNS   int64 `json:"dur_ns"`   // span format is virtual ns by contract
 	// Verdict and Fault are set on root spans when the validator decided
 	// the trigger.
 	Verdict string `json:"verdict,omitempty"`

@@ -93,7 +93,7 @@ func NewPumpWithClock(eng *simnet.Engine, tick time.Duration, clock func() time.
 // event-budget overrun, both benign for a live pump that fires again on
 // the next tick.
 //
-// Every call site holds p.mu (proven by the guardedby call graph).
+// Every call site holds p.mu.
 //
 //jurylint:allow errcrit -- benign Run errors for a live pump; see above
 func (p *Pump) advance() {

@@ -2,6 +2,7 @@ package ofconn
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -361,4 +362,86 @@ func TestControllerEndCloseUnderAcceptStorm(t *testing.T) {
 	if err := ce.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
+}
+
+// TestLockDisciplineWrites has several goroutines send on one session at
+// each end of the bridge, over conns that count their writes in a plain
+// field, i.e. conns that are not safe for concurrent writers. Both ends
+// promise to serialize their writes (writeMu), so under -race a dropped
+// write lock races on the counter.
+func TestLockDisciplineWrites(t *testing.T) {
+	eng := simnet.NewEngine(1)
+	pump := NewPump(eng, time.Millisecond)
+	defer pump.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := make(chan func(openflow.Message), 1)
+	ce := NewControllerEnd(countingListener{ln}, pump,
+		func(_ topo.DPID, _ openflow.Message, send func(openflow.Message)) {
+			select {
+			case sends <- send:
+			default:
+			}
+		})
+	defer ce.Close()
+	se, err := DialSwitch(ce.Addr(), 7, pump, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	if err := se.Send(&openflow.BarrierRequest{XID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	toSwitch := <-sends
+
+	a, b := net.Pipe()
+	defer a.Close()
+	go func() { _, _ = io.Copy(io.Discard, b) }()
+	toController := &SwitchEnd{conn: &countingConn{Conn: a}}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				toSwitch(&openflow.BarrierReply{XID: uint32(j)})
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				if err := toController.Send(&openflow.BarrierRequest{XID: uint32(j)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// countingConn counts its writes in a plain field, so it is not safe for
+// concurrent writers.
+type countingConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+// countingListener hands out countingConns.
+type countingListener struct{ net.Listener }
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c}, nil
 }

@@ -145,7 +145,7 @@ type entry struct {
 // a few words per batch.
 type item struct {
 	kind itemKind
-	to   time.Duration // vclock:wire -- advance target on the virtual time base
+	to   time.Duration // advance target on the virtual time base
 	// entries is this shard's share of one batch, leased from entryPool by
 	// the dispatcher. Ownership moves with the item: the worker that
 	// processes it (or Kill, for an adopted backlog) returns it to the pool.

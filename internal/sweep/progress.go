@@ -98,8 +98,7 @@ func (p *progress) done(index int, key string, err error, cached bool, elapsed t
 }
 
 // etaLocked estimates remaining wall time: mean executed-point duration
-// times remaining points, divided by the pool width. Callers hold mu
-// (proven by the guardedby call graph).
+// times remaining points, divided by the pool width. Callers hold mu.
 func (p *progress) etaLocked() time.Duration {
 	remaining := p.total - p.completed
 	if remaining <= 0 || p.execCount == 0 {

@@ -16,9 +16,10 @@
 //
 // The package is a concurrent bridge in the jurylint suite: it is exempt
 // from the eventloop rule (worker pools are its whole point) but held to
-// guardedby mutex discipline, the wallclock rule (the ETA clock is
-// injected, defaulting to time.Now only at the annotated boundary), and
-// errcrit on its Run/Results error returns.
+// the wallclock rule (the ETA clock is injected, defaulting to time.Now
+// only at the annotated boundary) and errcrit on its Run/Results error
+// returns; TestLockDisciplineSweep holds its mutex discipline under
+// -race.
 package sweep
 
 import (
@@ -108,6 +109,11 @@ type Sweep[P, R any] struct {
 	// state is idle → running → done. guarded by mu.
 	state int
 
+	// failMu guards the first fail-fast point error, which ends the run.
+	failMu   sync.Mutex
+	failErr  error // guarded by failMu
+	failOnce bool  // guarded by failMu
+
 	prog *progress
 }
 
@@ -173,18 +179,13 @@ func (s *Sweep[P, R]) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var (
-		failMu   sync.Mutex
-		failErr  error // guarded by failMu
-		failOnce bool  // guarded by failMu
-	)
 	fail := func(i int, err error) {
-		failMu.Lock()
-		if !failOnce {
-			failOnce = true
-			failErr = fmt.Errorf("sweep: point %d (%s): %w", i, s.points[i].Key, err)
+		s.failMu.Lock()
+		if !s.failOnce {
+			s.failOnce = true
+			s.failErr = fmt.Errorf("sweep: point %d (%s): %w", i, s.points[i].Key, err)
 		}
-		failMu.Unlock()
+		s.failMu.Unlock()
 		cancel()
 	}
 
@@ -224,9 +225,9 @@ feed:
 	s.state = stateDone
 	s.mu.Unlock()
 
-	failMu.Lock()
-	err := failErr
-	failMu.Unlock()
+	s.failMu.Lock()
+	err := s.failErr
+	s.failMu.Unlock()
 	if err != nil {
 		return err
 	}

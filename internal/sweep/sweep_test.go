@@ -359,3 +359,92 @@ func TestPointKeysDistinguishPoints(t *testing.T) {
 		}
 	}
 }
+
+// witness stands in for a user that honours a lock discipline: until
+// stop is called it repeatedly takes mu and runs touch, which reads and
+// rewrites (with the same values) every field mu guards. Under -race, an
+// access to those fields made without mu then races with it, whether or
+// not the code under test has a natural concurrent partner for it.
+func witness(mu *sync.Mutex, touch func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			mu.Lock()
+			touch()
+			mu.Unlock()
+		}
+	}()
+	return func() { close(quit); <-done }
+}
+
+// TestLockDisciplineSweep runs a collect-all and a fail-fast sweep while
+// a second Run, a Results poller and witnesses for mu and failMu race
+// them, with a progress callback that relies on the sweep serializing
+// its events. Under -race, every dropped lock in sweep.go and
+// progress.go shows up.
+func TestLockDisciplineSweep(t *testing.T) {
+	for _, failFast := range []bool{false, true} {
+		events := 0 // unsynchronized: progress events must be serialized
+		s, err := New(Config{
+			Parallelism: 4,
+			FailFast:    failFast,
+			Progress:    func(Event) { events++ },
+		}, grid(200), func(_ context.Context, pt Point[params]) (int64, error) {
+			if failFast {
+				return 0, errors.New("boom")
+			}
+			return pt.Seed, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopMu := witness(&s.mu, func() {
+			st := s.state
+			s.state = st
+			for i := range s.results {
+				r := s.results[i]
+				s.results[i] = r
+			}
+		})
+		stopFail := witness(&s.failMu, func() {
+			e, once := s.failErr, s.failOnce
+			s.failErr, s.failOnce = e, once
+		})
+		var wg sync.WaitGroup
+		runErrs := make([]error, 2)
+		for i := range runErrs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runErrs[i] = s.Run(context.Background())
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, err := s.Results(); !errors.Is(err, errNotStarted) {
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		stopMu()
+		stopFail()
+		twice := 0
+		for _, err := range runErrs {
+			if errors.Is(err, errAlreadyRun) {
+				twice++
+			}
+		}
+		if twice != 1 || events == 0 {
+			t.Fatalf("failFast=%v: runs %v, %d progress events; want exactly one errAlreadyRun and some events", failFast, runErrs, events)
+		}
+	}
+}

@@ -481,7 +481,7 @@ func (c *Client) writeLoop() {
 // takeBatchLocked picks the next write unit: the retained in-flight
 // batch first, then an owed heartbeat pong, then up to MaxBatch queued
 // envelopes. The returned slice is c.inflight, retained until its write
-// succeeds. Runs with c.mu held (proven by the guardedby call graph).
+// succeeds. Runs with c.mu held.
 func (c *Client) takeBatchLocked() []queued {
 	if len(c.inflight) > 0 {
 		return c.inflight

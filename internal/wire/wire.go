@@ -85,7 +85,7 @@ type TraceContext struct {
 	// pairs it with its own elapsed time on arrival to estimate the
 	// clock-base shift between the two processes (wire.Server.TraceOrigins
 	// reports the estimate per origin).
-	BaseNS int64 `json:"base_ns"` // vclock:wire -- sender virtual clock at send time
+	BaseNS int64 `json:"base_ns"` // sender virtual clock at send time
 }
 
 // Stats summarizes the validator state.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -136,3 +137,100 @@ func TestListenerFailAccepts(t *testing.T) {
 		t.Fatalf("accepts = %d, want 3", fl.Accepts())
 	}
 }
+
+// TestLockDisciplineConn arms every fault while other goroutines read
+// and write through the conn: the package's promise that
+// faults "may be armed mid-stream from another goroutine". Under -race,
+// a dropped lock around any fault field races with the other side.
+func TestLockDisciplineConn(t *testing.T) {
+	fc, peer := pipePair()
+	fc.CutAfter(1 << 40) // armed but never reached: Write takes the decrement path
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() { // the peer drains what fc writes...
+		defer wg.Done()
+		buf := make([]byte, 64)
+		for {
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	go func() { // ...and feeds what fc reads.
+		defer wg.Done()
+		for {
+			if _, err := peer.Write([]byte("data")); err != nil {
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			if _, err := fc.Write([]byte("payload")); err != nil {
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, 8)
+		for {
+			if _, err := fc.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	// One goroutine per arming call: a call that dropped its lock would
+	// then share no synchronization at all with the I/O goroutines.
+	var arm sync.WaitGroup
+	for _, f := range []func(){
+		func() { fc.CutAfter(1 << 40) },
+		func() { fc.PartialWrites(1 << 20) },
+		func() { fc.InjectGarbage([]byte("g")) },
+		func() { fc.Stall()() },
+	} {
+		arm.Add(1)
+		go func() {
+			defer arm.Done()
+			for i := 0; i < 2000; i++ {
+				f()
+			}
+		}()
+	}
+	arm.Wait()
+	_ = fc.Close()
+	_ = peer.Close()
+	wg.Wait()
+}
+
+// TestLockDisciplineListener accepts, scripts failures and reads the
+// Accept count, each from its own goroutine.
+func TestLockDisciplineListener(t *testing.T) {
+	fl := WrapListener(refusing{})
+	boom := errors.New("boom")
+	var wg sync.WaitGroup
+	for _, f := range []func(){
+		func() { _, _ = fl.Accept() },
+		func() { fl.FailAccepts(1, boom) },
+		func() { _ = fl.Accepts() },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				f()
+			}
+		}()
+	}
+	wg.Wait()
+	if fl.Accepts() != 2000 {
+		t.Fatalf("accepts = %d, want 2000", fl.Accepts())
+	}
+}
+
+// refusing is a listener whose Accept fails at once, so an accept loop
+// over it never blocks.
+type refusing struct{ net.Listener }
+
+func (refusing) Accept() (net.Conn, error) { return nil, errors.New("refused") }
