@@ -15,19 +15,22 @@ import (
 	"github.com/jurysdn/jury/internal/trigger"
 )
 
+const (
+	// validatorLatency is the one-way latency of the out-of-band channel
+	// from a controller's module to the validator.
+	validatorLatency = 200 * time.Microsecond
+	// decapMean is the mean of the modeled PACKET_IN decapsulation
+	// overhead on the ODL (encapsulating) path (Fig. 4i).
+	decapMean = 85 * time.Microsecond
+)
+
 // ModuleConfig parameterizes a JURY controller module.
 type ModuleConfig struct {
 	// K is the replication factor (number of secondary controllers).
 	K int
-	// ValidatorLatency is the one-way latency of the out-of-band channel
-	// from the controller to the validator.
-	ValidatorLatency time.Duration
 	// RelayAll disables the k+1 sampling of cache-update relays; every
 	// replica then relays every applied event (more validator traffic).
 	RelayAll bool
-	// DecapMean is the mean of the modeled PACKET_IN decapsulation
-	// overhead on the ODL path (Fig. 4i); zero for the proxy (ONOS) path.
-	DecapMean time.Duration
 	// Tracer records per-controller "exec" and "decap" spans; nil
 	// disables tracing at zero hot-path cost.
 	Tracer *obs.Tracer
@@ -67,9 +70,6 @@ type Module struct {
 // its hooks last, so fault injectors installed before it act first (the
 // module validates the faulty behaviour, it does not mask it).
 func NewModule(eng *simnet.Engine, ctrl *controller.Controller, validator *Validator, cfg ModuleConfig) *Module {
-	if cfg.ValidatorLatency == 0 {
-		cfg.ValidatorLatency = 200 * time.Microsecond
-	}
 	m := &Module{
 		eng:       eng,
 		ctrl:      ctrl,
@@ -289,12 +289,8 @@ func (m *Module) HandleReplicated(dpid topo.DPID, msg openflow.Message, ctx *tri
 }
 
 func (m *Module) decapOverhead() time.Duration {
-	mean := m.cfg.DecapMean
-	if mean <= 0 {
-		mean = 85 * time.Microsecond
-	}
-	d := time.Duration(m.eng.Rand().ExpFloat64() * float64(mean))
-	if max := 4 * mean; d > max {
+	d := time.Duration(m.eng.Rand().ExpFloat64() * float64(decapMean))
+	if max := 4 * decapMean; d > max {
 		d = max
 	}
 	return d
@@ -317,7 +313,7 @@ func (m *Module) sendWithDigest(r Response, fallback uint64) {
 	if !r.free {
 		m.validatorBytes += int64(r.Size())
 	}
-	m.eng.Schedule(m.cfg.ValidatorLatency, func() {
+	m.eng.Schedule(validatorLatency, func() {
 		r.At = m.eng.Now()
 		m.validator.Submit(r)
 	})

@@ -36,14 +36,16 @@ func (m ReplicationMode) String() string {
 	return "proxy"
 }
 
+// replicatorLatency is the one-way delay from a replicator to a
+// controller.
+const replicatorLatency = 150 * time.Microsecond
+
 // ReplicatorConfig parameterizes a per-switch replicator.
 type ReplicatorConfig struct {
 	// K is the number of secondary controllers per trigger.
 	K int
 	// Mode selects proxy (ONOS) or encapsulating (ODL) replication.
 	Mode ReplicationMode
-	// Latency is the one-way delay from the replicator to a controller.
-	Latency time.Duration
 	// Metrics receives the per-switch replication counters (labeled by
 	// dpid); nil falls back to a private registry.
 	Metrics *obs.Registry
@@ -88,9 +90,6 @@ func NewReplicator(
 	primaryDeliver func(id store.NodeID, dpid topo.DPID, msg openflow.Message, ctx *trigger.Context),
 	cfg ReplicatorConfig,
 ) *Replicator {
-	if cfg.Latency == 0 {
-		cfg.Latency = 150 * time.Microsecond
-	}
 	if cfg.Mode == 0 {
 		cfg.Mode = ProxyMode
 	}
@@ -141,7 +140,7 @@ func (r *Replicator) HandleFromSwitch(msg openflow.Message) {
 		r.tracer.StartTrigger(string(ctx.ID), msg.Type().String())
 	}
 	dpid := r.dpid
-	r.eng.Schedule(r.cfg.Latency, func() {
+	r.eng.Schedule(replicatorLatency, func() {
 		r.primaryDeliver(primary, dpid, msg, ctx)
 	})
 	for _, id := range r.pickSecondaries(primary) {
@@ -166,7 +165,7 @@ func (r *Replicator) HandleFromSwitch(msg openflow.Message) {
 		r.replicatedMsgs.Inc()
 		m, f := mod, frame
 		cm := copyMsg
-		r.eng.Schedule(r.cfg.Latency, func() {
+		r.eng.Schedule(replicatorLatency, func() {
 			m.HandleReplicated(dpid, cm, replicaCtx, f)
 		})
 	}
@@ -181,14 +180,14 @@ func (r *Replicator) ReplicateREST(target store.NodeID, rule controller.FlowRule
 	if r.tracer != nil {
 		r.tracer.StartTrigger(string(ctx.ID), "rest-install")
 	}
-	r.eng.Schedule(r.cfg.Latency, func() { install(target, rule, ctx) })
+	r.eng.Schedule(replicatorLatency, func() { install(target, rule, ctx) })
 	size := int64(len(rule.Encode()) + 64)
 	for _, id := range r.pickSecondaries(target) {
 		replicaCtx := ctx.ReplicaOf()
 		sid := id
 		r.replicatedBytes.Add(size)
 		r.replicatedMsgs.Inc()
-		r.eng.Schedule(r.cfg.Latency, func() { install(sid, rule, replicaCtx) })
+		r.eng.Schedule(replicatorLatency, func() { install(sid, rule, replicaCtx) })
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/jurysdn/jury/internal/cluster"
 	"github.com/jurysdn/jury/internal/controller"
@@ -22,17 +21,10 @@ type SystemConfig struct {
 	// Mode is the trigger replication mode (proxy for ONOS, encap for
 	// ODL).
 	Mode ReplicationMode
-	// ReplicatorLatency is the replicator-to-controller one-way delay.
-	ReplicatorLatency time.Duration
-	// ValidatorLatency is the module-to-validator one-way delay.
-	ValidatorLatency time.Duration
 	// Validator carries the validator parameters (timeout etc.).
 	Validator ValidatorConfig
 	// RelayAll disables k+1 sampling of cache-update relays.
 	RelayAll bool
-	// DecapMean overrides the modeled decapsulation overhead mean for
-	// EncapMode.
-	DecapMean time.Duration
 	// Metrics is the registry shared by the validator, modules and
 	// replicators; nil creates one per system.
 	Metrics *obs.Registry
@@ -88,16 +80,11 @@ func (s *System) Tracer() *obs.Tracer { return s.cfg.Tracer }
 
 // AttachController instruments a controller with a JURY module.
 func (s *System) AttachController(ctrl *controller.Controller) *Module {
-	mcfg := ModuleConfig{
-		K:                s.cfg.K,
-		ValidatorLatency: s.cfg.ValidatorLatency,
-		RelayAll:         s.cfg.RelayAll,
-		Tracer:           s.cfg.Tracer,
-	}
-	if s.cfg.Mode == EncapMode {
-		mcfg.DecapMean = s.cfg.DecapMean
-	}
-	m := NewModule(s.eng, ctrl, s.validator, mcfg)
+	m := NewModule(s.eng, ctrl, s.validator, ModuleConfig{
+		K:        s.cfg.K,
+		RelayAll: s.cfg.RelayAll,
+		Tracer:   s.cfg.Tracer,
+	})
 	s.modules[ctrl.ID()] = m
 	s.controllers[ctrl.ID()] = ctrl
 	return m
@@ -118,7 +105,6 @@ func (s *System) AttachSwitch(sw *dataplane.Switch) (*Replicator, error) {
 	rep := NewReplicator(s.eng, sw.DPID(), s.members, s.modules, s.deliverPrimary, ReplicatorConfig{
 		K:       s.cfg.K,
 		Mode:    s.cfg.Mode,
-		Latency: s.cfg.ReplicatorLatency,
 		Metrics: s.cfg.Metrics,
 		Tracer:  s.cfg.Tracer,
 	})

@@ -25,14 +25,16 @@
 // Submit is the one-element case of the same path.
 //
 // Concurrency contract: Submit, SubmitBatch, Advance, Sync, Drain,
-// TraceSpans, Kill, Stop and Close form the dispatch side and must be
+// TraceSpans, Stop and Close form the dispatch side and must be
 // serialized by the caller (one dispatcher goroutine, or an external lock —
-// the wire server uses its own mutex). The stats accessors (Stats,
+// the wire server uses its own mutex). After Stop the dispatch calls queue
+// nothing and return at once. A worker dies only by panic, which ends the
+// process, so the plane has no crash model. The stats accessors (Stats,
 // ShardDecided, QueueHighWatermark, Alarms, ...) and a scrape of Metrics()
 // are safe from any goroutine at any time: they read atomic counters,
 // immutable snapshots and internally locked histograms. Every worker's
-// validator counts into the plane's registry, so each decision updates
-// one set of aggregates. The cluster membership handed to New must not be
+// validator counts into the plane's registry, so each decision updates one
+// set of aggregates. The cluster membership handed to New must not be
 // mutated while the plane runs.
 //
 // This package is a jurylint concurrency bridge: it owns goroutines and
@@ -148,7 +150,7 @@ type item struct {
 	to   time.Duration // advance target on the virtual time base
 	// entries is this shard's share of one batch, leased from entryPool by
 	// the dispatcher. Ownership moves with the item: the worker that
-	// processes it (or Kill, for an adopted backlog) returns it to the pool.
+	// processes it returns it to the pool.
 	entries *[]entry
 	ack     chan struct{}
 	gate    chan struct{}
@@ -177,13 +179,6 @@ type worker struct {
 	eng      *simnet.Engine
 	v        *core.Validator
 	q        chan item
-	// dieC delivers the kill handshake: the dispatcher sends a reply
-	// channel, the worker answers with its unprocessed backlog and exits.
-	dieC chan chan []item
-	// dead is set by the dispatcher before the die handshake; the worker
-	// checks it before processing each item so nothing is validated after
-	// the shard is declared dead (a batch already in progress completes).
-	dead atomic.Bool
 	// decided marks that the item in progress produced a result, so the
 	// worker owes the plane's flush hook a call when the item is finished.
 	// Worker-goroutine state.
@@ -204,7 +199,6 @@ type worker struct {
 	depth    *obs.Gauge
 	enqueued *obs.Counter
 	overflow *obs.Counter
-	steals   *obs.Counter
 }
 
 // Plane is a sharded validation plane.
@@ -212,17 +206,16 @@ type Plane struct {
 	cfg     Config
 	reg     *obs.Registry
 	workers []*worker
-	// alive tracks which shards still run. Dispatcher-owned state: only
-	// the serialized Submit/Kill/Close side reads or writes it, so it
-	// needs no lock.
-	alive []bool
 	// staged holds, per shard, the slice SubmitBatch is filling for the
-	// batch in hand; all nil between calls. Dispatcher-owned like alive.
+	// batch in hand; all nil between calls. Dispatcher-owned state: only
+	// the serialized dispatch side reads or writes it, so it needs no lock.
 	staged []*[]entry
-	wg     sync.WaitGroup
+	// stopped is set by Stop; every later dispatch call queues nothing.
+	// Dispatcher-owned like staged.
+	stopped bool
+	wg      sync.WaitGroup
 	// stop tells every worker to exit without flushing; closed by Stop.
-	stop     chan struct{}
-	stopOnce sync.Once
+	stop chan struct{}
 
 	// resMu serializes the user's OnResult hook and the flush hook across
 	// worker goroutines.
@@ -258,7 +251,6 @@ func New(cfg Config) (*Plane, error) {
 		cfg:     cfg,
 		reg:     reg,
 		workers: make([]*worker, cfg.Shards),
-		alive:   make([]bool, cfg.Shards),
 		staged:  make([]*[]entry, cfg.Shards),
 		stop:    make(chan struct{}),
 	}
@@ -270,7 +262,6 @@ func New(cfg Config) (*Plane, error) {
 			timeFrom: cfg.TimeFromResponses,
 			eng:      simnet.NewEngine(cfg.Seed),
 			q:        make(chan item, cfg.QueueDepth),
-			dieC:     make(chan chan []item),
 		}
 		if cfg.FlightRing > 0 {
 			w.rec = obs.NewRecorder(cfg.FlightRing)
@@ -293,9 +284,7 @@ func New(cfg Config) (*Plane, error) {
 		w.depth = reg.Gauge("jury_shard_queue_depth", "Items (batches, advances) queued to the shard's intake.", l)
 		w.enqueued = reg.Counter("jury_shard_enqueued_total", "Items enqueued to the shard.", l)
 		w.overflow = reg.Counter("jury_shard_overflow_total", "Backpressure stalls on a full shard queue.", l)
-		w.steals = reg.Counter("jury_shard_steals_total", "Responses adopted from a killed shard.", l)
 		p.workers[i] = w
-		p.alive[i] = true
 		p.wg.Add(1)
 		go w.run(p)
 	}
@@ -306,9 +295,9 @@ func New(cfg Config) (*Plane, error) {
 // for callers that need the plane pointer inside the hook — together with
 // an optional flush hook for observers that buffer what they are handed.
 // A worker calls flush once when it finishes a queue item that produced at
-// least one result (a batch, a tick that expired timers, the flush at
-// shard death), on its own goroutine, so buffered output leaves in the
-// same worker iteration that decided it: no timer, no linger. Both hooks
+// least one result (a batch, a tick that expired timers, a drain), on its
+// own goroutine, so buffered output leaves in the same worker iteration
+// that decided it: no timer, no linger. Both hooks
 // are serialized by the plane and must not call back into the dispatch
 // side; install them before the first Submit so no decision slips past.
 func (p *Plane) SetOnResult(fn func(core.Result), flush func()) {
@@ -344,19 +333,8 @@ func (w *worker) run(p *Plane) {
 		select {
 		case <-p.stop:
 			return
-		case reply := <-w.dieC:
-			w.die(p, reply, nil)
-			return
 		case it := <-w.q:
 			w.depth.Add(-1)
-			if w.dead.Load() {
-				// Declared dead before this item was processed: stash
-				// everything still queued and wait for the kill
-				// handshake to hand it over.
-				backlog := append([]item{it}, w.drain()...)
-				w.die(p, <-w.dieC, backlog)
-				return
-			}
 			w.process(it)
 			w.flushDecided(p)
 		}
@@ -374,32 +352,6 @@ func (w *worker) flushDecided(p *Plane) {
 	defer p.resMu.Unlock()
 	if p.flush != nil {
 		p.flush()
-	}
-}
-
-// die flushes the worker's own validator — every open trigger decides or
-// alarms by timer expiry, never silently vanishing — then hands the
-// unprocessed backlog to the dispatcher and exits.
-//
-//jurylint:allow errcrit -- benign RunUntilIdle error at shard death
-func (w *worker) die(p *Plane, reply chan<- []item, backlog []item) {
-	backlog = append(backlog, w.drain()...)
-	_ = w.eng.RunUntilIdle()
-	w.flushDecided(p)
-	reply <- backlog
-}
-
-// drain empties the intake queue without blocking.
-func (w *worker) drain() []item {
-	var out []item
-	for {
-		select {
-		case it := <-w.q:
-			w.depth.Add(-1)
-			out = append(out, it)
-		default:
-			return out
-		}
 	}
 }
 
@@ -490,22 +442,6 @@ func ShardForTrigger(id trigger.ID, n int) int {
 	return int(h % uint64(n))
 }
 
-// ownerOf maps a trigger onto its live owning shard: the FNV home shard,
-// or the next live shard after it when the home was killed.
-func (p *Plane) ownerOf(id trigger.ID) int {
-	if id == "" {
-		return -1
-	}
-	n := len(p.workers)
-	home := ShardForTrigger(id, n)
-	for probe := 0; probe < n; probe++ {
-		if i := (home + probe) % n; p.alive[i] {
-			return i
-		}
-	}
-	return -1
-}
-
 // Submit dispatches one controller response: the one-element case of
 // SubmitBatch, with no advance target. Dispatch side: callers serialize.
 func (p *Plane) Submit(r core.Response) {
@@ -514,8 +450,8 @@ func (p *Plane) Submit(r core.Response) {
 
 // SubmitBatch dispatches the responses one caller has in hand as one unit.
 // The batch is partitioned per shard in submission order — a tainted
-// response goes only to its owner, an untainted one to every live shard
-// (the ψ update) with the owner flag set on the owning shard's copy — and
+// response goes only to its owner, an untainted one to every shard (the ψ
+// update) with the owner flag set on the owning shard's copy — and
 // each addressed shard receives ONE queue item carrying its share and the
 // advance target `to`: its engine moves up to `to` (the live service's
 // arrival time, stamped once per read; zero for none) before the share is
@@ -523,9 +459,15 @@ func (p *Plane) Submit(r core.Response) {
 // tick advances them. rs is copied, not retained. Dispatch side: callers
 // serialize.
 func (p *Plane) SubmitBatch(rs []core.Response, to time.Duration) {
+	if p.stopped {
+		return
+	}
 	for i := range rs {
 		r := &rs[i]
-		owner := p.ownerOf(r.Trigger)
+		owner := -1 // an untagged response has no owner
+		if r.Trigger != "" {
+			owner = ShardForTrigger(r.Trigger, len(p.workers))
+		}
 		if r.Tainted {
 			if owner >= 0 {
 				p.stage(owner, r, true)
@@ -533,9 +475,7 @@ func (p *Plane) SubmitBatch(rs []core.Response, to time.Duration) {
 			continue
 		}
 		for s := range p.workers {
-			if p.alive[s] {
-				p.stage(s, r, s == owner)
-			}
+			p.stage(s, r, s == owner)
 		}
 	}
 	p.enqueueStaged(to)
@@ -563,19 +503,20 @@ func (p *Plane) stage(shard int, r *core.Response, owner bool) {
 	*es = append(*es, entry{r: *r, owner: owner})
 }
 
-// Advance asynchronously moves every live shard's virtual clock to the
+// Advance asynchronously moves every shard's virtual clock to the
 // given elapsed time, expiring per-trigger timers up to it — the live
 // service drives this from its wall-clock tick. Dispatch side: callers
 // serialize.
 func (p *Plane) Advance(to time.Duration) {
-	for i, w := range p.workers {
-		if p.alive[i] {
-			p.enqueue(w, item{kind: itemBatch, to: to})
-		}
+	if p.stopped {
+		return
+	}
+	for _, w := range p.workers {
+		p.enqueue(w, item{kind: itemBatch, to: to})
 	}
 }
 
-// Sync is a barrier at one virtual instant: every live shard processes
+// Sync is a barrier at one virtual instant: every shard processes
 // everything queued ahead of the barrier, advances its engine to exactly
 // `to` (expiring timers up to it, never past it), and acks. On return all
 // shards sit at the same virtual time, so aggregate validator counters
@@ -585,14 +526,14 @@ func (p *Plane) Sync(to time.Duration) {
 	p.barrier(item{kind: itemBatch, to: to})
 }
 
-// barrier enqueues it on every live shard with a fresh ack channel and
-// waits for all of them.
+// barrier enqueues it on every shard with a fresh ack channel and waits
+// for all of them.
 func (p *Plane) barrier(it item) {
+	if p.stopped {
+		return
+	}
 	acks := make([]chan struct{}, 0, len(p.workers))
-	for i, w := range p.workers {
-		if !p.alive[i] {
-			continue
-		}
+	for _, w := range p.workers {
 		it.ack = make(chan struct{}, 1)
 		p.enqueue(w, it)
 		acks = append(acks, it.ack)
@@ -602,7 +543,7 @@ func (p *Plane) barrier(it item) {
 	}
 }
 
-// Drain processes everything queued on every live shard and runs each
+// Drain processes everything queued on every shard and runs each
 // engine until idle, so every submitted trigger reaches a decision (timer
 // expiries included). It returns when all shards have flushed. Dispatch
 // side: callers serialize.
@@ -610,81 +551,13 @@ func (p *Plane) Drain() {
 	p.barrier(item{kind: itemFlush})
 }
 
-// Kill abruptly stops one shard, models a worker crash, and hands its
-// queue to the next live shard: the dead worker stops processing
-// immediately, flushes its own open triggers through timer expiry (decided
-// or alarmed, never dropped), and its unprocessed backlog is adopted by
-// the successor (counted in jury_shard_steals_total). Returns the number
-// of adopted responses, or -1 when the shard is already dead or is the
-// last one alive. Dispatch side: callers serialize.
-//
-// A trigger split across the crash — some responses already processed by
-// the victim, the rest still in its backlog — is decided TWICE: the
-// victim's flush decides it from the responses it saw (usually an
-// omission alarm by timer expiry), then the successor re-opens it from
-// the adopted remainder and decides it again. That is the fail-safe
-// choice: the alternative, suppressing either half, could silently clear
-// a real fault. Consumers of OnResult and the aggregate counters must
-// therefore treat results per trigger ID idempotently across a Kill
-// (keep the first, or the more severe, verdict); Decided/Faults count
-// decisions, not distinct triggers, once a crash splits one.
-// TestPlaneKillSplitTrigger pins this contract.
-func (p *Plane) Kill(i int) int {
-	if i < 0 || i >= len(p.workers) || !p.alive[i] {
-		return -1
-	}
-	live := 0
-	for _, a := range p.alive {
-		if a {
-			live++
-		}
-	}
-	if live <= 1 {
-		return -1 // the plane must keep at least one shard
-	}
-	w := p.workers[i]
-	w.dead.Store(true)
-	p.alive[i] = false
-	reply := make(chan []item)
-	w.dieC <- reply
-	backlog := <-reply
-	adopted := 0
-	for _, it := range backlog {
-		if it.entries != nil {
-			// An adopted batch is re-partitioned per response: each owned
-			// response goes to its trigger's successor, in backlog order.
-			// Non-owner copies were ψ broadcasts; every other live shard
-			// already received its own copy, so only owned responses move.
-			// The successor re-observes an adopted untainted response (its
-			// broadcast copy already updated ψ); the duplicate touches only
-			// Ψ bookkeeping counts, never verdicts.
-			for j := range *it.entries {
-				e := &(*it.entries)[j]
-				to := p.ownerOf(e.r.Trigger)
-				if !e.owner || to < 0 {
-					continue
-				}
-				p.stage(to, &e.r, true)
-				p.workers[to].steals.Inc()
-				adopted++
-			}
-			p.enqueueStaged(0)
-			putEntries(it.entries)
-		}
-		if it.ack != nil {
-			it.ack <- struct{}{} // the dead engine flushed in die
-		}
-	}
-	return adopted
-}
-
 // TraceSpans returns every worker's completed spans merged into the
 // (start, origin, seq) order obs.StitchJSONL defines, or nil when tracing
 // is not armed. Each tracer belongs to its worker's goroutine, so the read
-// happens behind a Sync barrier: every live worker has acked and sits idle
-// (the caller holds the dispatch side, so nothing new is queued), and dead
-// workers exited before Kill or Stop returned. At one shard the result is
-// that shard's Tracer.Spans(). Dispatch side: callers serialize.
+// happens behind a Sync barrier: every worker has acked and sits idle (the
+// caller holds the dispatch side, so nothing new is queued), or, after
+// Stop, has exited. At one shard the result is that shard's
+// Tracer.Spans(). Dispatch side: callers serialize.
 func (p *Plane) TraceSpans() []obs.Span {
 	if !p.Tracing() {
 		return nil
@@ -703,17 +576,19 @@ func (p *Plane) Tracing() bool { return p.workers[0].tracer != nil }
 // Stop halts every worker where it stands: queued items are abandoned
 // and no engine is flushed, so open triggers stay undecided instead of
 // expiring into omission alarms nobody raised — a service shutting down
-// calls this. Dispatch side: callers serialize; after Stop every shard is
-// dead, so further dispatch calls are no-ops and TraceSpans still reads.
+// calls this. Dispatch side: callers serialize; after Stop further
+// dispatch calls queue nothing and return at once, and TraceSpans still
+// reads the spans.
 func (p *Plane) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	p.wg.Wait()
-	for i := range p.alive {
-		p.alive[i] = false
+	if p.stopped {
+		return
 	}
+	p.stopped = true
+	close(p.stop)
+	p.wg.Wait()
 }
 
-// Close drains every live shard — every submitted trigger reaches its
+// Close drains every shard — every submitted trigger reaches its
 // decision — and then stops the workers; campaigns and benchmarks end on
 // it. Dispatch side: callers serialize.
 func (p *Plane) Close() {
@@ -724,7 +599,7 @@ func (p *Plane) Close() {
 // Metrics returns the registry carrying the plane's families.
 func (p *Plane) Metrics() *obs.Registry { return p.reg }
 
-// Shards returns the plane's shard count (live and dead).
+// Shards returns the plane's shard count.
 func (p *Plane) Shards() int { return len(p.workers) }
 
 // Stats is one read of the plane's aggregate counters. Every worker's
@@ -738,7 +613,6 @@ type Stats struct {
 	NonDeterministic int64 // triggers labeled non-deterministic
 	Timeouts         int64 // decisions forced by timer expiry
 	LateResponses    int64 // responses that arrived after their verdict
-	Steals           int64 // responses adopted from killed shards
 	Pending          int   // triggers awaiting decision (grace windows included)
 }
 
@@ -753,7 +627,7 @@ func (s Stats) FalsePositiveRate() float64 {
 // Stats reads the plane's aggregate counters.
 func (p *Plane) Stats() Stats {
 	v := p.workers[0].v // any worker's accessors read the shared totals
-	st := Stats{
+	return Stats{
 		Decided:          v.Decided(),
 		Valid:            v.Valid(),
 		Faults:           v.Faults(),
@@ -762,10 +636,6 @@ func (p *Plane) Stats() Stats {
 		LateResponses:    v.LateResponses(),
 		Pending:          v.Pending(),
 	}
-	for _, w := range p.workers {
-		st.Steals += w.steals.Value()
-	}
-	return st
 }
 
 // ShardDecided returns one shard's decided-trigger count.

@@ -145,7 +145,8 @@ func runPlane(t *testing.T, shards int, load []core.Response) (map[trigger.ID]co
 // TestPlaneWidthInvariance is the parallel-plane determinism contract: for
 // a fixed input stream, every trigger's verdict, fault class, decision time
 // and evidence — and the merged alarm list — must be identical at any
-// shard count. Wall-clock worker interleaving must be invisible in output.
+// shard count. Wall-clock worker interleaving must be invisible in output,
+// and the per-shard decision counts must sum to the plane's total.
 func TestPlaneWidthInvariance(t *testing.T) {
 	load := mixedWorkload()
 	ref, pref := runPlane(t, 1, load)
@@ -155,8 +156,10 @@ func TestPlaneWidthInvariance(t *testing.T) {
 	if pref.Stats().Faults == 0 {
 		t.Fatal("workload raised no alarms — too benign to prove invariance")
 	}
+	checkShardDecidedSum(t, pref)
 	for _, shards := range []int{2, 8} {
 		got, p := runPlane(t, shards, load)
+		checkShardDecidedSum(t, p)
 		if !reflect.DeepEqual(ref, got) {
 			for id, r := range ref {
 				if !reflect.DeepEqual(r, got[id]) {
@@ -175,200 +178,16 @@ func TestPlaneWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestPlaneKillAdoptsBacklog models a shard crash under load: the victim's
-// queued responses must be adopted by a live successor and every submitted
-// trigger must still decide — queue drained or alarmed, never silently
-// dropped.
-func TestPlaneKillAdoptsBacklog(t *testing.T) {
-	const shards = 4
-	p, err := New(Config{
-		Shards:            shards,
-		Validator:         core.ValidatorConfig{K: 2, Timeout: 20 * time.Millisecond},
-		Members:           members3(),
-		TimeFromResponses: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+// checkShardDecidedSum asserts Σ ShardDecided(i) = Stats().Decided: every
+// decision is counted by exactly one shard.
+func checkShardDecidedSum(t *testing.T, p *Plane) {
+	t.Helper()
+	var sum int64
+	for i := 0; i < p.Shards(); i++ {
+		sum += p.ShardDecided(i)
 	}
-	defer p.Close()
-
-	// Find trigger IDs homed on the victim shard.
-	const victim = 1
-	var owned []string
-	for i := 0; len(owned) < 8; i++ {
-		id := fmt.Sprintf("κ%d", i)
-		if ShardForTrigger(trigger.ID(id), shards) == victim {
-			owned = append(owned, id)
-		}
-	}
-
-	// Stall the victim behind a gate, then queue an omission burst it owns:
-	// tainted-only responses, so no other shard holds a copy. The backlog
-	// mixes single responses with multi-response batches, and the batches
-	// also carry a Ψ-only update — the victim's copy of a broadcast, which
-	// must not be adopted (every other shard already has its own).
-	gate := make(chan struct{})
-	p.enqueue(p.workers[victim], item{kind: itemStall, gate: gate})
-	burst := 0
-	for i := 0; i < len(owned); i += 2 {
-		at := time.Duration(i) * time.Millisecond
-		p.Submit(execAt(2, 1, owned[i], "k", "up", 9, at))
-		p.Submit(execAt(3, 1, owned[i], "k", "up", 9, at+time.Millisecond))
-		at += time.Millisecond
-		p.SubmitBatch([]core.Response{
-			execAt(2, 1, owned[i+1], "k", "up", 9, at),
-			cacheAt(1, 1, "", "psi", "up", 9, at),
-			execAt(3, 1, owned[i+1], "k", "up", 9, at+time.Millisecond),
-		}, 0)
-		burst += 4
-	}
-	if got, want := p.workers[victim].enqueued.Value(), int64(1+3*len(owned)/2); got != want {
-		t.Fatalf("victim holds %d queue items, want %d: a batch is one item", got, want)
-	}
-
-	// Declare the shard dead before releasing it so it provably processes
-	// nothing, then run the crash handshake.
-	p.workers[victim].dead.Store(true)
-	close(gate)
-	adopted := p.Kill(victim)
-	if adopted != burst {
-		t.Fatalf("Kill adopted %d responses, want the full burst of %d", adopted, burst)
-	}
-	if got := p.Stats().Steals; got != int64(burst) {
-		t.Fatalf("Stats().Steals = %d, want %d", got, burst)
-	}
-	if got := p.ShardDecided(victim); got != 0 {
-		t.Fatalf("dead shard decided %d triggers, want 0", got)
-	}
-
-	p.Drain()
-	if got := p.Stats().Decided; got != int64(len(owned)) {
-		t.Fatalf("Stats().Decided = %d after drain, want %d — responses were dropped", got, len(owned))
-	}
-	if got := p.Stats().Faults; got != int64(len(owned)) {
-		t.Fatalf("Stats().Faults = %d, want %d omission alarms", got, len(owned))
-	}
-	if got := p.Stats().Pending; got != 0 {
-		t.Fatalf("Stats().Pending = %d after drain, want 0", got)
-	}
-	var perShard int64
-	for i := 0; i < shards; i++ {
-		perShard += p.ShardDecided(i)
-	}
-	if perShard != p.Stats().Decided {
-		t.Fatalf("Σ ShardDecided = %d, Stats().Decided = %d", perShard, p.Stats().Decided)
-	}
-
-	// The crash surface is bounded: re-killing is a no-op and the last
-	// shard alive cannot be killed.
-	if got := p.Kill(victim); got != -1 {
-		t.Fatalf("second Kill(%d) = %d, want -1", victim, got)
-	}
-	survivors := 0
-	for i := 0; i < shards; i++ {
-		if i != victim && p.Kill(i) >= 0 {
-			survivors++
-		}
-	}
-	if survivors != shards-2 {
-		t.Fatalf("killed %d more shards, want %d", survivors, shards-2)
-	}
-	for i := 0; i < shards; i++ {
-		if p.alive[i] {
-			if got := p.Kill(i); got != -1 {
-				t.Fatalf("Kill of last live shard = %d, want -1", got)
-			}
-		}
-	}
-}
-
-// TestPlaneKillSplitTrigger pins the documented duplicate-decision
-// semantics of a crash that splits one trigger: the victim already
-// processed the first response while the second sits in its backlog, so
-// the victim's die-flush decides the trigger from the half it saw (timer
-// expiry), and the successor re-opens the same trigger ID from the
-// adopted remainder and decides it again. Nothing is silently dropped —
-// the fail-safe cost is exactly one duplicate result, which consumers
-// must dedupe per trigger ID (see the Kill contract).
-func TestPlaneKillSplitTrigger(t *testing.T) {
-	const shards = 4
-	var (
-		rmu     sync.Mutex
-		perTrig = map[trigger.ID]int{}
-	)
-	p, err := New(Config{
-		Shards:            shards,
-		Validator:         core.ValidatorConfig{K: 2, Timeout: 20 * time.Millisecond},
-		Members:           members3(),
-		TimeFromResponses: true,
-		OnResult: func(r core.Result) {
-			if !r.TimedOut {
-				t.Errorf("split trigger decided without timer expiry: %+v", r)
-			}
-			rmu.Lock()
-			perTrig[r.Trigger]++
-			rmu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	// Find a trigger homed on the victim shard.
-	const victim = 1
-	var id trigger.ID
-	for i := 0; ; i++ {
-		id = trigger.ID(fmt.Sprintf("σ%d", i))
-		if ShardForTrigger(id, shards) == victim {
-			break
-		}
-	}
-
-	// First half: the live victim processes one tainted exec and opens the
-	// trigger (pending, deadline armed, far from expiry).
-	p.Submit(execAt(2, 1, string(id), "k", "up", 9, 0))
-	for p.Stats().Pending != 1 {
-		time.Sleep(100 * time.Microsecond) // wallclock:boundary -- wait for the victim to open the trigger
-	}
-
-	// Second half: parked in the victim's backlog behind a stall gate.
-	gate := make(chan struct{})
-	p.enqueue(p.workers[victim], item{kind: itemStall, gate: gate})
-	p.SubmitBatch([]core.Response{
-		cacheAt(1, 1, "", "psi", "up", 9, time.Millisecond), // Ψ-only: not adopted
-		execAt(3, 1, string(id), "k", "up", 9, time.Millisecond),
-	}, 0)
-
-	p.workers[victim].dead.Store(true)
-	close(gate)
-	if adopted := p.Kill(victim); adopted != 1 {
-		t.Fatalf("Kill adopted %d responses, want 1", adopted)
-	}
-	if got := p.Stats().Steals; got != 1 {
-		t.Fatalf("Stats().Steals = %d, want 1", got)
-	}
-
-	p.Drain()
-	rmu.Lock()
-	dups := perTrig[id]
-	rmu.Unlock()
-	if dups != 2 {
-		t.Fatalf("split trigger decided %d times, want exactly 2 (victim flush + successor re-open)", dups)
-	}
-	// Each half alone is below the omission quorum, so both decisions are
-	// timed-out valids; the counters count decisions, not triggers.
-	if got := p.Stats().Decided; got != 2 {
-		t.Fatalf("Stats().Decided = %d, want 2", got)
-	}
-	if got := p.Stats().Timeouts; got != 2 {
-		t.Fatalf("Stats().Timeouts = %d, want 2", got)
-	}
-	if got := p.Stats().Faults; got != 0 {
-		t.Fatalf("Stats().Faults = %d, want 0", got)
-	}
-	if got := p.Stats().Pending; got != 0 {
-		t.Fatalf("Stats().Pending = %d after drain, want 0", got)
+	if got := p.Stats().Decided; sum != got {
+		t.Fatalf("shards=%d: Σ ShardDecided = %d, Stats().Decided = %d", p.Shards(), sum, got)
 	}
 }
 
@@ -529,6 +348,56 @@ func TestPlaneStopVsClose(t *testing.T) {
 	}
 }
 
+// TestPlaneDispatchAfterStop pins that Stop ends the dispatch side: with
+// the workers gone and one-item queues, every later dispatch call returns
+// at once instead of blocking on a queue nobody drains, and none of them
+// moves the counters.
+func TestPlaneDispatchAfterStop(t *testing.T) {
+	p, err := New(Config{
+		Shards:     2,
+		QueueDepth: 1,
+		Validator: core.ValidatorConfig{
+			K: 2, Timeout: 50 * time.Millisecond,
+			Tracer: obs.NewTracer(nil),
+		},
+		Members:           members3(),
+		TimeFromResponses: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Submit(execAt(2, 1, "τ", "k", "up", 9, 0))
+	p.Sync(time.Millisecond)
+	p.Stop()
+	before := p.Stats()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// Twice: with one-item queues and no workers left, any call that
+		// still queued something would block by its second round.
+		for i := 0; i < 2; i++ {
+			p.Submit(execAt(3, 1, "τ", "k", "up", 9, time.Millisecond))
+			p.SubmitBatch([]core.Response{
+				execAt(2, 1, "υ", "k", "up", 9, time.Millisecond),
+				cacheAt(1, 1, "", "psi", "up", 9, time.Millisecond),
+			}, time.Millisecond)
+			p.Advance(time.Second)
+			p.Sync(time.Second)
+			p.Drain()
+			p.TraceSpans()
+			p.Close()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second): //jurylint:allow wallclock -- liveness watchdog for the dispatch side, not a measurement
+		t.Fatal("a dispatch call blocked after Stop")
+	}
+	if got := p.Stats(); got != before {
+		t.Fatalf("Stats() moved after Stop: %+v, want %+v", got, before)
+	}
+}
+
 func TestPlaneConfigValidation(t *testing.T) {
 	if _, err := New(Config{Shards: 2}); err == nil {
 		t.Fatal("New accepted a plane with no membership")
@@ -676,51 +545,6 @@ func TestPlaneFlightDisabledByDefault(t *testing.T) {
 		t.Fatal("disabled plane produced a flight snapshot")
 	}
 	p.FlightDump("manual")
-}
-
-// TestPlaneSyncAcrossKill asserts Sync does not hang when a shard dies
-// with sync items queued: the kill path must ack adopted barriers.
-func TestPlaneSyncAcrossKill(t *testing.T) {
-	p, err := New(Config{
-		Shards:            3,
-		Validator:         core.ValidatorConfig{K: 2, Timeout: 50 * time.Millisecond},
-		Members:           members3(),
-		TimeFromResponses: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Submit(execAt(2, 1, "τk", "k", "up", 9, 0))
-	// A multi-response batch homed on the shard about to die. Whether the
-	// victim consumed it or the successor adopts it is a race, but a batch
-	// is never split: each of its triggers decides exactly once.
-	var batch []core.Response
-	for i, n := 0, 0; n < 4; i++ {
-		id := fmt.Sprintf("β%d", i)
-		if ShardForTrigger(trigger.ID(id), 3) == 1 {
-			batch = append(batch, execAt(2, 1, id, "k", "up", 9, 0), execAt(3, 1, id, "k", "up", 9, time.Millisecond))
-			n++
-		}
-	}
-	p.SubmitBatch(batch, 0)
-	p.Kill(1)
-	done := make(chan struct{})
-	go func() {
-		p.Sync(10 * time.Millisecond)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second): //jurylint:allow wallclock -- liveness watchdog for the barrier, not a measurement
-		t.Fatal("Sync hung after Kill")
-	}
-	p.Close()
-	if got := p.Stats().Decided; got != 5 {
-		t.Fatalf("Stats().Decided = %d, want 5: τk and the batch's four triggers, once each", got)
-	}
-	if got := p.Stats().Pending; got != 0 {
-		t.Fatalf("Stats().Pending = %d after close, want 0", got)
-	}
 }
 
 // TestPlaneBatchPartition pins the hand-off unit: one SubmitBatch call

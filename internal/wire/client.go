@@ -32,11 +32,6 @@ type ClientConfig struct {
 	// MaxBatch caps how many queued envelopes — lines or frames — one
 	// socket write coalesces (default DefaultMaxBatch).
 	MaxBatch int
-	// FlushIdle lets a batch smaller than MaxBatch linger this long for
-	// more envelopes to coalesce before the write goes out — trading
-	// bounded latency for fewer, fuller writes. Zero (the default) flushes
-	// as soon as the queue drains.
-	FlushIdle time.Duration
 	// ReconnectBase/ReconnectMax bound the redial backoff envelope
 	// (defaults DefaultReconnectBase/DefaultReconnectMax).
 	ReconnectBase time.Duration
@@ -234,12 +229,6 @@ type Client struct {
 	addr string
 	m    *clientMetrics
 
-	// OnResult observes pushed validation results (set before the first
-	// response can arrive; ClientConfig.OnResult takes precedence).
-	OnResult func(core.Result)
-	// OnStats observes stats replies (same setting discipline).
-	OnStats func(Stats)
-
 	mu   sync.Mutex
 	ring envRing // guarded by mu
 	// inflight is the write unit taken but not yet acknowledged by a
@@ -419,9 +408,8 @@ func (c *Client) Close() error {
 // queue onto the current connection, and when the link is down it
 // re-dials on the backoff schedule. Heartbeat pongs jump the queue so a
 // backlogged client still proves liveness. Queued envelopes coalesce into
-// one socket write of up to MaxBatch lines or frames (lingering FlushIdle
-// for more when the queue drained early), and the whole batch is the
-// retransmit unit across a reconnect.
+// one socket write of up to MaxBatch lines or frames, and the whole batch
+// is the retransmit unit across a reconnect.
 func (c *Client) writeLoop() {
 	defer c.done.Done()
 	bo := NewBackoff(c.cfg.ReconnectBase, c.cfg.ReconnectMax, c.cfg.Seed)
@@ -450,10 +438,6 @@ func (c *Client) writeLoop() {
 			case <-c.kick:
 			}
 		default:
-			batch = c.linger(batch)
-			if batch == nil {
-				return // closed during the linger
-			}
 			bufp := getFrameBuf()
 			buf := *bufp
 			for i := range batch {
@@ -491,39 +475,13 @@ func (c *Client) takeBatchLocked() []queued {
 		c.inflight = append(c.inflight[:0], queued{typ: binTypePong})
 		return c.inflight
 	}
-	c.fillFromRingLocked()
-	return c.inflight
-}
-
-// fillFromRingLocked tops the in-flight batch up from the ring to
-// MaxBatch. Runs with c.mu held.
-func (c *Client) fillFromRingLocked() {
 	for len(c.inflight) < c.cfg.MaxBatch {
 		q, ok := c.ring.pop()
 		if !ok {
-			return
+			break
 		}
 		c.inflight = append(c.inflight, q)
 	}
-}
-
-// linger implements flush-on-idle: a batch that stopped short of MaxBatch
-// (the queue drained) waits FlushIdle for more envelopes to coalesce, then
-// tops up once and flushes. Returns nil only
-// when the client closed during the wait.
-func (c *Client) linger(batch []queued) []queued {
-	if c.cfg.FlushIdle <= 0 || len(batch) >= c.cfg.MaxBatch || batch[0].typ == binTypePong {
-		return batch
-	}
-	if !c.cfg.Sleep(c.cfg.FlushIdle, c.stop) {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.fillFromRingLocked()
 	return c.inflight
 }
 
@@ -641,7 +599,7 @@ func (c *Client) readLoop(conn net.Conn) {
 func (c *Client) handleEnvelope(env *Envelope, borrowed bool) {
 	switch env.Type {
 	case TypeResult:
-		if cb := c.onResult(); env.Result != nil && cb != nil {
+		if cb := c.cfg.OnResult; env.Result != nil && cb != nil {
 			r := *env.Result
 			if borrowed {
 				r = CloneResult(r)
@@ -649,7 +607,7 @@ func (c *Client) handleEnvelope(env *Envelope, borrowed bool) {
 			cb(r)
 		}
 	case TypeStats:
-		if cb := c.onStats(); env.Stats != nil && cb != nil {
+		if cb := c.cfg.OnStats; env.Stats != nil && cb != nil {
 			cb(*env.Stats) // value copy; Stats holds no strings
 		}
 	case TypePing:
@@ -658,18 +616,4 @@ func (c *Client) handleEnvelope(env *Envelope, borrowed bool) {
 		c.mu.Unlock()
 		c.kickWriter()
 	}
-}
-
-func (c *Client) onResult() func(core.Result) {
-	if c.cfg.OnResult != nil {
-		return c.cfg.OnResult
-	}
-	return c.OnResult
-}
-
-func (c *Client) onStats() func(Stats) {
-	if c.cfg.OnStats != nil {
-		return c.cfg.OnStats
-	}
-	return c.OnStats
 }

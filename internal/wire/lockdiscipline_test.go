@@ -38,7 +38,7 @@ func witness(mu *sync.Mutex, touch func()) (stop func()) {
 }
 
 // TestLockDisciplineClient drives every path of the client's writer —
-// coalescing with a linger, successful writes, cuts and redials — while
+// coalescing, successful writes, idling, cuts and redials — while
 // senders, Backlog/Connected pollers and a witness for mu run beside it.
 // Under -race, a dropped lock around any field mu guards shows up.
 func TestLockDisciplineClient(t *testing.T) {
@@ -50,9 +50,8 @@ func TestLockDisciplineClient(t *testing.T) {
 	c, err := DialConfig(s.Addr(), ClientConfig{
 		QueueSize: 1 << 12,
 		MaxBatch:  8,
-		// Real sleeps: the linger and the redial backoff leave the
-		// writer outside mu long enough for the witness to get in.
-		FlushIdle:     50 * time.Microsecond,
+		// Real sleeps: the redial backoff leaves the writer outside mu
+		// long enough for the witness to get in.
 		ReconnectBase: 50 * time.Microsecond,
 		ReconnectMax:  time.Millisecond,
 		// Every connection dies after a few kilobytes, so the writer
@@ -99,7 +98,8 @@ func TestLockDisciplineClient(t *testing.T) {
 	}
 	wg.Wait()
 	waitFor(t, func() bool { return c.Backlog() == 0 })
-	// Trickle: each lone envelope is a short batch, which lingers.
+	// Trickle: each lone envelope is a short batch, and the writer idles
+	// between them.
 	for i := 0; i < 50; i++ {
 		_ = c.Send(resp(1, trigID("trickle", i), core.CacheUpdate, false, "up"))
 		waitFor(t, func() bool { return c.Backlog() == 0 })

@@ -65,6 +65,10 @@ func TestServerTraceShiftEstimation(t *testing.T) {
 		mu  sync.Mutex
 		now time.Duration
 	}
+	var (
+		mu      sync.Mutex
+		results int
+	)
 	c, err := DialConfig(s.Addr(), ClientConfig{
 		Trace: &TraceContext{Origin: "ctrl-A"},
 		TraceNow: func() time.Duration {
@@ -72,16 +76,12 @@ func TestServerTraceShiftEstimation(t *testing.T) {
 			defer clock.mu.Unlock()
 			return clock.now
 		},
+		OnResult: func(core.Result) { mu.Lock(); results++; mu.Unlock() },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var (
-		mu      sync.Mutex
-		results int
-	)
-	c.OnResult = func(core.Result) { mu.Lock(); results++; mu.Unlock() }
 	clock.mu.Lock()
 	clock.now = 42 * time.Millisecond
 	clock.mu.Unlock()

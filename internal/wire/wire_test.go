@@ -59,20 +59,19 @@ func waitFor(t *testing.T, cond func() bool) {
 
 func TestServerValidatesOverTCP(t *testing.T) {
 	s := newServer(t, 500*time.Millisecond)
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	var (
 		mu      sync.Mutex
 		results []core.Result
 	)
-	c.OnResult = func(r core.Result) {
+	c, err := DialConfig(s.Addr(), ClientConfig{OnResult: func(r core.Result) {
 		mu.Lock()
 		results = append(results, r)
 		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer c.Close()
 	// A clean external trigger: primary cache write + 2 agreeing execs.
 	if err := c.Send(resp(1, "τ1", core.CacheUpdate, false, "up")); err != nil {
 		t.Fatal(err)
@@ -97,22 +96,21 @@ func TestServerValidatesOverTCP(t *testing.T) {
 
 func TestServerDetectsFaultOverTCP(t *testing.T) {
 	s := newServer(t, 500*time.Millisecond)
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	var (
 		mu    sync.Mutex
 		fault *core.Result
 	)
-	c.OnResult = func(r core.Result) {
+	c, err := DialConfig(s.Addr(), ClientConfig{OnResult: func(r core.Result) {
 		if r.Verdict == core.VerdictFault {
 			mu.Lock()
 			fault = &r
 			mu.Unlock()
 		}
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer c.Close()
 	// Primary disagrees with two same-state secondaries.
 	_ = c.Send(resp(1, "τ2", core.CacheUpdate, false, "down"))
 	_ = c.Send(resp(2, "τ2", core.SecondaryExec, true, "up"))
@@ -150,20 +148,19 @@ func TestServerTimerExpiryOverWallClock(t *testing.T) {
 
 func TestStatsRequest(t *testing.T) {
 	s := newServer(t, 100*time.Millisecond)
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	var (
 		mu  sync.Mutex
 		got *Stats
 	)
-	c.OnStats = func(st Stats) {
+	c, err := DialConfig(s.Addr(), ClientConfig{OnStats: func(st Stats) {
 		mu.Lock()
 		got = &st
 		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer c.Close()
 	if err := c.RequestStats(); err != nil {
 		t.Fatal(err)
 	}
@@ -388,20 +385,19 @@ func testBroadcastUnderBackpressure(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	var (
 		rmu     sync.Mutex
 		results int
 	)
-	c.OnResult = func(core.Result) {
+	c, err := DialConfig(s.Addr(), ClientConfig{OnResult: func(core.Result) {
 		rmu.Lock()
 		results++
 		rmu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer c.Close()
 	const triggers = 200
 	for i := 0; i < triggers; i++ {
 		trig := fmt.Sprintf("τ%d", i)
