@@ -204,7 +204,6 @@ func (d *ruleDecoder) decodeObject(names []string, member func(name string)) {
 	if d.null() {
 		return
 	}
-next:
 	for more := d.open('{', '}'); more; more = d.next('}') {
 		if d.peek() != '"' {
 			d.fail("expected object key")
@@ -218,14 +217,29 @@ next:
 		}
 		d.i++
 		d.ws()
-		for _, n := range names {
-			if strings.EqualFold(key, n) {
-				member(n)
-				continue next
-			}
+		if n := memberName(names, key); n != "" {
+			member(n)
+		} else {
+			d.skip()
 		}
-		d.skip()
 	}
+}
+
+// memberName returns the name of names that key selects, or "" for none.
+// The exact pass finds every key this codec writes without case folding;
+// names being fold-distinct, it picks what the fold pass alone would.
+func memberName(names []string, key string) string {
+	for _, n := range names {
+		if n == key {
+			return n
+		}
+	}
+	for _, n := range names {
+		if strings.EqualFold(key, n) {
+			return n
+		}
+	}
+	return ""
 }
 
 func (d *ruleDecoder) match(m *openflow.Match) {

@@ -297,9 +297,13 @@ func benignTrigger(n int, flow bool) []Response {
 
 // TestTriggerAllocBudget is the regression CI fails on: one benign n=7
 // FlowsDB trigger through the whole core — 8 Submits, the early decision
-// and the grace-window expiry, tracer and recorder off — stays within 11
-// allocations (9 measured; the map-based path that re-derived every
-// comparison form per evaluate took 315, the encoding/json rule path 32).
+// and the grace-window expiry, tracer and recorder off — stays within 6
+// allocations (5 measured: the packed forms of the two distinct entries,
+// the decoded rule's action list, the θτ timer and grace events; 9 with a
+// string per form and a closure per grace window, 315 on the
+// map-based path that re-derived every comparison form per evaluate, 32
+// on the encoding/json rule path). Storing an ExecDone allocates nothing
+// for its constant forms.
 func TestTriggerAllocBudget(t *testing.T) {
 	eng, v := propValidator(6)
 	rs := benignTrigger(7, true)
@@ -321,10 +325,20 @@ func TestTriggerAllocBudget(t *testing.T) {
 	if int(v.Decided()) != seq || v.Faults() != 0 || v.Timeouts() != 0 || v.Pending() != 0 {
 		t.Fatalf("decided %d of %d, %d faults, %d timeouts, %d pending", v.Decided(), seq, v.Faults(), v.Timeouts(), v.Pending())
 	}
-	if allocs > 11 {
-		t.Fatalf("benign flow7 trigger allocated %.0f/op in the core, budget 11", allocs)
+	if allocs > 6 {
+		t.Fatalf("benign flow7 trigger allocated %.0f/op in the core, budget 6", allocs)
 	}
 	t.Logf("benign flow7 trigger: %.0f allocs in the core", allocs)
+
+	var p pendingTrigger
+	done := doneResp(2, 1, "τ", 7)
+	p.store(done) // sizes entries and ctrls
+	if got := testing.AllocsPerRun(100, func() {
+		p.entries, p.ctrls = p.entries[:0], p.ctrls[:0]
+		p.store(done)
+	}); got != 0 || p.entries[0].slot != "done" || p.entries[0].body != "done" {
+		t.Fatalf("storing an ExecDone: %v allocs, forms (%q, %q); want 0, (done, done)", got, p.entries[0].slot, p.entries[0].body)
+	}
 }
 
 func benchTrigger(b *testing.B, n int, flow bool) {

@@ -117,23 +117,23 @@ func (r Response) Body() string {
 		return "done"
 	}
 	var buf [512]byte
-	if !r.IsCache() {
-		return string(append(append(appendNetSlot(buf[:0], r.DPID, r.MsgType), '|'), r.MsgBody...))
-	}
-	if r.Cache == store.FlowsDB {
+	if r.IsCache() && r.Cache == store.FlowsDB {
 		if rule, err := controller.DecodeFlowRule(r.Value); err == nil {
-			return string(r.appendCacheBody(buf[:0], &rule))
+			return string(r.appendBody(buf[:0], &rule))
 		}
 	}
-	return string(r.appendCacheBody(buf[:0], nil))
+	return string(r.appendBody(buf[:0], nil))
 }
 
-// appendCacheBody appends a cache response's Body(). rule is its FlowsDB
-// value decoded, rendered without per-controller attribution (origin,
-// trigger taint, state) so the same rule computed by different replicas
-// compares equal; nil (another cache, or a value that does not decode)
-// compares the value raw.
-func (r *Response) appendCacheBody(b []byte, rule *controller.FlowRule) []byte {
+// appendBody appends the Body() of a response other than ExecDone. rule is
+// a cache response's FlowsDB value decoded, rendered without per-controller
+// attribution (origin, trigger taint, state) so the same rule computed by
+// different replicas compares equal; nil (another cache, or a value that
+// does not decode) compares the value raw.
+func (r *Response) appendBody(b []byte, rule *controller.FlowRule) []byte {
+	if !r.IsCache() {
+		return append(append(appendNetSlot(b, r.DPID, r.MsgType), '|'), r.MsgBody...)
+	}
 	b = append(append(append(b, "cache|"...), r.Cache...), '|')
 	b = append(append(append(append(b, r.Op.String()...), '|'), r.Key...), '|')
 	if rule == nil {
@@ -151,11 +151,16 @@ func (r Response) Slot() string {
 	if r.Kind == ExecDone {
 		return "done"
 	}
+	var buf [128]byte
+	return string(r.appendSlot(buf[:0]))
+}
+
+// appendSlot appends the Slot() of a response other than ExecDone.
+func (r *Response) appendSlot(b []byte) []byte {
 	if r.IsCache() {
-		return "cache|" + string(r.Cache) + "|" + r.Key
+		return append(append(append(append(b, "cache|"...), r.Cache...), '|'), r.Key...)
 	}
-	var buf [64]byte
-	return string(appendNetSlot(buf[:0], r.DPID, r.MsgType))
+	return appendNetSlot(b, r.DPID, r.MsgType)
 }
 
 // appendNetSlot appends the Slot() of a network response.

@@ -93,7 +93,8 @@ func (p *pendingTrigger) isPrimaryEntry(r *Response) bool {
 // store appends a response with its comparison forms and updates the
 // per-controller counters. An earlier entry of the trigger whose raw
 // fields are byte-equal lends its forms — the k+1 replicas of a benign
-// trigger canonicalize (and JSON-decode) once, not k+1 times.
+// trigger canonicalize (and JSON-decode) once, not k+1 times — and render
+// makes the rest.
 func (p *pendingTrigger) store(r Response) {
 	e := entry{r: r}
 	needNet := r.Kind == CacheUpdate && r.Cache == store.FlowsDB && r.Op != store.OpDelete
@@ -111,22 +112,11 @@ func (p *pendingTrigger) store(r Response) {
 			break
 		}
 	}
-	if e.slot == "" {
-		e.slot = r.Slot()
+	if r.Kind == ExecDone {
+		e.slot, e.body = r.Slot(), r.Body() // constant forms
 	}
-	if needNet {
-		// One decode serves both forms of a primary's FlowsDB write, each
-		// rendered from the rule straight into its one string.
-		if rule, err := controller.DecodeFlowRule(r.Value); err == nil {
-			var buf [512]byte
-			if e.body == "" {
-				e.body = string(r.appendCacheBody(buf[:0], &rule))
-			}
-			e.netBody, e.netDPID = string(appendExpectedFlowMod(buf[:0], &rule)), rule.DPID
-		}
-	}
-	if e.body == "" {
-		e.body = r.Body()
+	if e.body == "" || needNet {
+		e.render(needNet)
 	}
 
 	e.ctrl = -1
@@ -162,6 +152,48 @@ func (p *pendingTrigger) store(r Response) {
 		}
 	} else if p.isPrimaryEntry(&r) {
 		p.primaryEntries++
+	}
+}
+
+// render makes the forms e did not borrow — its slot and body when they
+// are "", its expected FLOW_MOD when needNet — from one decode of a
+// FlowsDB value, back to back in one buffer, and cuts them from one
+// string: one allocation per entry, none for the forms it borrows.
+func (e *entry) render(needNet bool) {
+	r := &e.r
+	var rule *controller.FlowRule
+	if r.IsCache() && r.Cache == store.FlowsDB && (e.body == "" || needNet) {
+		if fr, err := controller.DecodeFlowRule(r.Value); err == nil {
+			rule = &fr
+		}
+	}
+	var buf [1024]byte
+	b := buf[:0]
+	if e.slot == "" {
+		b = r.appendSlot(b)
+	}
+	slotEnd := len(b)
+	if e.body == "" {
+		b = r.appendBody(b, rule)
+	}
+	bodyEnd := len(b)
+	needNet = needNet && rule != nil
+	if needNet {
+		b = appendExpectedFlowMod(b, rule)
+		e.netDPID = rule.DPID
+	}
+	if len(b) == 0 {
+		return
+	}
+	forms := string(b)
+	if e.slot == "" {
+		e.slot = forms[:slotEnd]
+	}
+	if e.body == "" {
+		e.body = forms[slotEnd:bodyEnd]
+	}
+	if needNet {
+		e.netBody = forms[bodyEnd:]
 	}
 }
 
@@ -328,16 +360,8 @@ func (v *Validator) finish(p *pendingTrigger, res Result, timedOut bool) {
 	// shared tombstone stays in the map; the trigger's state is recycled
 	// below.
 	v.pending[id] = v.tomb
-	grace := 2 * v.cfg.Timeout
-	if grace < time.Second {
-		grace = time.Second
-	}
-	v.eng.Schedule(grace, func() {
-		if _, ok := v.pending[id]; ok {
-			delete(v.pending, id)
-			v.pendingG.Add(-1)
-		}
-	})
+	v.graves = append(v.graves, id)
+	v.eng.Schedule(v.grace, v.buryFn)
 	res.Trigger = id
 	res.Responses = len(p.entries)
 	res.DecidedAt = v.eng.Now()
@@ -377,6 +401,23 @@ func (v *Validator) finish(p *pendingTrigger, res Result, timedOut bool) {
 	if v.OnResult != nil {
 		v.OnResult(res)
 	}
+}
+
+// bury closes the oldest grace window. The windows all last v.grace and
+// virtual time never runs back, so their events fall due in decision
+// order, and the engine fires equal-time events in scheduling order: the
+// event firing now is the oldest grave's.
+func (v *Validator) bury() {
+	id := v.graves[v.graveHead]
+	v.graves[v.graveHead] = ""
+	v.graveHead++
+	if 2*v.graveHead >= len(v.graves) { // compact, amortized O(1) per grave
+		n := copy(v.graves, v.graves[v.graveHead:])
+		clear(v.graves[n:])
+		v.graves, v.graveHead = v.graves[:n], 0
+	}
+	delete(v.pending, id) // only bury deletes, so the tombstone is there
+	v.pendingG.Add(-1)
 }
 
 func (v *Validator) updateAdaptive(d time.Duration) {

@@ -531,3 +531,78 @@ func TestCanonicalMessageFlowModAndPacketOut(t *testing.T) {
 		t.Fatal("different messages share canonical form")
 	}
 }
+
+// TestGraceWindowsFireInDecisionOrder pins the late-response grace window
+// to decision time + max(2θτ, 1 s) for early decisions, timeout decisions
+// and decisions that share a virtual instant: 1 ns before its close a
+// response is late, at the close the tombstone is gone (Pending steps
+// down there and nowhere else) and a response reopens the trigger. The
+// engine runs exactly one event per closing window and one per timeout,
+// nothing else.
+func TestGraceWindowsFireInDecisionOrder(t *testing.T) {
+	eng, v := newValidator(t, 2)
+	const grace = time.Second // 2θτ = 200 ms is below the 1 s floor
+	agree := func(id string) {
+		v.Submit(cacheResp(1, 1, id, "k", "up", 7))
+		v.Submit(execResp(2, 1, id, "k", "up", 7))
+		v.Submit(execResp(3, 1, id, "k", "up", 7))
+	}
+	run := func(to time.Duration) {
+		t.Helper()
+		if err := eng.Run(to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agree("a") // early, at 0
+	run(10 * time.Millisecond)
+	agree("b") // early, both at 10 ms
+	agree("c")
+	run(20 * time.Millisecond)
+	v.Submit(cacheResp(1, 1, "d", "k", "up", 7)) // timed out, both at 120 ms
+	v.Submit(cacheResp(1, 1, "e", "k", "up", 7))
+	run(120 * time.Millisecond)
+	if v.Decided() != 5 || v.Timeouts() != 2 || v.Pending() != 5 || eng.Processed() != 2 {
+		t.Fatalf("decided %d, timeouts %d, pending %d, processed %d; want 5, 2, 5, 2",
+			v.Decided(), v.Timeouts(), v.Pending(), eng.Processed())
+	}
+
+	pending := 5
+	for _, w := range []struct {
+		close time.Duration
+		ids   []string
+	}{
+		{grace, []string{"a"}},
+		{10*time.Millisecond + grace, []string{"b", "c"}},
+		{120*time.Millisecond + grace, []string{"d", "e"}},
+	} {
+		run(w.close - 1)
+		processed, late := eng.Processed(), v.LateResponses()
+		for _, id := range w.ids {
+			v.Submit(execResp(2, 1, id, "k", "up", 7))
+		}
+		if got := v.LateResponses() - late; got != int64(len(w.ids)) || v.Pending() != pending {
+			t.Fatalf("1 ns before %v: %d late of %d, pending %d, want %d", w.close, got, len(w.ids), v.Pending(), pending)
+		}
+		run(w.close)
+		pending -= len(w.ids)
+		if got := eng.Processed() - processed; got != uint64(len(w.ids)) || v.Pending() != pending {
+			t.Fatalf("at %v: %d events ran, pending %d; want %d, %d", w.close, got, v.Pending(), len(w.ids), pending)
+		}
+		decided, late := v.Decided(), v.LateResponses()
+		for _, id := range w.ids {
+			agree(id) // reopened, and decided again at once
+		}
+		pending += len(w.ids)
+		if v.Decided()-decided != int64(len(w.ids)) || v.LateResponses() != late || v.Pending() != pending {
+			t.Fatalf("at %v: reopening decided %d, %d late, pending %d; want %d, 0, %d",
+				w.close, v.Decided()-decided, v.LateResponses()-late, v.Pending(), len(w.ids), pending)
+		}
+	}
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	// Two timers and ten grace windows (five decisions, five reopenings).
+	if v.Pending() != 0 || eng.Processed() != 12 || len(v.pending) != 0 {
+		t.Fatalf("drained: pending %d, map %d, processed %d; want 0, 0, 12", v.Pending(), len(v.pending), eng.Processed())
+	}
+}

@@ -9,11 +9,14 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/jurysdn/jury/internal/core"
+	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
@@ -374,6 +377,106 @@ func TestServerIngestAllocBudget(t *testing.T) {
 	defer c.Close()
 	if got := testing.AllocsPerRun(runs, func() { _ = c.Send(late) }); got != 0 {
 		t.Errorf("Client.Send costs %v allocations, want 0 (the response stays in the ring by value)", got)
+	}
+}
+
+// flow7Trigger is one trigger of the flow7 workloads as every client in
+// the tree sends it, back to back: the primary's FlowsDB write, its
+// FLOW_MOD and six tainted secondaries replaying the write. flow picks the
+// rule, so two triggers may or may not share their cache strings.
+func flow7Trigger(id string, flow int) []core.Response {
+	f := strconv.Itoa(flow)
+	base := core.Response{
+		Trigger: trigger.ID(id), Primary: 1,
+		Cache: store.FlowsDB, Op: store.OpCreate, Key: "flow/7/0a:00:00:00:00:" + f,
+		Value:       `{"DPID":7,"Match":{"DLDst":"CgAAAAA` + f + `"},"Priority":10,"Actions":[{"Port":3}],"Command":0}`,
+		StateDigest: 9,
+	}
+	own := base
+	own.Controller, own.Kind = 1, core.CacheUpdate
+	rs := []core.Response{own, {
+		Controller: 1, Trigger: trigger.ID(id), Primary: 1, Kind: core.NetworkWrite,
+		DPID: 7, MsgType: openflow.TypeFlowMod, WireLen: 80, StateDigest: 9,
+		MsgBody: "flowmod|add|prio=10|dl_dst=0a:00:00:00:00:" + f + "|out:3,|idle=0|hard=0",
+	}}
+	for c := store.NodeID(2); c <= 7; c++ {
+		r := base
+		r.Controller, r.Kind, r.Tainted, r.At = c, core.SecondaryExec, true, time.Duration(c)*time.Microsecond
+		rs = append(rs, r)
+	}
+	return rs
+}
+
+// TestIngestSharesRepeatedStrings holds the reader's string sharing to its
+// promise: a flow7 trigger costs at most two allocations (the primary's
+// strings, the FLOW_MOD body) because the secondaries repeat the primary's;
+// nothing batched aliases the frame buffer it was decoded from; and two
+// triggers whose responses alternate cost at most one allocation per
+// response, the copy-everything price.
+func TestIngestSharesRepeatedStrings(t *testing.T) {
+	const triggers = 64
+	var stream, alternating []byte
+	var sent []core.Response
+	for i := 0; i < triggers; i++ {
+		rs := flow7Trigger("τ"+strconv.Itoa(i), i%5)
+		sent = append(sent, rs...)
+		stream = frames(stream, rs...)
+		if i%2 == 1 {
+			prev := flow7Trigger("τ"+strconv.Itoa(i-1), (i-1)%5)
+			for j := range rs {
+				alternating = frames(alternating, prev[j], rs[j])
+			}
+		}
+	}
+	in := ingest{borrowed: true}
+	ingestN := func(fr *BinReader, n int) {
+		in.batch = in.batch[:0]
+		for range n {
+			env, err := fr.ReadEnvelope()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.add(env)
+		}
+	}
+
+	fr := NewBinReader(bytes.NewReader(stream), 0)
+	if got := testing.AllocsPerRun(triggers/2-1, func() { ingestN(fr, 8) }); got > 2 {
+		t.Errorf("a flow7 trigger costs %v allocations to ingest, want at most 2", got)
+	}
+	ingestN(fr, 16) // two more triggers, batched together
+	buf := fr.buf[:cap(fr.buf)]
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	aliases := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && p >= lo && p < lo+uintptr(len(buf))
+	}
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	for j, r := range in.batch {
+		if want := sent[8*triggers/2+j]; r != want { // after the measured half
+			t.Fatalf("batched response %d changed with the frame buffer:\n got %+v\nwant %+v", j, r, want)
+		}
+		for _, s := range []string{string(r.Trigger), string(r.Cache), r.Key, r.Value, r.MsgBody, r.Prev} {
+			if aliases(s) {
+				t.Fatalf("batched response %d retains %q from the frame buffer", j, s)
+			}
+		}
+		if p := &in.batch[j-j%8]; j%8 >= 2 && (unsafe.StringData(r.Key) != unsafe.StringData(p.Key) ||
+			unsafe.StringData(r.Value) != unsafe.StringData(p.Value) || unsafe.StringData(string(r.Trigger)) != unsafe.StringData(string(p.Trigger))) {
+			t.Fatalf("secondary %d does not share its trigger's primary strings", j)
+		}
+	}
+	for _, s := range in.owned {
+		if aliases(s) {
+			t.Fatalf("the reader remembers %q from the frame buffer", s)
+		}
+	}
+
+	fr = NewBinReader(bytes.NewReader(alternating), 0)
+	if got := testing.AllocsPerRun(triggers/2-1, func() { ingestN(fr, 16) }) / 16; got > 1 {
+		t.Errorf("alternating triggers cost %v allocations per response, want at most 1", got)
 	}
 }
 

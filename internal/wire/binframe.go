@@ -479,39 +479,50 @@ func (br *BinReader) discard(n uint64) error {
 // CloneResponse deep-copies a decoded response so it can outlive the
 // decoder's borrow window (BinDecoder's ownership contract).
 func CloneResponse(r core.Response) core.Response {
-	cloneStrings(&r)
+	var none [6]string
+	ownStrings(&r, &none)
 	return r
 }
 
-// cloneStrings re-points every string of r at ONE freshly allocated
-// backing string — one allocation per response instead of one per
-// non-empty field. The fields are substrings of it, so whoever retains
-// one keeps the response's whole text (a hundred-odd bytes) alive.
-func cloneStrings(r *core.Response) {
-	n := len(r.Trigger) + len(r.Cache) + len(r.Key) + len(r.Value) + len(r.MsgBody) + len(r.Prev)
+// ownStrings re-points every string of r at memory that outlives the
+// borrow window. last holds the strings an earlier call owned, one per
+// field: a field equal to its last value reuses that string, and the
+// other non-empty fields are copied into ONE freshly allocated backing
+// string and become the new last values. A response so costs at most one
+// allocation, and none when every string repeats — the k secondaries of
+// a trigger sent back to back carry the primary's Trigger, Cache, Key and
+// Value. The fields are substrings, so whoever retains one keeps the text
+// it was packed with (a hundred-odd bytes) alive.
+func ownStrings(r *core.Response, last *[6]string) {
+	fields := [6]*string{(*string)(&r.Trigger), (*string)(&r.Cache), &r.Key, &r.Value, &r.MsgBody, &r.Prev}
+	var fresh [6]bool
+	n := 0
+	for i, f := range fields {
+		switch {
+		case *f == last[i]:
+			*f = last[i]
+		case *f != "":
+			fresh[i] = true
+			n += len(*f)
+		}
+	}
 	if n == 0 {
 		return
 	}
 	var b strings.Builder
 	b.Grow(n)
-	b.WriteString(string(r.Trigger))
-	b.WriteString(string(r.Cache))
-	b.WriteString(r.Key)
-	b.WriteString(r.Value)
-	b.WriteString(r.MsgBody)
-	b.WriteString(r.Prev)
-	text := b.String()
-	cut := func(n int) string {
-		s := text[:n]
-		text = text[n:]
-		return s
+	for i, f := range fields {
+		if fresh[i] {
+			b.WriteString(*f)
+		}
 	}
-	r.Trigger = trigger.ID(cut(len(r.Trigger)))
-	r.Cache = store.CacheName(cut(len(r.Cache)))
-	r.Key = cut(len(r.Key))
-	r.Value = cut(len(r.Value))
-	r.MsgBody = cut(len(r.MsgBody))
-	r.Prev = cut(len(r.Prev))
+	text := b.String()
+	for i, f := range fields {
+		if fresh[i] {
+			*f, text = text[:len(*f)], text[len(*f):]
+			last[i] = *f
+		}
+	}
 }
 
 // CloneResult deep-copies a decoded result (evidence included) past the

@@ -614,6 +614,11 @@ type ingest struct {
 	// the validator retains submitted responses and the shift map retains
 	// origin keys, so those are copied before the borrow window closes.
 	borrowed bool
+	// owned is the last owned copy of each string field of a batched
+	// response (ownStrings), so a field that repeats the previous
+	// response's — a secondary's Trigger, Cache, Key and Value — costs no
+	// copy.
+	owned [6]string
 	// origin is the last trace origin this reader registered, so the
 	// steady state compares one string and takes no lock.
 	origin string
@@ -626,7 +631,7 @@ func (in *ingest) add(env *Envelope) {
 	}
 	in.batch = append(in.batch, *env.Response)
 	if in.borrowed {
-		cloneStrings(&in.batch[len(in.batch)-1])
+		ownStrings(&in.batch[len(in.batch)-1], &in.owned)
 	}
 	if tc := env.Trace; tc != nil && tc.Origin != "" && tc.Origin != in.origin {
 		in.origin = strings.Clone(tc.Origin)
