@@ -22,7 +22,7 @@ import (
 // with it; an argument that matches no package is an error. Exit status:
 // 0 clean, 1 diagnostics reported, 2 usage or load failure.
 //
-// Rules: wallclock, eventloop, errcrit, maprange, errcritsync — see
+// Rules: wallclock, eventloop, errcrit, maprange — see
 // DESIGN.md "Determinism contract & lint rules". Lock discipline is not a
 // lint rule: the -race tests hold it (`make race`).
 // Suppress a deliberate violation with

@@ -339,7 +339,7 @@ func dialSwitch(addr string, dpid topo.DPID) (*liveSwitch, error) {
 		return nil, err
 	}
 	pump.Do(func() {
-		sw.SetSendUp(func(msg openflow.Message) { _ = end.Send(msg) })
+		sw.SetSendUp(func(msg openflow.Message) { _ = end.Send(msg) }) //jurylint:allow errcrit -- best-effort push; a dead conn ends the read loop and the run fails its rule count
 	})
 	return &liveSwitch{sw: sw, pump: pump, end: end}, nil
 }

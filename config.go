@@ -91,21 +91,15 @@ type Config struct {
 	// the deployment; nil creates one per simulation (reachable via
 	// Simulation.Metrics).
 	Metrics *obs.Registry
-	// Tracer records the per-trigger span tree across the pipeline
-	// (replicate → exec → store fan-out → verdict); nil disables tracing
-	// at zero hot-path cost.
-	Tracer *obs.Tracer
-	// EnableTracing creates a Tracer on the simulation's own virtual
-	// clock when Tracer is nil — the usual way to turn tracing on, since
-	// the engine does not exist before New.
+	// EnableTracing creates a tracer on the simulation's own virtual
+	// clock, recording the per-trigger span tree across the pipeline
+	// (replicate → exec → store fan-out → verdict); off, tracing costs
+	// nothing on the hot path. Simulation.Tracer returns it.
 	EnableTracing bool
-	// FlightRecorder records the validator's last FlightRing trigger
-	// lifecycle events into a fixed ring (nil disables at zero hot-path
-	// cost). Normally left nil and armed via FlightRing.
-	FlightRecorder *obs.Recorder
-	// FlightRing creates a FlightRecorder of this capacity when
-	// FlightRecorder is nil — the usual way to arm flight recording
-	// (negative selects obs.DefaultFlightRing).
+	// FlightRing, when nonzero, arms a flight recorder that keeps the
+	// validator's last FlightRing trigger lifecycle events in a fixed ring
+	// (negative selects obs.DefaultFlightRing); zero disables it at no
+	// hot-path cost. Simulation.FlightRecorder returns it.
 	FlightRing int
 }
 
@@ -163,10 +157,10 @@ func (c Config) clusterMode() cluster.Mode {
 	return cluster.AnyControllerOneMaster
 }
 
-func (c Config) storeConfig(p controller.Profile) store.Config {
+func (c Config) storeConfig(p controller.Profile, tracer *obs.Tracer) store.Config {
 	sc := store.DefaultConfig(p.Consistency)
 	sc.Metrics = c.Metrics
-	sc.Tracer = c.Tracer
+	sc.Tracer = tracer
 	if p.Consistency == store.Eventual {
 		sc.FlowBusService = p.StoreBusService
 	}

@@ -69,32 +69,6 @@ type Analyzer struct {
 	// final path element, matches an entry. Empty means every package.
 	Packages []string
 	Run      func(*Pass)
-	// Init, when set, runs once per RunAnalyzers call with every loaded
-	// package before the per-package Run passes. Analyzers use it to
-	// build module-wide indexes (exported-API candidate sets) and to
-	// report module-level diagnostics that have no single home package.
-	Init func(*ModuleContext)
-}
-
-// ModuleContext carries the whole loaded module through an analyzer's
-// Init hook.
-type ModuleContext struct {
-	Pkgs []*Package
-
-	rule   string
-	report func(Diagnostic)
-}
-
-// Reportf records a module-level diagnostic at pos. Positions resolve
-// through the fileset of the package that declares them; LoadModule
-// shares one fileset across the module, so any loaded package's
-// positions work.
-func (m *ModuleContext) Reportf(fset *token.FileSet, pos token.Pos, format string, args ...any) {
-	m.report(Diagnostic{
-		Pos:     fset.Position(pos),
-		Rule:    m.rule,
-		Message: fmt.Sprintf(format, args...),
-	})
 }
 
 func (a *Analyzer) appliesTo(path string) bool {
@@ -114,52 +88,12 @@ func (a *Analyzer) appliesTo(path string) bool {
 // returns the rest sorted by position then rule.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	allows := make([]*allowIndex, len(pkgs))
-	for i, pkg := range pkgs {
-		allows[i] = buildAllowIndex(pkg.Fset, pkg.Files)
-	}
-	allowedAnywhere := func(rule string, pos token.Position) bool {
-		for _, idx := range allows {
-			if idx.allowed(rule, pos) {
-				return true
+	for _, pkg := range pkgs {
+		spans := allowSpans(pkg.Fset, pkg.Files)
+		for _, d := range runPackage(pkg, analyzers) {
+			if !allowed(spans, d) {
+				diags = append(diags, d)
 			}
-		}
-		return false
-	}
-	for _, a := range analyzers {
-		if a.Init == nil {
-			continue
-		}
-		a.Init(&ModuleContext{
-			Pkgs: pkgs,
-			rule: a.Name,
-			report: func(d Diagnostic) {
-				if !allowedAnywhere(d.Rule, d.Pos) {
-					diags = append(diags, d)
-				}
-			},
-		})
-	}
-	for i, pkg := range pkgs {
-		allow := allows[i]
-		for _, a := range analyzers {
-			if a.Run == nil || !a.appliesTo(pkg.Path) {
-				continue
-			}
-			pass := &Pass{
-				Fset:  pkg.Fset,
-				Files: pkg.Files,
-				Path:  pkg.Path,
-				Pkg:   pkg.Types,
-				Info:  pkg.Info,
-				rule:  a.Name,
-				report: func(d Diagnostic) {
-					if !allow.allowed(d.Rule, d.Pos) {
-						diags = append(diags, d)
-					}
-				},
-			}
-			a.Run(pass)
 		}
 	}
 	// Position then rule is the canonical driver output order.
@@ -179,6 +113,27 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
+// runPackage returns the raw diagnostics of every analyzer that applies
+// to pkg, before //jurylint:allow filtering.
+func runPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		if !a.appliesTo(pkg.Path) {
+			continue
+		}
+		a.Run(&Pass{
+			Fset:   pkg.Fset,
+			Files:  pkg.Files,
+			Path:   pkg.Path,
+			Pkg:    pkg.Types,
+			Info:   pkg.Info,
+			rule:   a.Name,
+			report: func(d Diagnostic) { diags = append(diags, d) },
+		})
+	}
+	return diags
+}
+
 // Format renders diagnostics one per line with filenames relative to
 // root, which keeps driver output and golden files machine-independent.
 func Format(root string, diags []Diagnostic) string {
@@ -195,65 +150,48 @@ func Format(root string, diags []Diagnostic) string {
 
 var allowRe = regexp.MustCompile(`^//jurylint:allow\s+([a-zA-Z0-9_,-]+)`)
 
-// allowIndex records, per rule, the source lines and function bodies
-// covered by //jurylint:allow annotations in one package.
-type allowIndex struct {
-	// lines maps rule -> "file:line" keys where diagnostics are allowed.
-	lines map[string]map[string]bool
-	// spans maps rule -> file ranges (whole annotated functions).
-	spans map[string][]span
+// allowSpan is the source range one rule of one //jurylint:allow
+// annotation covers.
+type allowSpan struct {
+	rule       string
+	at         token.Position // the annotation comment
+	start, end int            // covered line range in at.Filename, inclusive
 }
 
-type span struct {
-	file       string
-	start, end int // line range, inclusive
+func (s allowSpan) covers(d Diagnostic) bool {
+	return s.rule == d.Rule && s.at.Filename == d.Pos.Filename &&
+		d.Pos.Line >= s.start && d.Pos.Line <= s.end
 }
 
-func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
-	idx := &allowIndex{
-		lines: make(map[string]map[string]bool),
-		spans: make(map[string][]span),
-	}
-	addLine := func(rule, file string, line int) {
-		m := idx.lines[rule]
-		if m == nil {
-			m = make(map[string]bool)
-			idx.lines[rule] = m
-		}
-		m[fmt.Sprintf("%s:%d", file, line)] = true
-	}
+// allowSpans returns the spans of every annotation in files. An
+// annotation covers its own line and the next one, handling both trailing
+// and preceding comment placement; in a function's doc comment it covers
+// the whole function as well.
+func allowSpans(fset *token.FileSet, files []*ast.File) []allowSpan {
+	var spans []allowSpan
 	for _, f := range files {
-		// Doc-comment annotations cover the whole function.
+		docOf := make(map[*ast.Comment]*ast.FuncDecl)
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil || fd.Body == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				for _, rule := range allowRules(c.Text) {
-					start := fset.Position(fd.Pos())
-					end := fset.Position(fd.Body.End())
-					idx.spans[rule] = append(idx.spans[rule], span{
-						file:  start.Filename,
-						start: start.Line,
-						end:   end.Line,
-					})
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil && fd.Body != nil {
+				for _, c := range fd.Doc.List {
+					docOf[c] = fd
 				}
 			}
 		}
-		// Every annotation also covers its own line and the next one,
-		// handling both trailing and preceding comment placement.
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				for _, rule := range allowRules(c.Text) {
-					pos := fset.Position(c.Pos())
-					addLine(rule, pos.Filename, pos.Line)
-					addLine(rule, pos.Filename, pos.Line+1)
+					at := fset.Position(c.Pos())
+					end := at.Line + 1
+					if fd := docOf[c]; fd != nil {
+						end = fset.Position(fd.Body.End()).Line
+					}
+					spans = append(spans, allowSpan{rule: rule, at: at, start: at.Line, end: end})
 				}
 			}
 		}
 	}
-	return idx
+	return spans
 }
 
 func allowRules(comment string) []string {
@@ -270,22 +208,11 @@ func allowRules(comment string) []string {
 	return rules
 }
 
-func (idx *allowIndex) allowed(rule string, pos token.Position) bool {
-	if idx.lines[rule][fmt.Sprintf("%s:%d", pos.Filename, pos.Line)] {
-		return true
-	}
-	for _, s := range idx.spans[rule] {
-		if s.file == pos.Filename && pos.Line >= s.start && pos.Line <= s.end {
+func allowed(spans []allowSpan, d Diagnostic) bool {
+	for _, s := range spans {
+		if s.covers(d) {
 			return true
 		}
 	}
 	return false
-}
-
-// deref strips one level of pointer from t.
-func deref(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }

@@ -62,3 +62,52 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
 }
+
+// TestAllowAnnotationsAreLive holds every //jurylint:allow annotation in
+// the real module to a purpose: it must name a rule of the default suite
+// and suppress at least one diagnostic that rule raises without it. An
+// annotation left behind by a fixed call site, or naming a rule that no
+// longer exists, fails here.
+func TestAllowAnnotationsAreLive(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	modPath, err := ModulePath(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := LoadModule(root)
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	suite := DefaultSuite(modPath)
+	rules := make(map[string]bool, len(suite))
+	for _, a := range suite {
+		rules[a.Name] = true
+	}
+	annotations := 0
+	for _, pkg := range pkgs {
+		raw := runPackage(pkg, suite)
+		for _, s := range allowSpans(pkg.Fset, pkg.Files) {
+			annotations++
+			if !rules[s.rule] {
+				t.Errorf("%s: annotation names %q, which is not a rule of the default suite", s.at, s.rule)
+				continue
+			}
+			live := false
+			for _, d := range raw {
+				if s.covers(d) {
+					live = true
+					break
+				}
+			}
+			if !live {
+				t.Errorf("%s: %s annotation suppresses nothing; delete it", s.at, s.rule)
+			}
+		}
+	}
+	if annotations == 0 {
+		t.Fatal("found no //jurylint:allow annotations; the comment scan is broken")
+	}
+}

@@ -3,44 +3,38 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
-// NewErrCrit returns the analyzer that flags discarded error returns
-// from critical APIs — engine runs, REST installs, validator wire paths —
-// where a swallowed error silently invalidates an experiment. critical
-// lists fully qualified function names as produced by
-// (*types.Func).FullName on the generic origin, e.g.
+// NewErrCrit returns the analyzer that flags discarded error returns from
+// any function or method declared in the module rooted at modulePath:
+// engine runs, REST installs, the validator wire path, trace exports and
+// every other module API, where a swallowed error silently invalidates an
+// experiment. A function belongs to the module when its package path is
+// modulePath or begins with modulePath + "/". Methods on instantiated
+// generic types are matched through (*types.Func).Origin, so the
+// declaring package is recovered whatever the type arguments.
 //
-//	(*github.com/jurysdn/jury/internal/simnet.Engine).Run
-//	(*github.com/jurysdn/jury/internal/sweep.Sweep[P, R]).Run
-//	github.com/jurysdn/jury/internal/openflow.WriteMessage
-//
-// Methods on instantiated generic types render their FullName with the
-// concrete type arguments filled in, so matching goes through
-// (*types.Func).Origin to recover the `[P, R]` form above.
-//
-// Both bare call statements and blank-identifier assignments (`_ = f()`)
-// count as discards; deliberate best-effort call sites carry a
-// //jurylint:allow errcrit annotation with a justification.
-func NewErrCrit(critical []string) *Analyzer {
-	set := make(map[string]bool, len(critical))
-	for _, name := range critical {
-		set[name] = true
-	}
+// Both bare call statements and blank-identifier assignments (`_ = f()`,
+// `x, _ := f()`) count as discards. The one exemption is a method named
+// Close that takes no arguments: shutdown is best-effort. Deliberate
+// best-effort call sites carry a //jurylint:allow errcrit annotation with
+// a justification.
+func NewErrCrit(modulePath string) *Analyzer {
 	return &Analyzer{
 		Name: "errcrit",
-		Doc:  "flags discarded error returns from critical engine/store/validator APIs",
-		Run:  func(pass *Pass) { runErrCrit(pass, set) },
+		Doc:  "flags discarded error returns from the module's own functions and methods",
+		Run:  func(pass *Pass) { runErrCrit(pass, modulePath) },
 	}
 }
 
-func runErrCrit(pass *Pass, critical map[string]bool) {
+func runErrCrit(pass *Pass, modulePath string) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
-					checkDiscard(pass, critical, call)
+					checkDiscard(pass, modulePath, call)
 				}
 			case *ast.AssignStmt:
 				// `_ = f()` or `a, _ := f()` with the error position blank.
@@ -52,7 +46,7 @@ func runErrCrit(pass *Pass, critical map[string]bool) {
 					return true
 				}
 				if isBlank(n.Lhs[len(n.Lhs)-1]) {
-					checkDiscard(pass, critical, call)
+					checkDiscard(pass, modulePath, call)
 				}
 			}
 			return true
@@ -65,7 +59,7 @@ func isBlank(e ast.Expr) bool {
 	return ok && id.Name == "_"
 }
 
-func checkDiscard(pass *Pass, critical map[string]bool, call *ast.CallExpr) {
+func checkDiscard(pass *Pass, modulePath string, call *ast.CallExpr) {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -80,14 +74,21 @@ func checkDiscard(pass *Pass, critical map[string]bool, call *ast.CallExpr) {
 		return
 	}
 	fn = fn.Origin()
-	if !critical[fn.FullName()] {
+	if fn.Pkg() == nil || !inModule(fn.Pkg().Path(), modulePath) {
 		return
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || !lastResultIsError(sig) {
 		return
 	}
+	if fn.Name() == "Close" && sig.Recv() != nil && sig.Params().Len() == 0 {
+		return
+	}
 	pass.Reportf(call.Pos(), "error returned by %s is discarded; handle it or annotate the deliberate discard", fn.FullName())
+}
+
+func inModule(pkgPath, modulePath string) bool {
+	return pkgPath == modulePath || strings.HasPrefix(pkgPath, modulePath+"/")
 }
 
 func lastResultIsError(sig *types.Signature) bool {

@@ -3,10 +3,5 @@ package analysis
 import "testing"
 
 func TestErrCritFixture(t *testing.T) {
-	runFixture(t, fixtureDir("errcrit", "errfix"), "errfix",
-		NewErrCrit([]string{
-			"(*errfix.Engine).Run",
-			"errfix.Commit",
-			"errfix.Pair",
-		}))
+	runFixture(t, fixtureDir("errcrit", "errfix"), "errfix", NewErrCrit("errfix"))
 }

@@ -1,6 +1,6 @@
 // Package wire mimics the concurrent bridge layer for the driver golden
-// test: a mutex-guarded hub with one exported API the errcrit audit
-// flags.
+// test: a mutex-guarded hub, which is outside the sim contract and so
+// draws no diagnostic.
 package wire
 
 import "sync"

@@ -17,7 +17,6 @@ type psiState struct {
 	// digest is the controller's last self-reported state snapshot.
 	digest uint64
 	seen   bool
-	at     time.Duration
 }
 
 // entry is one stored response beside its comparison forms. The forms are
@@ -265,11 +264,10 @@ func (v *Validator) ObserveState(r Response) {
 	if r.Tainted {
 		return
 	}
-	now := v.eng.Now()
-	v.psi[r.Controller] = psiState{digest: r.StateDigest, seen: true, at: now}
+	v.psi[r.Controller] = psiState{digest: r.StateDigest, seen: true}
 	if v.rec != nil {
 		v.rec.Record(obs.Event{
-			AtNS: int64(now), Kind: obs.EvPsi,
+			AtNS: int64(v.eng.Now()), Kind: obs.EvPsi,
 			Trigger: string(r.Trigger), Ctrl: int64(r.Controller),
 		})
 	}
@@ -322,7 +320,7 @@ func (v *Validator) timeout() time.Duration {
 	if !v.cfg.Adaptive || !v.ewmaInit {
 		return v.cfg.Timeout
 	}
-	t := time.Duration(v.ewmaMean + v.cfg.AdaptiveFactor*v.ewmaDev)
+	t := time.Duration(v.ewmaMean + adaptiveFactor*v.ewmaDev)
 	if min := 2 * time.Millisecond; t < min {
 		t = min
 	}
@@ -381,7 +379,7 @@ func (v *Validator) finish(p *pendingTrigger, res Result, timedOut bool) {
 	case VerdictFault:
 		v.totalFaults.Inc()
 		res.Evidence = p.responses(32)
-		if v.alarms.Len() < v.cfg.MaxAlarms {
+		if v.alarms.Len() < maxAlarms {
 			v.alarms.Append(res)
 		}
 	}

@@ -109,6 +109,14 @@ type Result struct {
 // (POLICY_CHECK in Algorithm 1). It returns the name of a violated policy.
 type PolicyFunc func(kind trigger.Kind, primary store.NodeID, r Response) (violation string, violated bool)
 
+const (
+	// adaptiveFactor scales the deviation in the adaptive timeout:
+	// deadline = mean + adaptiveFactor·deviation.
+	adaptiveFactor = 4
+	// maxAlarms bounds the retained alarm list.
+	maxAlarms = 16384
+)
+
 // ValidatorConfig parameterizes the validator.
 type ValidatorConfig struct {
 	// K is the replication factor.
@@ -119,11 +127,8 @@ type ValidatorConfig struct {
 	Timeout time.Duration
 	// Adaptive enables the EWMA-based adaptive timeout the paper leaves
 	// as future work (§VIII-1): the deadline tracks recent consensus
-	// latency as mean + AdaptiveFactor·deviation.
-	Adaptive       bool
-	AdaptiveFactor float64
-	// MaxAlarms bounds the retained alarm list.
-	MaxAlarms int
+	// latency as mean + adaptiveFactor·deviation.
+	Adaptive bool
 	// NoStateAware disables the state-aware consensus refinements
 	// (§IV-C A) — an ablation knob: all conflicting replicas count
 	// toward conviction regardless of their snapshots, and omission
@@ -231,12 +236,6 @@ type Validator struct {
 func NewValidator(eng *simnet.Engine, members *cluster.Membership, cfg ValidatorConfig) *Validator {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 250 * time.Millisecond
-	}
-	if cfg.MaxAlarms <= 0 {
-		cfg.MaxAlarms = 16384
-	}
-	if cfg.AdaptiveFactor <= 0 {
-		cfg.AdaptiveFactor = 4
 	}
 	reg := cfg.Metrics
 	if reg == nil {

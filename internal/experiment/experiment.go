@@ -309,7 +309,7 @@ func PacketOutThroughput(rate float64, dur time.Duration, seed int64) (float64, 
 		h := hosts[i%len(hosts)]
 		other := hosts[(i+1)%len(hosts)]
 		i++
-		_ = h.SendARPRequest(other.Info().IP)
+		_ = h.SendARPRequest(other.Info().IP) //jurylint:allow errcrit -- the fabric attached h, so its switch is known and the inject cannot fail
 		sim.Engine.Schedule(gap, arpTick)
 	}
 	sim.Engine.Schedule(0, arpTick)

@@ -172,11 +172,10 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) ([]PointOutcome, error
 	return out, err
 }
 
-// runPoint streams one loadgen window into a fresh plane. The plane
-// seeds from pt.Seed (the full point identity), but the workload seeds
-// from the rate and window alone, so every shard width at a given rate
-// sees the byte-identical event stream — the widths are compared on the
-// same load, and the digest equality across widths proves it. The
+// runPoint streams one loadgen window into a fresh plane. The workload
+// seeds from the rate and window alone, so every shard width at a given
+// rate sees the byte-identical event stream — the widths are compared on
+// the same load, and the digest equality across widths proves it. The
 // dispatch loop is single-threaded, so the digest is computed exactly
 // once, in generation order.
 func runPoint(ctx context.Context, cfg CampaignConfig, pt sweep.Point[CampaignPoint], links []topo.Link, dpids []topo.DPID) (PointResult, error) {
@@ -192,7 +191,6 @@ func runPoint(ctx context.Context, cfg CampaignConfig, pt sweep.Point[CampaignPo
 		Validator:         core.ValidatorConfig{K: cfg.Replicas, Timeout: cfg.Timeout},
 		Members:           mem,
 		TimeFromResponses: true,
-		Seed:              pt.Seed,
 		FlightRing:        cfg.FlightRing,
 	}
 	if cfg.OnFlightDump != nil {

@@ -92,9 +92,6 @@ type Config struct {
 	// run. When unset the caller drives virtual time with Advance, the
 	// live service mode.
 	TimeFromResponses bool
-	// Seed seeds each worker engine (the validator draws no randomness,
-	// so this only matters to code sharing the engines).
-	Seed int64
 	// Metrics receives the plane's families (jury_shard_* and the
 	// jury_validator_* families its workers share); nil creates a private
 	// registry reachable via Metrics().
@@ -260,7 +257,7 @@ func New(cfg Config) (*Plane, error) {
 		w := &worker{
 			id:       i,
 			timeFrom: cfg.TimeFromResponses,
-			eng:      simnet.NewEngine(cfg.Seed),
+			eng:      simnet.NewEngine(0),
 			q:        make(chan item, cfg.QueueDepth),
 		}
 		if cfg.FlightRing > 0 {
@@ -321,12 +318,7 @@ func (p *Plane) onResult(r core.Result) {
 	}
 }
 
-// run is a worker's consume loop. Engine run errors are deliberately
-// dropped here, matching the wire server's live-service stance: a horizon
-// or stop error on one advance is benign for a plane that advances again
-// on the next item, and decisions themselves surface through OnResult.
-//
-//jurylint:allow errcrit -- benign Run errors for a live plane; see above
+// run is a worker's consume loop.
 func (w *worker) run(p *Plane) {
 	defer p.wg.Done()
 	for {
@@ -355,7 +347,12 @@ func (w *worker) flushDecided(p *Plane) {
 	}
 }
 
-//jurylint:allow errcrit -- benign Run errors for a live plane; see run
+// process applies one queue item. Engine run errors are deliberately
+// dropped here, matching the wire server's live-service stance: a horizon
+// or stop error on one advance is benign for a plane that advances again
+// on the next item, and decisions themselves surface through OnResult.
+//
+//jurylint:allow errcrit -- benign Run errors for a live plane; see above
 func (w *worker) process(it item) {
 	switch it.kind {
 	case itemBatch:

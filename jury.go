@@ -67,6 +67,8 @@ type Simulation struct {
 	mastershipChatter int64
 
 	policyEngine *policy.Engine
+	tracer       *obs.Tracer   // nil unless Config.EnableTracing
+	recorder     *obs.Recorder // nil unless Config.FlightRing is set
 }
 
 // New assembles a simulation from the configuration.
@@ -76,12 +78,16 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	eng := simnet.NewEngine(cfg.Seed)
-	if cfg.EnableTracing && cfg.Tracer == nil {
-		cfg.Tracer = obs.NewTracer(eng.Now)
+	var (
+		tracer   *obs.Tracer
+		recorder *obs.Recorder
+	)
+	if cfg.EnableTracing {
+		tracer = obs.NewTracer(eng.Now)
 	}
-	cfg.Tracer.InstrumentMetrics(cfg.Metrics)
-	if cfg.FlightRing != 0 && cfg.FlightRecorder == nil {
-		cfg.FlightRecorder = obs.NewRecorder(cfg.FlightRing)
+	tracer.InstrumentMetrics(cfg.Metrics)
+	if cfg.FlightRing != 0 {
+		recorder = obs.NewRecorder(cfg.FlightRing)
 	}
 
 	top := cfg.CustomTopology
@@ -113,7 +119,7 @@ func New(cfg Config) (*Simulation, error) {
 	members := cluster.NewMembership(cfg.clusterMode(), memberIDs, dpids)
 	members.InstrumentMetrics(cfg.Metrics)
 
-	storeCluster := store.NewCluster(eng, cfg.storeConfig(profile))
+	storeCluster := store.NewCluster(eng, cfg.storeConfig(profile, tracer))
 
 	sim := &Simulation{
 		Config:        cfg,
@@ -126,6 +132,8 @@ func New(cfg Config) (*Simulation, error) {
 		FlowMods:      obs.NewRateSeries(time.Second),
 		PacketOuts:    obs.NewRateSeries(time.Second),
 		PacketInKinds: make(map[string]int64),
+		tracer:        tracer,
+		recorder:      recorder,
 	}
 
 	for _, id := range memberIDs {
@@ -175,8 +183,8 @@ func (s *Simulation) wireJury() error {
 		},
 		RelayAll: cfg.RelayAll,
 		Metrics:  cfg.Metrics,
-		Tracer:   cfg.Tracer,
-		Recorder: cfg.FlightRecorder,
+		Tracer:   s.tracer,
+		Recorder: s.recorder,
 	}
 	s.System = core.NewSystem(s.Engine, s.Members, sysCfg)
 	for _, ctrl := range s.Controllers {
@@ -311,11 +319,11 @@ func (s *Simulation) MastershipChatterBytes() int64 { return s.mastershipChatter
 func (s *Simulation) Metrics() *obs.Registry { return s.Config.Metrics }
 
 // Tracer returns the trigger tracer (nil when tracing is disabled).
-func (s *Simulation) Tracer() *obs.Tracer { return s.Config.Tracer }
+func (s *Simulation) Tracer() *obs.Tracer { return s.tracer }
 
 // FlightRecorder returns the validator's flight recorder (nil when
 // flight recording is disabled).
-func (s *Simulation) FlightRecorder() *obs.Recorder { return s.Config.FlightRecorder }
+func (s *Simulation) FlightRecorder() *obs.Recorder { return s.recorder }
 
 // Validator returns the out-of-band validator (nil when JURY is off).
 func (s *Simulation) Validator() *core.Validator {
