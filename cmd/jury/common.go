@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/jurysdn/jury/internal/obs"
@@ -66,17 +65,4 @@ func waitUntil(ctx context.Context, timeout time.Duration, cond func() bool) {
 func statsLine(st wire.Stats) string {
 	return fmt.Sprintf("decided=%d valid=%d alarms=%d timeouts=%d pending=%d",
 		st.Decided, st.Valid, st.Faults, st.Timeouts, st.Pending)
-}
-
-// parseList parses a comma-separated flag value element by element.
-func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
-	var out []T
-	for _, f := range strings.Split(s, ",") {
-		v, err := parse(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -1,6 +1,6 @@
 // Command jury runs every JURY role from one binary: the validator host
 // and the controller side of the paper's deployment (Fig. 2), the
-// simulator, the figure and scale campaigns, trace stitching and the
+// simulator, the figure campaigns, trace stitching and the
 // repository's own linter, one subcommand each. `jury` alone lists them;
 // `jury <command> -h` lists a command's flags.
 //
@@ -29,7 +29,6 @@ var commands = []struct {
 	{"live", "drive a live controller and switches over TCP OpenFlow", runLive},
 	{"sim", "simulate a clustered deployment and print its report", runSim},
 	{"fig", "regenerate the paper's evaluation figures as TSV", runFig},
-	{"load", "sweep the streaming scale campaign over rates and shard widths", runLoad},
 	{"trace", "stitch JSONL span traces of several processes into one timeline", runTrace},
 	{"lint", "run the determinism & concurrency lint suite over the module", runLint},
 }

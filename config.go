@@ -83,9 +83,6 @@ type Config struct {
 	// Policies is the administrator policy set evaluated by the
 	// validator.
 	Policies []policy.Policy
-	// IndexedPolicies compiles the policy set with a cache index
-	// (ablation; the paper's engine scans linearly).
-	IndexedPolicies bool
 
 	// Metrics is the observability registry shared by every component of
 	// the deployment; nil creates one per simulation (reachable via

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	jury "github.com/jurysdn/jury"
@@ -20,7 +19,6 @@ func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
-	_ = os.Stdout
 }
 
 func run() error {

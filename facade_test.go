@@ -125,28 +125,6 @@ func TestPolicyXMLThroughFacade(t *testing.T) {
 	}
 }
 
-func TestIndexedPoliciesBehaveIdentically(t *testing.T) {
-	policies := []policy.Policy{{Name: "p", Trigger: "internal", Cache: "EdgesDB"}}
-	run := func(indexed bool) int64 {
-		sim, err := jury.New(jury.Config{
-			Seed: 27, Kind: jury.ONOS, ClusterSize: 3, EnableJury: true, K: 2,
-			Policies: policies, IndexedPolicies: indexed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Boot()
-		sim.Controller(1).AdminWriteCache(store.EdgesDB, store.OpUpdate, "k", "v")
-		if err := sim.Run(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		return sim.Validator().Faults()
-	}
-	if a, b := run(false), run(true); a != b || a == 0 {
-		t.Fatalf("linear=%d indexed=%d", a, b)
-	}
-}
-
 func TestRESTInstallThroughFacade(t *testing.T) {
 	sim, err := jury.New(jury.Config{Seed: 29, Kind: jury.ONOS, ClusterSize: 3, EnableJury: true, K: 2})
 	if err != nil {

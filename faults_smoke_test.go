@@ -316,3 +316,29 @@ func TestDetectUndesirableFlowModODL(t *testing.T) {
 	}
 	t.Fatalf("ODL undesirable FLOW_MOD not detected; injections=%d", f.Injections())
 }
+
+// TestDetectCrash fail-stops a controller that masters switches in the
+// middle of a run. Until the cluster's failure detector fires, PACKET_INs
+// still reach the dead master, and its missing responses must surface as
+// omission alarms against it (§III-B), on every seed.
+func TestDetectCrash(t *testing.T) {
+	for seed := int64(51); seed <= 55; seed++ {
+		sim := newFaultSim(t, seed, nil)
+		target := sim.Controller(2)
+		if len(target.Governed()) == 0 {
+			t.Fatalf("seed %d: C2 governs nothing", seed)
+		}
+		f := faults.InjectCrash(target)
+		sim.Engine.Schedule(time.Second, f.Fire)
+		alarms := driveAndCollect(t, sim, 3*time.Second)
+		detected := false
+		for _, a := range alarms {
+			if a.Fault == core.FaultOmission && a.Offender == target.ID() {
+				detected = true
+			}
+		}
+		if !detected {
+			t.Errorf("seed %d: crash not detected as an omission by C2; alarms=%d", seed, len(alarms))
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	jury "github.com/jurysdn/jury"
+	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/experiment"
 	"github.com/jurysdn/jury/internal/store"
@@ -191,6 +192,18 @@ func TestCrashFailoverKeepsClusterWorking(t *testing.T) {
 		t.Fatal("C2 governs nothing")
 	}
 	sim.Controller(2).Crash()
+	// The dead C2 keeps its switches until the failure detector fires.
+	if err := sim.Run(controller.FailureDetectionDelay - time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range governed {
+		if master, ok := sim.Members.Master(d); !ok || master != store.NodeID(2) {
+			t.Fatalf("switch %v failed over inside the detection window", d)
+		}
+	}
+	if err := sim.Run(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range governed {
 		if master, ok := sim.Members.Master(d); !ok || master == store.NodeID(2) {
 			t.Fatalf("switch %v did not fail over", d)

@@ -194,14 +194,26 @@ func (c *Controller) Backlog() int { return c.server.Backlog() }
 // Crashed reports whether the controller has fail-stopped.
 func (c *Controller) Crashed() bool { return c.crashed }
 
-// Crash fail-stops the controller: it stops processing, mastership fails
-// over, and its store replica detaches.
+// FailureDetectionDelay is how long the cluster takes to notice that a
+// controller has fail-stopped. Until it ends, the dead controller stays
+// master of its switches, so PACKET_INs still reach it and go unanswered:
+// the response omissions by which JURY detects a crash (§III-B). Real
+// clusters detect a silent peer by missed heartbeats, not at once. ONOS
+// runs a phi-accrual detector over 100 ms heartbeats; OpenDaylight's Akka
+// cluster heartbeats every second and tolerates a 3 s pause. Both take
+// on the order of seconds. One second sits at the fast end of that range,
+// so the window of lost triggers it models is, if anything, too short.
+const FailureDetectionDelay = time.Second
+
+// Crash fail-stops the controller: it stops processing at once, and after
+// FailureDetectionDelay the cluster marks it dead, so mastership fails
+// over and its store replica detaches.
 func (c *Controller) Crash() {
 	if c.crashed {
 		return
 	}
 	c.crashed = true
-	c.members.MarkDead(c.id)
+	c.eng.Schedule(FailureDetectionDelay, func() { c.members.MarkDead(c.id) })
 }
 
 // ConnectSwitch registers the southbound channel to a switch and initiates

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -419,18 +420,38 @@ func TestPrependHookRunsFirst(t *testing.T) {
 	}
 }
 
+// TestCrashStopsProcessing pins the crash model: the controller stops
+// processing at once, but the cluster marks it dead, and fails its
+// switches over, only after FailureDetectionDelay.
 func TestCrashStopsProcessing(t *testing.T) {
 	r := newRig(t, 2, 2, quietProfile())
 	c := r.ctrl(1)
+	governed := c.Governed()
+	if len(governed) == 0 {
+		t.Fatal("C1 governs nothing")
+	}
 	c.Crash()
 	if !c.Crashed() {
 		t.Fatal("not crashed")
 	}
-	if r.members.IsAlive(1) {
-		t.Fatal("membership not updated")
+	if !r.members.IsAlive(1) {
+		t.Fatal("membership updated before the failure-detection delay")
 	}
 	c.HandleSouthbound(1, &openflow.FeaturesReply{DatapathID: 1}, extCtx("t", 1))
+	if err := r.eng.Run(r.eng.Now() + FailureDetectionDelay - time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !r.members.IsAlive(1) || !reflect.DeepEqual(c.Governed(), governed) {
+		t.Fatalf("C1 lost mastership inside the detection window: alive=%v governs %v, want %v",
+			r.members.IsAlive(1), c.Governed(), governed)
+	}
 	r.run(t)
+	if r.members.IsAlive(1) {
+		t.Fatal("membership not updated after the failure-detection delay")
+	}
+	if len(c.Governed()) != 0 {
+		t.Fatalf("dead C1 still governs %v", c.Governed())
+	}
 	if c.Node().Len(store.SwitchDB) != 0 {
 		t.Fatal("crashed controller processed a trigger")
 	}

@@ -27,8 +27,6 @@ type BatchOptions struct {
 	// Parallelism bounds concurrent simulations; 0 means
 	// runtime.GOMAXPROCS(0).
 	Parallelism int
-	// FailFast cancels the campaign on the first point error.
-	FailFast bool
 	// Cache, when non-nil, makes the campaign resumable: completed
 	// points are served from disk.
 	Cache *sweep.Cache
@@ -40,7 +38,6 @@ func (o BatchOptions) config() sweep.Config {
 	return sweep.Config{
 		RootSeed:    o.RootSeed,
 		Parallelism: o.Parallelism,
-		FailFast:    o.FailFast,
 		Cache:       o.Cache,
 		Progress:    o.Progress,
 	}

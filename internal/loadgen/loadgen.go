@@ -4,17 +4,15 @@
 // memory proportional to the *active* flow set rather than the host
 // population. internal/workload materializes per-host generator state
 // and tops out around 10^4 endpoints; loadgen addresses endpoints by
-// integer index (resolved through topo.FatTreeAttach / topo.HostMAC on
-// demand), so a Source over 2^24 hosts costs the same bytes as one over
-// 2^4. That is what lets the scale campaign push trigger rates into the
-// millions per second against the sharded validation plane.
+// integer index (resolved through topo.HostMAC on demand), so a Source
+// over 2^24 hosts costs the same bytes as one over 2^4. The end-to-end
+// benchmark (bench/) drives its streams from a Source.
 //
 // Determinism: every stochastic stream (arrivals, sizes, endpoint picks,
 // joins, leaves, flaps) owns a private RNG seeded by
 // sweep.DeriveSeed(cfg.Seed, "loadgen/<stream>"), so streams are
 // mutually independent and the event sequence is a pure function of the
-// Config — byte-identical across processes, pull interleavings, and
-// sweep parallelism.
+// Config — byte-identical across processes and pull interleavings.
 //
 // jurylint classifies loadgen as a concurrency bridge: the Source
 // itself is single-goroutine (pull-based, driven from simnet callbacks)
@@ -70,7 +68,7 @@ type Event struct {
 	Kind EventKind     `json:"kind"`
 	// Src and Dst are 1-based virtual host indices (FlowArrival/FlowEnd);
 	// Src alone identifies the host for HostJoin/HostLeave. Resolve to
-	// fabric coordinates with topo.FatTreeAttach / topo.HostMAC.
+	// an address with topo.HostMAC.
 	Src uint64 `json:"src,omitempty"`
 	Dst uint64 `json:"dst,omitempty"`
 	// Bytes is the flow size (FlowArrival/FlowEnd only).

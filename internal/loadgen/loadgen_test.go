@@ -364,3 +364,20 @@ func TestParetoSampler(t *testing.T) {
 		t.Fatalf("α ≤ 1 mean = %v, want +Inf", m)
 	}
 }
+
+// BenchmarkSourceNext is the generator hot path: events/s of synthesis
+// with zero steady-state allocations.
+func BenchmarkSourceNext(b *testing.B) {
+	s := mustSource(b, Config{
+		Hosts: 1 << 24, Links: 4096, MeanRate: 1e6, Seed: 7,
+		Churn: ChurnSpec{JoinRate: 1e3, LeaveRate: 1e3, FlapRate: 500},
+	})
+	for i := 0; i < 10000; i++ {
+		s.Next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Next()
+	}
+}

@@ -141,22 +141,3 @@ func BenchmarkRecorderSnapshot(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSeriesSample measures one telemetry sampling instant over a
-// campaign-shaped column set (7 aggregates + 2 per-shard columns).
-func BenchmarkSeriesSample(b *testing.B) {
-	var v float64
-	cols := make([]SeriesColumn, 9)
-	for i := range cols {
-		cols[i] = SeriesColumn{Name: fmt.Sprintf("c%d", i), Fn: func() float64 { v++; return v }}
-	}
-	s := NewSeries(cols...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Sample(time.Duration(i))
-	}
-	if s.Len() != b.N {
-		b.Fatalf("sampled %d of %d rows", s.Len(), b.N)
-	}
-}

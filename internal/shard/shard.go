@@ -24,7 +24,7 @@
 // so a shard's queue, channel operation and wake-up are paid per batch.
 // Submit is the one-element case of the same path.
 //
-// Concurrency contract: Submit, SubmitBatch, Advance, Sync, Drain,
+// Concurrency contract: Submit, SubmitBatch, Advance, Drain,
 // TraceSpans, Stop and Close form the dispatch side and must be
 // serialized by the caller (one dispatcher goroutine, or an external lock —
 // the wire server uses its own mutex). After Stop the dispatch calls queue
@@ -120,8 +120,8 @@ const (
 	// itemBatch is the work item: advance the worker's engine to the
 	// item's target (never past it), then submit the batch's entries in
 	// order, then ack if asked. Without entries it is a pure advance (the
-	// service tick); with an ack it is the barrier behind Plane.Sync, which
-	// campaign telemetry uses to sample all shards at one virtual instant.
+	// service tick); with an ack it is the barrier behind Plane.syncAt,
+	// which TraceSpans uses to read every worker's tracer.
 	itemBatch itemKind = iota + 1
 	// itemFlush runs the worker's engine until idle, expiring every timer
 	// whatever its deadline, and acks — the drain behind Plane.Drain.
@@ -190,7 +190,7 @@ type worker struct {
 	rec *obs.Recorder
 	// tracer is the shard's span tracer (nil unless tracing is armed),
 	// written only by this worker's goroutine; TraceSpans reads it behind
-	// a Sync barrier.
+	// a syncAt barrier.
 	tracer *obs.Tracer
 
 	depth    *obs.Gauge
@@ -357,7 +357,7 @@ func (w *worker) process(it item) {
 	switch it.kind {
 	case itemBatch:
 		// Advance to the target exactly — never RunUntilIdle, which would
-		// overshoot and expire timers beyond a Sync barrier.
+		// overshoot and expire timers beyond a syncAt barrier.
 		if it.to > w.eng.Now() {
 			_ = w.eng.Run(it.to)
 		}
@@ -513,13 +513,13 @@ func (p *Plane) Advance(to time.Duration) {
 	}
 }
 
-// Sync is a barrier at one virtual instant: every shard processes
+// syncAt is a barrier at one virtual instant: every shard processes
 // everything queued ahead of the barrier, advances its engine to exactly
 // `to` (expiring timers up to it, never past it), and acks. On return all
-// shards sit at the same virtual time, so aggregate validator counters
-// read immediately after form a consistent snapshot — the campaign
-// time-series sampler runs on this. Dispatch side: callers serialize.
-func (p *Plane) Sync(to time.Duration) {
+// shards sit at the same virtual time and idle, so aggregate validator
+// counters read immediately after form a consistent snapshot. Dispatch
+// side: callers serialize.
+func (p *Plane) syncAt(to time.Duration) {
 	p.barrier(item{kind: itemBatch, to: to})
 }
 
@@ -551,7 +551,7 @@ func (p *Plane) Drain() {
 // TraceSpans returns every worker's completed spans merged into the
 // (start, origin, seq) order obs.StitchJSONL defines, or nil when tracing
 // is not armed. Each tracer belongs to its worker's goroutine, so the read
-// happens behind a Sync barrier: every worker has acked and sits idle (the
+// happens behind a syncAt barrier: every worker has acked and sits idle (the
 // caller holds the dispatch side, so nothing new is queued), or, after
 // Stop, has exited. At one shard the result is that shard's
 // Tracer.Spans(). Dispatch side: callers serialize.
@@ -559,7 +559,7 @@ func (p *Plane) TraceSpans() []obs.Span {
 	if !p.Tracing() {
 		return nil
 	}
-	p.Sync(0)
+	p.syncAt(0)
 	per := make([][]obs.Span, len(p.workers))
 	for i, w := range p.workers {
 		per[i] = w.tracer.Spans()
@@ -586,7 +586,7 @@ func (p *Plane) Stop() {
 }
 
 // Close drains every shard — every submitted trigger reaches its
-// decision — and then stops the workers; campaigns and benchmarks end on
+// decision — and then stops the workers; tests and benchmarks end on
 // it. Dispatch side: callers serialize.
 func (p *Plane) Close() {
 	p.Drain()
@@ -601,8 +601,8 @@ func (p *Plane) Shards() int { return len(p.workers) }
 
 // Stats is one read of the plane's aggregate counters. Every worker's
 // validator counts into the plane's registry, so the figures are the
-// registry's totals. Each is read atomically on its own; read them behind
-// Sync for a consistent cut.
+// registry's totals. Each is read atomically on its own; read them after
+// Drain or Close for a consistent cut.
 type Stats struct {
 	Decided          int64 // triggers decided
 	Valid            int64 // triggers judged valid

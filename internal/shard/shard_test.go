@@ -328,7 +328,7 @@ func TestPlaneStopVsClose(t *testing.T) {
 			}
 			p.Submit(execAt(2, 1, "τ", "k", "up", 9, 0))
 			p.Submit(execAt(3, 1, "τ", "k", "up", 9, time.Millisecond))
-			p.Sync(time.Millisecond)
+			p.syncAt(time.Millisecond)
 			if got := p.Stats().Pending; got != 1 {
 				t.Fatalf("Stats().Pending = %d before the end, want 1", got)
 			}
@@ -367,7 +367,7 @@ func TestPlaneDispatchAfterStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Submit(execAt(2, 1, "τ", "k", "up", 9, 0))
-	p.Sync(time.Millisecond)
+	p.syncAt(time.Millisecond)
 	p.Stop()
 	before := p.Stats()
 	done := make(chan struct{})
@@ -382,7 +382,7 @@ func TestPlaneDispatchAfterStop(t *testing.T) {
 				cacheAt(1, 1, "", "psi", "up", 9, time.Millisecond),
 			}, time.Millisecond)
 			p.Advance(time.Second)
-			p.Sync(time.Second)
+			p.syncAt(time.Second)
 			p.Drain()
 			p.TraceSpans()
 			p.Close()
@@ -487,7 +487,7 @@ func TestPlaneFlightRecorderDumpOnAlarm(t *testing.T) {
 	}
 }
 
-// TestPlaneSyncBarrier asserts Sync advances every live shard's engine to
+// TestPlaneSyncBarrier asserts syncAt advances every live shard's engine to
 // the same virtual instant without overshooting pending timers: a trigger
 // whose deadline falls past the barrier must still be undecided after it.
 func TestPlaneSyncBarrier(t *testing.T) {
@@ -504,11 +504,11 @@ func TestPlaneSyncBarrier(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.Submit(execAt(2, 1, fmt.Sprintf("τ%d", i), "k", "up", 9, time.Duration(i)*time.Millisecond))
 	}
-	p.Sync(20 * time.Millisecond)
+	p.syncAt(20 * time.Millisecond)
 	if got := p.Stats().Decided; got != 0 {
 		t.Fatalf("sync to 20ms decided %d triggers; barrier overshot the 50ms deadlines", got)
 	}
-	p.Sync(100 * time.Millisecond)
+	p.syncAt(100 * time.Millisecond)
 	if got := p.Stats().Decided; got != 8 {
 		t.Fatalf("sync past deadlines decided %d triggers, want 8", got)
 	}

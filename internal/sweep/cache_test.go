@@ -126,23 +126,28 @@ func TestSweepResumesAfterInterruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := grid(10)
-	boom := errors.New("interrupted")
-	// First campaign dies at point 6 in fail-fast mode.
-	_, err = Run[params, int64](context.Background(),
-		Config{RootSeed: 5, Parallelism: 1, FailFast: true, Cache: cache}, pts,
-		func(_ context.Context, pt Point[params]) (int64, error) {
+	// The first campaign is interrupted while point 6 runs, the way a
+	// signal cancels `jury fig`: the point sees its context end and
+	// fails, and the rest never start.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = Run[params, int64](ctx,
+		Config{RootSeed: 5, Parallelism: 1, Cache: cache}, pts,
+		func(ctx context.Context, pt Point[params]) (int64, error) {
 			if pt.Index == 6 {
-				return 0, boom
+				cancel()
+				return 0, ctx.Err()
 			}
 			return pt.Seed, nil
 		})
-	if !errors.Is(err, boom) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("first campaign: %v", err)
 	}
 	if n, err := cache.Len(); err != nil || n != 6 {
 		t.Fatalf("cache holds %d entries after interruption (err=%v), want 6", n, err)
 	}
-	// Resume: only the failed point and the never-started tail execute.
+	// Resume: only the interrupted point and the never-started tail
+	// execute.
 	var executions atomic.Int64
 	res, err := Run[params, int64](context.Background(),
 		Config{RootSeed: 5, Parallelism: 1, Cache: cache}, pts,

@@ -74,9 +74,6 @@ type Config struct {
 	RootSeed int64
 	// Parallelism bounds the worker pool; 0 means runtime.GOMAXPROCS(0).
 	Parallelism int
-	// FailFast cancels the remaining points on the first point error.
-	// The default (collect-all) records per-point errors and keeps going.
-	FailFast bool
 	// Cache, when non-nil, skips points whose results are already on
 	// disk and persists fresh results, making campaigns resumable.
 	Cache *Cache
@@ -89,8 +86,7 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// ErrNotRun marks points never executed because the sweep was cancelled
-// or a fail-fast sibling error stopped the campaign.
+// ErrNotRun marks points never executed because the sweep was cancelled.
 var ErrNotRun = errors.New("sweep: point not executed")
 
 var errAlreadyRun = errors.New("sweep: Run called twice")
@@ -108,11 +104,6 @@ type Sweep[P, R any] struct {
 	results []Result[P, R]
 	// state is idle → running → done. guarded by mu.
 	state int
-
-	// failMu guards the first fail-fast point error, which ends the run.
-	failMu   sync.Mutex
-	failErr  error // guarded by failMu
-	failOnce bool  // guarded by failMu
 
 	prog *progress
 }
@@ -160,9 +151,9 @@ func New[P, R any](cfg Config, params []P, run Runner[P, R]) (*Sweep[P, R], erro
 // order. The slice is shared; callers must not mutate it.
 func (s *Sweep[P, R]) Points() []Point[P] { return s.points }
 
-// Run executes the sweep. It returns the context error on cancellation
-// and, in fail-fast mode, the first point error; in collect-all mode
-// point errors are reported by Results instead. Run can be called once.
+// Run executes the sweep. It returns the context error on cancellation;
+// point errors do not stop the sweep and are reported by Results. Run can
+// be called once.
 func (s *Sweep[P, R]) Run(ctx context.Context) error {
 	s.mu.Lock()
 	if s.state != stateIdle {
@@ -175,19 +166,6 @@ func (s *Sweep[P, R]) Run(ctx context.Context) error {
 		s.results[i] = Result[P, R]{Point: s.points[i], Err: ErrNotRun}
 	}
 	s.mu.Unlock()
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	fail := func(i int, err error) {
-		s.failMu.Lock()
-		if !s.failOnce {
-			s.failOnce = true
-			s.failErr = fmt.Errorf("sweep: point %d (%s): %w", i, s.points[i].Key, err)
-		}
-		s.failMu.Unlock()
-		cancel()
-	}
 
 	indices := make(chan int)
 	var wg sync.WaitGroup
@@ -204,9 +182,6 @@ func (s *Sweep[P, R]) Run(ctx context.Context) error {
 				s.results[i] = res
 				s.mu.Unlock()
 				s.prog.done(res.Point.Index, res.Point.Key, res.Err, res.Cached, res.Elapsed)
-				if res.Err != nil && s.cfg.FailFast {
-					fail(i, res.Err)
-				}
 			}
 		}()
 	}
@@ -224,13 +199,6 @@ feed:
 	s.mu.Lock()
 	s.state = stateDone
 	s.mu.Unlock()
-
-	s.failMu.Lock()
-	err := s.failErr
-	s.failMu.Unlock()
-	if err != nil {
-		return err
-	}
 	return context.Cause(ctx)
 }
 
@@ -281,17 +249,17 @@ func (s *Sweep[P, R]) Results() ([]Result[P, R], error) {
 	return out, errors.Join(errs...)
 }
 
-// Run is the convenience one-shot: New + (*Sweep).Run + Results. In
-// collect-all mode the returned results are complete even when the
-// returned error aggregates point failures.
+// Run is the convenience one-shot: New + (*Sweep).Run + Results. The
+// returned results are complete even when the returned error aggregates
+// point failures.
 func Run[P, R any](ctx context.Context, cfg Config, params []P, run Runner[P, R]) ([]Result[P, R], error) {
 	s, err := New(cfg, params, run)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.Run(ctx); err != nil {
-		// Partial results still exist (cancellation, fail-fast); return
-		// what completed alongside the run error.
+		// Partial results still exist after cancellation; return what
+		// completed alongside the run error.
 		res, _ := s.Results() //jurylint:allow errcrit -- run error supersedes the aggregate; per-point errors stay readable on the results
 		return res, err
 	}

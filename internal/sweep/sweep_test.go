@@ -160,36 +160,6 @@ func TestCollectAllCapturesErrors(t *testing.T) {
 	}
 }
 
-func TestFailFastStopsEarly(t *testing.T) {
-	boom := errors.New("boom")
-	var executed atomic.Int64
-	s, err := New[params, int64](Config{RootSeed: 1, Parallelism: 1, FailFast: true}, grid(20),
-		func(_ context.Context, pt Point[params]) (int64, error) {
-			executed.Add(1)
-			if pt.Index == 2 {
-				return 0, boom
-			}
-			return 1, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runErr := s.Run(context.Background())
-	if !errors.Is(runErr, boom) {
-		t.Fatalf("Run returned %v, want the point error", runErr)
-	}
-	if n := executed.Load(); n > 4 {
-		t.Fatalf("fail-fast still executed %d points", n)
-	}
-	res, resErr := s.Results()
-	if resErr == nil {
-		t.Fatal("Results should aggregate the failure")
-	}
-	if !errors.Is(res[19].Err, ErrNotRun) {
-		t.Fatalf("tail point error = %v, want ErrNotRun", res[19].Err)
-	}
-}
-
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)
@@ -383,68 +353,59 @@ func witness(mu *sync.Mutex, touch func()) (stop func()) {
 	return func() { close(quit); <-done }
 }
 
-// TestLockDisciplineSweep runs a collect-all and a fail-fast sweep while
-// a second Run, a Results poller and witnesses for mu and failMu race
-// them, with a progress callback that relies on the sweep serializing
-// its events. Under -race, every dropped lock in sweep.go and
-// progress.go shows up.
+// TestLockDisciplineSweep runs a sweep in which half the points fail
+// while a second Run, a Results poller and a witness for mu race it, with
+// a progress callback that relies on the sweep serializing its events.
+// Under -race, every dropped lock in sweep.go and progress.go shows up.
 func TestLockDisciplineSweep(t *testing.T) {
-	for _, failFast := range []bool{false, true} {
-		events := 0 // unsynchronized: progress events must be serialized
-		s, err := New(Config{
-			Parallelism: 4,
-			FailFast:    failFast,
-			Progress:    func(Event) { events++ },
-		}, grid(200), func(_ context.Context, pt Point[params]) (int64, error) {
-			if failFast {
-				return 0, errors.New("boom")
-			}
-			return pt.Seed, nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	events := 0 // unsynchronized: progress events must be serialized
+	s, err := New(Config{
+		Parallelism: 4,
+		Progress:    func(Event) { events++ },
+	}, grid(200), func(_ context.Context, pt Point[params]) (int64, error) {
+		if pt.Index%2 == 0 {
+			return 0, errors.New("boom")
 		}
-		stopMu := witness(&s.mu, func() {
-			st := s.state
-			s.state = st
-			for i := range s.results {
-				r := s.results[i]
-				s.results[i] = r
-			}
-		})
-		stopFail := witness(&s.failMu, func() {
-			e, once := s.failErr, s.failOnce
-			s.failErr, s.failOnce = e, once
-		})
-		var wg sync.WaitGroup
-		runErrs := make([]error, 2)
-		for i := range runErrs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				runErrs[i] = s.Run(context.Background())
-			}()
+		return pt.Seed, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopMu := witness(&s.mu, func() {
+		st := s.state
+		s.state = st
+		for i := range s.results {
+			r := s.results[i]
+			s.results[i] = r
 		}
+	})
+	var wg sync.WaitGroup
+	runErrs := make([]error, 2)
+	for i := range runErrs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if _, err := s.Results(); !errors.Is(err, errNotStarted) {
-					return
-				}
-			}
+			runErrs[i] = s.Run(context.Background())
 		}()
-		wg.Wait()
-		stopMu()
-		stopFail()
-		twice := 0
-		for _, err := range runErrs {
-			if errors.Is(err, errAlreadyRun) {
-				twice++
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if _, err := s.Results(); !errors.Is(err, errNotStarted) {
+				return
 			}
 		}
-		if twice != 1 || events == 0 {
-			t.Fatalf("failFast=%v: runs %v, %d progress events; want exactly one errAlreadyRun and some events", failFast, runErrs, events)
+	}()
+	wg.Wait()
+	stopMu()
+	twice := 0
+	for _, err := range runErrs {
+		if errors.Is(err, errAlreadyRun) {
+			twice++
 		}
+	}
+	if twice != 1 || events == 0 {
+		t.Fatalf("runs %v, %d progress events; want exactly one errAlreadyRun and some events", runErrs, events)
 	}
 }

@@ -127,104 +127,6 @@ func ThreeTier(edges, aggs, cores, hostsPerEdge int) (*Topology, error) {
 	return t, nil
 }
 
-// FatTree builds the k-ary Clos fat-tree of Al-Fares et al.: k pods of
-// k/2 edge and k/2 aggregation switches each, (k/2)^2 core switches, and
-// k/2 hosts per edge switch — 5k²/4 switches and k³/4 hosts total, with
-// full bisection bandwidth. k must be even. FatTree(8) is the scale
-// campaign's default deployment (80 switches, 128 hosts); FatTree(30)
-// passes 1k switches (1125), far beyond the paper's 24-switch testbed.
-//
-// DPIDs are deterministic: edge switches take 1..k²/2 (pod-major), then
-// aggregates, then cores. Edge switch ports 1..k/2 face hosts and
-// k/2+1..k face the pod's aggregates; aggregate ports 1..k/2 face the
-// pod's edges and k/2+1..k face cores; core ports 1..k face pods in
-// order. Aggregate j of every pod uplinks to cores j·(k/2)..(j+1)·(k/2)-1.
-func FatTree(k int) (*Topology, error) {
-	if k < 2 || k%2 != 0 {
-		return nil, fmt.Errorf("topo: fat-tree needs an even k >= 2, got %d", k)
-	}
-	half := k / 2
-	edges := k * half // k pods × k/2 edge switches
-	aggs := k * half
-	t := New()
-	edgeID := func(pod, j int) DPID { return DPID(1 + pod*half + j) }
-	aggID := func(pod, j int) DPID { return DPID(1 + edges + pod*half + j) }
-	coreID := func(j, c int) DPID { return DPID(1 + edges + aggs + j*half + c) }
-	for pod := 0; pod < k; pod++ {
-		for j := 0; j < half; j++ {
-			t.AddSwitch(edgeID(pod, j), "edge")
-		}
-	}
-	for pod := 0; pod < k; pod++ {
-		for j := 0; j < half; j++ {
-			t.AddSwitch(aggID(pod, j), "aggregate")
-		}
-	}
-	for j := 0; j < half; j++ {
-		for c := 0; c < half; c++ {
-			t.AddSwitch(coreID(j, c), "core")
-		}
-	}
-	// Hosts: k/2 per edge switch on ports 1..k/2, indexed pod-major so
-	// FatTreeAttach can recompute any attachment without the topology.
-	hostIdx := 1
-	for pod := 0; pod < k; pod++ {
-		for j := 0; j < half; j++ {
-			for p := 1; p <= half; p++ {
-				h := Host{
-					ID:     HostID(fmt.Sprintf("h%d", hostIdx)),
-					MAC:    HostMAC(hostIdx),
-					IP:     HostIP(hostIdx),
-					Attach: Port{DPID: edgeID(pod, j), Port: uint16(p)},
-				}
-				if err := t.AddHost(h); err != nil {
-					return nil, err
-				}
-				hostIdx++
-			}
-		}
-	}
-	// Edge ↔ aggregate: full mesh within each pod.
-	for pod := 0; pod < k; pod++ {
-		for j := 0; j < half; j++ {
-			for a := 0; a < half; a++ {
-				src := Port{DPID: edgeID(pod, j), Port: uint16(half + a + 1)}
-				dst := Port{DPID: aggID(pod, a), Port: uint16(j + 1)}
-				if err := t.AddLink(src, dst); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// Aggregate ↔ core: aggregate j serves core group j.
-	for pod := 0; pod < k; pod++ {
-		for j := 0; j < half; j++ {
-			for c := 0; c < half; c++ {
-				src := Port{DPID: aggID(pod, j), Port: uint16(half + c + 1)}
-				dst := Port{DPID: coreID(j, c), Port: uint16(pod + 1)}
-				if err := t.AddLink(src, dst); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return t, nil
-}
-
-// FatTreeAttach maps a (possibly virtual) 1-based host index onto a
-// FatTree(k) edge port without touching the topology: indices wrap modulo
-// the k³/4 physical host ports, so a streaming generator can model far
-// more endpoints than the fabric has ports while every event still lands
-// on a real attachment. For indices within the physical range the result
-// matches the builder's Host.Attach exactly.
-func FatTreeAttach(k int, host uint64) Port {
-	half := uint64(k / 2)
-	idx := (host - 1) % (uint64(k) * half * half)
-	edge := idx / half        // 0-based global edge index, pod-major
-	port := uint16(idx%half) + 1
-	return Port{DPID: DPID(1 + edge), Port: port}
-}
-
 // Single builds a one-switch topology with n hosts, the Cbench-style setup.
 func Single(hosts int) (*Topology, error) {
 	t := New()

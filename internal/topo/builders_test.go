@@ -79,7 +79,7 @@ func TestThreeTierWiringInvariants(t *testing.T) {
 			if got, want := top.NumSwitches(), c.edges+c.aggs+c.cores; got != want {
 				t.Fatalf("switches = %d, want %d", got, want)
 			}
-			if got, want := top.NumHosts(), c.edges*c.hostsPerEdge; got != want {
+			if got, want := len(top.Hosts()), c.edges*c.hostsPerEdge; got != want {
 				t.Fatalf("hosts = %d, want %d", got, want)
 			}
 			if got, want := len(top.Links()), 2*(c.edges*c.aggs+c.aggs*c.cores); got != want {
@@ -91,96 +91,6 @@ func TestThreeTierWiringInvariants(t *testing.T) {
 
 func TestLinearWiringInvariants(t *testing.T) {
 	checkWiring(t, func() (*Topology, error) { return Linear(24) })
-}
-
-func TestFatTreeShape(t *testing.T) {
-	for _, c := range []struct{ k, switches, hosts, links int }{
-		{4, 20, 16, 64},
-		{8, 80, 128, 512}, // the scale campaign's default point
-	} {
-		t.Run(fmt.Sprintf("k=%d", c.k), func(t *testing.T) {
-			top := checkWiring(t, func() (*Topology, error) { return FatTree(c.k) })
-			if top.NumSwitches() != c.switches {
-				t.Fatalf("switches = %d, want %d", top.NumSwitches(), c.switches)
-			}
-			if top.NumHosts() != c.hosts {
-				t.Fatalf("hosts = %d, want %d", top.NumHosts(), c.hosts)
-			}
-			if got := len(top.Links()); got != c.links {
-				t.Fatalf("directed links = %d, want %d", got, c.links)
-			}
-			var edges, aggs, cores int
-			for _, sw := range top.Switches() {
-				switch sw.Tier {
-				case "edge":
-					edges++
-				case "aggregate":
-					aggs++
-				case "core":
-					cores++
-				}
-			}
-			half := c.k / 2
-			if edges != c.k*half || aggs != c.k*half || cores != half*half {
-				t.Fatalf("tiers = %d/%d/%d", edges, aggs, cores)
-			}
-		})
-	}
-}
-
-func TestFatTreeRejectsBadK(t *testing.T) {
-	for _, k := range []int{0, 1, 3, 7, -2} {
-		if _, err := FatTree(k); err == nil {
-			t.Fatalf("FatTree(%d) should fail", k)
-		}
-	}
-}
-
-func TestFatTreePathLengths(t *testing.T) {
-	top, err := FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same pod, different edge: edge → agg → edge.
-	if p := top.ShortestPath(1, 2); len(p) != 3 {
-		t.Fatalf("intra-pod path = %v", p)
-	}
-	// Cross pod: edge → agg → core → agg → edge.
-	if p := top.ShortestPath(1, 8); len(p) != 5 {
-		t.Fatalf("cross-pod path = %v", p)
-	}
-}
-
-func TestFatTreeAttachMatchesBuilder(t *testing.T) {
-	const k = 4
-	top, err := FatTree(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phys := uint64(top.NumHosts())
-	for i := uint64(1); i <= phys; i++ {
-		h, ok := top.Host(HostID(fmt.Sprintf("h%d", i)))
-		if !ok {
-			t.Fatalf("missing host %d", i)
-		}
-		if got := FatTreeAttach(k, i); got != h.Attach {
-			t.Fatalf("FatTreeAttach(%d) = %v, builder says %v", i, got, h.Attach)
-		}
-	}
-	// Virtual hosts beyond the physical ports wrap onto real edge ports.
-	for _, i := range []uint64{phys + 1, 3*phys + 5, 1 << 30} {
-		at := FatTreeAttach(k, i)
-		sw, ok := top.Switch(at.DPID)
-		if !ok || sw.Tier != "edge" {
-			t.Fatalf("virtual host %d attaches to %v (tier %q)", i, at, sw.Tier)
-		}
-		if at.Port < 1 || int(at.Port) > k/2 {
-			t.Fatalf("virtual host %d lands on non-host port %v", i, at)
-		}
-		if want := FatTreeAttach(k, (i-1)%phys+1); at != want {
-			t.Fatalf("wrap mismatch: %v vs %v", at, want)
-		}
-	}
 }
 
 // TestHostAddressingWideNoCollisions is the regression for the 16-bit

@@ -199,9 +199,6 @@ func (t *Topology) Links() []Link {
 // NumSwitches returns the switch count.
 func (t *Topology) NumSwitches() int { return len(t.switches) }
 
-// NumHosts returns the host count.
-func (t *Topology) NumHosts() int { return len(t.hosts) }
-
 // ShortestPath returns the switch DPIDs on a shortest path from src to dst
 // (inclusive) using BFS, or nil if unreachable.
 func (t *Topology) ShortestPath(src, dst DPID) []DPID {

@@ -10,8 +10,8 @@ func TestLinearTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if top.NumSwitches() != 24 || top.NumHosts() != 24 {
-		t.Fatalf("switches=%d hosts=%d", top.NumSwitches(), top.NumHosts())
+	if top.NumSwitches() != 24 || len(top.Hosts()) != 24 {
+		t.Fatalf("switches=%d hosts=%d", top.NumSwitches(), len(top.Hosts()))
 	}
 	// 23 bidirectional links = 46 directed.
 	if got := len(top.Links()); got != 46 {
@@ -42,8 +42,8 @@ func TestThreeTierTopology(t *testing.T) {
 	if top.NumSwitches() != 14 {
 		t.Fatalf("switches = %d, want 14", top.NumSwitches())
 	}
-	if top.NumHosts() != 16 {
-		t.Fatalf("hosts = %d, want 16", top.NumHosts())
+	if len(top.Hosts()) != 16 {
+		t.Fatalf("hosts = %d, want 16", len(top.Hosts()))
 	}
 	// Edge-agg mesh: 8*4=32 + agg-core mesh: 4*2=8 → 40 bidirectional.
 	if got := len(top.Links()); got != 80 {
@@ -70,7 +70,7 @@ func TestSingleTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if top.NumSwitches() != 1 || top.NumHosts() != 24 {
+	if top.NumSwitches() != 1 || len(top.Hosts()) != 24 {
 		t.Fatal("wrong single topology shape")
 	}
 	if len(top.Links()) != 0 {

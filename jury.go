@@ -191,15 +191,7 @@ func (s *Simulation) wireJury() error {
 		s.System.AttachController(ctrl)
 	}
 	if len(cfg.Policies) > 0 {
-		var (
-			eng *policy.Engine
-			err error
-		)
-		if cfg.IndexedPolicies {
-			eng, err = policy.NewIndexed(cfg.Policies)
-		} else {
-			eng, err = policy.New(cfg.Policies)
-		}
+		eng, err := policy.New(cfg.Policies)
 		if err != nil {
 			return fmt.Errorf("jury: compile policies: %w", err)
 		}
