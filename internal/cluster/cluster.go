@@ -110,15 +110,6 @@ func (m *Membership) InstrumentMetrics(reg *obs.Registry) {
 		func() float64 { return float64(len(m.Alive())) })
 }
 
-// MastershipChanges returns the number of mastership reassignments.
-func (m *Membership) MastershipChanges() int64 { return m.masterChanges.Value() }
-
-// Deaths returns the number of controllers marked dead.
-func (m *Membership) Deaths() int64 { return m.deaths.Value() }
-
-// Rejoins returns the number of controllers that rejoined after a death.
-func (m *Membership) Rejoins() int64 { return m.rejoins.Value() }
-
 // Members returns all known controller IDs in order.
 func (m *Membership) Members() []store.NodeID {
 	out := make([]store.NodeID, 0, len(m.members))

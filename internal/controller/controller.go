@@ -60,6 +60,8 @@ type Controller struct {
 	node    *store.Node
 	members *cluster.Membership
 	server  *simnet.Server
+	// egress carries southbound writes over the egress I/O delay.
+	egress *simnet.FIFO[egress]
 
 	downlinks   map[topo.DPID]func(msg openflow.Message)
 	switchPorts map[topo.DPID][]uint16
@@ -111,11 +113,9 @@ type Controller struct {
 	extraDelay  time.Duration
 	extraJitter time.Duration
 
-	xid            uint32
-	flowModsSent   uint64
-	packetOutsSent uint64
-	ingressDrops   uint64
-	pausesTaken    uint64
+	xid          uint32
+	ingressDrops uint64
+	pausesTaken  uint64
 }
 
 // New creates a controller node backed by the given store replica.
@@ -134,6 +134,7 @@ func New(eng *simnet.Engine, id store.NodeID, profile Profile, node *store.Node,
 		linkSeen:        make(map[string]time.Duration),
 		reconcileMisses: make(map[string]int),
 	}
+	c.egress = simnet.NewFIFO(eng, profile.EgressService, c.deliver)
 	c.server.InflateAt = profile.InflateAt
 	c.server.InflateSlope = profile.InflateSlope
 	c.nextPauseAt = c.expDelay(profile.PausePeriod)
@@ -178,12 +179,6 @@ func (c *Controller) PrependEgressHook(h EgressHook) {
 // SetJuryReplication records the replication factor for the primary-side
 // overhead model.
 func (c *Controller) SetJuryReplication(k int) { c.juryK = k }
-
-// FlowModsSent returns the count of FLOW_MODs emitted southbound.
-func (c *Controller) FlowModsSent() uint64 { return c.flowModsSent }
-
-// PacketOutsSent returns the count of PACKET_OUTs emitted southbound.
-func (c *Controller) PacketOutsSent() uint64 { return c.packetOutsSent }
 
 // IngressDrops returns PACKET_INs rejected by the full ingress queue.
 func (c *Controller) IngressDrops() uint64 { return c.ingressDrops }
@@ -247,14 +242,7 @@ func (c *Controller) HandleSouthbound(dpid topo.DPID, msg openflow.Message, ctx 
 	if c.crashed {
 		return
 	}
-	submit := func() {
-		if !c.server.SubmitFunc(
-			func() time.Duration { return c.serviceTime(msg, ctx) },
-			func() { c.process(dpid, msg, ctx) },
-		) {
-			c.ingressDrops++
-		}
-	}
+	j := &ingress{c, dpid, msg, ctx}
 	// An injected timing fault delays the trigger on ingress (a slow
 	// replica still responds, just late) without consuming pipeline
 	// capacity, matching the "slow replicas" model of §IV-C C.
@@ -263,11 +251,29 @@ func (c *Controller) HandleSouthbound(dpid topo.DPID, msg openflow.Message, ctx 
 		if c.extraJitter > 0 {
 			delay += time.Duration(c.eng.Rand().Int63n(int64(c.extraJitter)))
 		}
-		c.eng.Schedule(delay, submit)
+		c.eng.Schedule(delay, func() { c.submit(j) })
 		return
 	}
-	submit()
+	c.submit(j)
 }
+
+func (c *Controller) submit(j *ingress) {
+	if !c.server.Submit(j) {
+		c.ingressDrops++
+	}
+}
+
+// ingress is one southbound message's job on the pipeline server.
+type ingress struct {
+	c    *Controller
+	dpid topo.DPID
+	msg  openflow.Message
+	ctx  *trigger.Context
+}
+
+func (j *ingress) Service() time.Duration { return j.c.serviceTime(j.msg, j.ctx) }
+
+func (j *ingress) Done() { j.c.process(j.dpid, j.msg, j.ctx) }
 
 // serviceTime draws the pipeline service time for a message under the
 // profile's class means, GC-pause schedule and clustering overheads.
@@ -434,21 +440,24 @@ func (c *Controller) sendSouthbound(dpid topo.DPID, msg openflow.Message, ctx *t
 	if !ok {
 		return
 	}
-	switch w.Msg.(type) {
-	case *openflow.FlowMod:
-		c.flowModsSent++
-	case *openflow.PacketOut:
-		c.packetOutsSent++
-	}
 	if c.OnEgress != nil {
 		c.OnEgress(w.DPID, w.Msg, w.Ctx)
 	}
-	msgOut := w.Msg
-	c.eng.Schedule(c.profile.EgressService, func() {
-		if !c.crashed {
-			downlink(msgOut)
-		}
-	})
+	c.egress.Send(egress{downlink, w.Msg})
+}
+
+// egress is one southbound write on its way down to the switch.
+type egress struct {
+	downlink func(openflow.Message)
+	msg      openflow.Message
+}
+
+// deliver hands an egress write to its switch, unless the controller
+// crashed meanwhile.
+func (c *Controller) deliver(e egress) {
+	if !c.crashed {
+		e.downlink(e.msg)
+	}
 }
 
 // onStoreEvent reacts to cache events applied at this replica: the master

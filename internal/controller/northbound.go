@@ -25,9 +25,7 @@ func (c *Controller) InstallFlowREST(rule FlowRule, ctx *trigger.Context) {
 	if ctx == nil {
 		ctx = &trigger.Context{ID: c.alloc.Next(), Kind: trigger.External, Primary: c.id}
 	}
-	c.server.SubmitFunc(func() time.Duration {
-		return c.expDelay(c.profile.HandshakeService) + c.pauseDelay()
-	}, func() {
+	c.server.Submit(request{c, func() {
 		if c.OnProcessStart != nil {
 			c.OnProcessStart(ctx)
 		}
@@ -41,7 +39,7 @@ func (c *Controller) InstallFlowREST(rule FlowRule, ctx *trigger.Context) {
 		if c.OnProcessed != nil {
 			c.OnProcessed(rule.DPID, nil, ctx)
 		}
-	})
+	}})
 }
 
 // InstallFlowInternal installs a flow on behalf of an administrator logged
@@ -52,13 +50,11 @@ func (c *Controller) InstallFlowInternal(rule FlowRule) {
 		return
 	}
 	ctx := &trigger.Context{ID: c.alloc.Next(), Kind: trigger.Internal, Primary: c.id}
-	c.server.SubmitFunc(func() time.Duration {
-		return c.expDelay(c.profile.HandshakeService) + c.pauseDelay()
-	}, func() {
+	c.server.Submit(request{c, func() {
 		rule.Trigger = ""
 		rule.Origin = c.id
 		c.WriteCache(store.FlowsDB, store.OpCreate, rule.Key(), rule.Encode(), ctx, nil)
-	})
+	}})
 }
 
 // AdminWriteCache performs a direct administrator/application write to a
@@ -69,9 +65,18 @@ func (c *Controller) AdminWriteCache(cache store.CacheName, op store.Op, key, va
 		return
 	}
 	ctx := &trigger.Context{ID: c.alloc.Next(), Kind: trigger.Internal, Primary: c.id}
-	c.server.SubmitFunc(func() time.Duration {
-		return c.expDelay(c.profile.HandshakeService) + c.pauseDelay()
-	}, func() {
-		c.WriteCache(cache, op, key, value, ctx, nil)
-	})
+	c.server.Submit(request{c, func() { c.WriteCache(cache, op, key, value, ctx, nil) }})
 }
+
+// request is a northbound or internal request's job on the pipeline
+// server: it costs a handshake-class service time, then runs.
+type request struct {
+	c   *Controller
+	run func()
+}
+
+func (j request) Service() time.Duration {
+	return j.c.expDelay(j.c.profile.HandshakeService) + j.c.pauseDelay()
+}
+
+func (j request) Done() { j.run() }

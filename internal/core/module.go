@@ -45,6 +45,10 @@ type Module struct {
 	ctrl      *controller.Controller
 	validator *Validator
 	cfg       ModuleConfig
+	// toValidator carries responses over the out-of-band channel; forget
+	// releases each trigger's snapshot 50 ms after its processing.
+	toValidator *simnet.FIFO[Response]
+	forget      *simnet.FIFO[trigger.ID]
 
 	// captured counts side-effects captured per tainted trigger, to emit
 	// ExecDone for no-op executions.
@@ -80,6 +84,8 @@ func NewModule(eng *simnet.Engine, ctrl *controller.Controller, validator *Valid
 		tracer:    cfg.Tracer,
 		node:      "C" + strconv.Itoa(int(ctrl.ID())),
 	}
+	m.toValidator = simnet.NewFIFO(eng, validatorLatency, m.deliver)
+	m.forget = simnet.NewFIFO(eng, 50*time.Millisecond, func(id trigger.ID) { delete(m.snapshots, id) })
 	ctrl.AddCacheHook(m.onCacheWrite)
 	ctrl.AddEgressHook(m.onEgress)
 	ctrl.OnProcessStart = m.onProcessStart
@@ -189,8 +195,7 @@ func (m *Module) onProcessed(_ topo.DPID, _ openflow.Message, ctx *trigger.Conte
 	delete(m.captured, ctx.ID)
 	// Release the snapshot after in-flight relays (e.g. bus-delayed
 	// FlowsDB applies) had a chance to use it.
-	id := ctx.ID
-	m.eng.Schedule(50*time.Millisecond, func() { delete(m.snapshots, id) })
+	m.forget.Send(ctx.ID)
 }
 
 // onStoreEvent relays cache updates applied at this replica. To keep the
@@ -268,11 +273,8 @@ func mix(seed uint64, id store.NodeID) uint64 {
 // encapsulated and is stripped here (§VI-B), paying the decapsulation
 // overhead measured in Fig. 4i.
 func (m *Module) HandleReplicated(dpid topo.DPID, msg openflow.Message, ctx *trigger.Context, encapsulated []byte) {
-	deliver := func(msg openflow.Message) {
-		m.ctrl.HandleSouthbound(dpid, msg, ctx)
-	}
 	if encapsulated == nil {
-		deliver(msg)
+		m.ctrl.HandleSouthbound(dpid, msg, ctx)
 		return
 	}
 	inner, err := openflow.DecapsulatePacketIn(encapsulated)
@@ -285,7 +287,7 @@ func (m *Module) HandleReplicated(dpid topo.DPID, msg openflow.Message, ctx *tri
 		start := m.eng.Now()
 		m.tracer.Emit(string(ctx.ID), "decap", m.node, start, start+overhead, "")
 	}
-	m.eng.Schedule(overhead, func() { deliver(inner) })
+	m.eng.Schedule(overhead, func() { m.ctrl.HandleSouthbound(dpid, inner, ctx) })
 }
 
 func (m *Module) decapOverhead() time.Duration {
@@ -313,10 +315,13 @@ func (m *Module) sendWithDigest(r Response, fallback uint64) {
 	if !r.free {
 		m.validatorBytes += int64(r.Size())
 	}
-	m.eng.Schedule(validatorLatency, func() {
-		r.At = m.eng.Now()
-		m.validator.Submit(r)
-	})
+	m.toValidator.Send(r)
+}
+
+// deliver stamps a relayed response with its arrival at the validator.
+func (m *Module) deliver(r Response) {
+	r.At = m.eng.Now()
+	m.validator.Submit(r)
 }
 
 // reportableEgress filters the southbound messages JURY validates:

@@ -67,6 +67,8 @@ type Replicator struct {
 
 	primaryDeliver func(id store.NodeID, dpid topo.DPID, msg openflow.Message, ctx *trigger.Context)
 	modules        map[store.NodeID]*Module
+	// sends carries HandleFromSwitch's messages to the controllers.
+	sends *simnet.FIFO[relay]
 
 	alloc  *trigger.IDAllocator
 	mac    openflow.MAC
@@ -98,7 +100,7 @@ func NewReplicator(
 		reg = obs.NewRegistry()
 	}
 	label := obs.L("dpid", dpid.String())
-	return &Replicator{
+	r := &Replicator{
 		eng:            eng,
 		dpid:           dpid,
 		cfg:            cfg,
@@ -115,6 +117,25 @@ func NewReplicator(
 		triggers: reg.Counter("jury_replicator_triggers_total",
 			"External triggers intercepted.", label),
 	}
+	r.sends = simnet.NewFIFO(eng, replicatorLatency, r.deliver)
+	return r
+}
+
+// relay is one message from the replicator to a controller: the original
+// to the primary (mod nil) or a tainted copy to a secondary's module.
+type relay struct {
+	mod   *Module
+	msg   openflow.Message
+	ctx   *trigger.Context
+	frame []byte
+}
+
+func (r *Replicator) deliver(m relay) {
+	if m.mod == nil {
+		r.primaryDeliver(m.ctx.Primary, r.dpid, m.msg, m.ctx)
+		return
+	}
+	m.mod.HandleReplicated(r.dpid, m.msg, m.ctx, m.frame)
 }
 
 // ReplicatedBytes returns the bytes mirrored to secondary controllers
@@ -139,10 +160,7 @@ func (r *Replicator) HandleFromSwitch(msg openflow.Message) {
 	if r.tracer != nil {
 		r.tracer.StartTrigger(string(ctx.ID), msg.Type().String())
 	}
-	dpid := r.dpid
-	r.eng.Schedule(replicatorLatency, func() {
-		r.primaryDeliver(primary, dpid, msg, ctx)
-	})
+	r.sends.Send(relay{msg: msg, ctx: ctx})
 	for _, id := range r.pickSecondaries(primary) {
 		mod, ok := r.modules[id]
 		if !ok {
@@ -163,11 +181,7 @@ func (r *Replicator) HandleFromSwitch(msg openflow.Message) {
 		}
 		r.replicatedBytes.Add(int64(size))
 		r.replicatedMsgs.Inc()
-		m, f := mod, frame
-		cm := copyMsg
-		r.eng.Schedule(replicatorLatency, func() {
-			m.HandleReplicated(dpid, cm, replicaCtx, f)
-		})
+		r.sends.Send(relay{mod: mod, msg: copyMsg, ctx: replicaCtx, frame: frame})
 	}
 }
 

@@ -54,7 +54,7 @@ type responder struct {
 type pendingTrigger struct {
 	id      trigger.ID
 	firstAt time.Duration
-	timer   *simnet.Event
+	timer   simnet.Timer
 	// expireFn is the θτ callback, bound once per pooled object.
 	expireFn func()
 
@@ -358,8 +358,7 @@ func (v *Validator) finish(p *pendingTrigger, res Result, timedOut bool) {
 	// shared tombstone stays in the map; the trigger's state is recycled
 	// below.
 	v.pending[id] = v.tomb
-	v.graves = append(v.graves, id)
-	v.eng.Schedule(v.grace, v.buryFn)
+	v.graves.Send(id)
 	res.Trigger = id
 	res.Responses = len(p.entries)
 	res.DecidedAt = v.eng.Now()
@@ -401,19 +400,8 @@ func (v *Validator) finish(p *pendingTrigger, res Result, timedOut bool) {
 	}
 }
 
-// bury closes the oldest grace window. The windows all last v.grace and
-// virtual time never runs back, so their events fall due in decision
-// order, and the engine fires equal-time events in scheduling order: the
-// event firing now is the oldest grave's.
-func (v *Validator) bury() {
-	id := v.graves[v.graveHead]
-	v.graves[v.graveHead] = ""
-	v.graveHead++
-	if 2*v.graveHead >= len(v.graves) { // compact, amortized O(1) per grave
-		n := copy(v.graves, v.graves[v.graveHead:])
-		clear(v.graves[n:])
-		v.graves, v.graveHead = v.graves[:n], 0
-	}
+// bury closes a decided trigger's grace window.
+func (v *Validator) bury(id trigger.ID) {
 	delete(v.pending, id) // only bury deletes, so the tombstone is there
 	v.pendingG.Add(-1)
 }

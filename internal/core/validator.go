@@ -187,14 +187,9 @@ type Validator struct {
 	// the late-response grace window closes, to the shared tombstone tomb.
 	pending map[trigger.ID]*pendingTrigger
 	tomb    *pendingTrigger
-	// graves holds the decided triggers whose tombstones are still in
-	// pending, in decision order from graveHead on. Every grace window
-	// lasts grace, so each bury event closes the oldest one; buryFn is
-	// bury, bound once.
-	graves    []trigger.ID
-	graveHead int
-	grace     time.Duration
-	buryFn    func()
+	// graves closes each decided trigger's late-response grace window:
+	// every window lasts max(2θτ, 1 s), so they close in decision order.
+	graves *simnet.FIFO[trigger.ID]
 	// free is the pool of recycled pendingTriggers; primary, slots, group
 	// and rules are evaluate's scratch lists. They point into the trigger
 	// being evaluated and are dead once evaluate returns.
@@ -251,9 +246,8 @@ func NewValidator(eng *simnet.Engine, members *cluster.Membership, cfg Validator
 		psi:     make(map[store.NodeID]psiState),
 		pending: make(map[trigger.ID]*pendingTrigger),
 		tomb:    &pendingTrigger{},
-		grace:   max(2*cfg.Timeout, time.Second),
 	}
-	v.buryFn = v.bury
+	v.graves = simnet.NewFIFO(eng, max(2*cfg.Timeout, time.Second), v.bury)
 	v.totalDecided = reg.Counter("jury_validator_decided_total", "Triggers decided.")
 	v.totalValid = reg.Counter("jury_validator_valid_total", "Triggers judged valid.")
 	v.totalFaults = reg.Counter("jury_validator_faults_total", "Alarms raised (fault verdicts).")

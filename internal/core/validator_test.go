@@ -606,3 +606,48 @@ func TestGraceWindowsFireInDecisionOrder(t *testing.T) {
 		t.Fatalf("drained: pending %d, map %d, processed %d; want 0, 0, 12", v.Pending(), len(v.pending), eng.Processed())
 	}
 }
+
+// TestRecycledTriggerIgnoresStaleTimer pins the stale-handle contract of
+// the pooled pendingTrigger: trigger "a" is decided early, which cancels
+// its θτ timer and recycles its state, and "b" reopens on the same state.
+// Reopened before a's deadline, a's cancelled timer is still queued with
+// the same bound expire callback and must not expire b; reopened after
+// it, b's timer takes a's freed slot, and a's old handle must not cancel
+// it. Either way b times out at its own deadline and nowhere else.
+func TestRecycledTriggerIgnoresStaleTimer(t *testing.T) {
+	const theta = 100 * time.Millisecond
+	for _, reopen := range []time.Duration{10 * time.Millisecond, theta + 10*time.Millisecond} {
+		eng, v := newValidator(t, 2)
+		v.Submit(cacheResp(1, 1, "a", "k", "up", 7))
+		p := v.pending["a"]
+		old := p.timer
+		v.Submit(execResp(2, 1, "a", "k", "up", 7))
+		v.Submit(execResp(3, 1, "a", "k", "up", 7))
+		if v.Decided() != 1 || len(v.free) != 1 || v.free[0] != p {
+			t.Fatalf("reopen at %v: a decided %d, pool %d; want 1, a's state", reopen, v.Decided(), len(v.free))
+		}
+		if err := eng.Run(reopen); err != nil {
+			t.Fatal(err)
+		}
+		v.Submit(cacheResp(1, 1, "b", "k", "up", 7))
+		if v.pending["b"] != p {
+			t.Fatalf("reopen at %v: b did not reuse a's pooled state", reopen)
+		}
+		if p.timer == old {
+			t.Fatalf("reopen at %v: b's timer handle equals a's", reopen)
+		}
+		old.Cancel()
+		if err := eng.Run(reopen + theta - 1); err != nil {
+			t.Fatal(err)
+		}
+		if v.Timeouts() != 0 || v.Decided() != 1 {
+			t.Fatalf("reopen at %v: before b's deadline, %d timeouts, %d decided; want 0, 1", reopen, v.Timeouts(), v.Decided())
+		}
+		if err := eng.Run(reopen + theta); err != nil {
+			t.Fatal(err)
+		}
+		if v.Timeouts() != 1 || v.Decided() != 2 {
+			t.Fatalf("reopen at %v: at b's deadline, %d timeouts, %d decided; want 1, 2", reopen, v.Timeouts(), v.Decided())
+		}
+	}
+}

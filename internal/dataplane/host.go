@@ -12,10 +12,8 @@ type Host struct {
 	fabric *Fabric
 	info   topo.Host
 
-	received  uint64
-	arpSent   uint64
-	arpRecv   uint64
-	lastFrame []byte
+	received uint64
+	arpSent  uint64
 
 	// OnReceive, when set, observes every frame delivered to the host.
 	OnReceive func(frame []byte)
@@ -34,9 +32,6 @@ func (h *Host) Received() uint64 { return h.received }
 
 // ARPRepliesSent returns the number of ARP replies emitted.
 func (h *Host) ARPRepliesSent() uint64 { return h.arpSent }
-
-// LastFrame returns the most recently received frame.
-func (h *Host) LastFrame() []byte { return h.lastFrame }
 
 // Send injects a frame from this host into its attachment switch.
 func (h *Host) Send(frame []byte) error {
@@ -67,12 +62,10 @@ func (h *Host) Receive(frame []byte) {
 		return
 	}
 	h.received++
-	h.lastFrame = frame
 	if h.OnReceive != nil {
 		h.OnReceive(frame)
 	}
 	if pf.EthType == openflow.EthTypeARP && pf.ARPOp == openflow.ARPRequest {
-		h.arpRecv++
 		if pf.ARPTargetIP == h.info.IP {
 			reply := openflow.ARPPacket(openflow.ARPReply, h.info.MAC, h.info.IP, pf.EthSrc, pf.ARPSenderIP)
 			h.arpSent++

@@ -81,9 +81,8 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
+	ev.Cancel() // a second cancel, and one of a zero Timer, is a no-op
+	Timer{}.Cancel()
 }
 
 func TestEngineHorizonStopsEarly(t *testing.T) {
@@ -184,86 +183,6 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-func TestLinkDeliversInOrder(t *testing.T) {
-	eng := NewEngine(7)
-	var got []int
-	link := NewLink(eng, time.Millisecond, 0, func(msg any, _ int) {
-		if v, ok := msg.(int); ok {
-			got = append(got, v)
-		}
-	})
-	link.Jitter = 500 * time.Microsecond
-	for i := 0; i < 100; i++ {
-		link.Send(i, 100)
-	}
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("delivered %d, want 100", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order at %d: %v", i, got[:i+1])
-		}
-	}
-}
-
-func TestLinkBandwidthSerialization(t *testing.T) {
-	eng := NewEngine(1)
-	var arrivals []time.Duration
-	link := NewLink(eng, 0, 1000 /* 1KB/s */, func(any, int) {
-		arrivals = append(arrivals, eng.Now())
-	})
-	link.Send("a", 500) // 0.5s serialization
-	link.Send("b", 500) // queued behind a
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if arrivals[0] != 500*time.Millisecond {
-		t.Fatalf("first arrival = %v, want 500ms", arrivals[0])
-	}
-	if arrivals[1] != time.Second {
-		t.Fatalf("second arrival = %v, want 1s", arrivals[1])
-	}
-}
-
-func TestLinkDownDrops(t *testing.T) {
-	eng := NewEngine(1)
-	delivered := 0
-	link := NewLink(eng, time.Millisecond, 0, func(any, int) { delivered++ })
-	link.Send("a", 10)
-	link.SetDown(true)
-	link.Send("b", 10)
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 0 {
-		t.Fatalf("delivered %d, want 0 (in-flight dropped on down link)", delivered)
-	}
-	link.SetDown(false)
-	link.Send("c", 10)
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 1 {
-		t.Fatalf("delivered %d after restore, want 1", delivered)
-	}
-}
-
-func TestLinkCounters(t *testing.T) {
-	eng := NewEngine(1)
-	link := NewLink(eng, 0, 0, func(any, int) {})
-	link.Send("a", 100)
-	link.Send("b", 50)
-	if link.BytesSent() != 150 {
-		t.Fatalf("bytes = %d, want 150", link.BytesSent())
-	}
-	if link.MessagesSent() != 2 {
-		t.Fatalf("messages = %d, want 2", link.MessagesSent())
-	}
-}
-
 func TestQueueBounds(t *testing.T) {
 	q := NewQueue(2)
 	if !q.Offer(1) || !q.Offer(2) {
@@ -296,12 +215,26 @@ func TestQueueUnbounded(t *testing.T) {
 	}
 }
 
+// fixed is a Server job with a constant service time.
+type fixed struct {
+	d    time.Duration
+	done func()
+}
+
+func (j fixed) Service() time.Duration { return j.d }
+
+func (j fixed) Done() {
+	if j.done != nil {
+		j.done()
+	}
+}
+
 func TestServerParallelism(t *testing.T) {
 	eng := NewEngine(1)
 	srv := NewServer(eng, 2, 0)
 	var done []time.Duration
 	for i := 0; i < 4; i++ {
-		srv.Submit(100*time.Millisecond, func() { done = append(done, eng.Now()) })
+		srv.Submit(fixed{100 * time.Millisecond, func() { done = append(done, eng.Now()) }})
 	}
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -321,9 +254,9 @@ func TestServerParallelism(t *testing.T) {
 func TestServerQueueRejects(t *testing.T) {
 	eng := NewEngine(1)
 	srv := NewServer(eng, 1, 1)
-	ok1 := srv.Submit(time.Millisecond, nil) // in service
-	ok2 := srv.Submit(time.Millisecond, nil) // queued
-	ok3 := srv.Submit(time.Millisecond, nil) // rejected
+	ok1 := srv.Submit(fixed{d: time.Millisecond}) // in service
+	ok2 := srv.Submit(fixed{d: time.Millisecond}) // queued
+	ok3 := srv.Submit(fixed{d: time.Millisecond}) // rejected
 	if !ok1 || !ok2 || ok3 {
 		t.Fatalf("submits = %v,%v,%v want true,true,false", ok1, ok2, ok3)
 	}
@@ -339,7 +272,7 @@ func TestServerInflation(t *testing.T) {
 	srv.InflateSlope = 1.0 // +100% per excess queued job
 	var last time.Duration
 	for i := 0; i < 4; i++ {
-		srv.Submit(10*time.Millisecond, func() { last = eng.Now() })
+		srv.Submit(fixed{10 * time.Millisecond, func() { last = eng.Now() }})
 	}
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -354,11 +287,11 @@ func TestServerInflation(t *testing.T) {
 func TestServerSaturated(t *testing.T) {
 	eng := NewEngine(1)
 	srv := NewServer(eng, 1, 10)
-	srv.Submit(time.Second, nil)
+	srv.Submit(fixed{d: time.Second})
 	if srv.Saturated() {
 		t.Fatal("saturated with empty queue")
 	}
-	srv.Submit(time.Second, nil)
+	srv.Submit(fixed{d: time.Second})
 	if !srv.Saturated() {
 		t.Fatal("not saturated with busy worker + backlog")
 	}
@@ -371,7 +304,7 @@ func TestServerSaturated(t *testing.T) {
 // an event cancelled while pending never fires.
 func TestEventHeapPopsInTimeSeqOrder(t *testing.T) {
 	type rec struct {
-		ev        *Event
+		ev        Timer
 		at        time.Duration
 		seq       int
 		fired     bool

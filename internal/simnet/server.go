@@ -11,7 +11,6 @@ import (
 // one, and Fig. 4e's collapse emerges from the bounded queue plus
 // backlog-dependent service inflation.
 type Server struct {
-	eng     *Engine
 	workers int
 	busy    int
 	queue   *Queue
@@ -25,11 +24,18 @@ type Server struct {
 	InflateSlope float64
 
 	completed int64
+	// finish completes jobs; it pools no more jobs than there are workers.
+	finish *Jobs[Job]
 }
 
-type serverJob struct {
-	service func() time.Duration
-	done    func()
+// Job is one unit of Server work.
+type Job interface {
+	// Service returns the job's base service time. It is evaluated when
+	// the job starts, not when it is queued, so state-dependent costs
+	// like GC-pause stalls apply at execution time.
+	Service() time.Duration
+	// Done runs when the job completes.
+	Done()
 }
 
 // NewServer creates a server with the given parallelism and ingress queue
@@ -38,20 +44,14 @@ func NewServer(eng *Engine, workers, queueCap int) *Server {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Server{eng: eng, workers: workers, queue: NewQueue(queueCap)}
+	s := &Server{workers: workers, queue: NewQueue(queueCap)}
+	s.finish = NewJobs(eng, s.complete)
+	return s
 }
 
-// Submit offers a job with the given base service time; done runs when the
-// job completes. Submit reports false if the ingress queue rejected the job.
-func (s *Server) Submit(service time.Duration, done func()) bool {
-	return s.SubmitFunc(func() time.Duration { return service }, done)
-}
-
-// SubmitFunc offers a job whose service time is evaluated when the job
-// starts (not when it is queued), so state-dependent costs like GC-pause
-// stalls apply at execution time.
-func (s *Server) SubmitFunc(service func() time.Duration, done func()) bool {
-	job := &serverJob{service: service, done: done}
+// Submit offers a job. It reports false if the ingress queue rejected the
+// job.
+func (s *Server) Submit(job Job) bool {
 	if s.busy < s.workers {
 		s.start(job)
 		return true
@@ -62,9 +62,6 @@ func (s *Server) SubmitFunc(service func() time.Duration, done func()) bool {
 // Backlog returns the number of jobs waiting (not in service).
 func (s *Server) Backlog() int { return s.queue.Len() }
 
-// Busy returns the number of jobs in service.
-func (s *Server) Busy() int { return s.busy }
-
 // Completed returns the number of jobs finished.
 func (s *Server) Completed() int64 { return s.completed }
 
@@ -74,23 +71,63 @@ func (s *Server) Drops() int64 { return s.queue.Drops() }
 // Saturated reports whether all workers are busy and the queue is nonempty.
 func (s *Server) Saturated() bool { return s.busy == s.workers && s.queue.Len() > 0 }
 
-func (s *Server) start(job *serverJob) {
+func (s *Server) start(job Job) {
 	s.busy++
-	service := job.service()
+	service := job.Service()
 	if s.InflateAt > 0 && s.queue.Len() > s.InflateAt {
 		excess := float64(s.queue.Len() - s.InflateAt)
 		service += time.Duration(float64(service) * s.InflateSlope * excess)
 	}
-	s.eng.Schedule(service, func() {
-		s.busy--
-		s.completed++
-		if job.done != nil {
-			job.done()
-		}
-		if next, ok := s.queue.Poll(); ok {
-			if nj, ok := next.(*serverJob); ok {
-				s.start(nj)
-			}
-		}
-	})
+	s.finish.Schedule(service, job)
 }
+
+func (s *Server) complete(job Job) {
+	s.busy--
+	s.completed++
+	job.Done()
+	if next, ok := s.queue.Poll(); ok {
+		s.start(next.(Job))
+	}
+}
+
+// Queue models a bounded FIFO ingress queue in front of a server (e.g. a
+// controller's socket buffer). When the queue is full, Offer reports false,
+// modeling TCP zero-window back-pressure.
+type Queue struct {
+	items []any
+	cap   int
+	drops int64
+}
+
+// NewQueue returns a queue with the given capacity; capacity <= 0 means
+// unbounded.
+func NewQueue(capacity int) *Queue {
+	return &Queue{cap: capacity}
+}
+
+// Offer appends item, reporting false (and counting a drop) when full.
+func (q *Queue) Offer(item any) bool {
+	if q.cap > 0 && len(q.items) >= q.cap {
+		q.drops++
+		return false
+	}
+	q.items = append(q.items, item)
+	return true
+}
+
+// Poll removes and returns the head, or (nil, false) when empty.
+func (q *Queue) Poll() (any, bool) {
+	if len(q.items) == 0 {
+		return nil, false
+	}
+	item := q.items[0]
+	q.items[0] = nil
+	q.items = q.items[1:]
+	return item, true
+}
+
+// Len returns the number of queued items.
+func (q *Queue) Len() int { return len(q.items) }
+
+// Drops returns the number of rejected offers.
+func (q *Queue) Drops() int64 { return q.drops }

@@ -210,6 +210,8 @@ type Cluster struct {
 	busBusyUntil time.Duration
 
 	tracer *obs.Tracer
+	// replicas carries replication messages to the peers.
+	replicas *simnet.Jobs[replica]
 	// Counters live in the obs registry; the accessor methods below are
 	// thin reads over the same instances.
 	replBytes *obs.Counter
@@ -228,7 +230,7 @@ func NewCluster(eng *simnet.Engine, cfg Config) *Cluster {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Cluster{
+	c := &Cluster{
 		eng:    eng,
 		cfg:    cfg,
 		nodes:  make(map[NodeID]*Node),
@@ -238,6 +240,8 @@ func NewCluster(eng *simnet.Engine, cfg Config) *Cluster {
 		replMsgs: reg.Counter("jury_store_replication_messages_total",
 			"Store replication messages sent to remote replicas."),
 	}
+	c.replicas = simnet.NewJobs(eng, c.deliver)
+	return c
 }
 
 // AddNode creates the replica for a controller node.
@@ -389,11 +393,19 @@ func (c *Cluster) replicate(peer *Node, ev Event) {
 		c.tracer.Emit(ev.Tag, "store-repl", "store/C"+strconv.Itoa(int(id)),
 			start, start+delay, string(ev.Cache))
 	}
-	c.eng.Schedule(delay, func() {
-		if p, ok := c.nodes[id]; ok {
-			p.applyInOrder(ev)
-		}
-	})
+	c.replicas.Schedule(delay, replica{id, ev})
+}
+
+// replica is one replication message in flight: an event for a peer.
+type replica struct {
+	to NodeID
+	ev Event
+}
+
+func (c *Cluster) deliver(r replica) {
+	if p, ok := c.nodes[r.to]; ok {
+		p.applyInOrder(r.ev)
+	}
 }
 
 // Node is one controller's replica of the cluster caches.

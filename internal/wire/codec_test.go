@@ -626,14 +626,17 @@ func TestClientRetransmitsAfterMidCut(t *testing.T) {
 			_ = c.Send(resp(2, "τcut", core.SecondaryExec, true, "up"))
 			_ = c.Send(resp(3, "τcut", core.SecondaryExec, true, "up"))
 
-			waitFor(t, func() bool { return s.Stats().Decided == 1 })
+			// The retransmitted batch can be decided over the second
+			// connection before the reader of the cut first one has
+			// counted the torn fragment, so wait for both.
+			torn := reg.Counter("jury_wire_line_errors_total", "", obs.L("reason", tc.reason))
+			waitFor(t, func() bool { return s.Stats().Decided == 1 && torn.Value() >= 1 })
 			if c.Dropped() != 0 {
 				t.Fatalf("dropped = %d, want 0 (the in-flight batch must be retransmitted)", c.Dropped())
 			}
 			if c.Reconnects() != 1 {
 				t.Fatalf("reconnects = %d, want 1", c.Reconnects())
 			}
-			torn := reg.Counter("jury_wire_line_errors_total", "", obs.L("reason", tc.reason))
 			if torn.Value() != 1 {
 				t.Fatalf("%s errors = %d, want 1 (the cut envelope)", tc.reason, torn.Value())
 			}

@@ -84,7 +84,7 @@ type Driver struct {
 	joinSeq   uint64
 	flows     int64
 	stopped   bool
-	arrivalEv *simnet.Event
+	arrivalEv simnet.Timer
 }
 
 // NewDriver creates a traffic driver over the fabric's hosts.
