@@ -110,9 +110,9 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 	profile := workload.ConstantRate(*rate)
 	join, flap := time.Duration(0), time.Duration(0)
 	if *trace != "" {
-		spec, err := traceByName(*trace)
-		if err != nil {
-			return err
+		spec, ok := workload.TraceByName(*trace)
+		if !ok {
+			return usagef("unknown trace %q (lbnl, univ, smia)", *trace)
 		}
 		profile = spec.Profile()
 		join, flap = spec.JoinEvery, spec.FlapEvery
@@ -274,13 +274,4 @@ func inject(sim *jury.Simulation, kind faults.Kind) (*faults.Fault, error) {
 	default:
 		return nil, usagef("unknown fault %q (see -list-faults)", kind)
 	}
-}
-
-func traceByName(name string) (workload.TraceSpec, error) {
-	for _, spec := range workload.Traces() {
-		if strings.EqualFold(spec.Name, name) {
-			return spec, nil
-		}
-	}
-	return workload.TraceSpec{}, usagef("unknown trace %q (lbnl, univ, smia)", name)
 }

@@ -4,11 +4,12 @@ package analysis
 // as event handlers on the single simnet engine goroutine, so the full
 // contract applies — no wall clock, no global RNG, no goroutines,
 // channels or locks. openflow is pure computation consumed by event
-// handlers and is held to the same contract.
+// handlers and is held to the same contract; so is loadgen, a
+// single-goroutine event source on the virtual clock.
 var SimPackages = []string{
 	"simnet", "core", "controller", "dataplane", "store", "cluster",
 	"faults", "workload", "trigger", "topo", "policy", "experiment",
-	"openflow",
+	"openflow", "loadgen",
 }
 
 // BridgePackages carry event-driven components across real TCP and
@@ -29,12 +30,7 @@ var SimPackages = []string{
 // validator core across worker goroutines with bounded channels, so it
 // owns concurrency, but takes all timestamps from the workers' virtual
 // engines — no wall-clock reads at all.
-// loadgen is the streaming-workload bridge: its Source is single-
-// goroutine on the virtual clock (it reads no wall clock anywhere), but
-// its obs instruments are scraped by exporter goroutines and its
-// campaign driver dispatches points through sweep's worker pool, so it
-// is held to the bridge contract rather than the eventloop rule.
-var BridgePackages = []string{"ofconn", "wire", "wire/wiretest", "sweep", "obs", "shard", "loadgen"}
+var BridgePackages = []string{"ofconn", "wire", "wire/wiretest", "sweep", "obs", "shard"}
 
 // CmdPackages are the command-line drivers under cmd/. They are held to
 // the bridge contract, not the sim contract: they own goroutines and

@@ -110,15 +110,8 @@ func (m *Membership) InstrumentMetrics(reg *obs.Registry) {
 		func() float64 { return float64(len(m.Alive())) })
 }
 
-// Members returns all known controller IDs in order.
-func (m *Membership) Members() []store.NodeID {
-	out := make([]store.NodeID, 0, len(m.members))
-	for id := range m.members {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Size returns the number of known controllers, dead ones included.
+func (m *Membership) Size() int { return len(m.members) }
 
 // Alive returns the live controller IDs in order.
 func (m *Membership) Alive() []store.NodeID {

@@ -148,7 +148,14 @@ func TestModeStrings(t *testing.T) {
 
 func TestMembersSorted(t *testing.T) {
 	m := NewMembership(AnyControllerOneMaster, []store.NodeID{3, 1, 2}, dpids(1))
-	got := m.Members()
+	m.MarkDead(2)
+	if m.Size() != 3 {
+		t.Fatalf("size = %d, want 3 (dead members still count)", m.Size())
+	}
+	got := m.Alive()
+	if len(got) != 2 {
+		t.Fatalf("alive = %v, want 2 members", got)
+	}
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
 			t.Fatalf("members unsorted: %v", got)

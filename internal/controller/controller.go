@@ -293,9 +293,8 @@ func (c *Controller) serviceTime(msg openflow.Message, ctx *trigger.Context) tim
 	}
 	service := c.expDelay(mean)
 	if !ctx.Tainted() {
-		if n := c.members != nil; n {
-			extra := len(c.members.Members()) - 1
-			if extra > 0 {
+		if c.members != nil {
+			if extra := c.members.Size() - 1; extra > 0 {
 				service += time.Duration(extra) * c.profile.PerReplicaOverhead
 			}
 		}

@@ -87,9 +87,9 @@ func Detection(cfg DetectionConfig) (*DetectionResult, error) {
 	join, flap := 2*time.Second, 5*time.Second
 	switch {
 	case cfg.Trace != "":
-		spec, err := traceByName(cfg.Trace)
-		if err != nil {
-			return nil, err
+		spec, ok := workload.TraceByName(cfg.Trace)
+		if !ok {
+			return nil, fmt.Errorf("experiment: unknown trace %q", cfg.Trace)
 		}
 		profile = spec.Profile()
 		join, flap = spec.JoinEvery, spec.FlapEvery
@@ -317,13 +317,4 @@ func PacketOutThroughput(rate float64, dur time.Duration, seed int64) (float64, 
 		return 0, err
 	}
 	return sim.PacketOuts.MeanRate(start, until), nil
-}
-
-func traceByName(name string) (workload.TraceSpec, error) {
-	for _, spec := range workload.Traces() {
-		if spec.Name == name {
-			return spec, nil
-		}
-	}
-	return workload.TraceSpec{}, fmt.Errorf("experiment: unknown trace %q", name)
 }

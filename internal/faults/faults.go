@@ -91,23 +91,12 @@ type Fault struct {
 	Kind        Kind
 	Target      *controller.Controller
 	description string
-	active      bool
 	injections  int
 
 	// fire performs the proactive action for T2/T3 scenarios (nil for
 	// reactive faults, which the workload triggers).
 	fire func()
 }
-
-// Active reports whether the fault currently manifests.
-func (f *Fault) Active() bool { return f.active }
-
-// Activate (re-)enables the fault.
-func (f *Fault) Activate() { f.active = true }
-
-// Deactivate stops the fault from manifesting (hooks stay installed but
-// pass everything through).
-func (f *Fault) Deactivate() { f.active = false }
 
 // Injections returns how many operations the fault has perturbed.
 func (f *Fault) Injections() int { return f.injections }
@@ -129,10 +118,10 @@ func (f *Fault) String() string {
 // controller's SwitchDB writes for switch connects fail (lock error), so
 // the primary omits its response while secondaries do not.
 func InjectDatabaseLocking(target *controller.Controller) *Fault {
-	f := &Fault{Kind: ONOSDatabaseLocking, Target: target, active: true,
+	f := &Fault{Kind: ONOSDatabaseLocking, Target: target,
 		description: "SwitchDB writes fail with a database lock error"}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
-		if !f.active || w.Ctx.Tainted() || w.Cache != store.SwitchDB {
+		if w.Ctx.Tainted() || w.Cache != store.SwitchDB {
 			return controller.Proceed
 		}
 		f.injections++
@@ -146,17 +135,9 @@ func InjectDatabaseLocking(target *controller.Controller) *Fault {
 // stops tracking liveness for cross-governed links, believing it lost the
 // election — while the other governor also believes it is not responsible.
 func InjectMasterElection(target *controller.Controller) *Fault {
-	f := &Fault{Kind: ONOSMasterElection, Target: target, active: true,
-		description: "rebooted liveness master uses a lower election ID"}
 	target.LivenessIDOverride = store.NodeID(-1)
-	f.fire = func() {
-		if f.active {
-			target.LivenessIDOverride = store.NodeID(-1)
-		} else {
-			target.LivenessIDOverride = 0
-		}
-	}
-	return f
+	return &Fault{Kind: ONOSMasterElection, Target: target,
+		description: "rebooted liveness master uses a lower election ID"}
 }
 
 // InjectFlowModDrop arms the ODL FLOW_MOD-drop fault: FLOW_MODs leaving
@@ -166,11 +147,11 @@ func InjectFlowModDrop(target *controller.Controller, dropNth int) *Fault {
 	if dropNth < 1 {
 		dropNth = 1
 	}
-	f := &Fault{Kind: ODLFlowModDrop, Target: target, active: true,
+	f := &Fault{Kind: ODLFlowModDrop, Target: target,
 		description: "FLOW_MODs lost between MD-SAL and the network"}
 	count := 0
 	target.PrependEgressHook(func(_ *controller.Controller, w *controller.EgressWrite) controller.HookAction {
-		if !f.active || w.Ctx.Tainted() {
+		if w.Ctx.Tainted() {
 			return controller.Proceed
 		}
 		if _, ok := w.Msg.(*openflow.FlowMod); !ok {
@@ -193,12 +174,9 @@ func InjectFlowModDrop(target *controller.Controller, dropNth int) *Fault {
 // Fire performs the installation.
 func InjectIncorrectFlowMod(target *controller.Controller, sw *dataplane.Switch) *Fault {
 	sw.AcceptInvalidMatch = true
-	f := &Fault{Kind: ODLIncorrectFlowMod, Target: target, active: true,
+	f := &Fault{Kind: ODLIncorrectFlowMod, Target: target,
 		description: "FLOW_MOD with invalid match-field hierarchy"}
 	f.fire = func() {
-		if !f.active {
-			return
-		}
 		f.injections++
 		target.InstallFlowInternal(InvalidHierarchyRule(sw.DPID()))
 	}
@@ -225,10 +203,10 @@ func InvalidHierarchyRule(dpid topo.DPID) controller.FlowRule {
 // responds to LLDP triggers by incorrectly writing LinksDB entries as
 // "down", disabling links.
 func InjectLinkFailure(target *controller.Controller) *Fault {
-	f := &Fault{Kind: LinkFailure, Target: target, active: true,
+	f := &Fault{Kind: LinkFailure, Target: target,
 		description: "LinksDB updates flipped to down on external triggers"}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
-		if !f.active || w.Ctx.Tainted() || w.Cache != store.LinksDB {
+		if w.Ctx.Tainted() || w.Cache != store.LinksDB {
 			return controller.Proceed
 		}
 		if w.Value == "up" {
@@ -244,10 +222,10 @@ func InjectLinkFailure(target *controller.Controller) *Fault {
 // the correct rule, but the FLOW_MOD emitted on the wire is rewritten to
 // drop all packets at the destination switch.
 func InjectUndesirableFlowMod(target *controller.Controller) *Fault {
-	f := &Fault{Kind: UndesirableFlowMod, Target: target, active: true,
+	f := &Fault{Kind: UndesirableFlowMod, Target: target,
 		description: "emitted FLOW_MODs rewritten to drop-all"}
 	target.PrependEgressHook(func(_ *controller.Controller, w *controller.EgressWrite) controller.HookAction {
-		if !f.active || w.Ctx.Tainted() {
+		if w.Ctx.Tainted() {
 			return controller.Proceed
 		}
 		fm, ok := w.Msg.(*openflow.FlowMod)
@@ -268,12 +246,9 @@ func InjectUndesirableFlowMod(target *controller.Controller) *Fault {
 // LinksDB entry that brings a critical link down. Fire performs the write.
 // Only a policy can catch this class (§VII-A1(3)).
 func InjectFaultyProactiveAction(target *controller.Controller, linkKey string) *Fault {
-	f := &Fault{Kind: FaultyProactiveAction, Target: target, active: true,
+	f := &Fault{Kind: FaultyProactiveAction, Target: target,
 		description: "proactive LinksDB update brings a critical link down"}
 	f.fire = func() {
-		if !f.active {
-			return
-		}
 		f.injections++
 		target.AdminWriteCache(store.LinksDB, store.OpUpdate, linkKey, "down")
 	}
@@ -284,10 +259,10 @@ func InjectFaultyProactiveAction(target *controller.Controller, linkKey string) 
 // FlowsDB deletions are silently dropped at the target (the controller
 // "locks up" on deletes).
 func InjectFlowDeletionFailure(target *controller.Controller) *Fault {
-	f := &Fault{Kind: FlowDeletionFailure, Target: target, active: true,
+	f := &Fault{Kind: FlowDeletionFailure, Target: target,
 		description: "REST flow deletions silently dropped"}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
-		if !f.active || w.Ctx.Tainted() {
+		if w.Ctx.Tainted() {
 			return controller.Proceed
 		}
 		if w.Cache == store.FlowsDB && w.Op == store.OpDelete {
@@ -303,10 +278,10 @@ func InjectFlowDeletionFailure(target *controller.Controller) *Fault {
 // non-deterministically drops a fraction of its LinksDB writes (threading
 // conflicts), so detected links vary run to run. dropPercent in [0,100].
 func InjectLinkDetectionInconsistent(target *controller.Controller, eng interface{ Intn(int) int }, dropPercent int) *Fault {
-	f := &Fault{Kind: LinkDetectionInconsistent, Target: target, active: true,
+	f := &Fault{Kind: LinkDetectionInconsistent, Target: target,
 		description: "LinksDB writes dropped non-deterministically"}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
-		if !f.active || w.Ctx.Tainted() || w.Cache != store.LinksDB {
+		if w.Ctx.Tainted() || w.Cache != store.LinksDB {
 			return controller.Proceed
 		}
 		if eng.Intn(100) < dropPercent {
@@ -322,10 +297,10 @@ func InjectLinkDetectionInconsistent(target *controller.Controller, eng interfac
 // reports success and the data store is updated, but no FLOW_MOD leaves
 // the controller.
 func InjectFlowInstantiationFailure(target *controller.Controller) *Fault {
-	f := &Fault{Kind: FlowInstantiationFailure, Target: target, active: true,
+	f := &Fault{Kind: FlowInstantiationFailure, Target: target,
 		description: "restconf succeeds but FLOW_MODs never leave the controller"}
 	target.PrependEgressHook(func(_ *controller.Controller, w *controller.EgressWrite) controller.HookAction {
-		if !f.active || w.Ctx.Tainted() {
+		if w.Ctx.Tainted() {
 			return controller.Proceed
 		}
 		if _, ok := w.Msg.(*openflow.FlowMod); ok {
@@ -342,19 +317,17 @@ func InjectFlowInstantiationFailure(target *controller.Controller) *Fault {
 // store's view (ADDED) disagrees with the switch.
 func InjectPendingAdd(target *controller.Controller, sw *dataplane.Switch) *Fault {
 	sw.HoldPendingAdd = true
-	return &Fault{Kind: PendingAdd, Target: target, active: true,
+	return &Fault{Kind: PendingAdd, Target: target,
 		description: "switch holds flow entries in PENDING_ADD"}
 }
 
 // InjectCrash fail-stops the target when fired.
 func InjectCrash(target *controller.Controller) *Fault {
-	f := &Fault{Kind: Crash, Target: target, active: true,
+	f := &Fault{Kind: Crash, Target: target,
 		description: "fail-stop crash"}
 	f.fire = func() {
-		if f.active {
-			f.injections++
-			target.Crash()
-		}
+		f.injections++
+		target.Crash()
 	}
 	return f
 }
@@ -364,7 +337,7 @@ func InjectCrash(target *controller.Controller) *Fault {
 // replica" model of the m>0 detection experiments (§VII-A).
 func InjectTimingDelay(target *controller.Controller, delay, jitter time.Duration) *Fault {
 	target.SetExtraDelay(delay, jitter)
-	f := &Fault{Kind: TimingDelay, Target: target, active: true,
+	f := &Fault{Kind: TimingDelay, Target: target,
 		description: fmt.Sprintf("all processing slowed by %v (+%v jitter)", delay, jitter)}
 	return f
 }
@@ -372,10 +345,10 @@ func InjectTimingDelay(target *controller.Controller, delay, jitter time.Duratio
 // InjectByzantineCorruption arms random corruption: a percentage of the
 // target's cache writes have their values corrupted.
 func InjectByzantineCorruption(target *controller.Controller, eng interface{ Intn(int) int }, percent int) *Fault {
-	f := &Fault{Kind: ByzantineCorruption, Target: target, active: true,
+	f := &Fault{Kind: ByzantineCorruption, Target: target,
 		description: "cache write values randomly corrupted"}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
-		if !f.active || w.Ctx.Tainted() {
+		if w.Ctx.Tainted() {
 			return controller.Proceed
 		}
 		if eng.Intn(100) < percent {

@@ -75,11 +75,6 @@ func TestDatabaseLockingSuppressesSwitchDB(t *testing.T) {
 	if f.Injections() != 1 {
 		t.Fatalf("injections = %d", f.Injections())
 	}
-	f.Deactivate()
-	c.WriteCache(store.SwitchDB, store.OpCreate, "k2", "v", nil, nil)
-	if _, ok := c.Node().Get(store.SwitchDB, "k2"); !ok {
-		t.Fatal("deactivated fault still suppresses")
-	}
 }
 
 func TestLinkFailureFlipsValue(t *testing.T) {
@@ -256,25 +251,26 @@ func TestMasterElectionOverride(t *testing.T) {
 	if c.LivenessIDOverride != store.NodeID(-1) {
 		t.Fatal("override not set")
 	}
-	f.Deactivate()
-	f.Fire()
-	if c.LivenessIDOverride != 0 {
-		t.Fatal("deactivated fault did not clear override")
+	f.Fire() // reactive: nothing to fire, the override stays
+	if c.LivenessIDOverride != store.NodeID(-1) {
+		t.Fatal("Fire cleared the override")
 	}
 }
 
+// TestFaultStringAndActivation pins that a fault is described and is
+// active from the moment it is injected: there is no separate arming
+// step, and the first matching write is already perturbed.
 func TestFaultStringAndActivation(t *testing.T) {
-	_, c, _ := newCtrl(t)
+	eng, c, _ := newCtrl(t)
 	f := InjectDatabaseLocking(c)
 	if f.String() == "" {
 		t.Fatal("empty description")
 	}
-	f.Deactivate()
-	if f.Active() {
-		t.Fatal("still active")
+	c.WriteCache(store.SwitchDB, store.OpCreate, "k", "v", nil, nil)
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
 	}
-	f.Activate()
-	if !f.Active() {
-		t.Fatal("not reactivated")
+	if f.Injections() != 1 {
+		t.Fatalf("injections = %d right after injection, want 1", f.Injections())
 	}
 }

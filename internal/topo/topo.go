@@ -198,67 +198,3 @@ func (t *Topology) Links() []Link {
 
 // NumSwitches returns the switch count.
 func (t *Topology) NumSwitches() int { return len(t.switches) }
-
-// ShortestPath returns the switch DPIDs on a shortest path from src to dst
-// (inclusive) using BFS, or nil if unreachable.
-func (t *Topology) ShortestPath(src, dst DPID) []DPID {
-	if src == dst {
-		return []DPID{src}
-	}
-	adj := t.adjacency()
-	prev := map[DPID]DPID{src: src}
-	queue := []DPID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range adj[cur] {
-			if _, seen := prev[next]; seen {
-				continue
-			}
-			prev[next] = cur
-			if next == dst {
-				return reconstruct(prev, src, dst)
-			}
-			queue = append(queue, next)
-		}
-	}
-	return nil
-}
-
-// EgressPort returns the port on switch from that leads toward switch to
-// over a direct link.
-func (t *Topology) EgressPort(from, to DPID) (uint16, bool) {
-	sw, ok := t.switches[from]
-	if !ok {
-		return 0, false
-	}
-	for _, p := range sw.Ports {
-		if peer, ok := t.links[Port{DPID: from, Port: p}]; ok && peer.DPID == to {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-func (t *Topology) adjacency() map[DPID][]DPID {
-	adj := make(map[DPID][]DPID, len(t.switches))
-	for _, l := range t.Links() {
-		adj[l.Src.DPID] = append(adj[l.Src.DPID], l.Dst.DPID)
-	}
-	return adj
-}
-
-func reconstruct(prev map[DPID]DPID, src, dst DPID) []DPID {
-	var rev []DPID
-	for cur := dst; ; cur = prev[cur] {
-		rev = append(rev, cur)
-		if cur == src {
-			break
-		}
-	}
-	out := make([]DPID, len(rev))
-	for i, d := range rev {
-		out[len(rev)-1-i] = d
-	}
-	return out
-}

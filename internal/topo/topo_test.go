@@ -2,7 +2,6 @@ package topo
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestLinearTopology(t *testing.T) {
@@ -78,55 +77,6 @@ func TestSingleTopology(t *testing.T) {
 	}
 }
 
-func TestShortestPathLinear(t *testing.T) {
-	top, _ := Linear(10)
-	path := top.ShortestPath(1, 10)
-	if len(path) != 10 {
-		t.Fatalf("path length = %d, want 10", len(path))
-	}
-	for i, d := range path {
-		if d != DPID(i+1) {
-			t.Fatalf("path = %v", path)
-		}
-	}
-	if p := top.ShortestPath(5, 5); len(p) != 1 || p[0] != 5 {
-		t.Fatalf("self path = %v", p)
-	}
-}
-
-func TestShortestPathThreeTierBounded(t *testing.T) {
-	top, _ := ThreeTier(8, 4, 2, 1)
-	// Any edge to any edge goes via one aggregate: length 3.
-	path := top.ShortestPath(1, 8)
-	if len(path) != 3 {
-		t.Fatalf("edge-to-edge path = %v", path)
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	top := New()
-	top.AddSwitch(1, "")
-	top.AddSwitch(2, "")
-	if p := top.ShortestPath(1, 2); p != nil {
-		t.Fatalf("expected nil path, got %v", p)
-	}
-}
-
-func TestEgressPort(t *testing.T) {
-	top, _ := Linear(3)
-	port, ok := top.EgressPort(1, 2)
-	if !ok || port != 3 {
-		t.Fatalf("egress 1->2 = %d,%v", port, ok)
-	}
-	port, ok = top.EgressPort(2, 1)
-	if !ok || port != 2 {
-		t.Fatalf("egress 2->1 = %d,%v", port, ok)
-	}
-	if _, ok := top.EgressPort(1, 3); ok {
-		t.Fatal("no direct link 1->3")
-	}
-}
-
 func TestPeer(t *testing.T) {
 	top, _ := Linear(3)
 	peer, ok := top.Peer(Port{DPID: 1, Port: 3})
@@ -180,20 +130,6 @@ func TestLinkReverse(t *testing.T) {
 	r := l.Reverse()
 	if r.Src != l.Dst || r.Dst != l.Src {
 		t.Fatal("reverse wrong")
-	}
-}
-
-func TestShortestPathSymmetricProperty(t *testing.T) {
-	top, _ := ThreeTier(4, 2, 1, 1)
-	f := func(a, b uint8) bool {
-		sa := DPID(a%7) + 1
-		sb := DPID(b%7) + 1
-		pa := top.ShortestPath(sa, sb)
-		pb := top.ShortestPath(sb, sa)
-		return len(pa) == len(pb) // symmetric lengths
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -8,6 +8,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"time"
 
 	"github.com/jurysdn/jury/internal/dataplane"
@@ -85,17 +86,29 @@ type Driver struct {
 	flows     int64
 	stopped   bool
 	arrivalEv simnet.Timer
+
+	// The arrival process Start set, and its callbacks, bound once so
+	// scheduling an arrival allocates no closure.
+	profile      RateProfile
+	until        time.Duration
+	arrive, idle func()
 }
 
 // NewDriver creates a traffic driver over the fabric's hosts.
 func NewDriver(eng *simnet.Engine, fabric *dataplane.Fabric) *Driver {
-	return &Driver{
+	d := &Driver{
 		eng:          eng,
 		fabric:       fabric,
 		hosts:        fabric.Hosts(),
 		PayloadBytes: 64,
 		SpoofSources: true,
 	}
+	d.arrive = func() {
+		d.InjectFlow()
+		d.scheduleNext()
+	}
+	d.idle = d.scheduleNext
+	return d
 }
 
 // Flows returns the number of flows injected.
@@ -114,7 +127,8 @@ func (d *Driver) Warmup() {
 // virtual time). Arrivals are a non-homogeneous Poisson process.
 func (d *Driver) Start(profile RateProfile, until time.Duration) {
 	d.stopped = false
-	d.scheduleNext(profile, until)
+	d.profile, d.until = profile, until
+	d.scheduleNext()
 }
 
 // Stop cancels future arrivals.
@@ -123,28 +137,25 @@ func (d *Driver) Stop() {
 	d.arrivalEv.Cancel()
 }
 
-func (d *Driver) scheduleNext(profile RateProfile, until time.Duration) {
+func (d *Driver) scheduleNext() {
 	if d.stopped {
 		return
 	}
 	now := d.eng.Now()
-	if now >= until {
+	if now >= d.until {
 		return
 	}
-	rate := profile(now)
+	rate := d.profile(now)
 	if rate <= 0 {
 		// Idle: re-check shortly.
-		d.arrivalEv = d.eng.Schedule(10*time.Millisecond, func() { d.scheduleNext(profile, until) })
+		d.arrivalEv = d.eng.Schedule(10*time.Millisecond, d.idle)
 		return
 	}
 	gap := time.Duration(d.eng.Rand().ExpFloat64() / rate * float64(time.Second))
 	if gap < time.Microsecond {
 		gap = time.Microsecond
 	}
-	d.arrivalEv = d.eng.Schedule(gap, func() {
-		d.InjectFlow()
-		d.scheduleNext(profile, until)
-	})
+	d.arrivalEv = d.eng.Schedule(gap, d.arrive)
 }
 
 // InjectFlow injects one new TCP flow toward a random real host.
@@ -378,4 +389,15 @@ func SMIATrace() TraceSpec {
 // Traces returns the three benign trace models.
 func Traces() []TraceSpec {
 	return []TraceSpec{LBNLTrace(), UNIVTrace(), SMIATrace()}
+}
+
+// TraceByName returns the benign trace model whose name matches name,
+// ignoring case.
+func TraceByName(name string) (TraceSpec, bool) {
+	for _, spec := range Traces() {
+		if strings.EqualFold(spec.Name, name) {
+			return spec, true
+		}
+	}
+	return TraceSpec{}, false
 }

@@ -269,6 +269,17 @@ func TestTracesDistinct(t *testing.T) {
 	}
 }
 
+func TestTraceByName(t *testing.T) {
+	for _, name := range []string{"UNIV", "univ", "Univ"} {
+		if spec, ok := TraceByName(name); !ok || spec.Name != "UNIV" {
+			t.Fatalf("TraceByName(%q) = %q, %v", name, spec.Name, ok)
+		}
+	}
+	if _, ok := TraceByName("nope"); ok {
+		t.Fatal("unknown trace found")
+	}
+}
+
 func TestNonSpoofedSourcesReuseRules(t *testing.T) {
 	eng, fabric := newFabric(t, 2)
 	d := NewDriver(eng, fabric)
