@@ -91,7 +91,7 @@ func TestSimFingerprint(t *testing.T) {
 // sim-onos7 set-up (ONOS n=7, seed 1, LocalPairs, 3000 flows/s, after a
 // one-second warm-up) stay within 240. They were 312 with a heap event
 // per schedule and a closure per message at the hot sites, and are about
-// 151 on the engine's slab with typed, pre-bound deliveries.
+// 147 on the engine's slab with typed, pre-bound deliveries.
 func TestSimAllocBudget(t *testing.T) {
 	sim, err := jury.New(jury.Config{Seed: 1, Kind: jury.ONOS, ClusterSize: 7, EnableJury: true})
 	if err != nil {
