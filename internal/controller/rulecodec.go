@@ -1,30 +1,25 @@
 package controller
 
 import (
-	"errors"
+	"encoding/json"
 	"strconv"
 	"strings"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"github.com/jurysdn/jury/internal/openflow"
 )
 
 // The FlowsDB rule codec. The validator decodes one rule per benign FlowsDB
-// trigger and renders two strings from it, so the codec is hand-written and
-// append-style: decoding allocates only the rule's Actions (plus any string
-// that needed unescaping), and encoding into a reused buffer allocates
-// nothing.
+// trigger and renders two strings from it, so the codec is append-style:
+// decoding a stored value allocates only the rule's Actions, and encoding
+// into a reused buffer allocates nothing.
 //
 // Encode writes exactly the bytes json.Marshal writes for FlowRule's struct
-// tags. DecodeFlowRule accepts, rejects and merges input exactly as
-// json.Unmarshal into a FlowRule does: JSON whitespace and any key order;
-// keys matched exactly or under Unicode case folding, escaped or not;
-// unknown members skipped; a repeated key decoding over what the earlier one
-// left; null leaving a field alone (and setting Actions to nil); type,
-// range and syntax errors and trailing data rejected; nesting deeper than
-// 10000 rejected; invalid UTF-8 and unpaired surrogates in strings becoming
-// U+FFFD. FuzzFlowRuleCodec holds both directions to encoding/json.
+// tags, and DecodeFlowRule returns exactly what json.Unmarshal into a
+// FlowRule returns. Every stored value is in AppendEncode's layout, which
+// decodeEncoded reads directly; anything else, and any string that needs
+// escaping, is left to encoding/json itself. FuzzFlowRuleCodec holds both
+// directions to encoding/json.
 
 // Encode serializes the rule for storage in FlowsDB.
 func (r FlowRule) Encode() string {
@@ -93,541 +88,207 @@ func appendByteArray(b, a []byte) []byte {
 	return append(b, ']')
 }
 
-// appendJSONString quotes s with json.Marshal's escaping: the short escapes,
-// a six-byte \u escape for every other control character, for '<', '>' and
-// '&', for U+2028 and U+2029, and (as the escape of U+FFFD) for each byte of
-// invalid UTF-8.
+// appendJSONString quotes s as json.Marshal does. A string json.Marshal
+// copies unchanged (valid UTF-8 with nothing it escapes: no control byte,
+// '"', '\\', '<', '>', '&', U+2028 or U+2029) is copied here without
+// allocating; any other goes through json.Marshal.
 func appendJSONString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			if j := strings.IndexByte("\"\\\b\f\n\r\t", c); j >= 0 {
-				b = append(b, '\\', `"\bfnrt`[j])
-			} else {
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(append(b, s[start:i]...), '\\', 'u', 'f', 'f', 'f', 'd')
-		case r == 0x2028 || r == 0x2029:
-			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
+	if utf8.ValidString(s) && !strings.ContainsAny(s, "\"\\<>&\u2028\u2029") &&
+		!strings.ContainsFunc(s, func(r rune) bool { return r < 0x20 }) {
+		return append(append(append(b, '"'), s...), '"')
 	}
-	return append(append(b, s[start:]...), '"')
+	// The clone keeps s from escaping through json.Marshal's interface
+	// argument, so the rules AppendEncode's callers build can stay on the
+	// stack; a string always marshals.
+	q, _ := json.Marshal(strings.Clone(s))
+	return append(b, q...)
 }
 
-// maxJSONDepth is encoding/json's nesting limit.
-const maxJSONDepth = 10000
-
-// ruleDecoder is a cursor over one FlowsDB value. The first error is kept
-// and moves the cursor to the end of the input, so every later step sees
-// the end and stops.
-type ruleDecoder struct {
-	s     string
-	i     int
-	depth int
-	err   error
-}
-
-// DecodeFlowRule parses a FlowsDB value.
+// DecodeFlowRule parses a FlowsDB value. A value in the exact layout
+// AppendEncode writes is read directly; any other goes to json.Unmarshal.
+// Either way the result is json.Unmarshal's into a FlowRule, FlowRule{}
+// with its error when it fails.
 func DecodeFlowRule(s string) (FlowRule, error) {
-	var r FlowRule
-	d := ruleDecoder{s: s}
-	d.ws()
-	d.decodeObject(ruleFields, func(name string) {
-		switch name {
-		case "dpid":
-			decodeUint(&d, &r.DPID)
-		case "match":
-			d.match(&r.Match)
-		case "priority":
-			decodeUint(&d, &r.Priority)
-		case "actions":
-			d.actions(&r.Actions)
-		case "idleTimeoutSec":
-			decodeUint(&d, &r.IdleTimeout)
-		case "hardTimeoutSec":
-			decodeUint(&d, &r.HardTimeout)
-		case "command":
-			decodeUint(&d, &r.Command)
-		case "trigger":
-			decodeString(&d, &r.Trigger)
-		case "origin":
-			decodeInt(&d, &r.Origin)
-		case "state":
-			decodeString(&d, &r.State)
-		}
-	})
-	d.ws()
-	if d.i < len(s) {
-		d.fail("invalid character after top-level value")
+	if r, ok := decodeEncoded(s); ok {
+		return r, nil
 	}
-	if d.err != nil {
-		return FlowRule{}, d.err
+	var r FlowRule
+	if err := json.Unmarshal([]byte(s), &r); err != nil {
+		return FlowRule{}, err
 	}
 	return r, nil
 }
 
-// Member names of the three objects a rule is made of, as encoding/json
-// names them (the struct tag, else the Go field name).
-var (
-	ruleFields   = []string{"dpid", "match", "priority", "actions", "idleTimeoutSec", "hardTimeoutSec", "command", "trigger", "origin", "state"}
-	matchFields  = []string{"Wildcards", "InPort", "DLSrc", "DLDst", "DLVLAN", "DLVLANPCP", "DLType", "NWTOS", "NWProto", "NWSrc", "NWDst", "TPSrc", "TPDst"}
-	actionFields = []string{"Port", "MaxLen"}
-)
-
-// decodeObject consumes an object, or null, which leaves the target alone.
-// For each key that selects one of names, member is called with that name
-// once the cursor is at the value, and consumes it; other keys' values are
-// skipped. encoding/json selects the name a key equals, else one it equals
-// under Unicode case folding; each list's names are pairwise fold-distinct,
-// so the first fold match is the only one.
-func (d *ruleDecoder) decodeObject(names []string, member func(name string)) {
-	if d.null() {
-		return
+// decodeEncoded reads a value laid out exactly as AppendEncode writes it:
+// its keys in its order, no whitespace, the omitempty members present or
+// not. It gives up (ok false) on anything else, and also on any number or
+// string whose reading could differ from encoding/json's: a number with a
+// leading zero, fraction or exponent, or out of the field's range; a
+// string with an escape, a control byte or invalid UTF-8. What it accepts
+// json.Unmarshal decodes to the same rule. It allocates only the Actions;
+// strings are substrings of s.
+func decodeEncoded(s string) (r FlowRule, ok bool) {
+	d := encodedReader{s: s, ok: true}
+	m := &r.Match
+	readUint(&d, `{"dpid":`, &r.DPID)
+	readUint(&d, `,"match":{"Wildcards":`, &m.Wildcards)
+	readUint(&d, `,"InPort":`, &m.InPort)
+	d.byteArray(`,"DLSrc":`, m.DLSrc[:])
+	d.byteArray(`,"DLDst":`, m.DLDst[:])
+	readUint(&d, `,"DLVLAN":`, &m.DLVLAN)
+	readUint(&d, `,"DLVLANPCP":`, &m.DLVLANPCP)
+	readUint(&d, `,"DLType":`, &m.DLType)
+	readUint(&d, `,"NWTOS":`, &m.NWTOS)
+	readUint(&d, `,"NWProto":`, &m.NWProto)
+	d.byteArray(`,"NWSrc":`, m.NWSrc[:])
+	d.byteArray(`,"NWDst":`, m.NWDst[:])
+	readUint(&d, `,"TPSrc":`, &m.TPSrc)
+	readUint(&d, `,"TPDst":`, &m.TPDst)
+	readUint(&d, `},"priority":`, &r.Priority)
+	d.actions(&r.Actions)
+	if d.opt(`,"idleTimeoutSec":`) {
+		readUint(&d, "", &r.IdleTimeout)
 	}
-	for more := d.open('{', '}'); more; more = d.next('}') {
-		if d.peek() != '"' {
-			d.fail("expected object key")
-			return
-		}
-		key := d.str()
-		d.ws()
-		if d.peek() != ':' {
-			d.fail("expected ':' after object key")
-			return
-		}
-		d.i++
-		d.ws()
-		if n := memberName(names, key); n != "" {
-			member(n)
-		} else {
-			d.skip()
-		}
+	if d.opt(`,"hardTimeoutSec":`) {
+		readUint(&d, "", &r.HardTimeout)
 	}
+	readUint(&d, `,"command":`, &r.Command)
+	if d.opt(`,"trigger":`) {
+		readString(&d, &r.Trigger)
+	}
+	readInt(&d, `,"origin":`, &r.Origin)
+	if d.opt(`,"state":`) {
+		readString(&d, &r.State)
+	}
+	if !d.lit("}") || d.s != "" {
+		return FlowRule{}, false
+	}
+	return r, true
 }
 
-// memberName returns the name of names that key selects, or "" for none.
-// The exact pass finds every key this codec writes without case folding;
-// names being fold-distinct, it picks what the fold pass alone would.
-func memberName(names []string, key string) string {
-	for _, n := range names {
-		if n == key {
-			return n
-		}
-	}
-	for _, n := range names {
-		if strings.EqualFold(key, n) {
-			return n
-		}
-	}
-	return ""
+// encodedReader is decodeEncoded's cursor: s is the unread input. The
+// first step that does not find what it expects clears ok, and every
+// later step then does nothing.
+type encodedReader struct {
+	s  string
+	ok bool
 }
 
-func (d *ruleDecoder) match(m *openflow.Match) {
-	d.decodeObject(matchFields, func(name string) {
-		switch name {
-		case "Wildcards":
-			decodeUint(d, &m.Wildcards)
-		case "InPort":
-			decodeUint(d, &m.InPort)
-		case "DLSrc":
-			d.byteArray(m.DLSrc[:])
-		case "DLDst":
-			d.byteArray(m.DLDst[:])
-		case "DLVLAN":
-			decodeUint(d, &m.DLVLAN)
-		case "DLVLANPCP":
-			decodeUint(d, &m.DLVLANPCP)
-		case "DLType":
-			decodeUint(d, &m.DLType)
-		case "NWTOS":
-			decodeUint(d, &m.NWTOS)
-		case "NWProto":
-			decodeUint(d, &m.NWProto)
-		case "NWSrc":
-			d.byteArray(m.NWSrc[:])
-		case "NWDst":
-			d.byteArray(m.NWDst[:])
-		case "TPSrc":
-			decodeUint(d, &m.TPSrc)
-		case "TPDst":
-			decodeUint(d, &m.TPDst)
-		}
-	})
-}
-
-// actions decodes into the slice an earlier "actions" member may have left,
-// as encoding/json does: element i decodes over the old element i, which
-// past the old length but within its capacity is whatever that held.
-func (d *ruleDecoder) actions(v *[]openflow.Action) {
-	if d.null() {
-		*v = nil
-		return
-	}
-	acts := *v
-	n := d.array(func(i int) {
-		if i == cap(acts) { // then also i == len(acts)
-			acts = append(acts, openflow.Action{})
-		}
-		acts = acts[:max(i+1, len(acts))]
-		a := &acts[i]
-		d.decodeObject(actionFields, func(name string) {
-			if name == "Port" {
-				decodeUint(d, &a.Port)
-			} else {
-				decodeUint(d, &a.MaxLen)
-			}
-		})
-	})
-	if n == 0 {
-		*v = []openflow.Action{}
-	} else {
-		*v = acts[:n]
-	}
-}
-
-// byteArray decodes into a fixed-size byte array as encoding/json does:
-// elements past the JSON array's end are zeroed, extra elements skipped.
-func (d *ruleDecoder) byteArray(a []byte) {
-	if d.null() {
-		return
-	}
-	n := d.array(func(i int) {
-		if i < len(a) {
-			decodeUint(d, &a[i])
-		} else {
-			d.skip()
-		}
-	})
-	clear(a[min(n, len(a)):])
-}
-
-// decodeUint decodes a number into an unsigned field; null leaves it alone.
-func decodeUint[T ~uint8 | ~uint16 | ~uint32 | ~uint64](d *ruleDecoder, v *T) {
-	if d.null() {
-		return
-	}
-	at := d.i
-	n, err := strconv.ParseUint(d.number(), 10, 64)
-	if err != nil || uint64(T(n)) != n {
-		d.failAt(at, "number is not an unsigned integer of the field's width")
-		return
-	}
-	*v = T(n)
-}
-
-// decodeInt decodes a number into a signed field; null leaves it alone.
-func decodeInt[T ~int | ~int64](d *ruleDecoder, v *T) {
-	if d.null() {
-		return
-	}
-	at := d.i
-	n, err := strconv.ParseInt(d.number(), 10, 64)
-	if err != nil || int64(T(n)) != n {
-		d.failAt(at, "number is not an integer of the field's width")
-		return
-	}
-	*v = T(n)
-}
-
-// decodeString decodes a string into a string field; null leaves it alone.
-func decodeString[T ~string](d *ruleDecoder, v *T) {
-	if !d.null() {
-		*v = T(d.str())
-	}
-}
-
-func (d *ruleDecoder) failAt(off int, msg string) {
-	if d.err == nil {
-		d.err = errors.New("controller: decode flow rule: " + msg + " at offset " + strconv.Itoa(off))
-	}
-	d.i = len(d.s)
-}
-
-func (d *ruleDecoder) fail(msg string) { d.failAt(d.i, msg) }
-
-// peek returns the next byte, 0 at the end of the input.
-func (d *ruleDecoder) peek() byte { return at(d.s, d.i) }
-
-func at(s string, i int) byte {
-	if i < len(s) {
-		return s[i]
-	}
-	return 0
-}
-
-func (d *ruleDecoder) ws() {
-	for {
-		switch d.peek() {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
-	}
-}
-
-// null consumes a null literal if one is next.
-func (d *ruleDecoder) null() bool {
-	if strings.HasPrefix(d.s[d.i:], "null") {
-		d.i += 4
-		return true
-	}
-	return false
-}
-
-// array consumes an array, which must be next, calling elem with each index
-// once the cursor is at that element; elem consumes the element. It returns
-// the element count.
-func (d *ruleDecoder) array(elem func(i int)) int {
-	n := 0
-	for more := d.open('[', ']'); more; more = d.next(']') {
-		elem(n)
-		n++
-	}
-	return n
-}
-
-// open consumes the opening byte of a container and reports whether a
-// first member or element follows.
-func (d *ruleDecoder) open(start, end byte) bool {
-	if d.peek() != start {
-		d.fail("expected " + string(rune(start)))
+// opt consumes p if it comes next, and reports whether it did.
+func (d *encodedReader) opt(p string) bool {
+	if !d.ok || !strings.HasPrefix(d.s, p) {
 		return false
 	}
-	d.i++
-	if d.depth++; d.depth > maxJSONDepth {
-		d.fail("exceeded max depth")
-		return false
-	}
-	d.ws()
-	return !d.close(end)
-}
-
-// next consumes what follows a member or element: a comma, reporting that
-// another one follows, or the container's closing byte.
-func (d *ruleDecoder) next(end byte) bool {
-	d.ws()
-	if d.peek() == ',' {
-		d.i++
-		d.ws()
-		return true
-	}
-	if !d.close(end) {
-		d.fail("expected ',' or " + string(rune(end)))
-	}
-	return false
-}
-
-func (d *ruleDecoder) close(end byte) bool {
-	if d.peek() != end {
-		return false
-	}
-	d.i++
-	d.depth--
+	d.s = d.s[len(p):]
 	return true
 }
 
-// skip consumes any value.
-func (d *ruleDecoder) skip() {
-	switch c := d.peek(); {
-	case c == '{':
-		d.decodeObject(nil, nil)
-	case c == '[':
-		d.array(func(int) { d.skip() })
-	case c == '"':
-		d.scanString()
-	case strings.HasPrefix(d.s[d.i:], "true"):
-		d.i += 4
-	case strings.HasPrefix(d.s[d.i:], "false"):
-		d.i += 5
-	case d.null():
-	default:
-		d.number()
-	}
+// lit consumes p, which must come next.
+func (d *encodedReader) lit(p string) bool {
+	d.ok = d.opt(p)
+	return d.ok
 }
 
-// number consumes a number and returns its text.
-func (d *ruleDecoder) number() string {
-	s, start := d.s, d.i
-	i := start
-	if at(s, i) == '-' {
-		i++
-	}
-	switch c := at(s, i); {
-	case c == '0':
-		i++
-	case '1' <= c && c <= '9':
-		i = digits(s, i)
-	default:
-		d.failAt(i, "invalid number")
+// number consumes the literal key (empty after an optional member's key,
+// which opt has taken), then an integer with no leading zero, and returns
+// the integer's text. A '-' is taken whatever the field; an
+// unsigned field's parse then rejects it, as encoding/json does.
+func (d *encodedReader) number(key string) string {
+	if !d.lit(key) {
 		return ""
 	}
-	if at(s, i) == '.' {
-		if i = digits(s, i+1); s[i-1] == '.' {
-			d.failAt(i, "expected digit after decimal point")
-			return ""
-		}
-	}
-	if c := at(s, i); c == 'e' || c == 'E' {
-		if c := at(s, i+1); c == '+' || c == '-' {
-			i++
-		}
-		if i = digits(s, i+1); s[i-1] < '0' || s[i-1] > '9' {
-			d.failAt(i, "expected digit in exponent")
-			return ""
-		}
-	}
-	d.i = i
-	return s[start:i]
-}
-
-func digits(s string, i int) int {
-	for c := at(s, i); '0' <= c && c <= '9'; c = at(s, i) {
+	i := 0
+	if d.s != "" && d.s[0] == '-' {
 		i++
 	}
-	return i
+	j := i
+	for j < len(d.s) && '0' <= d.s[j] && d.s[j] <= '9' {
+		j++
+	}
+	if j == i || d.s[i] == '0' && j > i+1 {
+		d.ok = false
+		return ""
+	}
+	n := d.s[:j]
+	d.s = d.s[j:]
+	return n
 }
 
-// str consumes a string and returns it decoded.
-func (d *ruleDecoder) str() string {
-	raw, plain := d.scanString()
-	if plain {
-		return raw
+// readUint consumes the literal key and an unsigned integer that fits *v.
+func readUint[T ~uint8 | ~uint16 | ~uint32 | ~uint64](d *encodedReader, key string, v *T) {
+	if s := d.number(key); d.ok {
+		n, err := strconv.ParseUint(s, 10, 64)
+		if d.ok = err == nil && uint64(T(n)) == n; d.ok {
+			*v = T(n)
+		}
 	}
-	return unquote(raw)
 }
 
-// scanString consumes a string and returns the text between its quotes;
-// plain reports that the text is its own decoding (no escape, valid UTF-8).
-func (d *ruleDecoder) scanString() (raw string, plain bool) {
-	if d.peek() != '"' {
-		d.fail("expected string")
-		return "", false
-	}
-	s, start := d.s, d.i+1
-	escaped, ascii := false, true
-	for i := start; i < len(s); {
-		switch c := s[i]; {
-		case c == '"':
-			d.i = i + 1
-			raw = s[start:i]
-			return raw, !escaped && (ascii || utf8.ValidString(raw))
-		case c < 0x20:
-			d.failAt(i, "control character in string literal")
-			return "", false
-		case c == '\\':
-			escaped = true
-			switch at(s, i+1) {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i += 2
-			case 'u':
-				if hex4(s, i+2) < 0 {
-					d.failAt(i, "invalid escape")
-					return "", false
-				}
-				i += 6
-			default:
-				d.failAt(i, "invalid escape")
-				return "", false
-			}
-		default:
-			ascii = ascii && c < utf8.RuneSelf
-			i++
+// readInt consumes the literal key and a signed integer that fits *v.
+func readInt[T ~int | ~int64](d *encodedReader, key string, v *T) {
+	if s := d.number(key); d.ok {
+		n, err := strconv.ParseInt(s, 10, 64)
+		if d.ok = err == nil && int64(T(n)) == n; d.ok {
+			*v = T(n)
 		}
 	}
-	d.fail("unterminated string")
-	return "", false
 }
 
-// hex4 parses the four hex digits at s[i:], or returns -1.
-func hex4(s string, i int) rune {
-	if i+4 > len(s) {
-		return -1
+// readString consumes a string that is its own decoding: no escape, no
+// control byte, valid UTF-8.
+func readString[T ~string](d *encodedReader, v *T) {
+	if !d.lit(`"`) {
+		return
 	}
-	var r rune
-	for _, c := range []byte(s[i : i+4]) {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
+	end := strings.IndexByte(d.s, '"')
+	if end < 0 || strings.ContainsFunc(d.s[:end], func(r rune) bool { return r < 0x20 || r == '\\' }) ||
+		!utf8.ValidString(d.s[:end]) {
+		d.ok = false
+		return
 	}
-	return r
+	*v = T(d.s[:end])
+	d.s = d.s[end+1:]
 }
 
-// unquote decodes the text of a well-formed string literal as encoding/json
-// does, U+FFFD replacements included.
-func unquote(raw string) string {
-	b := make([]byte, 0, len(raw)+utf8.UTFMax)
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRuneInString(raw[i:])
-			b = utf8.AppendRune(b, r)
-			i += size
-			continue
+// byteArray consumes the literal key and an array of exactly len(a) bytes.
+func (d *encodedReader) byteArray(key string, a []byte) {
+	d.lit(key)
+	for i := range a {
+		sep := ","
+		if i == 0 {
+			sep = "["
 		}
-		if c != '\\' {
-			b = append(b, c)
-			i++
-			continue
-		}
-		switch c = raw[i+1]; c {
-		case 'u':
-			r := hex4(raw, i+2)
-			i += 6
-			if utf16.IsSurrogate(r) {
-				// A valid pair consumes the next escape; otherwise r becomes
-				// U+FFFD and the next escape decodes on its own.
-				next := rune(-1)
-				if at(raw, i) == '\\' && at(raw, i+1) == 'u' {
-					next = hex4(raw, i+2)
-				}
-				if r = utf16.DecodeRune(r, next); r != utf8.RuneError {
-					i += 6
-				}
-			}
-			b = utf8.AppendRune(b, r)
-			continue
-		case 'b':
-			c = '\b'
-		case 'f':
-			c = '\f'
-		case 'n':
-			c = '\n'
-		case 'r':
-			c = '\r'
-		case 't':
-			c = '\t'
-		}
-		b = append(b, c) // '"', '\\' and '/' stand for themselves
-		i += 2
+		readUint(d, sep, &a[i])
 	}
-	return string(b)
+	d.lit("]")
+}
+
+// actions consumes the actions member: null leaves *v nil, [] makes it
+// empty, and otherwise one slice is allocated for the elements.
+func (d *encodedReader) actions(v *[]openflow.Action) {
+	if d.opt(`,"actions":null`) || !d.lit(`,"actions":[`) {
+		return
+	}
+	if d.opt("]") {
+		*v = []openflow.Action{}
+		return
+	}
+	end := strings.IndexByte(d.s, ']')
+	if end < 0 {
+		d.ok = false
+		return
+	}
+	acts := make([]openflow.Action, strings.Count(d.s[:end], "{"))
+	for i := range acts {
+		sep := `,{"Port":`
+		if i == 0 {
+			sep = sep[1:]
+		}
+		readUint(d, sep, &acts[i].Port)
+		readUint(d, `,"MaxLen":`, &acts[i].MaxLen)
+		d.lit("}")
+	}
+	if d.lit("]") {
+		*v = acts
+	}
 }

@@ -212,35 +212,18 @@ func TestKeyDPID(t *testing.T) {
 func esc(hex string) string { return `\` + "u" + hex }
 
 // codecRule sets every field of a rule, attribution included.
-func codecRule() controller.FlowRule {
-	m := openflow.Match{
-		InPort: 3, DLSrc: topo.HostMAC(1), DLDst: topo.HostMAC(2), DLVLAN: 7, DLVLANPCP: 1,
-		DLType: openflow.EthTypeIPv4, NWTOS: 4, NWProto: 6, NWSrc: topo.HostIP(1), NWDst: topo.HostIP(2),
-		TPSrc: 80, TPDst: 443,
-	}
-	return controller.FlowRule{
-		DPID:        0x1f,
-		Match:       m.WithNWDstMask(8),
-		Priority:    10,
-		Actions:     []openflow.Action{openflow.Output(4), openflow.Output(openflow.PortController)},
-		IdleTimeout: 10,
-		HardTimeout: 30,
-		Command:     uint16(openflow.FlowModify),
-		Trigger:     "τ7",
-		Origin:      2,
-		State:       controller.RuleAdded,
-	}
-}
+var codecRule = controller.CodecRule
 
-// codecSeeds are FlowsDB values covering every rule of the decoder: core's
-// malformedValues and FuzzCanonicalValue shapes, then whitespace, null,
-// folded and escaped keys, repeated keys, wrong lengths, types and ranges,
-// unknown members, string escapes, syntax errors and nesting depth.
+// codecSeeds are FlowsDB values covering encoding/json's decoding rules:
+// core's malformedValues and FuzzCanonicalValue shapes, then whitespace,
+// null, folded and escaped keys, repeated keys, wrong lengths, types and
+// ranges, unknown members, string escapes, syntax errors and nesting depth;
+// then the edges of the layout DecodeFlowRule reads without encoding/json.
 func codecSeeds() []string {
 	plain := controller.FlowRule{DPID: 3, Match: openflow.ExactDst(topo.HostMAC(5)), Priority: 1,
 		Actions: []openflow.Action{openflow.Output(2)}}
 	nest := func(n int) string { return `{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}` }
-	return []string{
+	seeds := []string{
 		plain.Encode(), codecRule().Encode(), controller.FlowRule{}.Encode(),
 		"", "{", `{"dpid":`, `{"dpid":1}trailing`, `[1,2,3]`, `"rule"`, "null\x00",
 		`{"dpid":"one"}`, `{"actions":[{"Port":99999999999999999999}]}`, "\xff\xfe",
@@ -274,6 +257,28 @@ func codecSeeds() []string {
 		"\xef\xbb\xbf{}",
 		nest(9999), nest(10000),
 	}
+	// codecRule's encoding with one substitution each, at the edges of the
+	// directly read layout: each must be read as json.Unmarshal reads it.
+	enc := codecRule().Encode()
+	for _, sub := range [][2]string{
+		{`"DLVLAN":7`, `"DLVLAN":07`}, {`"NWSrc":[10,`, `"NWSrc":[256,`},
+		{`"DLSrc":[0,0,0,0,0,1]`, `"DLSrc":[0,0,1]`}, {`"DLSrc":[0,0,0,0,0,1]`, `"DLSrc":[0,0,0,0,1]`},
+		{`"Port":4,`, `"Port":65536,`},
+		{`"origin":2`, `"origin":-0`}, {`"origin":2`, `"origin":-9223372036854775808`},
+		{`"actions":[{"Port":4,"MaxLen":65535},{"Port":65533,"MaxLen":65535}]`, `"actions":[]`},
+		{`"actions":[{"Port":4,"MaxLen":65535},{"Port":65533,"MaxLen":65535}]`, `"actions":null`},
+		{`"actions":[`, `"actions":[{"Port":1,"MaxLen":0},`},
+		{`"idleTimeoutSec":10`, `"idleTimeoutSec":0`},
+		{`"trigger":"τ7"`, `"trigger":"τ\"7"`}, {`"trigger":"τ7"`, "\"trigger\":\"τ\u20287\""},
+		{`"trigger":"τ7"`, "\"trigger\":\"τ\x017\""}, {`"trigger":"τ7"`, "\"trigger\":\"τ\xff7\""},
+	} {
+		seed := strings.Replace(enc, sub[0], sub[1], 1)
+		if seed == enc {
+			panic("codecSeeds: " + sub[0] + " is not in codecRule's encoding")
+		}
+		seeds = append(seeds, seed)
+	}
+	return append(seeds, enc+" ", enc+"x")
 }
 
 // FuzzFlowRuleCodec is the differential oracle for the FlowsDB rule codec:
@@ -306,7 +311,7 @@ func FuzzFlowRuleCodec(f *testing.F) {
 
 // TestFlowRuleCodecAllocs pins the codec's allocations: decoding an encoded
 // rule allocates only its Actions, and appending one into a reused buffer
-// allocates nothing.
+// allocates nothing, not even for the rule itself.
 func TestFlowRuleCodecAllocs(t *testing.T) {
 	rule := codecRule()
 	enc := rule.Encode()
@@ -320,5 +325,13 @@ func TestFlowRuleCodecAllocs(t *testing.T) {
 	buf := make([]byte, 0, 1024)
 	if n := testing.AllocsPerRun(100, func() { buf = rule.AppendEncode(buf[:0]) }); n != 0 {
 		t.Errorf("AppendEncode into a reused buffer allocated %.0f times, want 0", n)
+	}
+	// Nothing of the rule escapes through AppendEncode, so a rule built
+	// just to be encoded, Actions included, stays on the stack.
+	if n := testing.AllocsPerRun(100, func() {
+		r := controller.FlowRule{Actions: []openflow.Action{openflow.Output(uint16(len(buf)))}, Trigger: rule.Trigger}
+		buf = r.AppendEncode(buf[:0])
+	}); n != 0 {
+		t.Errorf("encoding a fresh rule into a reused buffer allocated %.0f times, want 0", n)
 	}
 }
