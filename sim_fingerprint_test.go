@@ -33,6 +33,31 @@ func (f simFingerprint) String() string {
 	return b.String()
 }
 
+// fingerprint reads sim's simFingerprint.
+func fingerprint(sim *jury.Simulation) simFingerprint {
+	v := sim.Validator()
+	f := simFingerprint{
+		processed: int64(sim.Engine.Processed()),
+		flows:     sim.Driver.Flows(),
+		decided:   v.Decided(),
+		alarms:    int64(len(v.Alarms())),
+		replMsgs:  sim.Store.ReplicationMessages(),
+	}
+	for i := range f.digests {
+		f.digests[i] = sim.Controller(i + 1).Node().Digest()
+	}
+	h := fnv.New64a()
+	for _, sw := range sim.Fabric.Switches() {
+		table := sw.Table()
+		f.tableSum += len(table)
+		for _, e := range table {
+			fmt.Fprintf(h, "%s|%s|%d|%d|%d;", sw.DPID(), e.Match, e.Priority, e.Packets, e.InstalledAt)
+		}
+	}
+	f.tableHash = h.Sum64()
+	return f
+}
+
 // TestSimFingerprint pins the simulated ONOS n=7 pipeline the sim-onos7
 // benchmark drives (seed 1, LocalPairs, 3000 flows/s) to the exact
 // event count, verdicts, replication traffic, per-replica store digests
@@ -53,26 +78,7 @@ func TestSimFingerprint(t *testing.T) {
 	if err := sim.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	v := sim.Validator()
-	got := simFingerprint{
-		processed: int64(sim.Engine.Processed()),
-		flows:     sim.Driver.Flows(),
-		decided:   v.Decided(),
-		alarms:    int64(len(v.Alarms())),
-		replMsgs:  sim.Store.ReplicationMessages(),
-	}
-	for i := range got.digests {
-		got.digests[i] = sim.Controller(i + 1).Node().Digest()
-	}
-	h := fnv.New64a()
-	for _, sw := range sim.Fabric.Switches() {
-		table := sw.Table()
-		got.tableSum += len(table)
-		for _, e := range table {
-			fmt.Fprintf(h, "%s|%s|%d|%d|%d;", sw.DPID(), e.Match, e.Priority, e.Packets, e.InstalledAt)
-		}
-	}
-	got.tableHash = h.Sum64()
+	got := fingerprint(sim)
 	want := simFingerprint{
 		processed: 351100, flows: 6083, decided: 6516, alarms: 0, replMsgs: 38076,
 		digests: [7]uint64{
@@ -83,6 +89,60 @@ func TestSimFingerprint(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("simulation fingerprint moved:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestSimFingerprintMultiHop pins the multi-hop forwarding path the
+// same way: Linear24 ONOS n=7 (seed 1) under the UNIV benign trace model
+// for two virtual seconds, with flows entering at a random edge switch,
+// so each flow misses hop by hop and every PACKET_IN reads the
+// controller's LinksDB path and egress ports. With spoofed sources, as
+// the benign-trace sweep runs it, every packet misses every table. With
+// the hosts' own sources, repeated host pairs hit the entries earlier
+// flows installed, so the hashed packet counts pin which entry each
+// Lookup picked.
+func TestSimFingerprintMultiHop(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoof bool
+		want  simFingerprint
+	}{
+		{"spoofed", true, simFingerprint{
+			processed: 359208, flows: 748, decided: 7095, alarms: 0, replMsgs: 39432,
+			digests: [7]uint64{
+				0xb06d3d105a6bc776, 0x52102fd7e2bb3cf4, 0x52102fd7e2bb3cf4, 0x45c21627b231ac36,
+				0xc7e83f6422a26223, 0x4dcca4a21b90bba4, 0x52102fd7e2bb3cf4,
+			},
+			tableSum: 6286, tableHash: 0x9a8c67db9daca2ec,
+		}},
+		{"host-pairs", false, simFingerprint{
+			processed: 231246, flows: 739, decided: 4484, alarms: 0, replMsgs: 25062,
+			digests: [7]uint64{
+				0x644bc9737c6225ac, 0x644bc9737c6225ac, 0x644bc9737c6225ac, 0x644bc9737c6225ac,
+				0x644bc9737c6225ac, 0x644bc9737c6225ac, 0x644bc9737c6225ac,
+			},
+			tableSum: 3696, tableHash: 0x64b97d0c1eb77e45,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, err := jury.New(jury.Config{Seed: 1, Kind: jury.ONOS, ClusterSize: 7, EnableJury: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Boot()
+			spec := workload.UNIVTrace()
+			until := sim.Now() + 2*time.Second
+			sim.Driver.LocalPairs = false
+			sim.Driver.SpoofSources = tc.spoof
+			sim.Driver.Start(spec.Profile(), until)
+			sim.Driver.StartChurn(spec.JoinEvery, spec.FlapEvery, until)
+			if err := sim.Run(2 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(sim); got != tc.want {
+				t.Errorf("simulation fingerprint moved:\n got %v\nwant %v", got, tc.want)
+			}
+		})
 	}
 }
 
