@@ -94,6 +94,9 @@ type Controller struct {
 	// hosts memoizes lookupHost's decode per MAC: the EdgesDB value it
 	// decoded and the outcome, reused while the stored value is unchanged.
 	hosts map[openflow.MAC]hostMemo
+	// linksView caches LinksDB for the forwarding path; nil until first
+	// read and after every LinksDB event applied at this replica.
+	linksView *linksView
 
 	// link freshness for liveness expiry
 	linkSeen map[string]time.Duration
@@ -459,11 +462,14 @@ func (c *Controller) deliver(e egress) {
 	}
 }
 
-// onStoreEvent reacts to cache events applied at this replica: the master
-// of a switch materializes FlowsDB entries into actual FLOW_MODs, which is
-// how controllers program remote switches through the shared store
-// (§II-A1).
+// onStoreEvent reacts to cache events applied at this replica: a LinksDB
+// event drops the LinksDB view, and the master of a switch materializes
+// FlowsDB entries into actual FLOW_MODs, which is how controllers program
+// remote switches through the shared store (§II-A1).
 func (c *Controller) onStoreEvent(_ store.NodeID, ev store.Event, _ bool) {
+	if ev.Cache == store.LinksDB {
+		c.linksView = nil
+	}
 	if c.crashed || ev.Cache != store.FlowsDB {
 		return
 	}

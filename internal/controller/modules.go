@@ -157,18 +157,9 @@ func (c *Controller) handleARP(dpid topo.DPID, pin *openflow.PacketIn, pf openfl
 }
 
 // isLinkPort reports whether (dpid, port) is a known inter-switch link
-// endpoint per this replica's LinksDB view.
+// endpoint, up or down, per this replica's LinksDB.
 func (c *Controller) isLinkPort(dpid topo.DPID, port uint16) bool {
-	for _, key := range c.node.Keys(store.LinksDB) {
-		s, d, err := parseLinkKey(key)
-		if err != nil {
-			continue
-		}
-		if (s.DPID == dpid && s.Port == port) || (d.DPID == dpid && d.Port == port) {
-			return true
-		}
-	}
-	return false
+	return c.links().endpoints[topo.Port{DPID: dpid, Port: port}]
 }
 
 // answerARP proxies a reply when the binding is known, otherwise floods the
@@ -341,23 +332,59 @@ func (c *Controller) lookupHost(mac openflow.MAC) (hostRecord, bool) {
 	return m.rec, m.ok
 }
 
-// pathFromLinksDB computes a shortest switch path using this replica's
-// LinksDB view (only links marked "up").
-func (c *Controller) pathFromLinksDB(src, dst topo.DPID) []topo.DPID {
-	if src == dst {
-		return []topo.DPID{src}
+// linksView is this replica's LinksDB read once, in key order, into the
+// three forms the forwarding path asks of it. It is built on first use
+// and dropped whenever the replica applies a LinksDB event, so it always
+// answers as a scan of the current LinksDB would.
+type linksView struct {
+	// adj lists, per switch, the far end of each of its "up" links, in
+	// key order.
+	adj map[topo.DPID][]topo.DPID
+	// egress maps (from, to) to the source port of the first "up" link
+	// from -> to in key order.
+	egress map[[2]topo.DPID]uint16
+	// endpoints holds both ends of every link, up or down.
+	endpoints map[topo.Port]bool
+}
+
+// links returns the current LinksDB view, building it if a LinksDB event
+// dropped it.
+func (c *Controller) links() *linksView {
+	if c.linksView != nil {
+		return c.linksView
 	}
-	adj := make(map[topo.DPID][]topo.DPID)
+	v := &linksView{
+		adj:       make(map[topo.DPID][]topo.DPID),
+		egress:    make(map[[2]topo.DPID]uint16),
+		endpoints: make(map[topo.Port]bool),
+	}
 	for _, key := range c.node.Keys(store.LinksDB) {
-		if v, _ := c.node.Get(store.LinksDB, key); v != "up" {
-			continue
-		}
 		s, d, err := parseLinkKey(key)
 		if err != nil {
 			continue
 		}
-		adj[s.DPID] = append(adj[s.DPID], d.DPID)
+		v.endpoints[s], v.endpoints[d] = true, true
+		if up, _ := c.node.Get(store.LinksDB, key); up != "up" {
+			continue
+		}
+		v.adj[s.DPID] = append(v.adj[s.DPID], d.DPID)
+		hop := [2]topo.DPID{s.DPID, d.DPID}
+		if _, seen := v.egress[hop]; !seen {
+			v.egress[hop] = s.Port
+		}
 	}
+	c.linksView = v
+	return v
+}
+
+// pathFromLinksDB computes a shortest switch path over this replica's
+// "up" LinksDB links: a breadth-first search visiting neighbours in key
+// order.
+func (c *Controller) pathFromLinksDB(src, dst topo.DPID) []topo.DPID {
+	if src == dst {
+		return []topo.DPID{src}
+	}
+	adj := c.links().adj
 	prev := map[topo.DPID]topo.DPID{src: src}
 	queue := []topo.DPID{src}
 	for len(queue) > 0 {
@@ -390,19 +417,8 @@ func (c *Controller) pathFromLinksDB(src, dst topo.DPID) []topo.DPID {
 
 // egressFromLinksDB finds the port on from that reaches to, per LinksDB.
 func (c *Controller) egressFromLinksDB(from, to topo.DPID) (uint16, bool) {
-	for _, key := range c.node.Keys(store.LinksDB) {
-		if v, _ := c.node.Get(store.LinksDB, key); v != "up" {
-			continue
-		}
-		s, d, err := parseLinkKey(key)
-		if err != nil {
-			continue
-		}
-		if s.DPID == from && d.DPID == to {
-			return s.Port, true
-		}
-	}
-	return 0, false
+	port, ok := c.links().egress[[2]topo.DPID{from, to}]
+	return port, ok
 }
 
 func ctxID(ctx *trigger.Context) trigger.ID {

@@ -105,7 +105,11 @@ type Response struct {
 }
 
 // IsCache reports whether the response body is a cache entry.
-func (r Response) IsCache() bool {
+func (r Response) IsCache() bool { return isCache(&r) }
+
+// isCache is IsCache through a pointer: a call on a *Response's value
+// receiver copies the whole Response, even inlined.
+func isCache(r *Response) bool {
 	return r.Kind == CacheUpdate || (r.Kind == SecondaryExec && r.Cache != "")
 }
 
@@ -157,7 +161,7 @@ func (r Response) Slot() string {
 
 // appendSlot appends the Slot() of a response other than ExecDone.
 func (r *Response) appendSlot(b []byte) []byte {
-	if r.IsCache() {
+	if isCache(r) {
 		return append(append(append(append(b, "cache|"...), r.Cache...), '|'), r.Key...)
 	}
 	return appendNetSlot(b, r.DPID, r.MsgType)
@@ -174,17 +178,17 @@ func appendNetSlot(b []byte, dpid topo.DPID, t openflow.MsgType) []byte {
 // to let byte-equal replicas share one canonicalization; ExecDone's
 // constant forms are never worth sharing.
 func sameSlotFields(a, b *Response) bool {
-	if a.Kind == ExecDone || b.Kind == ExecDone || a.IsCache() != b.IsCache() {
+	if a.Kind == ExecDone || b.Kind == ExecDone || isCache(a) != isCache(b) {
 		return false
 	}
-	if a.IsCache() {
+	if isCache(a) {
 		return a.Cache == b.Cache && a.Key == b.Key
 	}
 	return a.DPID == b.DPID && a.MsgType == b.MsgType
 }
 
 func sameBodyFields(a, b *Response) bool {
-	if a.IsCache() {
+	if isCache(a) {
 		return a.Op == b.Op && a.Value == b.Value
 	}
 	return a.MsgBody == b.MsgBody

@@ -687,7 +687,7 @@ func (v *Validator) conflictGroup(p *pendingTrigger, pr *entry) int {
 // acted-on entry (the per-entry refinement of Ψ's "latest update"); for
 // other responses, the whole-store snapshot digests must match.
 func equivState(a, b *Response) bool {
-	if a.IsCache() && b.IsCache() {
+	if isCache(a) && isCache(b) {
 		return a.PrevOK == b.PrevOK && a.Prev == b.Prev
 	}
 	return a.StateDigest == b.StateDigest
@@ -697,10 +697,10 @@ func equivState(a, b *Response) bool {
 // conflict group: cache writes by the acted-on entry's prior value (any two
 // absent priors are one view), other responses by snapshot digest.
 func sameView(a, b *Response) bool {
-	if a.IsCache() != b.IsCache() {
+	if isCache(a) != isCache(b) {
 		return false
 	}
-	if !a.IsCache() {
+	if !isCache(a) {
 		return a.StateDigest == b.StateDigest
 	}
 	return a.PrevOK == b.PrevOK && (!a.PrevOK || a.Prev == b.Prev)

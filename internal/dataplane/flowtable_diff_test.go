@@ -323,13 +323,14 @@ func (g *flowGen) frame() []byte {
 		uint16(rng.Intn(3)), pick(rng, genPorts), 0, rng.Intn(64))
 }
 
-// entryView is an entry's observable state, without the index key.
+// entryView is an entry's observable state, without the index key and
+// the insertion sequence number.
 func entryView(e *FlowEntry) FlowEntry {
 	if e == nil {
 		return FlowEntry{}
 	}
 	v := *e
-	v.key = flowKey{}
+	v.key, v.seq = flowKey{}, 0
 	return v
 }
 
@@ -382,6 +383,9 @@ func TestFlowTableMatchesLinearReference(t *testing.T) {
 				if got, want := tableViews(sw.Table()), tableViews(ref.table); !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: table\n got %+v\nwant %+v", step, got, want)
 				}
+				if err := checkShapes(sw); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
 				largest = max(largest, len(ref.table))
 				for i := 0; i < 8; i++ {
 					pf := g.packet()
@@ -406,6 +410,27 @@ func TestFlowTableMatchesLinearReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkShapes holds sw.shapes to a recount of its table: every
+// (Wildcards, Priority) of an installed entry once, with its entry
+// count, in descending priority order.
+func checkShapes(sw *Switch) error {
+	want := make(map[shape]int)
+	for _, e := range sw.table {
+		want[shape{e.Match.Wildcards, e.Priority, 0}]++
+	}
+	got := make(map[shape]int)
+	for i, sh := range sw.shapes {
+		if i > 0 && sh.priority > sw.shapes[i-1].priority {
+			return fmt.Errorf("shapes out of priority order: %+v", sw.shapes)
+		}
+		got[shape{sh.wildcards, sh.priority, 0}] += sh.n
+	}
+	if !reflect.DeepEqual(got, want) || len(sw.shapes) != len(want) {
+		return fmt.Errorf("shapes %+v; table has %v", sw.shapes, want)
+	}
+	return nil
 }
 
 func describe(msgs []openflow.Message) string {

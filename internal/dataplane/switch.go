@@ -45,6 +45,10 @@ type FlowEntry struct {
 
 	// key is the entry's identity in its switch's index, fixed at insert.
 	key flowKey
+	// seq orders entries of equal priority as table does: it is drawn
+	// when a key is first installed, and an ADD replacing the entry of
+	// its key keeps the replaced entry's seq.
+	seq uint64
 }
 
 // flowKey identifies a flow entry the way OpenFlow ADD, MODIFY_STRICT and
@@ -53,6 +57,14 @@ type FlowEntry struct {
 type flowKey struct {
 	match    openflow.Match
 	priority uint16
+}
+
+// shape is one tuple of the tuple-space search: the entries of a
+// wildcard pattern and priority, n of them installed.
+type shape struct {
+	wildcards uint32
+	priority  uint16
+	n         int
 }
 
 // NoBuffer is the OpenFlow buffer id meaning "packet not buffered".
@@ -71,6 +83,12 @@ type Switch struct {
 	// it.
 	table []*FlowEntry
 	index map[flowKey]*FlowEntry
+	// shapes holds every distinct (Wildcards, Priority) of the installed
+	// entries with its entry count, sorted by descending priority. Lookup
+	// probes index once per shape (tuple-space search, as Open vSwitch's
+	// classifier does) instead of testing every entry.
+	shapes  []shape
+	nextSeq uint64
 
 	// sendUp delivers a message on the southbound channel toward the
 	// controller; the replicator interposes here.
@@ -134,14 +152,37 @@ func (s *Switch) Table() []*FlowEntry {
 	return out
 }
 
-// Lookup returns the highest-priority entry covering pf, if any.
+// Lookup returns the highest-priority entry covering pf, the earliest
+// installed among equals, if any: the first entry of table whose Match
+// Covers pf. An entry covers pf exactly when pf's fields, normalized
+// under the entry's wildcards, equal the entry's normalized match, so
+// each shape is one index probe.
 func (s *Switch) Lookup(pf openflow.PacketFields) (*FlowEntry, bool) {
-	for _, e := range s.table {
-		if e.Match.Covers(pf) {
-			return e, true
+	var best *FlowEntry
+	for _, sh := range s.shapes {
+		if best != nil && sh.priority < best.Priority {
+			break
+		}
+		m := openflow.Match{
+			Wildcards: sh.wildcards,
+			InPort:    pf.InPort,
+			DLSrc:     pf.EthSrc,
+			DLDst:     pf.EthDst,
+			DLVLAN:    pf.VLAN,
+			DLVLANPCP: pf.VLANPCP,
+			DLType:    pf.EthType,
+			NWTOS:     pf.IPTOS,
+			NWProto:   pf.IPProto,
+			NWSrc:     pf.IPSrc,
+			NWDst:     pf.IPDst,
+			TPSrc:     pf.TPSrc,
+			TPDst:     pf.TPDst,
+		}.Normalized()
+		if e, ok := s.index[flowKey{m, sh.priority}]; ok && (best == nil || e.seq < best.seq) {
+			best = e
 		}
 	}
-	return nil, false
+	return best, best != nil
 }
 
 // Inject delivers a frame arriving on inPort, as if from the wire.
@@ -316,12 +357,32 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 func (s *Switch) insert(entry *FlowEntry) {
 	entry.key = flowKey{entry.Match.Normalized(), entry.Priority}
 	if old, ok := s.index[entry.key]; ok {
+		entry.seq = old.seq
 		s.table[s.position(old)] = entry
 	} else {
+		s.nextSeq++
+		entry.seq = s.nextSeq
 		i := sort.Search(len(s.table), func(i int) bool { return s.table[i].Priority < entry.Priority })
 		s.table = slices.Insert(s.table, i, entry)
+		s.countShape(entry, +1)
 	}
 	s.index[entry.key] = entry
+}
+
+// countShape adds delta to the count of entry's shape, adding the shape
+// after every shape of greater or equal priority, or dropping it at zero.
+func (s *Switch) countShape(entry *FlowEntry, delta int) {
+	w, p := entry.Match.Wildcards, entry.Priority
+	i := 0
+	for ; i < len(s.shapes) && s.shapes[i].priority >= p; i++ {
+		if sh := &s.shapes[i]; sh.wildcards == w && sh.priority == p {
+			if sh.n += delta; sh.n == 0 {
+				s.shapes = slices.Delete(s.shapes, i, i+1)
+			}
+			return
+		}
+	}
+	s.shapes = slices.Insert(s.shapes, i, shape{w, p, delta})
 }
 
 // position returns the index in table of entry, which must be installed:
@@ -340,6 +401,7 @@ func (s *Switch) remove(entry *FlowEntry) {
 	i := s.position(entry)
 	s.table = slices.Delete(s.table, i, i+1)
 	delete(s.index, entry.key)
+	s.countShape(entry, -1)
 }
 
 func (s *Switch) deleteMatching(match openflow.Match, priority uint16, strict bool) {
@@ -355,6 +417,7 @@ func (s *Switch) deleteMatching(match openflow.Match, priority uint16, strict bo
 	for _, e := range s.table {
 		if e.key.match == norm {
 			delete(s.index, e.key)
+			s.countShape(e, -1)
 			s.emitFlowRemoved(e, openflow.RemovedDelete)
 			continue
 		}
