@@ -345,6 +345,8 @@ type linksView struct {
 	egress map[[2]topo.DPID]uint16
 	// endpoints holds both ends of every link, up or down.
 	endpoints map[topo.Port]bool
+	// paths memoizes pathFromLinksDB per (src, dst), nil results too.
+	paths map[[2]topo.DPID][]topo.DPID
 }
 
 // links returns the current LinksDB view, building it if a LinksDB event
@@ -357,6 +359,7 @@ func (c *Controller) links() *linksView {
 		adj:       make(map[topo.DPID][]topo.DPID),
 		egress:    make(map[[2]topo.DPID]uint16),
 		endpoints: make(map[topo.Port]bool),
+		paths:     make(map[[2]topo.DPID][]topo.DPID),
 	}
 	for _, key := range c.node.Keys(store.LinksDB) {
 		s, d, err := parseLinkKey(key)
@@ -377,14 +380,26 @@ func (c *Controller) links() *linksView {
 	return v
 }
 
-// pathFromLinksDB computes a shortest switch path over this replica's
-// "up" LinksDB links: a breadth-first search visiting neighbours in key
-// order.
+// pathFromLinksDB returns a shortest switch path over this replica's
+// "up" LinksDB links. The path is shared with later calls until LinksDB
+// changes: callers must not modify it.
 func (c *Controller) pathFromLinksDB(src, dst topo.DPID) []topo.DPID {
+	v := c.links()
+	hop := [2]topo.DPID{src, dst}
+	path, ok := v.paths[hop]
+	if !ok {
+		path = v.shortestPath(src, dst)
+		v.paths[hop] = path
+	}
+	return path
+}
+
+// shortestPath is a breadth-first search visiting neighbours in key order.
+func (v *linksView) shortestPath(src, dst topo.DPID) []topo.DPID {
 	if src == dst {
 		return []topo.DPID{src}
 	}
-	adj := c.links().adj
+	adj := v.adj
 	prev := map[topo.DPID]topo.DPID{src: src}
 	queue := []topo.DPID{src}
 	for len(queue) > 0 {
