@@ -223,6 +223,32 @@ func (g *flowGen) baseMatch() openflow.Match {
 		m.Wildcards &^= openflow.WildcardInPort
 		m.InPort = uint16(1 + rng.Intn(3))
 	}
+	// The fields below are constrained more rarely, each with its
+	// prerequisites, so every field Covers reads is in some matches
+	// without making more of them invalid.
+	if rng.Intn(8) == 0 {
+		m.Wildcards &^= openflow.WildcardDLVLAN
+		m.DLVLAN = uint16(rng.Intn(2))
+	}
+	if rng.Intn(8) == 0 {
+		m.Wildcards &^= openflow.WildcardDLVLANPCP
+		m.DLVLANPCP = uint8(rng.Intn(2))
+	}
+	if rng.Intn(4) == 0 {
+		m.Wildcards &^= openflow.WildcardDLType | openflow.WildcardNWProto
+		m.DLType, m.NWProto = openflow.EthTypeIPv4, pick(rng, genProtos)
+		switch rng.Intn(3) {
+		case 0:
+			m.Wildcards &^= openflow.WildcardNWTOS
+			m.NWTOS = uint8(4 * rng.Intn(2))
+		case 1:
+			m = m.WithNWDstMask(pick(rng, []uint32{0, 8, 24, 32}))
+			m.NWDst = pick(rng, genIPs)
+		default:
+			m.Wildcards &^= openflow.WildcardTPSrc
+			m.TPSrc = uint16(rng.Intn(3))
+		}
+	}
 	return m
 }
 
@@ -310,9 +336,13 @@ func (g *flowGen) packet() openflow.PacketFields {
 		EthSrc:  pick(rng, genMACs),
 		EthDst:  pick(rng, genMACs),
 		EthType: pick(rng, genTypes),
+		VLAN:    uint16(rng.Intn(2)),
+		VLANPCP: uint8(rng.Intn(2)),
 		IPProto: pick(rng, genProtos),
+		IPTOS:   uint8(4 * rng.Intn(2)),
 		IPSrc:   openflow.IPv4FromUint32(pick(rng, genIPs).Uint32() ^ uint32(rng.Intn(2))<<uint(rng.Intn(32))),
-		IPDst:   pick(rng, genIPs),
+		IPDst:   openflow.IPv4FromUint32(pick(rng, genIPs).Uint32() ^ uint32(rng.Intn(2))<<uint(rng.Intn(32))),
+		TPSrc:   uint16(rng.Intn(3)),
 		TPDst:   pick(rng, genPorts),
 	}
 }
