@@ -333,8 +333,8 @@ func (c *Controller) lookupHost(mac openflow.MAC) (hostRecord, bool) {
 }
 
 // linksView is this replica's LinksDB read once, in key order, into the
-// three forms the forwarding path asks of it. It is built on first use
-// and dropped whenever the replica applies a LinksDB event, so it always
+// forms the forwarding path asks of it. It is built on first use and
+// dropped whenever the replica applies a LinksDB event, so it always
 // answers as a scan of the current LinksDB would.
 type linksView struct {
 	// adj lists, per switch, the far end of each of its "up" links, in
@@ -399,13 +399,12 @@ func (v *linksView) shortestPath(src, dst topo.DPID) []topo.DPID {
 	if src == dst {
 		return []topo.DPID{src}
 	}
-	adj := v.adj
 	prev := map[topo.DPID]topo.DPID{src: src}
 	queue := []topo.DPID{src}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range adj[cur] {
+		for _, next := range v.adj[cur] {
 			if _, seen := prev[next]; seen {
 				continue
 			}
