@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/sweep"
 )
+
+var updateStitchGolden = flag.Bool("update", false, "rewrite testdata/stitched_chrome.golden from this tree's stitcher")
 
 // splitTraceByProcess partitions one scenario trace into the two JSONL
 // streams a real deployment would write: validator-node spans (juryd's
@@ -108,5 +113,26 @@ func TestGoldenStitchDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStitchChromeGolden pins the stitched two-process Chrome trace of
+// the golden scenario (seed 7) byte for byte: its process and thread
+// rows, pid/tid assignment and span lines. A diff is a change of the
+// trace format, not a file to refresh.
+func TestStitchChromeGolden(t *testing.T) {
+	path := filepath.Join("testdata", "stitched_chrome.golden")
+	_, got := stitchScenario(t, 7)
+	if *updateStitchGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (capture with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("stitched Chrome trace differs from %s (%d bytes vs %d)", path, len(got), len(want))
 	}
 }
