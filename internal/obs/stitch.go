@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // StitchInput is one process's span stream for cross-process stitching:
@@ -90,93 +89,5 @@ func StitchChromeTrace(w io.Writer, inputs ...StitchInput) error {
 	if err != nil {
 		return err
 	}
-	// Deterministic pids: sorted distinct origins. Deterministic tids:
-	// sorted distinct nodes within each origin.
-	pids := make(map[string]int)
-	var origins []string
-	type tidKey struct{ origin, node string }
-	tids := make(map[tidKey]int)
-	nodesByOrigin := make(map[string][]string)
-	for _, s := range spans {
-		if _, ok := pids[s.Origin]; !ok {
-			pids[s.Origin] = 0
-			origins = append(origins, s.Origin)
-		}
-		k := tidKey{s.Origin, s.Node}
-		if _, ok := tids[k]; !ok {
-			tids[k] = 0
-			nodesByOrigin[s.Origin] = append(nodesByOrigin[s.Origin], s.Node)
-		}
-	}
-	sort.Strings(origins)
-	for i, o := range origins {
-		pids[o] = i + 1
-		nodes := nodesByOrigin[o]
-		sort.Strings(nodes)
-		for j, n := range nodes {
-			tids[tidKey{o, n}] = j + 1
-		}
-	}
-	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return fmt.Errorf("obs: write stitched trace: %w", err)
-	}
-	first := true
-	emit := func(line string) error {
-		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err := io.WriteString(w, line)
-		return err
-	}
-	for _, o := range origins {
-		name := o
-		if name == "" {
-			name = "(unattributed)"
-		}
-		meta := fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
-			pids[o], mustJSON(name))
-		if err := emit(meta); err != nil {
-			return fmt.Errorf("obs: write stitched trace: %w", err)
-		}
-		for _, n := range nodesByOrigin[o] {
-			tname := n
-			if tname == "" {
-				tname = "(unattributed)"
-			}
-			meta := fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-				pids[o], tids[tidKey{o, n}], mustJSON(tname))
-			if err := emit(meta); err != nil {
-				return fmt.Errorf("obs: write stitched trace: %w", err)
-			}
-		}
-	}
-	for _, s := range spans {
-		args := map[string]string{"trigger": s.Trigger}
-		if s.Verdict != "" {
-			args["verdict"] = s.Verdict
-		}
-		if s.Fault != "" && s.Fault != "none" {
-			args["fault"] = s.Fault
-		}
-		if s.Detail != "" {
-			args["detail"] = s.Detail
-		}
-		argJSON, err := json.Marshal(args)
-		if err != nil {
-			return fmt.Errorf("obs: marshal stitched args: %w", err)
-		}
-		line := fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":"jury","ts":%s,"dur":%s,"args":%s}`,
-			pids[s.Origin], tids[tidKey{s.Origin, s.Node}], mustJSON(s.Name),
-			usec(s.StartNS), usec(s.DurNS), argJSON)
-		if err := emit(line); err != nil {
-			return fmt.Errorf("obs: write stitched trace: %w", err)
-		}
-	}
-	if _, err := io.WriteString(w, "\n]}\n"); err != nil {
-		return fmt.Errorf("obs: write stitched trace: %w", err)
-	}
-	return nil
+	return writeChromeTrace(w, spans)
 }

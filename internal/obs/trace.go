@@ -303,19 +303,39 @@ func WriteSpansJSONL(w io.Writer, spans []Span) error {
 // map to the trace's microsecond axis; each component gets its own
 // thread row via thread_name metadata.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	spans := t.Spans()
-	// Assign deterministic tids: sorted distinct nodes.
-	nodes := make(map[string]int)
-	var names []string
+	return writeChromeTrace(w, t.Spans())
+}
+
+// writeChromeTrace renders spans, already in canonical order, as one
+// Chrome trace_event file. Each origin is a process (pid by sorted origin
+// name) and each (origin, node) a thread (tid by sorted node name within
+// the origin). Only named origins get a process_name row, so a
+// single-process trace is one unnamed pid 1.
+func writeChromeTrace(w io.Writer, spans []Span) error {
+	type tidKey struct{ origin, node string }
+	pids := make(map[string]int)
+	tids := make(map[tidKey]int)
+	nodesByOrigin := make(map[string][]string)
+	var origins []string
 	for _, s := range spans {
-		if _, ok := nodes[s.Node]; !ok {
-			nodes[s.Node] = 0
-			names = append(names, s.Node)
+		if _, ok := pids[s.Origin]; !ok {
+			pids[s.Origin] = 0
+			origins = append(origins, s.Origin)
+		}
+		k := tidKey{s.Origin, s.Node}
+		if _, ok := tids[k]; !ok {
+			tids[k] = 0
+			nodesByOrigin[s.Origin] = append(nodesByOrigin[s.Origin], s.Node)
 		}
 	}
-	sort.Strings(names)
-	for i, n := range names {
-		nodes[n] = i + 1
+	sort.Strings(origins)
+	for i, o := range origins {
+		pids[o] = i + 1
+		nodes := nodesByOrigin[o]
+		sort.Strings(nodes)
+		for j, n := range nodes {
+			tids[tidKey{o, n}] = j + 1
+		}
 	}
 	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
 		return fmt.Errorf("obs: write trace: %w", err)
@@ -324,22 +344,33 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	emit := func(line string) error {
 		if !first {
 			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
+				return fmt.Errorf("obs: write trace: %w", err)
 			}
 		}
 		first = false
-		_, err := io.WriteString(w, line)
-		return err
-	}
-	for _, n := range names {
-		name := n
-		if name == "" {
-			name = "(unattributed)"
-		}
-		meta := fmt.Sprintf(`{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-			nodes[n], mustJSON(name))
-		if err := emit(meta); err != nil {
+		if _, err := io.WriteString(w, line); err != nil {
 			return fmt.Errorf("obs: write trace: %w", err)
+		}
+		return nil
+	}
+	for _, o := range origins {
+		if o != "" {
+			meta := fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
+				pids[o], mustJSON(o))
+			if err := emit(meta); err != nil {
+				return err
+			}
+		}
+		for _, n := range nodesByOrigin[o] {
+			name := n
+			if name == "" {
+				name = "(unattributed)"
+			}
+			meta := fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
+				pids[o], tids[tidKey{o, n}], mustJSON(name))
+			if err := emit(meta); err != nil {
+				return err
+			}
 		}
 	}
 	for _, s := range spans {
@@ -357,10 +388,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("obs: marshal args: %w", err)
 		}
-		line := fmt.Sprintf(`{"ph":"X","pid":1,"tid":%d,"name":%s,"cat":"jury","ts":%s,"dur":%s,"args":%s}`,
-			nodes[s.Node], mustJSON(s.Name), usec(s.StartNS), usec(s.DurNS), argJSON)
+		line := fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":"jury","ts":%s,"dur":%s,"args":%s}`,
+			pids[s.Origin], tids[tidKey{s.Origin, s.Node}], mustJSON(s.Name),
+			usec(s.StartNS), usec(s.DurNS), argJSON)
 		if err := emit(line); err != nil {
-			return fmt.Errorf("obs: write trace: %w", err)
+			return err
 		}
 	}
 	if _, err := io.WriteString(w, "\n]}\n"); err != nil {
