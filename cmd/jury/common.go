@@ -7,12 +7,13 @@ import (
 	"os"
 	"time"
 
+	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/wire"
 )
 
 // writeFile creates path and fills it with write, keeping the error of
-// the final Close: a short write on close is still a failed dump.
+// the final Close: a short write on close is still a failed write.
 func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -65,4 +66,21 @@ func waitUntil(ctx context.Context, timeout time.Duration, cond func() bool) {
 func statsLine(st wire.Stats) string {
 	return fmt.Sprintf("decided=%d valid=%d alarms=%d timeouts=%d pending=%d",
 		st.Decided, st.Valid, st.Faults, st.Timeouts, st.Pending)
+}
+
+// writeAlarms lists retained alarms the way every command reports them:
+// the first ten, each with its fault, offender, trigger, detection time
+// and reason, then a count of the rest.
+func writeAlarms(out io.Writer, alarms []core.Result) {
+	show := len(alarms)
+	if show > 10 {
+		show = 10
+	}
+	for _, a := range alarms[:show] {
+		fmt.Fprintf(out, "ALARM: %-16s offender=C%d trigger=%s detected in %v: %s\n",
+			a.Fault, a.Offender, a.Trigger, a.DetectionTime, a.Reason)
+	}
+	if len(alarms) > show {
+		fmt.Fprintf(out, "... and %d more alarms\n", len(alarms)-show)
+	}
 }

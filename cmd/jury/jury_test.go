@@ -117,19 +117,17 @@ func (s *syncBuffer) String() string {
 }
 
 // TestServe runs the validator service in-process: it decides a valid
-// and a faulty trigger from a wire client, dumps the flight ring on the
-// alarm, and on cancellation reports both in its shutdown line and
-// writes the final flight dump and trace.
+// and a faulty trigger from a wire client, and on cancellation reports
+// both in its shutdown line, lists the alarm and writes the trace.
 func TestServe(t *testing.T) {
-	dir := t.TempDir()
-	flight, trace := filepath.Join(dir, "flight.jsonl"), filepath.Join(dir, "trace.jsonl")
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	out := &syncBuffer{}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
 		done <- runServe(ctx, []string{"-listen", "127.0.0.1:0", "-k", "2", "-members", "3", "-shards", "2",
-			"-stats-every", "0", "-flight-dump", flight, "-trace-out", trace}, out)
+			"-stats-every", "0", "-trace-out", trace}, out)
 	}()
 
 	addrRe := regexp.MustCompile(`validating on (\S+) `)
@@ -183,15 +181,16 @@ func TestServe(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 	log := out.String()
-	for _, w := range []string{"shutting down — 2 decided, 1 valid, 1 alarms", "flight dump (verdict:", "final flight dump:", "trace -> " + trace} {
+	for _, w := range []string{"shutting down — 2 decided, 1 valid, 1 alarms", "trace -> " + trace} {
 		if !strings.Contains(log, w) {
 			t.Errorf("serve output lacks %q:\n%s", w, log)
 		}
 	}
-	for _, path := range []string{flight, trace} {
-		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-			t.Errorf("%s not written: %v", path, err)
-		}
+	if !regexp.MustCompile(`(?m)^ALARM: .* trigger=bad `).MatchString(log) {
+		t.Errorf("serve output lists no alarm for trigger bad:\n%s", log)
+	}
+	if fi, err := os.Stat(trace); err != nil || fi.Size() == 0 {
+		t.Errorf("%s not written: %v", trace, err)
 	}
 }
 

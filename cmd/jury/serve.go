@@ -5,11 +5,9 @@ import (
 	"flag"
 	"io"
 	"log"
-	"sync"
 	"time"
 
 	jury "github.com/jurysdn/jury"
-	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/wire"
 )
 
@@ -19,7 +17,8 @@ import (
 // or length-prefixed binary frames (each connection's first byte says
 // which, and the service answers in kind); every validation result (or
 // only alarms, with -alarms-only) is pushed back to all connected
-// clients and logged on stdout.
+// clients. Its log lines go to stdout; at shutdown they end with the
+// aggregate counters and the retained alarms.
 //
 //	jury serve -listen :9090 -k 6 -members 7 -timeout 130ms
 func runServe(ctx context.Context, args []string, stdout io.Writer) error {
@@ -41,21 +40,13 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		heartbeat = fs.Duration("heartbeat-every", wire.DefaultHeartbeatEvery, "ping idle client connections this often (negative = off)")
 		idle      = fs.Duration("idle-timeout", wire.DefaultIdleTimeout, "reap connections idle past this horizon (negative = off)")
 
-		flightRing = fs.Int("flight-ring", 0, "flight-recorder ring capacity: retain the last N trigger lifecycle events per shard (0 = off)")
-		flightDump = fs.String("flight-dump", "", "write flight dumps (JSONL) to this path: on every alarm, and a final dump at shutdown")
-		traceOut   = fs.String("trace-out", "", "write the validator's span trace (JSONL, obs.Stitch input) to this path at shutdown")
+		traceOut = fs.String("trace-out", "", "write the validator's span trace (JSONL, obs.Stitch input) to this path at shutdown")
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	// Plane workers dump on alarms while this goroutine reports; the
-	// logger serializes their lines onto stdout.
 	logger := log.New(stdout, "juryd: ", log.LstdFlags|log.Lmsgprefix)
-
-	if *flightDump != "" && *flightRing == 0 {
-		*flightRing = obs.DefaultFlightRing
-	}
-	svcCfg := jury.ValidatorServiceConfig{
+	srv, err := jury.ServeValidator(*listen, jury.ValidatorServiceConfig{
 		ClusterSize:       *members,
 		K:                 *k,
 		Switches:          *switches,
@@ -65,32 +56,10 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		QueueDepth:        *queueDepth,
 		AlarmsOnly:        *alarmsOnly,
 		Tracing:           *traceOut != "",
-		FlightRing:        *flightRing,
 		MaxLineBytes:      *maxLine,
 		HeartbeatEvery:    *heartbeat,
 		IdleTimeout:       *idle,
-	}
-	// Each dump overwrites the file with the freshest ring, so the path
-	// always holds the events leading up to the latest alarm. A worker's
-	// dump-on-alarm can race the final dump at shutdown; dumpMu keeps the
-	// two writes from interleaving in the file.
-	var dumpMu sync.Mutex
-	dump := func(label string, events []obs.Event) {
-		dumpMu.Lock()
-		defer dumpMu.Unlock()
-		err := writeFile(*flightDump, func(w io.Writer) error { return obs.WriteEventsJSONL(w, events) })
-		if err != nil {
-			logger.Printf("%s: %v", label, err)
-			return
-		}
-		logger.Printf("%s: %d events -> %s", label, len(events), *flightDump)
-	}
-	if *flightDump != "" {
-		svcCfg.OnFlightDump = func(reason string, events []obs.Event) {
-			dump("flight dump ("+reason+")", events)
-		}
-	}
-	srv, err := jury.ServeValidator(*listen, svcCfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -115,11 +84,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 			st := srv.Stats()
 			logger.Printf("shutting down — %d decided, %d valid, %d alarms, %d timeouts",
 				st.Decided, st.Valid, st.Faults, st.Timeouts)
-			if *flightDump != "" {
-				if events := srv.FlightSnapshot(); len(events) > 0 {
-					dump("final flight dump", events)
-				}
-			}
+			writeAlarms(stdout, srv.Alarms())
 			if *traceOut != "" {
 				if err := writeFile(*traceOut, srv.WriteTrace); err != nil {
 					logger.Printf("trace: %v", err)

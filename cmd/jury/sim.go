@@ -11,7 +11,6 @@ import (
 	jury "github.com/jurysdn/jury"
 	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/faults"
-	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/policy"
 	"github.com/jurysdn/jury/internal/workload"
 )
@@ -39,9 +38,6 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 		listFault = fs.Bool("list-faults", false, "list the fault catalog and exit")
 		trace     = fs.String("trace", "", "drive a benign trace model instead of -rate: lbnl, univ or smia")
 		traceOut  = fs.String("trace-out", "", "record a per-trigger span trace and write it here (.jsonl for JSON Lines, otherwise Chrome trace_event JSON for chrome://tracing or Perfetto)")
-
-		flightRing = fs.Int("flight-ring", 0, "flight-recorder ring capacity: retain the last N validator lifecycle events (0 = off)")
-		flightDump = fs.String("flight-dump", "", "write the final flight snapshot (JSONL) here at the end of the run")
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -84,10 +80,6 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 		cfg.Policies = nil
 	}
 	cfg.EnableTracing = *traceOut != ""
-	if *flightDump != "" && *flightRing == 0 {
-		*flightRing = obs.DefaultFlightRing
-	}
-	cfg.FlightRing = *flightRing
 	sim, err := jury.New(cfg)
 	if err != nil {
 		return err
@@ -153,18 +145,7 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 		d := v.DetectionsExternal
 		fmt.Fprintf(out, "detection: p50=%v p90=%v p95=%v p99=%v\n",
 			d.Percentile(50), d.Percentile(90), d.Percentile(95), d.Percentile(99))
-		alarms := v.Alarms()
-		show := len(alarms)
-		if show > 10 {
-			show = 10
-		}
-		for _, a := range alarms[:show] {
-			fmt.Fprintf(out, "ALARM: %-16s offender=C%d trigger=%s detected in %v: %s\n",
-				a.Fault, a.Offender, a.Trigger, a.DetectionTime, a.Reason)
-		}
-		if len(alarms) > show {
-			fmt.Fprintf(out, "... and %d more alarms\n", len(alarms)-show)
-		}
+		writeAlarms(out, v.Alarms())
 	}
 
 	if *traceOut != "" {
@@ -172,23 +153,6 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if *flightDump != "" {
-		if err := writeFlight(out, sim, *flightDump); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeFlight dumps the validator's flight-recorder ring.
-func writeFlight(out io.Writer, sim *jury.Simulation, path string) error {
-	rec := sim.FlightRecorder()
-	events := rec.Snapshot()
-	if err := writeFile(path, func(w io.Writer) error { return obs.WriteEventsJSONL(w, events) }); err != nil {
-		return fmt.Errorf("flight dump: %w", err)
-	}
-	fmt.Fprintf(out, "\n-- flight --\n")
-	fmt.Fprintf(out, "wrote %s: %d events (ring %d, %d recorded)\n", path, len(events), rec.Cap(), rec.Total())
 	return nil
 }
 

@@ -93,11 +93,6 @@ type Config struct {
 	// (replicate → exec → store fan-out → verdict); off, tracing costs
 	// nothing on the hot path. Simulation.Tracer returns it.
 	EnableTracing bool
-	// FlightRing, when nonzero, arms a flight recorder that keeps the
-	// validator's last FlightRing trigger lifecycle events in a fixed ring
-	// (negative selects obs.DefaultFlightRing); zero disables it at no
-	// hot-path cost. Simulation.FlightRecorder returns it.
-	FlightRing int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -212,12 +207,6 @@ type ValidatorServiceConfig struct {
 	// clock. The merged trace is read back with wire.Server.WriteTrace —
 	// `jury serve -trace-out`.
 	Tracing bool
-	// FlightRing arms a flight recorder on every shard retaining its last
-	// N trigger lifecycle events; zero disables.
-	FlightRing int
-	// OnFlightDump receives dump-on-alarm flight snapshots (reason plus
-	// the merged ring, oldest first), serialized and rate-limited.
-	OnFlightDump func(reason string, events []obs.Event)
 
 	// MaxLineBytes caps one protocol line; oversized lines are rejected
 	// and counted without killing the connection (default

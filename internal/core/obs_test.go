@@ -131,142 +131,6 @@ func BenchmarkValidatorSubmitTraced(b *testing.B) {
 	benchSubmit(b, obs.NewTracer(eng.Now))
 }
 
-// newRecordedValidator builds a validator with a live flight recorder.
-func newRecordedValidator(t *testing.T, k, ring int) (*simnet.Engine, *Validator, *obs.Recorder) {
-	t.Helper()
-	eng := simnet.NewEngine(1)
-	var ids []store.NodeID
-	for i := 1; i <= k+1; i++ {
-		ids = append(ids, store.NodeID(i))
-	}
-	members := cluster.NewMembership(cluster.AnyControllerOneMaster, ids, []topo.DPID{1, 2})
-	rec := obs.NewRecorder(ring)
-	v := NewValidator(eng, members, ValidatorConfig{K: k, Timeout: 100 * time.Millisecond, Recorder: rec})
-	return eng, v, rec
-}
-
-// TestSubmitRecorderBoundedAlloc is the flight recorder's hot-path
-// guarantee: with an always-on recorder, the steady-state Submit path (a
-// late response on a decided trigger) still performs zero allocations —
-// recording is an in-place ring assignment.
-func TestSubmitRecorderBoundedAlloc(t *testing.T) {
-	_, v, rec := newRecordedValidator(t, 2, 64)
-	v.Submit(cacheResp(1, 1, "τ", "k", "up", 7))
-	v.Submit(execResp(2, 1, "τ", "k", "up", 7))
-	v.Submit(execResp(3, 1, "τ", "k", "up", 7))
-	if v.Decided() != 1 {
-		t.Fatalf("decided = %d, want 1", v.Decided())
-	}
-	late := doneResp(2, 1, "τ", 7)
-	allocs := testing.AllocsPerRun(1000, func() { v.Submit(late) })
-	if allocs != 0 {
-		t.Fatalf("recorded Submit allocated %v/op, want 0", allocs)
-	}
-	if v.lateResponses.Value() < 1000 {
-		t.Fatalf("late responses = %d, loop did not hit the steady path", v.lateResponses.Value())
-	}
-	if rec.Total() < 1000 {
-		t.Fatalf("recorder total = %d, late responses were not recorded", rec.Total())
-	}
-}
-
-// TestValidatorRecorderLifecycle asserts a full trigger lifecycle lands
-// every event kind in the ring, in trigger-lifecycle order.
-func TestValidatorRecorderLifecycle(t *testing.T) {
-	_, v, rec := newRecordedValidator(t, 2, 64)
-	v.Submit(cacheResp(1, 1, "τ1", "k", "up", 7))
-	v.Submit(execResp(2, 1, "τ1", "k", "up", 7))
-	v.Submit(execResp(3, 1, "τ1", "k", "up", 7))
-	if v.Decided() != 1 {
-		t.Fatalf("decided = %d, want 1", v.Decided())
-	}
-	events := rec.Snapshot()
-	kinds := make(map[obs.EventKind]int)
-	for _, e := range events {
-		kinds[e.Kind]++
-		if e.Trigger != "τ1" && e.Kind != obs.EvPsi {
-			t.Fatalf("event %v carries trigger %q, want τ1", e.Kind, e.Trigger)
-		}
-	}
-	if kinds[obs.EvSubmit] != 1 {
-		t.Fatalf("submit events = %d, want 1", kinds[obs.EvSubmit])
-	}
-	if kinds[obs.EvResponse] < 2 {
-		t.Fatalf("response events = %d, want >= 2", kinds[obs.EvResponse])
-	}
-	if kinds[obs.EvVerdict] != 1 {
-		t.Fatalf("verdict events = %d, want 1", kinds[obs.EvVerdict])
-	}
-	var verdict *obs.Event
-	for i := range events {
-		if events[i].Kind == obs.EvVerdict {
-			verdict = &events[i]
-		}
-	}
-	if verdict.Verdict != "valid" || verdict.Fault != "none" {
-		t.Fatalf("verdict event = %q/%q, want valid/none", verdict.Verdict, verdict.Fault)
-	}
-}
-
-// TestValidatorRecorderTimeout asserts the deadline path records EvTimer
-// before the forced verdict, both stamped with the deadline in virtual ns.
-func TestValidatorRecorderTimeout(t *testing.T) {
-	eng, v, rec := newRecordedValidator(t, 2, 64)
-	v.Submit(cacheResp(1, 1, "τt", "k", "up", 7))
-	if err := eng.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if v.Timeouts() != 1 {
-		t.Fatalf("timeouts = %d, want 1", v.Timeouts())
-	}
-	var sawTimer, sawVerdict bool
-	for _, e := range rec.Snapshot() {
-		switch e.Kind {
-		case obs.EvTimer:
-			sawTimer = true
-			if sawVerdict {
-				t.Fatal("timer recorded after verdict")
-			}
-		case obs.EvVerdict:
-			sawVerdict = true
-		default:
-			continue
-		}
-		// The dump's time axis is virtual ns: the lone response arrived
-		// at 0, so its deadline fires at the 100ms timeout.
-		if e.AtNS != int64(100*time.Millisecond) {
-			t.Fatalf("%v event at_ns = %d, want %d", e.Kind, e.AtNS, int64(100*time.Millisecond))
-		}
-	}
-	if !sawTimer || !sawVerdict {
-		t.Fatalf("timeout lifecycle missing events: timer=%v verdict=%v", sawTimer, sawVerdict)
-	}
-}
-
-// BenchmarkValidatorSubmitRecorded measures the full validation path with
-// an always-on flight recorder, against the NoTracer baseline.
-func BenchmarkValidatorSubmitRecorded(b *testing.B) {
-	eng := simnet.NewEngine(1)
-	var ids []store.NodeID
-	for i := 1; i <= 3; i++ {
-		ids = append(ids, store.NodeID(i))
-	}
-	members := cluster.NewMembership(cluster.AnyControllerOneMaster, ids, []topo.DPID{1, 2})
-	rec := obs.NewRecorder(obs.DefaultFlightRing)
-	v := NewValidator(eng, members, ValidatorConfig{K: 2, Timeout: 100 * time.Millisecond, Recorder: rec})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("τ%d", i)
-		v.Submit(cacheResp(1, 1, id, "k", "up", 7))
-		v.Submit(execResp(2, 1, id, "k", "up", 7))
-		v.Submit(execResp(3, 1, id, "k", "up", 7))
-	}
-	if int(v.Decided()) != b.N {
-		b.Fatalf("decided %d of %d triggers", v.Decided(), b.N)
-	}
-}
-
 // benignTrigger renders the responses of one benign trigger the way the
 // end-to-end bench's workloads do: the primary's cache write (plus its
 // FLOW_MOD on flow workloads) and k replicated executions reporting the

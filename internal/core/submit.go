@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/jurysdn/jury/internal/controller"
-	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/simnet"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
@@ -220,10 +219,9 @@ func (v *Validator) open(id trigger.ID) *pendingTrigger {
 		p = &pendingTrigger{}
 		p.expireFn = func() { v.expire(p) }
 	}
-	to := v.timeout()
 	p.id = id
 	p.firstAt = v.eng.Now()
-	p.timer = v.eng.Schedule(to, p.expireFn)
+	p.timer = v.eng.Schedule(v.timeout(), p.expireFn)
 	v.pending[id] = p
 	v.pendingG.Add(1)
 	if v.tracer != nil {
@@ -232,12 +230,6 @@ func (v *Validator) open(id trigger.ID) *pendingTrigger {
 		// triggers open here).
 		v.tracer.StartTrigger(string(id), "")
 		v.tracer.StartSpan(string(id), "validate", "validator")
-	}
-	if v.rec != nil {
-		v.rec.Record(obs.Event{
-			AtNS: int64(p.firstAt), Kind: obs.EvSubmit,
-			Trigger: string(id), Arg: int64(to),
-		})
 	}
 	return p
 }
@@ -265,12 +257,6 @@ func (v *Validator) ObserveState(r Response) {
 		return
 	}
 	v.psi[r.Controller] = psiState{digest: r.StateDigest, seen: true}
-	if v.rec != nil {
-		v.rec.Record(obs.Event{
-			AtNS: int64(v.eng.Now()), Kind: obs.EvPsi,
-			Trigger: string(r.Trigger), Ctrl: int64(r.Controller),
-		})
-	}
 }
 
 // Submit delivers one controller response ρ = (id, τ, entry) to the
@@ -288,20 +274,7 @@ func (v *Validator) Submit(r Response) {
 	}
 	if p == v.tomb {
 		v.lateResponses.Inc()
-		if v.rec != nil {
-			v.rec.Record(obs.Event{
-				AtNS: int64(v.eng.Now()), Kind: obs.EvResponse,
-				Trigger: string(r.Trigger), Ctrl: int64(r.Controller),
-				Detail: "late",
-			})
-		}
 		return
-	}
-	if v.rec != nil {
-		v.rec.Record(obs.Event{
-			AtNS: int64(v.eng.Now()), Kind: obs.EvResponse,
-			Trigger: string(r.Trigger), Ctrl: int64(r.Controller),
-		})
 	}
 	p.store(r)
 	if r.Primary != 0 && !p.primaryPsiSet {
@@ -334,12 +307,6 @@ func (v *Validator) timeout() time.Duration {
 // for a trigger that is still open.
 func (v *Validator) expire(p *pendingTrigger) {
 	v.totalTimeouts.Inc()
-	if v.rec != nil {
-		v.rec.Record(obs.Event{
-			AtNS: int64(v.eng.Now()), Kind: obs.EvTimer,
-			Trigger: string(p.id),
-		})
-	}
 	if v.OnTimeoutResponses != nil {
 		v.OnTimeoutResponses(p.id, p.responses(len(p.entries)))
 	}
@@ -386,14 +353,6 @@ func (v *Validator) finish(p *pendingTrigger, res Result, timedOut bool) {
 	if v.tracer != nil {
 		v.tracer.EndSpan(string(id), "validate", "validator", res.Reason)
 		v.tracer.EndTrigger(string(id), res.Verdict.String(), res.Fault.String())
-	}
-	if v.rec != nil {
-		v.rec.Record(obs.Event{
-			AtNS: int64(res.DecidedAt), Kind: obs.EvVerdict,
-			Trigger: string(id),
-			Verdict: res.Verdict.String(), Fault: res.Fault.String(),
-			Detail: res.Reason, Arg: int64(res.Responses),
-		})
 	}
 	if v.OnResult != nil {
 		v.OnResult(res)

@@ -31,9 +31,6 @@ type SystemConfig struct {
 	// Tracer records the per-trigger span tree across the whole pipeline;
 	// nil disables tracing.
 	Tracer *obs.Tracer
-	// Recorder is the validator's flight recorder; nil disables flight
-	// recording.
-	Recorder *obs.Recorder
 }
 
 // System assembles a JURY deployment: one module per controller, one
@@ -57,7 +54,6 @@ func NewSystem(eng *simnet.Engine, members *cluster.Membership, cfg SystemConfig
 	}
 	cfg.Validator.Metrics = cfg.Metrics
 	cfg.Validator.Tracer = cfg.Tracer
-	cfg.Validator.Recorder = cfg.Recorder
 	return &System{
 		eng:         eng,
 		cfg:         cfg,

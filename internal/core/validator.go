@@ -144,12 +144,6 @@ type ValidatorConfig struct {
 	// Tracer records a "validate" span per trigger and closes the root
 	// span with the verdict; nil disables tracing at zero hot-path cost.
 	Tracer *obs.Tracer
-	// Recorder is the always-on flight recorder: every submit, response
-	// arrival, ψ update, timer expiry and verdict lands in its fixed ring
-	// for post-mortem dumps. nil disables recording at zero hot-path
-	// cost; with a recorder set the Submit path stays allocation-free
-	// (TestSubmitRecorderBoundedAlloc pins it).
-	Recorder *obs.Recorder
 }
 
 // Validator is JURY's out-of-band response validator: the paper's single
@@ -165,7 +159,6 @@ type Validator struct {
 	members *cluster.Membership
 	reg     *obs.Registry
 	tracer  *obs.Tracer
-	rec     *obs.Recorder
 
 	// Policy is the optional POLICY_CHECK hook.
 	Policy PolicyFunc
@@ -242,7 +235,6 @@ func NewValidator(eng *simnet.Engine, members *cluster.Membership, cfg Validator
 		members: members,
 		reg:     reg,
 		tracer:  cfg.Tracer,
-		rec:     cfg.Recorder,
 		psi:     make(map[store.NodeID]psiState),
 		pending: make(map[trigger.ID]*pendingTrigger),
 		tomb:    &pendingTrigger{},
@@ -263,9 +255,6 @@ func NewValidator(eng *simnet.Engine, members *cluster.Membership, cfg Validator
 // Metrics returns the registry holding the validator's counters, for
 // exposition.
 func (v *Validator) Metrics() *obs.Registry { return v.reg }
-
-// Recorder returns the flight recorder (nil when recording is disabled).
-func (v *Validator) Recorder() *obs.Recorder { return v.rec }
 
 // Config returns the validator configuration.
 func (v *Validator) Config() ValidatorConfig { return v.cfg }

@@ -101,43 +101,3 @@ func BenchmarkWriteJSONL(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRecorderDisabled is the zero-cost claim for the nil recorder:
-// Record must collapse to a nil check.
-func BenchmarkRecorderDisabled(b *testing.B) {
-	var rec *Recorder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rec.Record(Event{AtNS: int64(i), Kind: EvResponse})
-	}
-}
-
-// BenchmarkRecorderRecord measures the always-on flight-recorder append:
-// one mutex round trip and an in-place ring assignment, zero allocations.
-func BenchmarkRecorderRecord(b *testing.B) {
-	rec := NewRecorder(DefaultFlightRing)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.Record(Event{AtNS: int64(i), Kind: EvResponse, Trigger: "τ"})
-	}
-	if rec.Total() != uint64(b.N) {
-		b.Fatalf("recorded %d of %d events", rec.Total(), b.N)
-	}
-}
-
-// BenchmarkRecorderSnapshot measures one dump-path copy of a full
-// default-size ring.
-func BenchmarkRecorderSnapshot(b *testing.B) {
-	rec := NewRecorder(DefaultFlightRing)
-	for i := 0; i < DefaultFlightRing*2; i++ {
-		rec.Record(Event{AtNS: int64(i), Kind: EvResponse})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := len(rec.Snapshot()); got != DefaultFlightRing {
-			b.Fatalf("snapshot = %d events", got)
-		}
-	}
-}

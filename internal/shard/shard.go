@@ -72,16 +72,16 @@ type Config struct {
 	// jury_shard_overflow_total.
 	QueueDepth int
 	// Validator carries K, timeout and adaptive settings for every
-	// worker's validator. Metrics, Tracer and Recorder inside it are
-	// per-validator resources the plane replaces: every worker counts into
-	// the plane's registry (the jury_validator_* counters, pending gauge
-	// and detection summaries are shared, one instance each) and, when
-	// FlightRing is set, records into its own flight ring. A non-nil
-	// Tracer arms tracing, but the instance is only a template — the span
-	// tracer is single-goroutine and reads one engine's clock, so each
-	// worker gets its own tracer on its own engine clock (same MaxSpans)
-	// and TraceSpans merges them.
+	// worker's validator. Metrics and Tracer inside it are per-validator
+	// resources the plane replaces: every worker counts into the plane's
+	// registry (the jury_validator_* counters, pending gauge and detection
+	// summaries are shared, one instance each) and traces, when Tracing
+	// is set, into its own tracer.
 	Validator core.ValidatorConfig
+	// Tracing arms span tracing. The span tracer is single-goroutine and
+	// reads one engine's clock, so each worker gets its own tracer on its
+	// own engine clock and TraceSpans merges them.
+	Tracing bool
 	// Members is the deployment's governance map, shared read-only by
 	// every worker.
 	Members *cluster.Membership
@@ -100,18 +100,6 @@ type Config struct {
 	// serialized by the plane; the hook must not call back into the
 	// dispatch side.
 	OnResult func(core.Result)
-	// FlightRing, when positive, arms a per-shard flight recorder of that
-	// capacity: every worker's validator records its trigger lifecycle
-	// events (submit/response/ψ/timer/verdict) into a fixed ring, and the
-	// plane dumps the merged rings when a dump predicate fires (fault
-	// verdict, queue overflow, queue high-watermark ≥ 3/4 QueueDepth).
-	// Zero leaves the recorder off and the hot path unchanged.
-	FlightRing int
-	// OnFlightDump receives each flight dump: the predicate that fired and
-	// the merged ring snapshot (oldest-first across shards). Calls are
-	// serialized by the plane and rate-limited to one dump per new
-	// recorded event; the hook must not call back into the dispatch side.
-	OnFlightDump func(reason string, events []obs.Event)
 }
 
 type itemKind uint8
@@ -184,10 +172,6 @@ type worker struct {
 	// totals live in the shared registry.
 	nDecided atomic.Int64
 
-	// rec is the shard's flight recorder (nil when Config.FlightRing is
-	// zero). The worker's validator appends to it; dump goroutines
-	// snapshot it concurrently (the recorder has its own mutex).
-	rec *obs.Recorder
 	// tracer is the shard's span tracer (nil unless tracing is armed),
 	// written only by this worker's goroutine; TraceSpans reads it behind
 	// a syncAt barrier.
@@ -219,13 +203,6 @@ type Plane struct {
 	resMu sync.Mutex
 	// flush is the hook installed by SetOnResult; see there.
 	flush func()
-
-	// dumpMu serializes flight dumps (predicates fire from both the
-	// dispatcher and worker result paths) and guards dumpSeen, the total
-	// recorded-event count at the last dump — the rate limiter that
-	// suppresses a dump when nothing new was recorded since.
-	dumpMu   sync.Mutex
-	dumpSeen uint64
 }
 
 // New builds and starts a validation plane. The workers run until Stop
@@ -253,6 +230,7 @@ func New(cfg Config) (*Plane, error) {
 	}
 	vcfg := cfg.Validator
 	vcfg.Metrics = reg // every worker counts into the plane's registry
+	vcfg.Tracer = nil
 	for i := range p.workers {
 		w := &worker{
 			id:       i,
@@ -260,14 +238,8 @@ func New(cfg Config) (*Plane, error) {
 			eng:      simnet.NewEngine(0),
 			q:        make(chan item, cfg.QueueDepth),
 		}
-		if cfg.FlightRing > 0 {
-			w.rec = obs.NewRecorder(cfg.FlightRing)
-			w.rec.SetShard(i)
-			vcfg.Recorder = w.rec
-		}
-		if tmpl := cfg.Validator.Tracer; tmpl != nil {
+		if cfg.Tracing {
 			w.tracer = obs.NewTracer(w.eng.Now)
-			w.tracer.MaxSpans = tmpl.MaxSpans
 			w.tracer.InstrumentMetrics(reg)
 			vcfg.Tracer = w.tracer
 		}
@@ -312,9 +284,6 @@ func (p *Plane) onResult(r core.Result) {
 	defer p.resMu.Unlock()
 	if p.cfg.OnResult != nil {
 		p.cfg.OnResult(r)
-	}
-	if r.Verdict == core.VerdictFault {
-		p.FlightDump("verdict:" + r.Fault.String())
 	}
 }
 
@@ -386,31 +355,20 @@ func (w *worker) process(it item) {
 }
 
 // enqueue places one item on a worker's queue, blocking (and counting the
-// stall) when the queue is full: backpressure, never loss. A stall, or a
-// queue crossing 3/4 of its depth, is a saturation signal and fires a
-// flight dump.
+// stall) when the queue is full: backpressure, never loss.
 func (p *Plane) enqueue(w *worker, it item) {
 	// Count before sending: the worker decrements on receipt, so a gauge
 	// bumped after the send could be decremented first, read −1 and
 	// under-report its high watermark by one. A stalled dispatcher's item
 	// therefore already counts while it waits for room.
 	w.depth.Add(1)
-	stalled := false
 	select {
 	case w.q <- it:
 	default:
 		w.overflow.Inc()
-		stalled = true
 		w.q <- it
 	}
 	w.enqueued.Inc()
-	if w.rec != nil {
-		if stalled {
-			p.FlightDump("overflow")
-		} else if int(w.depth.Value()) >= (3*p.cfg.QueueDepth)/4 {
-			p.FlightDump("queue-high-watermark")
-		}
-	}
 }
 
 // FNV-1a64 parameters — the same hash family internal/sweep uses for
@@ -651,49 +609,6 @@ func (p *Plane) QueueHighWatermark(i int) int {
 		return 0
 	}
 	return int(p.workers[i].depth.HighWatermark())
-}
-
-// FlightRecording reports whether the plane's flight recorders are armed.
-func (p *Plane) FlightRecording() bool {
-	return len(p.workers) > 0 && p.workers[0].rec != nil
-}
-
-// FlightSnapshot merges every shard's flight ring into one oldest-first
-// event stream (ordered by virtual time, then shard, then ring sequence).
-// Nil when FlightRing was zero. Safe from any goroutine: each ring is
-// snapshotted under its own lock while workers keep recording.
-func (p *Plane) FlightSnapshot() []obs.Event {
-	if !p.FlightRecording() {
-		return nil
-	}
-	snaps := make([][]obs.Event, 0, len(p.workers))
-	for _, w := range p.workers {
-		snaps = append(snaps, w.rec.Snapshot())
-	}
-	return obs.MergeEvents(snaps...)
-}
-
-// FlightDump snapshots the merged flight rings and hands them to
-// Config.OnFlightDump with the given reason. Dumps are rate-limited:
-// when no shard has recorded a new event since the last dump the call is
-// a no-op, so a predicate that keeps firing during one saturation episode
-// produces one dump per fresh evidence, not one per enqueue. Safe from
-// any goroutine; a no-op without recorders or a hook.
-func (p *Plane) FlightDump(reason string) {
-	if p.cfg.OnFlightDump == nil || !p.FlightRecording() {
-		return
-	}
-	p.dumpMu.Lock()
-	defer p.dumpMu.Unlock()
-	var total uint64
-	for _, w := range p.workers {
-		total += w.rec.Total()
-	}
-	if total == p.dumpSeen {
-		return
-	}
-	p.dumpSeen = total
-	p.cfg.OnFlightDump(reason, p.FlightSnapshot())
 }
 
 // Alarms returns the retained alarms merged across shards in decision

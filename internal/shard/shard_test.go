@@ -5,14 +5,12 @@ import (
 	"io"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/jurysdn/jury/internal/cluster"
 	"github.com/jurysdn/jury/internal/core"
-	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
@@ -315,11 +313,9 @@ func TestPlaneStopVsClose(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := New(Config{
-				Shards: 2,
-				Validator: core.ValidatorConfig{
-					K: 2, Timeout: 50 * time.Millisecond,
-					Tracer: obs.NewTracer(nil),
-				},
+				Shards:            2,
+				Validator:         core.ValidatorConfig{K: 2, Timeout: 50 * time.Millisecond},
+				Tracing:           true,
 				Members:           members3(),
 				TimeFromResponses: true,
 			})
@@ -354,12 +350,10 @@ func TestPlaneStopVsClose(t *testing.T) {
 // moves the counters.
 func TestPlaneDispatchAfterStop(t *testing.T) {
 	p, err := New(Config{
-		Shards:     2,
-		QueueDepth: 1,
-		Validator: core.ValidatorConfig{
-			K: 2, Timeout: 50 * time.Millisecond,
-			Tracer: obs.NewTracer(nil),
-		},
+		Shards:            2,
+		QueueDepth:        1,
+		Validator:         core.ValidatorConfig{K: 2, Timeout: 50 * time.Millisecond},
+		Tracing:           true,
 		Members:           members3(),
 		TimeFromResponses: true,
 	})
@@ -412,81 +406,6 @@ func TestPlaneConfigValidation(t *testing.T) {
 	}
 }
 
-// TestPlaneFlightRecorderDumpOnAlarm asserts the armed plane records
-// per-shard trigger lifecycles, fires a merged dump when a verdict goes
-// non-benign, and produces a deterministic merged snapshot.
-func TestPlaneFlightRecorderDumpOnAlarm(t *testing.T) {
-	var (
-		dumpMu  sync.Mutex
-		reasons []string
-		dumped  [][]obs.Event
-	)
-	p, err := New(Config{
-		Shards:            2,
-		Validator:         core.ValidatorConfig{K: 2, Timeout: 50 * time.Millisecond},
-		Members:           members3(),
-		TimeFromResponses: true,
-		FlightRing:        128,
-		OnFlightDump: func(reason string, events []obs.Event) {
-			dumpMu.Lock()
-			reasons = append(reasons, reason)
-			dumped = append(dumped, events)
-			dumpMu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.FlightRecording() {
-		t.Fatal("plane with FlightRing is not recording")
-	}
-	// τv: full agreement (benign, no dump). τf: same-state value conflict
-	// (fault verdict, dump fires).
-	p.Submit(cacheAt(1, 1, "τv", "k", "up", 7, 0))
-	p.Submit(execAt(2, 1, "τv", "k", "up", 7, time.Millisecond))
-	p.Submit(execAt(3, 1, "τv", "k", "up", 7, 2*time.Millisecond))
-	p.Submit(cacheAt(1, 1, "τf", "k", "up", 7, 3*time.Millisecond))
-	p.Submit(execAt(2, 1, "τf", "k", "down", 7, 4*time.Millisecond))
-	p.Submit(execAt(3, 1, "τf", "k", "down", 7, 5*time.Millisecond))
-	p.Close()
-	if p.Stats().Faults == 0 {
-		t.Fatal("conflict workload raised no alarm")
-	}
-	dumpMu.Lock()
-	defer dumpMu.Unlock()
-	if len(reasons) == 0 {
-		t.Fatal("non-benign verdict fired no flight dump")
-	}
-	found := false
-	for _, r := range reasons {
-		if strings.HasPrefix(r, "verdict:") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("dump reasons %v carry no verdict predicate", reasons)
-	}
-	last := dumped[len(dumped)-1]
-	if len(last) == 0 {
-		t.Fatal("dump carried no events")
-	}
-	for i := 1; i < len(last); i++ {
-		a, b := last[i-1], last[i]
-		if a.AtNS > b.AtNS || (a.AtNS == b.AtNS && a.Shard > b.Shard) {
-			t.Fatalf("merged dump out of order at %d: %+v then %+v", i, a, b)
-		}
-	}
-	var verdicts int
-	for _, e := range last {
-		if e.Kind == obs.EvVerdict {
-			verdicts++
-		}
-	}
-	if verdicts == 0 {
-		t.Fatal("dump retains no verdict events")
-	}
-}
-
 // TestPlaneSyncBarrier asserts syncAt advances every live shard's engine to
 // the same virtual instant without overshooting pending timers: a trigger
 // whose deadline falls past the barrier must still be undecided after it.
@@ -532,19 +451,6 @@ func TestPlaneQueueHighWatermark(t *testing.T) {
 	if peak == 0 {
 		t.Fatal("no shard queue ever held an item under the mixed workload")
 	}
-}
-
-// TestPlaneFlightDisabledByDefault asserts planes without FlightRing pay
-// nothing: no recorders, nil snapshot, inert FlightDump.
-func TestPlaneFlightDisabledByDefault(t *testing.T) {
-	_, p := runPlane(t, 2, mixedWorkload())
-	if p.FlightRecording() {
-		t.Fatal("plane without FlightRing reports recording")
-	}
-	if p.FlightSnapshot() != nil {
-		t.Fatal("disabled plane produced a flight snapshot")
-	}
-	p.FlightDump("manual")
 }
 
 // TestPlaneBatchPartition pins the hand-off unit: one SubmitBatch call

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/jurysdn/jury/internal/core"
-	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 )
@@ -112,57 +111,5 @@ func TestServerWriteTraceUntraced(t *testing.T) {
 	s := newServer(t, 500*time.Millisecond)
 	if err := s.WriteTrace(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteTrace succeeded on an untraced server")
-	}
-}
-
-// TestServerFlightDumpOnAlarm asserts a flight-armed server dumps its
-// ring when a non-benign verdict broadcasts, and serves merged snapshots
-// on demand.
-func TestServerFlightDumpOnAlarm(t *testing.T) {
-	var (
-		mu      sync.Mutex
-		reasons []string
-		events  [][]obs.Event
-	)
-	s, err := Serve("127.0.0.1:0", ServerConfig{
-		Validator:  core.ValidatorConfig{K: 2, Timeout: 500 * time.Millisecond},
-		Members:    []store.NodeID{1, 2, 3},
-		Switches:   []topo.DPID{1},
-		Tick:       time.Millisecond,
-		FlightRing: 64,
-		OnFlightDump: func(reason string, evs []obs.Event) {
-			mu.Lock()
-			reasons = append(reasons, reason)
-			events = append(events, evs)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_ = c.Send(resp(1, "τd", core.CacheUpdate, false, "down"))
-	_ = c.Send(resp(2, "τd", core.SecondaryExec, true, "up"))
-	_ = c.Send(resp(3, "τd", core.SecondaryExec, true, "up"))
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(reasons) > 0
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if !strings.HasPrefix(reasons[0], "verdict:") {
-		t.Fatalf("dump reason = %q, want verdict predicate", reasons[0])
-	}
-	if len(events[0]) == 0 {
-		t.Fatal("dump carried no events")
-	}
-	if snap := s.FlightSnapshot(); len(snap) == 0 {
-		t.Fatal("FlightSnapshot empty on an armed server")
 	}
 }

@@ -68,17 +68,6 @@ type ServerConfig struct {
 	// Tracing arms a per-trigger span tracer on every shard's virtual
 	// clock; WriteTrace reads the merged trace back.
 	Tracing bool
-	// FlightRing, when positive, arms a flight recorder of that capacity
-	// on every shard: the last N trigger lifecycle events are always on
-	// hand, and a fault verdict dumps them to OnFlightDump. FlightSnapshot
-	// reads the rings on demand (`jury serve`'s shutdown dump and
-	// -flight-dump flag).
-	FlightRing int
-	// OnFlightDump receives each dump-on-alarm flight snapshot (merged
-	// oldest-first) with the reason that fired it. Calls are serialized
-	// and rate-limited to one dump per newly recorded event. The hook
-	// must not call back into the server.
-	OnFlightDump func(reason string, events []obs.Event)
 	// Metrics is the registry the plane's families and the
 	// connection-lifecycle families (jury_wire_*) are published on — the
 	// page WriteMetrics renders; nil creates a private one.
@@ -210,7 +199,7 @@ type srvConn struct {
 // take only connsMu (broadcast appends, flush writes): a worker delivering
 // a result must not wait on mu, because a dispatcher may hold mu while
 // blocked on that same worker's full intake queue (backpressure). Stats,
-// alarms, flight snapshots and the metrics scrape read the plane's
+// alarms and the metrics scrape read the plane's
 // lock-free stats side and take neither lock.
 type Server struct {
 	ln  net.Listener
@@ -257,18 +246,13 @@ func ServeListener(ln net.Listener, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("wire: no cluster members configured")
 	}
 	members := cluster.NewMembership(cluster.AnyControllerOneMaster, cfg.Members, cfg.Switches)
-	if cfg.Tracing && cfg.Validator.Tracer == nil {
-		// The plane treats the tracer as a template and arms one per shard.
-		cfg.Validator.Tracer = obs.NewTracer(nil)
-	}
 	plane, err := shard.New(shard.Config{
-		Shards:       cfg.Shards,
-		QueueDepth:   cfg.QueueDepth,
-		Validator:    cfg.Validator,
-		Members:      members,
-		Metrics:      cfg.Metrics,
-		FlightRing:   cfg.FlightRing,
-		OnFlightDump: cfg.OnFlightDump,
+		Shards:     cfg.Shards,
+		QueueDepth: cfg.QueueDepth,
+		Validator:  cfg.Validator,
+		Tracing:    cfg.Tracing,
+		Members:    members,
+		Metrics:    cfg.Metrics,
 	})
 	if err != nil {
 		_ = ln.Close()
@@ -346,11 +330,6 @@ func (s *Server) WriteTrace(w io.Writer) error {
 	return obs.WriteSpansJSONL(w, spans)
 }
 
-// FlightSnapshot returns the flight recorders' merged rings (oldest
-// first), or nil when ServerConfig.FlightRing was zero. Safe from any
-// goroutine.
-func (s *Server) FlightSnapshot() []obs.Event { return s.plane.FlightSnapshot() }
-
 // Alarms returns the validator's retained alarms (merged immutable
 // snapshots; no lock).
 func (s *Server) Alarms() []core.Result { return s.plane.Alarms() }
@@ -371,8 +350,7 @@ func (s *Server) Close() error {
 		close(s.stop)
 		err = s.ln.Close()
 		// Stop, not Close: draining would expire every still-open trigger
-		// into an omission alarm (and a flight dump) that no controller
-		// caused. Readers still running dispatch into a stopped plane,
+		// into an omission alarm that no controller caused. Readers still running dispatch into a stopped plane,
 		// which is a no-op.
 		s.mu.Lock()
 		s.plane.Stop()

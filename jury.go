@@ -67,8 +67,7 @@ type Simulation struct {
 	mastershipChatter int64
 
 	policyEngine *policy.Engine
-	tracer       *obs.Tracer   // nil unless Config.EnableTracing
-	recorder     *obs.Recorder // nil unless Config.FlightRing is set
+	tracer       *obs.Tracer // nil unless Config.EnableTracing
 }
 
 // New assembles a simulation from the configuration.
@@ -78,17 +77,11 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	eng := simnet.NewEngine(cfg.Seed)
-	var (
-		tracer   *obs.Tracer
-		recorder *obs.Recorder
-	)
+	var tracer *obs.Tracer
 	if cfg.EnableTracing {
 		tracer = obs.NewTracer(eng.Now)
 	}
 	tracer.InstrumentMetrics(cfg.Metrics)
-	if cfg.FlightRing != 0 {
-		recorder = obs.NewRecorder(cfg.FlightRing)
-	}
 
 	top := cfg.CustomTopology
 	if top == nil {
@@ -133,7 +126,6 @@ func New(cfg Config) (*Simulation, error) {
 		PacketOuts:    obs.NewRateSeries(time.Second),
 		PacketInKinds: make(map[string]int64),
 		tracer:        tracer,
-		recorder:      recorder,
 	}
 
 	for _, id := range memberIDs {
@@ -184,7 +176,6 @@ func (s *Simulation) wireJury() error {
 		RelayAll: cfg.RelayAll,
 		Metrics:  cfg.Metrics,
 		Tracer:   s.tracer,
-		Recorder: s.recorder,
 	}
 	s.System = core.NewSystem(s.Engine, s.Members, sysCfg)
 	for _, ctrl := range s.Controllers {
@@ -313,10 +304,6 @@ func (s *Simulation) Metrics() *obs.Registry { return s.Config.Metrics }
 // Tracer returns the trigger tracer (nil when tracing is disabled).
 func (s *Simulation) Tracer() *obs.Tracer { return s.tracer }
 
-// FlightRecorder returns the validator's flight recorder (nil when
-// flight recording is disabled).
-func (s *Simulation) FlightRecorder() *obs.Recorder { return s.recorder }
-
 // Validator returns the out-of-band validator (nil when JURY is off).
 func (s *Simulation) Validator() *core.Validator {
 	if s.System == nil {
@@ -386,8 +373,6 @@ func ServeValidator(addr string, cfg ValidatorServiceConfig) (*wire.Server, erro
 		Switches:       ds,
 		AlarmsOnly:     cfg.AlarmsOnly,
 		Tracing:        cfg.Tracing,
-		FlightRing:     cfg.FlightRing,
-		OnFlightDump:   cfg.OnFlightDump,
 		MaxLineBytes:   cfg.MaxLineBytes,
 		HeartbeatEvery: cfg.HeartbeatEvery,
 		IdleTimeout:    cfg.IdleTimeout,
