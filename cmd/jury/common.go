@@ -68,14 +68,11 @@ func statsLine(st wire.Stats) string {
 		st.Decided, st.Valid, st.Faults, st.Timeouts, st.Pending)
 }
 
-// writeAlarms lists retained alarms the way every command reports them:
-// the first ten, each with its fault, offender, trigger, detection time
-// and reason, then a count of the rest.
+// writeAlarms lists retained alarms as jury serve and jury sim report
+// them at exit: the first ten, each with its fault, offender, trigger,
+// detection time and reason, then a count of the rest.
 func writeAlarms(out io.Writer, alarms []core.Result) {
-	show := len(alarms)
-	if show > 10 {
-		show = 10
-	}
+	show := min(len(alarms), 10)
 	for _, a := range alarms[:show] {
 		fmt.Fprintf(out, "ALARM: %-16s offender=C%d trigger=%s detected in %v: %s\n",
 			a.Fault, a.Offender, a.Trigger, a.DetectionTime, a.Reason)

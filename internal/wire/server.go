@@ -199,8 +199,8 @@ type srvConn struct {
 // take only connsMu (broadcast appends, flush writes): a worker delivering
 // a result must not wait on mu, because a dispatcher may hold mu while
 // blocked on that same worker's full intake queue (backpressure). Stats,
-// alarms and the metrics scrape read the plane's
-// lock-free stats side and take neither lock.
+// alarms and the metrics scrape read the plane's lock-free stats side and
+// take neither lock.
 type Server struct {
 	ln  net.Listener
 	cfg ServerConfig
