@@ -20,6 +20,7 @@ import (
 	"github.com/jurysdn/jury/internal/policy"
 	"github.com/jurysdn/jury/internal/simnet"
 	"github.com/jurysdn/jury/internal/store"
+	"github.com/jurysdn/jury/internal/sweep"
 	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
 	"github.com/jurysdn/jury/internal/workload"
@@ -540,7 +541,7 @@ func BenchmarkSweepThroughputONOS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.ThroughputBatch(context.Background(), cfgs,
-			experiment.BatchOptions{RootSeed: 7})
+			sweep.Config{RootSeed: 7})
 		if err != nil {
 			b.Fatal(err)
 		}

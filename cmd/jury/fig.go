@@ -21,7 +21,7 @@ import (
 // goes, the sweep configuration and the virtual duration per run.
 type figOpts struct {
 	out   io.Writer
-	batch experiment.BatchOptions
+	batch sweep.Config
 	dur   time.Duration
 }
 
@@ -66,7 +66,7 @@ func runFig(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	o := figOpts{out: stdout, dur: *dur, batch: experiment.BatchOptions{RootSeed: *seed, Parallelism: *parallel}}
+	o := figOpts{out: stdout, dur: *dur, batch: sweep.Config{RootSeed: *seed, Parallelism: *parallel}}
 	if *progress {
 		o.batch.Progress = printProgress
 	}

@@ -9,9 +9,8 @@ import (
 	"time"
 
 	jury "github.com/jurysdn/jury"
-	"github.com/jurysdn/jury/internal/controller"
+	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/faults"
-	"github.com/jurysdn/jury/internal/policy"
 	"github.com/jurysdn/jury/internal/workload"
 )
 
@@ -34,7 +33,7 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 		duration  = fs.Duration("duration", 15*time.Second, "measured (virtual) duration")
 		seed      = fs.Int64("seed", 42, "simulation seed")
 		timeout   = fs.Duration("timeout", 0, "validation timeout (0 = profile default)")
-		faultName = fs.String("fault", "", "catalog fault to inject on controller 1 (see -list-faults)")
+		faultName = fs.String("fault", "", "catalog fault to inject after boot (see -list-faults)")
 		listFault = fs.Bool("list-faults", false, "list the fault catalog and exit")
 		trace     = fs.String("trace", "", "drive a benign trace model instead of -rate: lbnl, univ or smia")
 		traceOut  = fs.String("trace-out", "", "record a per-trigger span trace and write it here (.jsonl for JSON Lines, otherwise Chrome trace_event JSON for chrome://tracing or Perfetto)")
@@ -45,7 +44,7 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 
 	if *listFault {
 		fmt.Fprintln(out, "fault catalog (§III-B, §VII-A1 and appendix):")
-		for _, s := range faults.Scenarios() {
+		for _, s := range jury.Catalog() {
 			origin := "synthetic"
 			if s.Real {
 				origin = "real bug"
@@ -53,6 +52,13 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 			fmt.Fprintf(out, "  %-28s [%s, %s] %s\n", s.Kind, s.Class, origin, s.Description)
 		}
 		return nil
+	}
+	var scenario jury.Scenario
+	if *faultName != "" {
+		var ok bool
+		if scenario, ok = jury.LookupScenario(faults.Kind(*faultName)); !ok {
+			return usagef("unknown fault %q (see -list-faults)", *faultName)
+		}
 	}
 
 	var kind jury.ControllerKind
@@ -71,15 +77,11 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 		EnableJury:        !*noJury,
 		K:                 *k,
 		ValidationTimeout: *timeout,
-		Policies: []policy.Policy{
-			{Name: "no-proactive-topology-changes", Trigger: "internal", Cache: "LinksDB"},
-			{Name: "match-field-hierarchy", Cache: "FlowsDB", RequireMatchHierarchy: true},
-		},
+		EnableTracing:     *traceOut != "",
 	}
-	if *noJury {
-		cfg.Policies = nil
+	if scenario.Configure != nil {
+		scenario.Configure(&cfg)
 	}
-	cfg.EnableTracing = *traceOut != ""
 	sim, err := jury.New(cfg)
 	if err != nil {
 		return err
@@ -89,12 +91,12 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 	boot := sim.Boot()
 	fmt.Fprintf(out, "boot: %v (virtual)\n", boot)
 
-	if *faultName != "" {
-		f, err := inject(sim, faults.Kind(*faultName))
-		if err != nil {
+	var fault *faults.Fault
+	if scenario.Arm != nil {
+		if fault, err = scenario.Arm(sim); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "fault: %s\n", f)
+		fmt.Fprintf(out, "fault: %s: %s\n", fault, scenario.Description)
 	}
 
 	start := sim.Now()
@@ -146,6 +148,15 @@ func runSim(_ context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "detection: p50=%v p90=%v p95=%v p99=%v\n",
 			d.Percentile(50), d.Percentile(90), d.Percentile(95), d.Percentile(99))
 		writeAlarms(out, v.Alarms())
+		if fault != nil {
+			fmt.Fprintf(out, "fault injections: %d\n", fault.Injections())
+			if a, ok := scenario.Conviction(fault, v.Alarms()); ok {
+				fmt.Fprint(out, "convicted by ")
+				writeAlarms(out, []core.Result{a})
+			} else {
+				fmt.Fprintf(out, "not convicted: no alarm of %v names C%d\n", scenario.Catches, fault.Target.ID())
+			}
+		}
 	}
 
 	if *traceOut != "" {
@@ -175,67 +186,4 @@ func writeTrace(out io.Writer, sim *jury.Simulation, path string) error {
 			100*float64(tr.CompletedTriggers())/float64(v.Decided()))
 	}
 	return nil
-}
-
-// inject arms a catalog fault on a sensible target.
-func inject(sim *jury.Simulation, kind faults.Kind) (*faults.Fault, error) {
-	target := sim.Controller(1)
-	switch kind {
-	case faults.ONOSDatabaseLocking:
-		f := faults.InjectDatabaseLocking(target)
-		dpid := target.Governed()[0]
-		sw, _ := sim.Fabric.Switch(dpid)
-		target.ConnectSwitch(dpid, sw.HandleControllerMessage)
-		return f, nil
-	case faults.ONOSMasterElection:
-		return faults.InjectMasterElection(sim.Controller(sim.Config.ClusterSize)), nil
-	case faults.ODLFlowModDrop:
-		return faults.InjectFlowModDrop(target, 1), nil
-	case faults.ODLIncorrectFlowMod:
-		dpid := target.Governed()[0]
-		sw, _ := sim.Fabric.Switch(dpid)
-		f := faults.InjectIncorrectFlowMod(target, sw)
-		f.Fire()
-		return f, nil
-	case faults.LinkFailure:
-		// Target the highest-ID controller: it wins the liveness
-		// election for its cross-governed links, so its LinksDB writes
-		// are the ones the fault can corrupt.
-		target = sim.Controller(sim.Config.ClusterSize)
-		f := faults.InjectLinkFailure(target)
-		// The fault manifests on link rediscovery: flap a link whose
-		// liveness master is the target.
-		for _, l := range sim.Topo.Links() {
-			if m, ok := sim.Members.LinkLivenessMaster(l.Src.DPID, l.Dst.DPID); ok && m == target.ID() {
-				src := l.Src
-				sim.Fabric.SetLinkDown(src, true)
-				sim.Engine.Schedule(2*time.Second, func() { sim.Fabric.SetLinkDown(src, false) })
-				break
-			}
-		}
-		return f, nil
-	case faults.UndesirableFlowMod:
-		return faults.InjectUndesirableFlowMod(target), nil
-	case faults.FaultyProactiveAction:
-		links := sim.Topo.Links()
-		f := faults.InjectFaultyProactiveAction(target, controller.LinkKey(links[0].Src, links[0].Dst))
-		f.Fire()
-		return f, nil
-	case faults.FlowDeletionFailure:
-		return faults.InjectFlowDeletionFailure(target), nil
-	case faults.FlowInstantiationFailure:
-		return faults.InjectFlowInstantiationFailure(target), nil
-	case faults.LinkDetectionInconsistent:
-		return faults.InjectLinkDetectionInconsistent(target, sim.Engine.Rand(), 50), nil
-	case faults.Crash:
-		f := faults.InjectCrash(target)
-		sim.Engine.Schedule(time.Second, f.Fire)
-		return f, nil
-	case faults.TimingDelay:
-		return faults.InjectTimingDelay(target, 20*time.Millisecond, 60*time.Millisecond), nil
-	case faults.ByzantineCorruption:
-		return faults.InjectByzantineCorruption(target, sim.Engine.Rand(), 20), nil
-	default:
-		return nil, usagef("unknown fault %q (see -list-faults)", kind)
-	}
 }

@@ -2,8 +2,12 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	jury "github.com/jurysdn/jury"
+	"github.com/jurysdn/jury/internal/faults"
 )
 
 func TestSim(t *testing.T) {
@@ -57,6 +61,38 @@ func TestSim(t *testing.T) {
 				if !strings.Contains(out.String(), w) {
 					t.Errorf("output lacks %q:\n%s", w, out.String())
 				}
+			}
+		})
+	}
+	// One run per catalog row. A row that lists verdict classes must
+	// perturb something and be convicted: an alarm of a listed class
+	// naming the fault's target.
+	for _, sc := range jury.Catalog() {
+		sc := sc
+		t.Run("fault "+string(sc.Kind), func(t *testing.T) {
+			var out strings.Builder
+			args := []string{"-n", "3", "-k", "2", "-rate", "200", "-duration", "5s", "-fault", string(sc.Kind)}
+			if err := runSim(context.Background(), args, &out); err != nil {
+				t.Fatalf("runSim(%q): %v", args, err)
+			}
+			report := out.String()
+			if !strings.Contains(report, "fault: "+string(sc.Kind)+" on C") {
+				t.Fatalf("no fault line:\n%s", report)
+			}
+			if len(sc.Catches) == 0 {
+				return
+			}
+			var injections int
+			_, count, _ := strings.Cut(report, "fault injections: ")
+			if _, err := fmt.Sscan(count, &injections); err != nil {
+				t.Fatalf("no injection count: %v\n%s", err, report)
+			}
+			// The master-election fault counts no injections (see its row).
+			if injections == 0 && sc.Kind != faults.ONOSMasterElection {
+				t.Errorf("fault never manifested:\n%s", report)
+			}
+			if !strings.Contains(report, "convicted by ALARM: ") {
+				t.Errorf("not convicted:\n%s", report)
 			}
 		})
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	jury "github.com/jurysdn/jury"
-	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/faults"
 	"github.com/jurysdn/jury/internal/policy"
@@ -95,19 +94,16 @@ func fireT3Faults(policies []policy.Policy) ([]core.Result, error) {
 	sim.Boot()
 
 	// T3 #1: an application proactively marks a healthy link down — the
-	// cache and network stay mutually consistent, just wrong.
-	links := sim.Topo.Links()
-	key := controller.LinkKey(links[3].Src, links[3].Dst)
-	proactive := faults.InjectFaultyProactiveAction(sim.Controller(2), key)
-	proactive.Fire()
-
-	// T3 #2: the administrator installs a flow whose match violates the
-	// OpenFlow 1.0 field hierarchy; the permissive switch accepts it.
-	target := sim.Controller(3)
-	dpid := target.Governed()[0]
-	sw, _ := sim.Fabric.Switch(dpid)
-	incorrect := faults.InjectIncorrectFlowMod(target, sw)
-	incorrect.Fire()
+	// cache and network stay mutually consistent, just wrong. T3 #2: the
+	// administrator installs a flow whose match violates the OpenFlow 1.0
+	// field hierarchy; the permissive switch accepts it. Both rows fire
+	// when armed.
+	for _, kind := range []faults.Kind{faults.FaultyProactiveAction, faults.ODLIncorrectFlowMod} {
+		sc, _ := jury.LookupScenario(kind)
+		if _, err := sc.Arm(sim); err != nil {
+			return nil, err
+		}
+	}
 
 	// T3 faults need no data-plane traffic at all: their triggers are
 	// internal, and only the cache-event stream reaches the validator.

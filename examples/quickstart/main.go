@@ -58,15 +58,15 @@ func run() error {
 	fmt.Printf("benign phase: %d controller actions validated, %d alarms\n",
 		v.Decided(), v.Faults())
 
-	// Inject the ONOS database-locking fault on C1 and reconnect one of
-	// its switches: the FEATURES_REPLY trigger's SwitchDB write will fail
+	// Arm the catalog's ONOS database-locking fault: C1 reconnects one of
+	// its switches, and the FEATURES_REPLY trigger's SwitchDB write fails
 	// at the primary while the replicated executions succeed.
-	target := sim.Controller(1)
-	fault := faults.InjectDatabaseLocking(target)
-	fmt.Printf("injecting: %s\n", fault)
-	dpid := target.Governed()[0]
-	sw, _ := sim.Fabric.Switch(dpid)
-	target.ConnectSwitch(dpid, sw.HandleControllerMessage)
+	sc, _ := jury.LookupScenario(faults.ONOSDatabaseLocking)
+	fault, err := sc.Arm(sim)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("injecting: %s: %s\n", fault, sc.Description)
 
 	until = sim.Now() + 2*time.Second
 	sim.Driver.Start(workload.ConstantRate(100), until)

@@ -10,6 +10,7 @@ import (
 	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/experiment"
 	"github.com/jurysdn/jury/internal/store"
+	"github.com/jurysdn/jury/internal/sweep"
 	"github.com/jurysdn/jury/internal/workload"
 )
 
@@ -295,7 +296,7 @@ func TestBenignTraceModelsLowFalsePositives(t *testing.T) {
 					Trace:    spec.Name,
 					Duration: 10 * time.Second,
 				}},
-				experiment.BatchOptions{RootSeed: 13})
+				sweep.Config{RootSeed: 13})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,7 +32,7 @@ func TestBatchDeterministicAcrossParallelism(t *testing.T) {
 	cfgs := quickDetectionGrid()
 	encode := func(parallelism int) []byte {
 		res, err := DetectionBatch(context.Background(), cfgs,
-			BatchOptions{RootSeed: 7, Parallelism: parallelism})
+			sweep.Config{RootSeed: 7, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestBatchWarmCacheMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := quickDetectionGrid()[:1]
-	opt := BatchOptions{RootSeed: 7, Parallelism: 2, Cache: cache}
+	opt := sweep.Config{RootSeed: 7, Parallelism: 2, Cache: cache}
 	cold, err := DetectionBatch(context.Background(), cfgs, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestBatchWarmCacheMatchesCold(t *testing.T) {
 // same simulation as the direct entry point given the same seed.
 func TestThroughputBatchMatchesDirect(t *testing.T) {
 	cfgs := []ThroughputConfig{{Kind: jury.ONOS, N: 3, JuryK: -1, Offered: 500, Duration: 2 * time.Second}}
-	res, err := ThroughputBatch(context.Background(), cfgs, BatchOptions{RootSeed: 42})
+	res, err := ThroughputBatch(context.Background(), cfgs, sweep.Config{RootSeed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

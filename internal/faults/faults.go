@@ -58,40 +58,11 @@ const (
 	ClassByz    Class = "byzantine"
 )
 
-// Scenario describes one catalog entry.
-type Scenario struct {
-	Kind        Kind
-	Class       Class
-	Real        bool // documented in a real controller vs synthetic
-	Description string
-}
-
-// Scenarios returns the full catalog.
-func Scenarios() []Scenario {
-	return []Scenario{
-		{ONOSDatabaseLocking, ClassT1, true, "clustered ONOS rejects a switch connect with a 'failed to obtain lock' error; the SwitchDB write is omitted"},
-		{ONOSMasterElection, ClassT1, true, "after the liveness master reboots with a lower ID, neither governor tracks a cross-governed link's liveness"},
-		{ODLFlowModDrop, ClassT2, true, "FLOW_MODs written to MD-SAL are sporadically lost before reaching the network"},
-		{ODLIncorrectFlowMod, ClassT3, true, "the switch silently accepts a FLOW_MOD whose match violates the OpenFlow 1.0 field hierarchy"},
-		{LinkFailure, ClassT1, false, "an LLDP trigger is answered with an incorrect LinksDB update disabling a critical link"},
-		{UndesirableFlowMod, ClassT2, false, "the cache holds the correct rule but the emitted FLOW_MOD drops all packets"},
-		{FaultyProactiveAction, ClassT3, false, "an administrator/application consistently writes a bad LinksDB entry bringing a link down"},
-		{FlowDeletionFailure, ClassT1, true, "a REST-initiated flow deletion is silently dropped by the controller"},
-		{LinkDetectionInconsistent, ClassT1, true, "threading conflicts make link detection non-deterministic across runs"},
-		{FlowInstantiationFailure, ClassT2, true, "restconf reports success but no FLOW_MOD ever reaches the switch"},
-		{PendingAdd, ClassT2, true, "flow rules stay in PENDING_ADD because switch and store disagree"},
-		{Crash, ClassCrash, false, "fail-stop of a controller node; reported as response omissions"},
-		{TimingDelay, ClassTiming, false, "a slow replica violating timing expectations"},
-		{ByzantineCorruption, ClassByz, false, "random corruption of cache writes"},
-	}
-}
-
 // Fault is an armed fault instance.
 type Fault struct {
-	Kind        Kind
-	Target      *controller.Controller
-	description string
-	injections  int
+	Kind       Kind
+	Target     *controller.Controller
+	injections int
 
 	// fire performs the proactive action for T2/T3 scenarios (nil for
 	// reactive faults, which the workload triggers).
@@ -109,17 +80,16 @@ func (f *Fault) Fire() {
 	}
 }
 
-// String describes the fault.
+// String names the fault and its target.
 func (f *Fault) String() string {
-	return fmt.Sprintf("%s on C%d: %s", f.Kind, f.Target.ID(), f.description)
+	return fmt.Sprintf("%s on C%d", f.Kind, f.Target.ID())
 }
 
 // InjectDatabaseLocking arms the ONOS database-locking fault: the target
 // controller's SwitchDB writes for switch connects fail (lock error), so
 // the primary omits its response while secondaries do not.
 func InjectDatabaseLocking(target *controller.Controller) *Fault {
-	f := &Fault{Kind: ONOSDatabaseLocking, Target: target,
-		description: "SwitchDB writes fail with a database lock error"}
+	f := &Fault{Kind: ONOSDatabaseLocking, Target: target}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
 		if w.Ctx.Tainted() || w.Cache != store.SwitchDB {
 			return controller.Proceed
@@ -136,8 +106,7 @@ func InjectDatabaseLocking(target *controller.Controller) *Fault {
 // election — while the other governor also believes it is not responsible.
 func InjectMasterElection(target *controller.Controller) *Fault {
 	target.LivenessIDOverride = store.NodeID(-1)
-	return &Fault{Kind: ONOSMasterElection, Target: target,
-		description: "rebooted liveness master uses a lower election ID"}
+	return &Fault{Kind: ONOSMasterElection, Target: target}
 }
 
 // InjectFlowModDrop arms the ODL FLOW_MOD-drop fault: FLOW_MODs leaving
@@ -147,8 +116,7 @@ func InjectFlowModDrop(target *controller.Controller, dropNth int) *Fault {
 	if dropNth < 1 {
 		dropNth = 1
 	}
-	f := &Fault{Kind: ODLFlowModDrop, Target: target,
-		description: "FLOW_MODs lost between MD-SAL and the network"}
+	f := &Fault{Kind: ODLFlowModDrop, Target: target}
 	count := 0
 	target.PrependEgressHook(func(_ *controller.Controller, w *controller.EgressWrite) controller.HookAction {
 		if w.Ctx.Tainted() {
@@ -174,8 +142,7 @@ func InjectFlowModDrop(target *controller.Controller, dropNth int) *Fault {
 // Fire performs the installation.
 func InjectIncorrectFlowMod(target *controller.Controller, sw *dataplane.Switch) *Fault {
 	sw.AcceptInvalidMatch = true
-	f := &Fault{Kind: ODLIncorrectFlowMod, Target: target,
-		description: "FLOW_MOD with invalid match-field hierarchy"}
+	f := &Fault{Kind: ODLIncorrectFlowMod, Target: target}
 	f.fire = func() {
 		f.injections++
 		target.InstallFlowInternal(InvalidHierarchyRule(sw.DPID()))
@@ -203,8 +170,7 @@ func InvalidHierarchyRule(dpid topo.DPID) controller.FlowRule {
 // responds to LLDP triggers by incorrectly writing LinksDB entries as
 // "down", disabling links.
 func InjectLinkFailure(target *controller.Controller) *Fault {
-	f := &Fault{Kind: LinkFailure, Target: target,
-		description: "LinksDB updates flipped to down on external triggers"}
+	f := &Fault{Kind: LinkFailure, Target: target}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
 		if w.Ctx.Tainted() || w.Cache != store.LinksDB {
 			return controller.Proceed
@@ -222,8 +188,7 @@ func InjectLinkFailure(target *controller.Controller) *Fault {
 // the correct rule, but the FLOW_MOD emitted on the wire is rewritten to
 // drop all packets at the destination switch.
 func InjectUndesirableFlowMod(target *controller.Controller) *Fault {
-	f := &Fault{Kind: UndesirableFlowMod, Target: target,
-		description: "emitted FLOW_MODs rewritten to drop-all"}
+	f := &Fault{Kind: UndesirableFlowMod, Target: target}
 	target.PrependEgressHook(func(_ *controller.Controller, w *controller.EgressWrite) controller.HookAction {
 		if w.Ctx.Tainted() {
 			return controller.Proceed
@@ -246,8 +211,7 @@ func InjectUndesirableFlowMod(target *controller.Controller) *Fault {
 // LinksDB entry that brings a critical link down. Fire performs the write.
 // Only a policy can catch this class (§VII-A1(3)).
 func InjectFaultyProactiveAction(target *controller.Controller, linkKey string) *Fault {
-	f := &Fault{Kind: FaultyProactiveAction, Target: target,
-		description: "proactive LinksDB update brings a critical link down"}
+	f := &Fault{Kind: FaultyProactiveAction, Target: target}
 	f.fire = func() {
 		f.injections++
 		target.AdminWriteCache(store.LinksDB, store.OpUpdate, linkKey, "down")
@@ -259,8 +223,7 @@ func InjectFaultyProactiveAction(target *controller.Controller, linkKey string) 
 // FlowsDB deletions are silently dropped at the target (the controller
 // "locks up" on deletes).
 func InjectFlowDeletionFailure(target *controller.Controller) *Fault {
-	f := &Fault{Kind: FlowDeletionFailure, Target: target,
-		description: "REST flow deletions silently dropped"}
+	f := &Fault{Kind: FlowDeletionFailure, Target: target}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
 		if w.Ctx.Tainted() {
 			return controller.Proceed
@@ -278,8 +241,7 @@ func InjectFlowDeletionFailure(target *controller.Controller) *Fault {
 // non-deterministically drops a fraction of its LinksDB writes (threading
 // conflicts), so detected links vary run to run. dropPercent in [0,100].
 func InjectLinkDetectionInconsistent(target *controller.Controller, eng interface{ Intn(int) int }, dropPercent int) *Fault {
-	f := &Fault{Kind: LinkDetectionInconsistent, Target: target,
-		description: "LinksDB writes dropped non-deterministically"}
+	f := &Fault{Kind: LinkDetectionInconsistent, Target: target}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
 		if w.Ctx.Tainted() || w.Cache != store.LinksDB {
 			return controller.Proceed
@@ -297,8 +259,7 @@ func InjectLinkDetectionInconsistent(target *controller.Controller, eng interfac
 // reports success and the data store is updated, but no FLOW_MOD leaves
 // the controller.
 func InjectFlowInstantiationFailure(target *controller.Controller) *Fault {
-	f := &Fault{Kind: FlowInstantiationFailure, Target: target,
-		description: "restconf succeeds but FLOW_MODs never leave the controller"}
+	f := &Fault{Kind: FlowInstantiationFailure, Target: target}
 	target.PrependEgressHook(func(_ *controller.Controller, w *controller.EgressWrite) controller.HookAction {
 		if w.Ctx.Tainted() {
 			return controller.Proceed
@@ -314,17 +275,23 @@ func InjectFlowInstantiationFailure(target *controller.Controller) *Fault {
 
 // InjectPendingAdd arms the appendix T2 fault at the data plane: the
 // switch accepts FLOW_MODs but leaves entries in PENDING_ADD, so the
-// store's view (ADDED) disagrees with the switch.
+// store's view (ADDED) disagrees with the switch. Each flow add the target
+// sends that switch counts as an injection.
 func InjectPendingAdd(target *controller.Controller, sw *dataplane.Switch) *Fault {
 	sw.HoldPendingAdd = true
-	return &Fault{Kind: PendingAdd, Target: target,
-		description: "switch holds flow entries in PENDING_ADD"}
+	f := &Fault{Kind: PendingAdd, Target: target}
+	target.PrependEgressHook(func(_ *controller.Controller, w *controller.EgressWrite) controller.HookAction {
+		if fm, ok := w.Msg.(*openflow.FlowMod); ok && !w.Ctx.Tainted() && w.DPID == sw.DPID() && fm.Command == openflow.FlowAdd {
+			f.injections++
+		}
+		return controller.Proceed
+	})
+	return f
 }
 
 // InjectCrash fail-stops the target when fired.
 func InjectCrash(target *controller.Controller) *Fault {
-	f := &Fault{Kind: Crash, Target: target,
-		description: "fail-stop crash"}
+	f := &Fault{Kind: Crash, Target: target}
 	f.fire = func() {
 		f.injections++
 		target.Crash()
@@ -334,19 +301,24 @@ func InjectCrash(target *controller.Controller) *Fault {
 
 // InjectTimingDelay arms a timing fault: the target processes every
 // trigger delay (+ up to jitter) slower than its peers — the "faulty
-// replica" model of the m>0 detection experiments (§VII-A).
+// replica" model of the m>0 detection experiments (§VII-A). Each cache
+// write the target makes as primary counts as an injection.
 func InjectTimingDelay(target *controller.Controller, delay, jitter time.Duration) *Fault {
 	target.SetExtraDelay(delay, jitter)
-	f := &Fault{Kind: TimingDelay, Target: target,
-		description: fmt.Sprintf("all processing slowed by %v (+%v jitter)", delay, jitter)}
+	f := &Fault{Kind: TimingDelay, Target: target}
+	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
+		if !w.Ctx.Tainted() {
+			f.injections++
+		}
+		return controller.Proceed
+	})
 	return f
 }
 
 // InjectByzantineCorruption arms random corruption: a percentage of the
 // target's cache writes have their values corrupted.
 func InjectByzantineCorruption(target *controller.Controller, eng interface{ Intn(int) int }, percent int) *Fault {
-	f := &Fault{Kind: ByzantineCorruption, Target: target,
-		description: "cache write values randomly corrupted"}
+	f := &Fault{Kind: ByzantineCorruption, Target: target}
 	target.PrependCacheHook(func(_ *controller.Controller, w *controller.CacheWrite) controller.HookAction {
 		if w.Ctx.Tainted() {
 			return controller.Proceed

@@ -34,30 +34,6 @@ func newCtrl(t *testing.T) (*simnet.Engine, *controller.Controller, *[]controlle
 	return eng, c, &sent
 }
 
-func TestScenariosCatalogComplete(t *testing.T) {
-	scenarios := Scenarios()
-	if len(scenarios) != 14 {
-		t.Fatalf("catalog = %d entries, want 14", len(scenarios))
-	}
-	classes := map[Class]int{}
-	real := 0
-	for _, s := range scenarios {
-		if s.Description == "" {
-			t.Fatalf("%s has no description", s.Kind)
-		}
-		classes[s.Class]++
-		if s.Real {
-			real++
-		}
-	}
-	if classes[ClassT1] != 5 || classes[ClassT2] != 4 || classes[ClassT3] != 2 {
-		t.Fatalf("class counts = %v", classes)
-	}
-	if real != 8 {
-		t.Fatalf("real faults = %d, want 8", real)
-	}
-}
-
 func TestDatabaseLockingSuppressesSwitchDB(t *testing.T) {
 	eng, c, _ := newCtrl(t)
 	f := InjectDatabaseLocking(c)
@@ -208,15 +184,20 @@ func TestCrashFault(t *testing.T) {
 
 func TestTimingDelayFault(t *testing.T) {
 	eng, c, _ := newCtrl(t)
-	InjectTimingDelay(c, 30*time.Millisecond, 0)
+	f := InjectTimingDelay(c, 30*time.Millisecond, 0)
 	var at time.Duration
 	c.OnProcessed = func(topo.DPID, openflow.Message, *trigger.Context) { at = eng.Now() }
 	c.HandleSouthbound(1, &openflow.Hello{}, &trigger.Context{ID: "τ", Primary: 1})
+	c.WriteCache(store.HostDB, store.OpCreate, "k", "v", nil, nil)
+	c.WriteCache(store.HostDB, store.OpCreate, "r", "v", &trigger.Context{ID: "ρ", Primary: 2, Replica: true}, nil)
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if at < 30*time.Millisecond {
 		t.Fatalf("processed at %v", at)
+	}
+	if f.Injections() != 1 {
+		t.Fatalf("injections = %d, want 1 (the primary write only)", f.Injections())
 	}
 }
 
@@ -239,9 +220,18 @@ func TestByzantineCorruption(t *testing.T) {
 func TestPendingAddFault(t *testing.T) {
 	eng, c, _ := newCtrl(t)
 	sw := dataplane.NewSwitch(eng, 1)
-	InjectPendingAdd(c, sw)
+	f := InjectPendingAdd(c, sw)
 	if !sw.HoldPendingAdd {
 		t.Fatal("switch flag not set")
+	}
+	rule := controller.FlowRule{DPID: 1, Match: openflow.ExactDst(topo.HostMAC(1)), Priority: 10,
+		Actions: []openflow.Action{openflow.Output(1)}, Command: uint16(openflow.FlowAdd), Origin: 1}
+	c.Node().Write(store.FlowsDB, store.OpCreate, rule.Key(), rule.Encode(), nil)
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Injections() != 1 {
+		t.Fatalf("injections = %d, want 1 (the flow add sent to the held switch)", f.Injections())
 	}
 }
 

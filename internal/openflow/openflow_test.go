@@ -385,9 +385,6 @@ func TestParsePacketRejectsShortFrames(t *testing.T) {
 func TestEncapsulateDecapsulate(t *testing.T) {
 	inner := &PacketIn{XID: 5, InPort: 2, Data: TCPPacket(MAC{1}, MAC{2}, IPv4{}, IPv4{}, 1, 2, 0, 0)}
 	frame := EncapsulatePacketIn(inner, MAC{0xEE})
-	if !IsEncapsulated(frame) {
-		t.Fatal("IsEncapsulated = false")
-	}
 	got, err := DecapsulatePacketIn(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -401,9 +398,6 @@ func TestDecapsulateRejectsPlainFrames(t *testing.T) {
 	frame := TCPPacket(MAC{1}, MAC{2}, IPv4{}, IPv4{}, 1, 2, 0, 0)
 	if _, err := DecapsulatePacketIn(frame); !errors.Is(err, ErrNotEncapsulated) {
 		t.Fatalf("err = %v, want ErrNotEncapsulated", err)
-	}
-	if IsEncapsulated(frame) {
-		t.Fatal("plain frame reported encapsulated")
 	}
 }
 

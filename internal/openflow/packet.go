@@ -240,9 +240,3 @@ func DecapsulatePacketIn(frame []byte) (*PacketIn, error) {
 	}
 	return pin, nil
 }
-
-// IsEncapsulated reports whether the frame carries an encapsulated
-// PACKET_IN.
-func IsEncapsulated(frame []byte) bool {
-	return len(frame) >= ethHeaderLen && binary.BigEndian.Uint16(frame[12:14]) == EthTypeJuryEncap
-}

@@ -24,10 +24,6 @@ func TestRateProfileEdgeCases(t *testing.T) {
 		{"square duty above one clamps late phase", SquareBurst(5, 50, time.Second, 1.5), 999 * time.Millisecond, 50},
 		{"square zero duty never peaks", SquareBurst(5, 50, time.Second, 0), 0, 5},
 		{"square full duty always peaks", SquareBurst(5, 50, time.Second, 1), 900 * time.Millisecond, 50},
-		{"sine zero period yields base", SineRate(3, 9, 0), 0, 3},
-		{"sine zero period yields base late", SineRate(3, 9, 0), time.Hour, 3},
-		{"sine negative period yields base", SineRate(3, 9, -time.Minute), 42 * time.Second, 3},
-		{"sine phase zero starts midway", SineRate(4, 8, time.Second), 0, 6},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -7,7 +7,6 @@
 package workload
 
 import (
-	"math"
 	"strings"
 	"time"
 
@@ -45,17 +44,6 @@ func SquareBurst(base, peak float64, period time.Duration, duty float64) RatePro
 			return peak
 		}
 		return base
-	}
-}
-
-// SineRate oscillates between base and peak with the given period.
-func SineRate(base, peak float64, period time.Duration) RateProfile {
-	return func(t time.Duration) float64 {
-		if period <= 0 {
-			return base
-		}
-		phase := 2 * math.Pi * float64(t%period) / float64(period)
-		return base + (peak-base)*(0.5+0.5*math.Sin(phase))
 	}
 }
 

@@ -65,16 +65,6 @@ func TestSquareBurstProfile(t *testing.T) {
 	}
 }
 
-func TestSineRateBounds(t *testing.T) {
-	p := SineRate(100, 500, time.Second)
-	for i := 0; i < 100; i++ {
-		v := p(time.Duration(i) * 10 * time.Millisecond)
-		if v < 99.999 || v > 500.001 {
-			t.Fatalf("sine rate out of bounds: %v", v)
-		}
-	}
-}
-
 func TestSpoofedSourcesAreUnique(t *testing.T) {
 	eng, fabric := newFabric(t, 2)
 	d := NewDriver(eng, fabric)
