@@ -136,7 +136,7 @@ func BenchmarkFig4e_CbenchCollapse(b *testing.B) {
 	var res *experiment.CbenchResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiment.Cbench(12000, 20*time.Second, 42)
+		res, err = experiment.Cbench(experiment.CbenchConfig{Burst: 12000, Duration: 20 * time.Second}, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkFig4f_ThroughputONOS(b *testing.B) {
 				var pt experiment.ThroughputPoint
 				for i := 0; i < b.N; i++ {
 					var err error
-					pt, err = experiment.Throughput(jury.ONOS, n, -1, rate, benchDur, 42)
+					pt, err = experiment.Throughput(experiment.ThroughputConfig{Kind: jury.ONOS, N: n, JuryK: -1, Offered: rate, Duration: benchDur}, 42)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -190,7 +190,7 @@ func BenchmarkFig4g_ThroughputODL(b *testing.B) {
 			var pt experiment.ThroughputPoint
 			for i := 0; i < b.N; i++ {
 				var err error
-				pt, err = experiment.Throughput(jury.ODL, n, -1, 1000, benchDur, 42)
+				pt, err = experiment.Throughput(experiment.ThroughputConfig{Kind: jury.ODL, N: n, JuryK: -1, Offered: 1000, Duration: benchDur}, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -203,7 +203,7 @@ func BenchmarkFig4g_ThroughputODL(b *testing.B) {
 // BenchmarkFig4h_ThroughputJury reproduces Fig. 4h: JURY's impact on the
 // n=7 ONOS cluster's FLOW_MOD throughput — <11% drop at k=6 in the paper.
 func BenchmarkFig4h_ThroughputJury(b *testing.B) {
-	base, err := experiment.Throughput(jury.ONOS, 7, -1, 8000, benchDur, 42)
+	base, err := experiment.Throughput(experiment.ThroughputConfig{Kind: jury.ONOS, N: 7, JuryK: -1, Offered: 8000, Duration: benchDur}, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func BenchmarkFig4h_ThroughputJury(b *testing.B) {
 			var pt experiment.ThroughputPoint
 			for i := 0; i < b.N; i++ {
 				var err error
-				pt, err = experiment.Throughput(jury.ONOS, 7, k, 8000, benchDur, 42)
+				pt, err = experiment.Throughput(experiment.ThroughputConfig{Kind: jury.ONOS, N: 7, JuryK: k, Offered: 8000, Duration: benchDur}, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -236,7 +236,7 @@ func BenchmarkFig4i_Decapsulation(b *testing.B) {
 				FractionBelow(time.Duration) float64
 			}
 			for i := 0; i < b.N; i++ {
-				dist, err := experiment.Decapsulation(rate, benchDur, 7)
+				dist, err := experiment.Decapsulation(experiment.DecapsulationConfig{Rate: rate, Duration: benchDur}, 7)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -540,8 +540,7 @@ func BenchmarkSweepThroughputONOS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.ThroughputBatch(context.Background(), cfgs,
-			sweep.Config{RootSeed: 7})
+		res, err := sweep.Run(context.Background(), sweep.Config{RootSeed: 7}, cfgs, experiment.Throughput)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 // goes, the sweep configuration and the virtual duration per run.
 type figOpts struct {
 	out   io.Writer
-	batch sweep.Config
+	sweep sweep.Config
 	dur   time.Duration
 }
 
@@ -66,16 +66,16 @@ func runFig(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	o := figOpts{out: stdout, dur: *dur, batch: sweep.Config{RootSeed: *seed, Parallelism: *parallel}}
+	o := figOpts{out: stdout, dur: *dur, sweep: sweep.Config{RootSeed: *seed, Parallelism: *parallel}}
 	if *progress {
-		o.batch.Progress = printProgress
+		o.sweep.Progress = printProgress
 	}
 	if *cacheDir != "" {
 		cache, err := sweep.NewCache(*cacheDir, experiment.SchemaVersion)
 		if err != nil {
 			return err
 		}
-		o.batch.Cache = cache
+		o.sweep.Cache = cache
 	}
 
 	if *all {
@@ -98,23 +98,22 @@ func runFig(ctx context.Context, args []string, stdout io.Writer) error {
 
 // printProgress renders sweep events on stderr so stdout stays clean TSV.
 func printProgress(ev sweep.Event) {
-	switch ev.Type {
-	case sweep.PointStarted:
+	if ev.Started {
 		fmt.Fprintf(os.Stderr, "juryfig: run %s\n", ev.Key)
-	case sweep.PointDone:
-		status := "done"
-		switch {
-		case ev.Err != nil:
-			status = "FAILED"
-		case ev.Cached:
-			status = "cached"
-		}
-		line := fmt.Sprintf("juryfig: [%d/%d] %s %s", ev.Done, ev.Total, status, ev.Key)
-		if ev.ETA > 0 {
-			line += fmt.Sprintf(" (eta %s)", ev.ETA.Round(time.Second))
-		}
-		fmt.Fprintln(os.Stderr, line)
+		return
 	}
+	status := "done"
+	switch {
+	case ev.Err != nil:
+		status = "FAILED"
+	case ev.Cached:
+		status = "cached"
+	}
+	line := fmt.Sprintf("juryfig: [%d/%d] %s %s", ev.Done, ev.Total, status, ev.Key)
+	if ev.ETA > 0 {
+		line += fmt.Sprintf(" (eta %s)", ev.ETA.Round(time.Second))
+	}
+	fmt.Fprintln(os.Stderr, line)
 }
 
 // kmPairs are the (k, m) series of the ONOS and ODL detection CDFs.
@@ -127,7 +126,10 @@ func kmLabel(c experiment.DetectionConfig) string { return fmt.Sprintf("k=%d,m=%
 // false-positive rate.
 func detectionFig(ctx context.Context, o figOpts, title string, cfgs []experiment.DetectionConfig, label func(experiment.DetectionConfig) string) error {
 	fmt.Fprintln(o.out, title)
-	res, err := experiment.DetectionBatch(ctx, cfgs, o.batch)
+	res, err := sweep.Run(ctx, o.sweep, cfgs, func(c experiment.DetectionConfig, seed int64) (*experiment.DetectionResult, error) {
+		c.Seed = seed
+		return experiment.Detection(c)
+	})
 	if err != nil {
 		return err
 	}
@@ -197,8 +199,8 @@ func fig4d(ctx context.Context, o figOpts) error {
 
 func fig4e(ctx context.Context, o figOpts) error {
 	fmt.Fprintln(o.out, "# Fig 4e: Cbench bursts overwhelm the controller (second\tpacketin/s\tflowmod/s)")
-	res, err := experiment.CbenchBatch(ctx,
-		[]experiment.CbenchConfig{{Burst: 12000, Duration: 20 * time.Second}}, o.batch)
+	res, err := sweep.Run(ctx, o.sweep,
+		[]experiment.CbenchConfig{{Burst: 12000, Duration: 20 * time.Second}}, experiment.Cbench)
 	if err != nil {
 		return err
 	}
@@ -218,7 +220,7 @@ func throughputFig(ctx context.Context, o figOpts, kind jury.ControllerKind, rat
 			})
 		}
 	}
-	res, err := experiment.ThroughputBatch(ctx, cfgs, o.batch)
+	res, err := sweep.Run(ctx, o.sweep, cfgs, experiment.Throughput)
 	if err != nil {
 		return err
 	}
@@ -249,7 +251,7 @@ func fig4h(ctx context.Context, o figOpts) error {
 			})
 		}
 	}
-	res, err := experiment.ThroughputBatch(ctx, cfgs, o.batch)
+	res, err := sweep.Run(ctx, o.sweep, cfgs, experiment.Throughput)
 	if err != nil {
 		return err
 	}
@@ -269,7 +271,7 @@ func fig4i(ctx context.Context, o figOpts) error {
 	for _, rate := range []float64{100, 200, 300, 400, 500} {
 		cfgs = append(cfgs, experiment.DecapsulationConfig{Rate: rate, Duration: o.dur})
 	}
-	res, err := experiment.DecapsulationBatch(ctx, cfgs, o.batch)
+	res, err := sweep.Run(ctx, o.sweep, cfgs, experiment.Decapsulation)
 	if err != nil {
 		return err
 	}

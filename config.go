@@ -75,8 +75,6 @@ type Config struct {
 	ValidationTimeout time.Duration
 	// AdaptiveTimeout enables the EWMA adaptive deadline (§VIII-1).
 	AdaptiveTimeout bool
-	// RelayAll disables k+1 sampling of cache relays.
-	RelayAll bool
 	// NoStateAware disables the validator's state-aware consensus
 	// refinements (ablation).
 	NoStateAware bool

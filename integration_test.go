@@ -282,21 +282,24 @@ func TestBenignTraceModelsLowFalsePositives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace sweep")
 	}
-	// Each trace runs as a parallel subtest through the sweep-backed
-	// batch entry point. The point seed derives from RootSeed and the
-	// point parameters — not from subtest scheduling — so results stay
-	// identical at any -test.parallel width.
+	// Each trace runs as a parallel subtest through sweep.Run. The point
+	// seed derives from RootSeed and the point parameters — not from
+	// subtest scheduling — so results stay identical at any
+	// -test.parallel width.
 	for _, spec := range workload.Traces() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := experiment.DetectionBatch(context.Background(),
+			res, err := sweep.Run(context.Background(), sweep.Config{RootSeed: 13},
 				[]experiment.DetectionConfig{{
 					Kind: jury.ONOS, K: 6,
 					Trace:    spec.Name,
 					Duration: 10 * time.Second,
 				}},
-				sweep.Config{RootSeed: 13})
+				func(c experiment.DetectionConfig, seed int64) (*experiment.DetectionResult, error) {
+					c.Seed = seed
+					return experiment.Detection(c)
+				})
 			if err != nil {
 				t.Fatal(err)
 			}

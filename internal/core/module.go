@@ -28,9 +28,6 @@ const (
 type ModuleConfig struct {
 	// K is the replication factor (number of secondary controllers).
 	K int
-	// RelayAll disables the k+1 sampling of cache-update relays; every
-	// replica then relays every applied event (more validator traffic).
-	RelayAll bool
 	// Tracer records per-controller "exec" and "decap" spans; nil
 	// disables tracing at zero hot-path cost.
 	Tracer *obs.Tracer
@@ -230,9 +227,6 @@ func (m *Module) onStoreEvent(_ store.NodeID, ev store.Event, _ bool) {
 }
 
 func (m *Module) shouldRelay(ev store.Event) bool {
-	if m.cfg.RelayAll {
-		return true
-	}
 	self := m.ctrl.ID()
 	if ev.Origin == self {
 		return true

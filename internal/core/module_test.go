@@ -154,35 +154,6 @@ func TestModuleRelaySamplingBoundsResponses(t *testing.T) {
 	}
 }
 
-func TestModuleRelayAll(t *testing.T) {
-	eng := simnet.NewEngine(1)
-	ids := []store.NodeID{1, 2, 3, 4}
-	members := cluster.NewMembership(cluster.AnyControllerOneMaster, ids, []topo.DPID{1})
-	sc := store.NewCluster(eng, store.DefaultConfig(store.Eventual))
-	sys := NewSystem(eng, members, SystemConfig{K: 1, RelayAll: true,
-		Validator: ValidatorConfig{Timeout: 50 * time.Millisecond}})
-	var ctrls []*controller.Controller
-	for _, id := range ids {
-		ctrl := controller.New(eng, id, quietProfile(), sc.AddNode(id), members)
-		sys.AttachController(ctrl)
-		ctrls = append(ctrls, ctrl)
-	}
-	ctrls[0].Node().WriteTagged(store.HostDB, store.OpCreate, "k", "v", "τ", nil)
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	relaying := 0
-	for _, id := range ids {
-		mod, _ := sys.Module(id)
-		if mod.ValidatorMessages() > 0 {
-			relaying++
-		}
-	}
-	if relaying != 4 {
-		t.Fatalf("relayAll modules = %d, want 4", relaying)
-	}
-}
-
 func TestReplicatorRoutesPrimaryAndSecondaries(t *testing.T) {
 	r := newCoreRig(t, 5, 2, ProxyMode)
 	var primaryGot []store.NodeID

@@ -23,8 +23,6 @@ type SystemConfig struct {
 	Mode ReplicationMode
 	// Validator carries the validator parameters (timeout etc.).
 	Validator ValidatorConfig
-	// RelayAll disables k+1 sampling of cache-update relays.
-	RelayAll bool
 	// Metrics is the registry shared by the validator, modules and
 	// replicators; nil creates one per system.
 	Metrics *obs.Registry
@@ -77,9 +75,8 @@ func (s *System) Tracer() *obs.Tracer { return s.cfg.Tracer }
 // AttachController instruments a controller with a JURY module.
 func (s *System) AttachController(ctrl *controller.Controller) *Module {
 	m := NewModule(s.eng, ctrl, s.validator, ModuleConfig{
-		K:        s.cfg.K,
-		RelayAll: s.cfg.RelayAll,
-		Tracer:   s.cfg.Tracer,
+		K:      s.cfg.K,
+		Tracer: s.cfg.Tracer,
 	})
 	s.modules[ctrl.ID()] = m
 	s.controllers[ctrl.ID()] = ctrl

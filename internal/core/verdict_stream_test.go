@@ -470,11 +470,11 @@ func runPlane(t *testing.T, sp streamSpec, stream []core.Response, width int, cu
 	p, err := shard.New(shard.Config{
 		Shards: width, Validator: streamConfig(sp), Members: streamMembers(sp.n),
 		TimeFromResponses: true,
-		OnResult:          func(r core.Result) { results = append(results, r) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetOnResult(func(r core.Result) { results = append(results, r) }, nil)
 	for len(stream) > 0 {
 		if cuts == nil {
 			p.Submit(stream[0])

@@ -16,8 +16,16 @@ import (
 	"github.com/jurysdn/jury/internal/workload"
 )
 
+// SchemaVersion salts the sweep result cache of every figure campaign.
+// Bump it whenever a change anywhere in the simulation or in the result
+// schema makes previously cached figures stale — old entries are then
+// orphaned instead of being served.
+const SchemaVersion = "jury-experiment-v1"
+
 // DetectionConfig parameterizes a detection-time calibration run
-// (Figs. 4a-4d).
+// (Figs. 4a-4d). Its canonical JSON is the point's sweep key, so a
+// campaign leaves Seed zero and sets it from the seed sweep.Run hands
+// the point.
 type DetectionConfig struct {
 	Kind jury.ControllerKind
 	N    int
@@ -125,25 +133,35 @@ type ThroughputPoint struct {
 	Drops     uint64
 }
 
+// ThroughputConfig parameterizes one Throughput point (Figs. 4f-4h).
+type ThroughputConfig struct {
+	Kind jury.ControllerKind
+	N    int
+	// JuryK < 0 disables JURY (vanilla baseline).
+	JuryK    int
+	Offered  float64
+	Duration time.Duration
+}
+
 // Throughput measures FLOW_MOD vs PACKET_IN throughput for one
-// configuration. juryK < 0 disables JURY (Figs. 4f/4g); otherwise JURY
+// configuration. JuryK < 0 disables JURY (Figs. 4f/4g); otherwise JURY
 // runs with that replication factor (Fig. 4h).
-func Throughput(kind jury.ControllerKind, n int, juryK int, offered float64, dur time.Duration, seed int64) (ThroughputPoint, error) {
-	cfg := jury.Config{Seed: seed, Kind: kind, ClusterSize: n}
-	if juryK >= 0 {
-		cfg.EnableJury = true
-		cfg.K = juryK
+func Throughput(cfg ThroughputConfig, seed int64) (ThroughputPoint, error) {
+	scfg := jury.Config{Seed: seed, Kind: cfg.Kind, ClusterSize: cfg.N}
+	if cfg.JuryK >= 0 {
+		scfg.EnableJury = true
+		scfg.K = cfg.JuryK
 	}
-	sim, err := jury.New(cfg)
+	sim, err := jury.New(scfg)
 	if err != nil {
 		return ThroughputPoint{}, err
 	}
 	sim.Boot()
 	start := sim.Now()
-	until := start + dur
+	until := start + cfg.Duration
 	sim.Driver.LocalPairs = true
-	sim.Driver.Start(workload.ConstantRate(offered), until)
-	if err := sim.Run(dur + time.Second); err != nil {
+	sim.Driver.Start(workload.ConstantRate(cfg.Offered), until)
+	if err := sim.Run(cfg.Duration + time.Second); err != nil {
 		return ThroughputPoint{}, err
 	}
 	var drops uint64
@@ -151,9 +169,9 @@ func Throughput(kind jury.ControllerKind, n int, juryK int, offered float64, dur
 		drops += c.IngressDrops()
 	}
 	return ThroughputPoint{
-		N:         n,
-		JuryK:     juryK,
-		Offered:   offered,
+		N:         cfg.N,
+		JuryK:     cfg.JuryK,
+		Offered:   cfg.Offered,
 		PacketIns: sim.PacketIns.MeanRate(start, until),
 		FlowMods:  sim.FlowMods.MeanRate(start, until),
 		Drops:     drops,
@@ -167,9 +185,15 @@ type CbenchResult struct {
 	FlowMods  []float64
 }
 
+// CbenchConfig parameterizes one Cbench overload run (Fig. 4e).
+type CbenchConfig struct {
+	Burst    int
+	Duration time.Duration
+}
+
 // Cbench drives closed bursts against a single overloadable controller and
 // records the per-second PACKET_IN and FLOW_MOD rates (Fig. 4e).
-func Cbench(burst int, dur time.Duration, seed int64) (*CbenchResult, error) {
+func Cbench(cfg CbenchConfig, seed int64) (*CbenchResult, error) {
 	profile := controller.ONOSProfile()
 	profile.QueueCap = 8192
 	profile.InflateAt = 2048
@@ -186,12 +210,12 @@ func Cbench(burst int, dur time.Duration, seed int64) (*CbenchResult, error) {
 	}
 	sim.Boot()
 	cb := workload.NewCbench(sim.Engine, sim.Fabric)
-	cb.BurstSize = burst
+	cb.BurstSize = cfg.Burst
 	cb.Period = time.Second
 	cb.Spread = 900 * time.Millisecond
 	start := sim.Now()
-	cb.Start(start + dur)
-	if err := sim.Run(dur + time.Second); err != nil {
+	cb.Start(start + cfg.Duration)
+	if err := sim.Run(cfg.Duration + time.Second); err != nil {
 		return nil, err
 	}
 	res := &CbenchResult{}
@@ -209,9 +233,16 @@ func Cbench(burst int, dur time.Duration, seed int64) (*CbenchResult, error) {
 	return res, nil
 }
 
+// DecapsulationConfig parameterizes one decapsulation-overhead run
+// (Fig. 4i).
+type DecapsulationConfig struct {
+	Rate     float64
+	Duration time.Duration
+}
+
 // Decapsulation measures the ODL-path decapsulation overhead distribution
 // (Fig. 4i) at the given flow rate.
-func Decapsulation(rate float64, dur time.Duration, seed int64) (obs.Snapshot, error) {
+func Decapsulation(cfg DecapsulationConfig, seed int64) (obs.Snapshot, error) {
 	sim, err := jury.New(jury.Config{
 		Seed:        seed,
 		Kind:        jury.ODL,
@@ -223,10 +254,10 @@ func Decapsulation(rate float64, dur time.Duration, seed int64) (obs.Snapshot, e
 		return obs.Snapshot{}, err
 	}
 	sim.Boot()
-	until := sim.Now() + dur
+	until := sim.Now() + cfg.Duration
 	sim.Driver.LocalPairs = true
-	sim.Driver.Start(workload.ConstantRate(rate), until)
-	if err := sim.Run(dur + time.Second); err != nil {
+	sim.Driver.Start(workload.ConstantRate(cfg.Rate), until)
+	if err := sim.Run(cfg.Duration + time.Second); err != nil {
 		return obs.Snapshot{}, err
 	}
 	var all obs.Distribution

@@ -43,14 +43,14 @@ func TestDetectionTraceRunner(t *testing.T) {
 }
 
 func TestThroughputRunner(t *testing.T) {
-	pt, err := Throughput(jury.ONOS, 3, -1, 1000, 2*time.Second, 1)
+	pt, err := Throughput(ThroughputConfig{Kind: jury.ONOS, N: 3, JuryK: -1, Offered: 1000, Duration: 2 * time.Second}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pt.FlowMods < 700 || pt.FlowMods > 1100 {
 		t.Fatalf("flow mods = %.0f, want ~1000", pt.FlowMods)
 	}
-	withJury, err := Throughput(jury.ONOS, 3, 2, 1000, 2*time.Second, 1)
+	withJury, err := Throughput(ThroughputConfig{Kind: jury.ONOS, N: 3, JuryK: 2, Offered: 1000, Duration: 2 * time.Second}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestThroughputRunner(t *testing.T) {
 }
 
 func TestCbenchRunner(t *testing.T) {
-	res, err := Cbench(2000, 4*time.Second, 1)
+	res, err := Cbench(CbenchConfig{Burst: 2000, Duration: 4 * time.Second}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCbenchRunner(t *testing.T) {
 }
 
 func TestDecapsulationRunner(t *testing.T) {
-	d, err := Decapsulation(50, 2*time.Second, 1)
+	d, err := Decapsulation(DecapsulationConfig{Rate: 50, Duration: 2 * time.Second}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,11 @@ import (
 
 // ExpoConfig parameterizes the exposition endpoint.
 type ExpoConfig struct {
-	// Write renders the /metrics page body. Callers whose metrics are
-	// mutated on another goroutine wrap the registry write in their own
-	// lock here (`jury live` runs it on the controller's event loop).
-	// Nil with a non-nil Registry defaults to Registry.WritePrometheus.
+	// Write renders the /metrics page body, usually a registry's
+	// WritePrometheus. Callers whose metrics are mutated on another
+	// goroutine wrap the registry write in their own lock here (`jury
+	// live` runs it on the controller's event loop).
 	Write func(io.Writer) error
-	// Registry is the default metrics source when Write is nil.
-	Registry *Registry
-	// Health reports service health for /healthz; nil means always
-	// healthy. A non-nil error renders a 503.
-	Health func() error
 	// Clock supplies real time for the uptime report; nil selects the
 	// host wall clock at this annotated real-time boundary. Tests inject
 	// a fake clock so the handler output is deterministic.
@@ -30,12 +25,10 @@ type ExpoConfig struct {
 
 // Expo serves /metrics (Prometheus text format) and /healthz over HTTP.
 // It is the only wall-clock-adjacent piece of the observability layer;
-// everything it renders comes from the registry or the injected clock.
+// everything it renders comes from the Write func or the injected clock.
 type Expo struct {
-	ln      net.Listener
-	srv     *http.Server
-	started time.Time
-	cfg     ExpoConfig
+	ln  net.Listener
+	srv *http.Server
 
 	closeOnce sync.Once
 	done      sync.WaitGroup
@@ -45,11 +38,7 @@ type Expo struct {
 // for embedding into an existing mux or test server.
 func NewExpoHandler(cfg ExpoConfig) (http.Handler, error) {
 	if cfg.Write == nil {
-		if cfg.Registry == nil {
-			return nil, fmt.Errorf("obs: exposition needs a Registry or a Write func")
-		}
-		reg := cfg.Registry
-		cfg.Write = reg.WritePrometheus
+		return nil, fmt.Errorf("obs: exposition needs a Write func")
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now //jurylint:allow wallclock -- default clock at the real-time boundary
@@ -67,15 +56,6 @@ func NewExpoHandler(cfg ExpoConfig) (http.Handler, error) {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		uptime := cfg.Clock().Sub(started).Seconds()
-		if cfg.Health != nil {
-			if err := cfg.Health(); err != nil {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusServiceUnavailable)
-				fmt.Fprintf(w, "{\"status\":\"unhealthy\",\"error\":%s,\"uptime_seconds\":%.3f}\n",
-					mustJSON(err.Error()), uptime)
-				return
-			}
-		}
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"status\":\"ok\",\"uptime_seconds\":%.3f}\n", uptime)
 	})
@@ -96,7 +76,6 @@ func ServeExpo(addr string, cfg ExpoConfig) (*Expo, error) {
 	}
 	e := &Expo{
 		ln:  ln,
-		cfg: cfg,
 		srv: &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second},
 	}
 	e.done.Add(1)

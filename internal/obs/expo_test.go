@@ -23,7 +23,7 @@ func TestExpoHandlerMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("jury_validator_decided_total", "Triggers decided.").Add(9)
 	clock := newTestClock()
-	h, err := NewExpoHandler(ExpoConfig{Registry: reg, Clock: clock.Now})
+	h, err := NewExpoHandler(ExpoConfig{Write: reg.WritePrometheus, Clock: clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestExpoHandlerMetrics(t *testing.T) {
 func TestExpoHandlerHealthz(t *testing.T) {
 	reg := NewRegistry()
 	clock := newTestClock()
-	h, err := NewExpoHandler(ExpoConfig{Registry: reg, Clock: clock.Now})
+	h, err := NewExpoHandler(ExpoConfig{Write: reg.WritePrometheus, Clock: clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,27 +56,6 @@ func TestExpoHandlerHealthz(t *testing.T) {
 	want := "{\"status\":\"ok\",\"uptime_seconds\":1.500}\n"
 	if rec.Body.String() != want {
 		t.Fatalf("healthz = %q, want %q", rec.Body.String(), want)
-	}
-}
-
-func TestExpoHandlerUnhealthy(t *testing.T) {
-	reg := NewRegistry()
-	clock := newTestClock()
-	h, err := NewExpoHandler(ExpoConfig{
-		Registry: reg,
-		Clock:    clock.Now,
-		Health:   func() error { return errors.New("store unreachable") },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "store unreachable") {
-		t.Fatalf("healthz body = %q", rec.Body.String())
 	}
 }
 
@@ -98,14 +77,14 @@ func TestExpoHandlerWriteError(t *testing.T) {
 
 func TestExpoHandlerNeedsSource(t *testing.T) {
 	if _, err := NewExpoHandler(ExpoConfig{}); err == nil {
-		t.Fatal("handler without Registry or Write did not error")
+		t.Fatal("handler without a Write func did not error")
 	}
 }
 
 func TestServeExpoRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("jury_live_total", "").Add(3)
-	e, err := ServeExpo("127.0.0.1:0", ExpoConfig{Registry: reg})
+	e, err := ServeExpo("127.0.0.1:0", ExpoConfig{Write: reg.WritePrometheus})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,10 +96,6 @@ type Config struct {
 	// jury_validator_* families its workers share); nil creates a private
 	// registry reachable via Metrics().
 	Metrics *obs.Registry
-	// OnResult observes every decision from every shard. Calls are
-	// serialized by the plane; the hook must not call back into the
-	// dispatch side.
-	OnResult func(core.Result)
 }
 
 type itemKind uint8
@@ -198,10 +194,12 @@ type Plane struct {
 	// stop tells every worker to exit without flushing; closed by Stop.
 	stop chan struct{}
 
-	// resMu serializes the user's OnResult hook and the flush hook across
-	// worker goroutines.
+	// resMu serializes the hooks SetOnResult installs across worker
+	// goroutines.
 	resMu sync.Mutex
-	// flush is the hook installed by SetOnResult; see there.
+	// onRes and flush are the hooks installed by SetOnResult; see
+	// there. guarded by resMu.
+	onRes func(core.Result)
 	flush func()
 }
 
@@ -260,9 +258,9 @@ func New(cfg Config) (*Plane, error) {
 	return p, nil
 }
 
-// SetOnResult installs (or replaces) the decision observer after New —
-// for callers that need the plane pointer inside the hook — together with
-// an optional flush hook for observers that buffer what they are handed.
+// SetOnResult installs (or replaces) the decision observer fn, which
+// sees every decision from every shard, together with an optional flush
+// hook for observers that buffer what they are handed.
 // A worker calls flush once when it finishes a queue item that produced at
 // least one result (a batch, a tick that expired timers, a drain), on its
 // own goroutine, so buffered output leaves in the same worker iteration
@@ -271,7 +269,7 @@ func New(cfg Config) (*Plane, error) {
 // side; install them before the first Submit so no decision slips past.
 func (p *Plane) SetOnResult(fn func(core.Result), flush func()) {
 	p.resMu.Lock()
-	p.cfg.OnResult = fn
+	p.onRes = fn
 	p.flush = flush
 	p.resMu.Unlock()
 }
@@ -282,8 +280,8 @@ func (p *Plane) SetOnResult(fn func(core.Result), flush func()) {
 func (p *Plane) onResult(r core.Result) {
 	p.resMu.Lock()
 	defer p.resMu.Unlock()
-	if p.cfg.OnResult != nil {
-		p.cfg.OnResult(r)
+	if p.onRes != nil {
+		p.onRes(r)
 	}
 }
 

@@ -123,16 +123,16 @@ func runPlane(t *testing.T, shards int, load []core.Response) (map[trigger.ID]co
 		Validator:         core.ValidatorConfig{K: 2, Timeout: 50 * time.Millisecond},
 		Members:           members3(),
 		TimeFromResponses: true,
-		OnResult: func(r core.Result) {
-			if prev, dup := results[r.Trigger]; dup {
-				t.Errorf("trigger %s decided twice: %+v then %+v", r.Trigger, prev, r)
-			}
-			results[r.Trigger] = r
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetOnResult(func(r core.Result) {
+		if prev, dup := results[r.Trigger]; dup {
+			t.Errorf("trigger %s decided twice: %+v then %+v", r.Trigger, prev, r)
+		}
+		results[r.Trigger] = r
+	}, nil)
 	for _, r := range load {
 		p.Submit(r)
 	}
@@ -468,11 +468,11 @@ func TestPlaneBatchPartition(t *testing.T) {
 		Validator:         core.ValidatorConfig{K: 2, Timeout: 50 * time.Millisecond},
 		Members:           members3(),
 		TimeFromResponses: true,
-		OnResult:          func(r core.Result) { results[r.Trigger] = r },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetOnResult(func(r core.Result) { results[r.Trigger] = r }, nil)
 	items := func() (total int64) {
 		for _, w := range p.workers {
 			total += w.enqueued.Value()

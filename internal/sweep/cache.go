@@ -49,9 +49,6 @@ func NewCache(dir, salt string) (*Cache, error) {
 	return &Cache{dir: dir, salt: salt}, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // path maps a point key to its entry file.
 func (c *Cache) path(key string) string {
 	sum := sha256.Sum256([]byte(c.salt + "\x00" + key))
@@ -108,20 +105,4 @@ func (c *Cache) Put(key string, v any) error {
 		return err
 	}
 	return nil
-}
-
-// Len counts the entries currently on disk (for tests and -progress
-// reporting).
-func (c *Cache) Len() (int, error) {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
-			n++
-		}
-	}
-	return n, nil
 }

@@ -26,7 +26,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil || !hit || out != 99 {
 		t.Fatalf("round trip: hit=%v out=%d err=%v", hit, out, err)
 	}
-	if n, err := c.Len(); err != nil || n != 1 {
+	if n, err := cacheLen(c); err != nil || n != 1 {
 		t.Fatalf("Len = %d, %v", n, err)
 	}
 }
@@ -91,19 +91,19 @@ func TestSweepResumesFromWarmCache(t *testing.T) {
 	}
 	pts := grid(9)
 	var executions atomic.Int64
-	runner := func(_ context.Context, pt Point[params]) (int64, error) {
+	runner := func(_ params, seed int64) (int64, error) {
 		executions.Add(1)
-		return pt.Seed, nil
+		return seed, nil
 	}
 	cfg := Config{RootSeed: 5, Parallelism: 3, Cache: cache}
-	cold, err := Run[params, int64](context.Background(), cfg, pts, runner)
+	cold, err := Run(context.Background(), cfg, pts, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := executions.Load(); n != 9 {
 		t.Fatalf("cold run executed %d points", n)
 	}
-	warm, err := Run[params, int64](context.Background(), cfg, pts, runner)
+	warm, err := Run(context.Background(), cfg, pts, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,29 +131,29 @@ func TestSweepResumesAfterInterruption(t *testing.T) {
 	// fails, and the rest never start.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = Run[params, int64](ctx,
+	_, err = Run(ctx,
 		Config{RootSeed: 5, Parallelism: 1, Cache: cache}, pts,
-		func(ctx context.Context, pt Point[params]) (int64, error) {
-			if pt.Index == 6 {
+		func(p params, seed int64) (int64, error) {
+			if index(p) == 6 {
 				cancel()
 				return 0, ctx.Err()
 			}
-			return pt.Seed, nil
+			return seed, nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("first campaign: %v", err)
 	}
-	if n, err := cache.Len(); err != nil || n != 6 {
+	if n, err := cacheLen(cache); err != nil || n != 6 {
 		t.Fatalf("cache holds %d entries after interruption (err=%v), want 6", n, err)
 	}
 	// Resume: only the interrupted point and the never-started tail
 	// execute.
 	var executions atomic.Int64
-	res, err := Run[params, int64](context.Background(),
+	res, err := Run(context.Background(),
 		Config{RootSeed: 5, Parallelism: 1, Cache: cache}, pts,
-		func(_ context.Context, pt Point[params]) (int64, error) {
+		func(_ params, seed int64) (int64, error) {
 			executions.Add(1)
-			return pt.Seed, nil
+			return seed, nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -175,4 +175,19 @@ func TestNewCacheValidation(t *testing.T) {
 	if _, err := NewCache("", "v1"); err == nil {
 		t.Fatal("empty dir accepted")
 	}
+}
+
+// cacheLen counts the entries on disk.
+func cacheLen(c *Cache) (int, error) {
+	entries, err := os.ReadDir(c.dir)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
+			n++
+		}
+	}
+	return n, nil
 }

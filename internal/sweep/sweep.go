@@ -1,4 +1,4 @@
-// Package sweep is the experiment-orchestration subsystem: it fans
+// Package sweep is the experiment-orchestration subsystem: Run fans
 // independent simulation runs across a bounded worker pool while keeping
 // every result bit-identical to a sequential execution.
 //
@@ -17,9 +17,8 @@
 // The package is a concurrent bridge in the jurylint suite: it is exempt
 // from the eventloop rule (worker pools are its whole point) but held to
 // the wallclock rule (the ETA clock is injected, defaulting to time.Now
-// only at the annotated boundary) and errcrit on its Run/Results error
-// returns; TestLockDisciplineSweep holds its mutex discipline under
-// -race.
+// only at the annotated boundary) and errcrit on Run's error return;
+// TestLockDisciplineSweep holds its one mutex under -race.
 package sweep
 
 import (
@@ -37,7 +36,7 @@ import (
 // Point is one parameter point of a sweep with its stable identity.
 type Point[P any] struct {
 	// Index is the point's position in the input slice; results are
-	// aggregated in this order regardless of completion order.
+	// returned in this order regardless of completion order.
 	Index int `json:"index"`
 	// Params are the caller's parameters, exactly as passed in.
 	Params P `json:"params"`
@@ -53,20 +52,13 @@ type Point[P any] struct {
 type Result[P, R any] struct {
 	Point Point[P] `json:"point"`
 	Value R        `json:"value"`
-	// Err is the point's failure, nil on success. Not serialized: cache
-	// entries exist only for successful points.
+	// Err is the point's failure, nil on success; ErrNotRun for a point
+	// a cancellation skipped. Not serialized: cache entries exist only
+	// for successful points.
 	Err error `json:"-"`
-	// Elapsed is the wall-clock execution time of the point (zero for
-	// cache hits and skipped points).
-	Elapsed time.Duration `json:"-"`
 	// Cached reports that Value was loaded from the result cache.
 	Cached bool `json:"-"`
 }
-
-// Runner executes one point. It must derive all randomness from
-// pt.Seed; it runs concurrently with other points and must not share
-// mutable state with them.
-type Runner[P, R any] func(ctx context.Context, pt Point[P]) (R, error)
 
 // Config parameterizes a sweep.
 type Config struct {
@@ -77,46 +69,44 @@ type Config struct {
 	// Cache, when non-nil, skips points whose results are already on
 	// disk and persists fresh results, making campaigns resumable.
 	Cache *Cache
-	// Progress, when non-nil, receives serialized progress events.
-	// Callbacks run on worker goroutines under an internal lock: keep
-	// them fast and do not call Sweep methods from them.
-	Progress ProgressFunc
-	// Clock supplies wall time for Elapsed/ETA accounting. Nil defaults
-	// to time.Now at the real-time boundary; tests inject fakes.
+	// Progress, when non-nil, receives one event when a point starts
+	// running (cache hits never start) and one when it is done. Events
+	// are serialized, so the callback needs no locking of its own, but
+	// it runs on worker goroutines: keep it fast.
+	Progress func(Event)
+	// Clock supplies wall time for the ETA. Nil defaults to time.Now at
+	// the real-time boundary; tests inject fakes.
 	Clock func() time.Time
+}
+
+// Event is one progress notification.
+type Event struct {
+	// Started is set on the event that opens a point's run; every other
+	// event reports a point done (run, cache-served or failed).
+	Started bool
+	Key     string
+	// Err and Cached describe a done point.
+	Err    error
+	Cached bool
+	// Done and Total count finished and overall points.
+	Done, Total int
+	// ETA estimates the remaining wall time from the mean duration of
+	// the points run so far and the pool width; zero until one has run,
+	// and once every point is done.
+	ETA time.Duration
 }
 
 // ErrNotRun marks points never executed because the sweep was cancelled.
 var ErrNotRun = errors.New("sweep: point not executed")
 
-var errAlreadyRun = errors.New("sweep: Run called twice")
-var errNotStarted = errors.New("sweep: Results called before Run")
-
-// Sweep executes a set of parameter points through a runner. Build one
-// with New, execute with Run, collect with Results.
-type Sweep[P, R any] struct {
-	cfg    Config
-	points []Point[P]
-	run    Runner[P, R]
-
-	mu sync.Mutex
-	// results holds one slot per point, in input order. guarded by mu.
-	results []Result[P, R]
-	// state is idle → running → done. guarded by mu.
-	state int
-
-	prog *progress
-}
-
-const (
-	stateIdle = iota
-	stateRunning
-	stateDone
-)
-
-// New derives every point's key and seed and prepares a sweep. It fails
-// if any parameter point cannot be canonically encoded.
-func New[P, R any](cfg Config, params []P, run Runner[P, R]) (*Sweep[P, R], error) {
+// Run executes run once per parameter point on a pool of
+// cfg.Parallelism workers and returns one result per point, in input
+// order. run must derive all randomness from the seed it is handed and
+// share no mutable state with other points. A failed point does not stop
+// the sweep: its error is on its result and in the returned aggregate.
+// On cancellation Run stops handing out points, marks the rest
+// ErrNotRun and returns the results with the context's cause.
+func Run[P, R any](ctx context.Context, cfg Config, params []P, run func(P, int64) (R, error)) ([]Result[P, R], error) {
 	if run == nil {
 		return nil, errors.New("sweep: nil runner")
 	}
@@ -124,69 +114,87 @@ func New[P, R any](cfg Config, params []P, run Runner[P, R]) (*Sweep[P, R], erro
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now //jurylint:allow wallclock -- default clock at the real-time boundary (ETA/Elapsed accounting only)
+		cfg.Clock = time.Now //jurylint:allow wallclock -- default clock at the real-time boundary (ETA accounting only)
 	}
-	points := make([]Point[P], len(params))
+	results := make([]Result[P, R], len(params))
 	for i, p := range params {
 		key, err := PointKey(p)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: encode point %d: %w", i, err)
 		}
-		points[i] = Point[P]{
-			Index:  i,
-			Params: p,
-			Key:    key,
-			Seed:   DeriveSeed(cfg.RootSeed, key),
+		pt := Point[P]{Index: i, Params: p, Key: key, Seed: DeriveSeed(cfg.RootSeed, key)}
+		results[i] = Result[P, R]{Point: pt, Err: ErrNotRun}
+	}
+
+	// mu serializes progress events and guards the counts behind them.
+	var (
+		mu       sync.Mutex
+		finished int           // points done. guarded by mu.
+		ran      int           // points run to success. guarded by mu.
+		ranFor   time.Duration // their summed wall time. guarded by mu.
+	)
+	notify := func(ev Event) {
+		if cfg.Progress != nil {
+			ev.Done, ev.Total = finished, len(results)
+			cfg.Progress(ev)
 		}
 	}
-	return &Sweep[P, R]{
-		cfg:    cfg,
-		points: points,
-		run:    run,
-		prog:   newProgress(len(points), cfg.Parallelism, cfg.Progress),
-	}, nil
-}
-
-// Points returns the derived points (indices, keys, seeds) in input
-// order. The slice is shared; callers must not mutate it.
-func (s *Sweep[P, R]) Points() []Point[P] { return s.points }
-
-// Run executes the sweep. It returns the context error on cancellation;
-// point errors do not stop the sweep and are reported by Results. Run can
-// be called once.
-func (s *Sweep[P, R]) Run(ctx context.Context) error {
-	s.mu.Lock()
-	if s.state != stateIdle {
-		s.mu.Unlock()
-		return errAlreadyRun
+	// do runs one point: cache probe, runner, cache fill. Each worker
+	// writes only the slots of the indices it receives.
+	do := func(res *Result[P, R]) {
+		pt := res.Point
+		res.Err = nil
+		if cfg.Cache != nil {
+			hit, err := cfg.Cache.Get(pt.Key, &res.Value)
+			if err != nil {
+				res.Err = fmt.Errorf("sweep: cache read for point %d: %w", pt.Index, err)
+			}
+			res.Cached = hit
+		}
+		var elapsed time.Duration
+		executed := res.Err == nil && !res.Cached
+		if executed {
+			mu.Lock()
+			notify(Event{Started: true, Key: pt.Key})
+			mu.Unlock()
+			start := cfg.Clock()
+			res.Value, res.Err = run(pt.Params, pt.Seed)
+			elapsed = cfg.Clock().Sub(start)
+			if res.Err == nil && cfg.Cache != nil {
+				if err := cfg.Cache.Put(pt.Key, res.Value); err != nil {
+					res.Err = fmt.Errorf("sweep: cache write for point %d: %w", pt.Index, err)
+				}
+			}
+		}
+		mu.Lock()
+		finished++
+		if executed && res.Err == nil {
+			ran++
+			ranFor += elapsed
+		}
+		var eta time.Duration
+		if left := len(results) - finished; left > 0 && ran > 0 {
+			eta = ranFor / time.Duration(ran) * time.Duration(left) / time.Duration(cfg.Parallelism)
+		}
+		notify(Event{Key: pt.Key, Err: res.Err, Cached: res.Cached, ETA: eta})
+		mu.Unlock()
 	}
-	s.state = stateRunning
-	s.results = make([]Result[P, R], len(s.points))
-	for i := range s.results {
-		s.results[i] = Result[P, R]{Point: s.points[i], Err: ErrNotRun}
-	}
-	s.mu.Unlock()
 
 	indices := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.Parallelism; w++ {
+	for w := 0; w < cfg.Parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				if ctx.Err() != nil {
-					continue // drain without running
+				if ctx.Err() == nil {
+					do(&results[i])
 				}
-				res := s.runPoint(ctx, i)
-				s.mu.Lock()
-				s.results[i] = res
-				s.mu.Unlock()
-				s.prog.done(res.Point.Index, res.Point.Key, res.Err, res.Cached, res.Elapsed)
 			}
 		}()
 	}
 feed:
-	for i := range s.points {
+	for i := range results {
 		select {
 		case indices <- i:
 		case <-ctx.Done():
@@ -196,74 +204,16 @@ feed:
 	close(indices)
 	wg.Wait()
 
-	s.mu.Lock()
-	s.state = stateDone
-	s.mu.Unlock()
-	return context.Cause(ctx)
-}
-
-// runPoint executes one point: cache probe, runner, cache fill.
-func (s *Sweep[P, R]) runPoint(ctx context.Context, i int) Result[P, R] {
-	pt := s.points[i]
-	res := Result[P, R]{Point: pt}
-	if s.cfg.Cache != nil {
-		hit, err := s.cfg.Cache.Get(pt.Key, &res.Value)
-		if err != nil {
-			res.Err = fmt.Errorf("sweep: cache read for point %d: %w", i, err)
-			return res
-		}
-		if hit {
-			res.Cached = true
-			return res
-		}
+	if err := context.Cause(ctx); err != nil {
+		return results, err
 	}
-	s.prog.started(pt.Index, pt.Key)
-	start := s.cfg.Clock()
-	res.Value, res.Err = s.run(ctx, pt)
-	res.Elapsed = s.cfg.Clock().Sub(start)
-	if res.Err == nil && s.cfg.Cache != nil {
-		if err := s.cfg.Cache.Put(pt.Key, res.Value); err != nil {
-			res.Err = fmt.Errorf("sweep: cache write for point %d: %w", i, err)
-		}
-	}
-	return res
-}
-
-// Results returns the per-point outcomes in input order, plus the
-// aggregate of all point errors (nil when every point succeeded). It is
-// an error to collect results before Run has completed.
-func (s *Sweep[P, R]) Results() ([]Result[P, R], error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != stateDone {
-		return nil, errNotStarted
-	}
-	out := make([]Result[P, R], len(s.results))
-	copy(out, s.results)
 	var errs []error
-	for _, r := range out {
+	for _, r := range results {
 		if r.Err != nil {
 			errs = append(errs, fmt.Errorf("point %d (%s): %w", r.Point.Index, r.Point.Key, r.Err))
 		}
 	}
-	return out, errors.Join(errs...)
-}
-
-// Run is the convenience one-shot: New + (*Sweep).Run + Results. The
-// returned results are complete even when the returned error aggregates
-// point failures.
-func Run[P, R any](ctx context.Context, cfg Config, params []P, run Runner[P, R]) ([]Result[P, R], error) {
-	s, err := New(cfg, params, run)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Run(ctx); err != nil {
-		// Partial results still exist after cancellation; return what
-		// completed alongside the run error.
-		res, _ := s.Results() //jurylint:allow errcrit -- run error supersedes the aggregate; per-point errors stay readable on the results
-		return res, err
-	}
-	return s.Results()
+	return results, errors.Join(errs...)
 }
 
 // PointKey returns the canonical JSON encoding of params — the stable

@@ -25,10 +25,13 @@ func grid(n int) []params {
 	return out
 }
 
-// pureRunner derives its output from the point seed only, so any
+// index recovers a grid point's position from its Rate.
+func index(p params) int { return int(p.Rate)/100 - 1 }
+
+// pureRunner derives its output from the point and its seed only, so any
 // schedule must produce identical results.
-func pureRunner(_ context.Context, pt Point[params]) (int64, error) {
-	return pt.Seed*31 + int64(pt.Params.K), nil
+func pureRunner(p params, seed int64) (int64, error) {
+	return seed*31 + int64(p.K), nil
 }
 
 func TestDeriveSeedStable(t *testing.T) {
@@ -65,7 +68,7 @@ func TestPointKeyCanonical(t *testing.T) {
 
 func TestSeedsIndependentOfPosition(t *testing.T) {
 	pts := grid(8)
-	s1, err := New[params, int64](Config{RootSeed: 7}, pts, pureRunner)
+	fwd, err := Run(context.Background(), Config{RootSeed: 7}, pts, pureRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,24 +77,24 @@ func TestSeedsIndependentOfPosition(t *testing.T) {
 	for i, p := range pts {
 		rev[len(pts)-1-i] = p
 	}
-	s2, err := New[params, int64](Config{RootSeed: 7}, rev, pureRunner)
+	bwd, err := Run(context.Background(), Config{RootSeed: 7}, rev, pureRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byKey := make(map[string]int64)
-	for _, p := range s1.Points() {
-		byKey[p.Key] = p.Seed
+	for _, r := range fwd {
+		byKey[r.Point.Key] = r.Point.Seed
 	}
-	for _, p := range s2.Points() {
-		if byKey[p.Key] != p.Seed {
-			t.Fatalf("seed for %s changed with position: %d vs %d", p.Key, byKey[p.Key], p.Seed)
+	for _, r := range bwd {
+		if byKey[r.Point.Key] != r.Point.Seed {
+			t.Fatalf("seed for %s changed with position: %d vs %d", r.Point.Key, byKey[r.Point.Key], r.Point.Seed)
 		}
 	}
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
 	run := func(parallelism int) []byte {
-		res, err := Run[params, int64](context.Background(),
+		res, err := Run(context.Background(),
 			Config{RootSeed: 42, Parallelism: parallelism}, grid(23), pureRunner)
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +113,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestResultsOrderedByIndex(t *testing.T) {
-	res, err := Run[params, int64](context.Background(),
+	res, err := Run(context.Background(),
 		Config{RootSeed: 1, Parallelism: 4}, grid(17), pureRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -130,10 +133,10 @@ func TestResultsOrderedByIndex(t *testing.T) {
 
 func TestCollectAllCapturesErrors(t *testing.T) {
 	boom := errors.New("boom")
-	res, err := Run[params, int64](context.Background(),
+	res, err := Run(context.Background(),
 		Config{RootSeed: 1, Parallelism: 4}, grid(10),
-		func(_ context.Context, pt Point[params]) (int64, error) {
-			if pt.Index%3 == 0 {
+		func(p params, _ int64) (int64, error) {
+			if index(p)%3 == 0 {
 				return 0, boom
 			}
 			return 1, nil
@@ -163,8 +166,12 @@ func TestCollectAllCapturesErrors(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)
-	s, err := New[params, int64](Config{RootSeed: 1, Parallelism: 1}, grid(50),
-		func(ctx context.Context, pt Point[params]) (int64, error) {
+	go func() {
+		<-started
+		cancel()
+	}()
+	res, err := Run(ctx, Config{RootSeed: 1, Parallelism: 1}, grid(50),
+		func(params, int64) (int64, error) {
 			select {
 			case started <- struct{}{}:
 			default:
@@ -172,19 +179,11 @@ func TestContextCancellation(t *testing.T) {
 			<-ctx.Done()
 			return 0, ctx.Err()
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		<-started
-		cancel()
-	}()
-	if err := s.Run(ctx); !errors.Is(err, context.Canceled) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
-	res, resErr := s.Results()
-	if resErr == nil {
-		t.Fatal("cancelled sweep should report point errors")
+	if len(res) != 50 {
+		t.Fatalf("cancelled sweep returned %d of 50 results", len(res))
 	}
 	notRun := 0
 	for _, r := range res {
@@ -197,59 +196,31 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestRunAndResultsStateErrors(t *testing.T) {
-	s, err := New[params, int64](Config{}, grid(1), pureRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Results(); err == nil {
-		t.Fatal("Results before Run succeeded")
-	}
-	if err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(context.Background()); err == nil {
-		t.Fatal("second Run succeeded")
-	}
-}
-
 func TestProgressEventsAndETA(t *testing.T) {
 	var now time.Time
-	var clockMu sync.Mutex
 	clock := func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
 		now = now.Add(time.Second) // every clock read advances 1s
 		return now
 	}
-	var mu sync.Mutex
 	var events []Event
-	res, err := Run[params, int64](context.Background(),
+	_, err := Run(context.Background(),
 		Config{RootSeed: 3, Parallelism: 1, Clock: clock, Progress: func(ev Event) {
-			mu.Lock()
 			events = append(events, ev)
-			mu.Unlock()
 		}}, grid(4), pureRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res {
-		if r.Elapsed <= 0 {
-			t.Fatalf("point %d has no elapsed time", r.Point.Index)
-		}
-	}
 	var startedN, doneN int
 	var lastDone Event
 	for _, ev := range events {
-		switch ev.Type {
-		case PointStarted:
+		if ev.Started {
 			startedN++
-		case PointDone:
-			doneN++
-			lastDone = ev
-			if ev.Done < 1 || ev.Done > 4 {
-				t.Fatalf("done count %d out of range", ev.Done)
-			}
+			continue
+		}
+		doneN++
+		lastDone = ev
+		if ev.Done != doneN {
+			t.Fatalf("done event %d counts %d done", doneN, ev.Done)
 		}
 	}
 	if startedN != 4 || doneN != 4 {
@@ -261,15 +232,14 @@ func TestProgressEventsAndETA(t *testing.T) {
 	if lastDone.ETA != 0 {
 		t.Fatalf("final ETA = %v, want 0", lastDone.ETA)
 	}
-	// Mid-sweep events must estimate from completed durations.
-	sawETA := false
+	// One worker, and every run lasts one clock tick: after d of the 4
+	// points the estimate is the mean (1s) times the 4-d points left.
 	for _, ev := range events {
-		if ev.Type == PointDone && ev.Done < ev.Total && ev.ETA > 0 {
-			sawETA = true
+		if !ev.Started && ev.Done < ev.Total {
+			if want := time.Duration(ev.Total-ev.Done) * time.Second; ev.ETA != want {
+				t.Fatalf("ETA after %d/%d = %v, want %v", ev.Done, ev.Total, ev.ETA, want)
+			}
 		}
-	}
-	if !sawETA {
-		t.Fatal("no mid-sweep ETA estimate")
 	}
 }
 
@@ -278,9 +248,9 @@ func TestParallelismActuallyConcurrent(t *testing.T) {
 	var cur, peak atomic.Int64
 	gate := make(chan struct{})
 	var once sync.Once
-	res, err := Run[params, int64](context.Background(),
+	res, err := Run(context.Background(),
 		Config{RootSeed: 1, Parallelism: workers}, grid(workers),
-		func(_ context.Context, pt Point[params]) (int64, error) {
+		func(params, int64) (int64, error) {
 			n := cur.Add(1)
 			for {
 				p := peak.Load()
@@ -307,19 +277,19 @@ func TestParallelismActuallyConcurrent(t *testing.T) {
 }
 
 func TestRunRejectsNilRunner(t *testing.T) {
-	if _, err := New[params, int64](Config{}, grid(1), nil); err == nil {
+	if _, err := Run[params, int64](context.Background(), Config{}, grid(1), nil); err == nil {
 		t.Fatal("nil runner accepted")
 	}
 }
 
 func TestPointKeysDistinguishPoints(t *testing.T) {
-	pts := grid(30)
-	s, err := New[params, int64](Config{}, pts, pureRunner)
+	res, err := Run(context.Background(), Config{}, grid(30), pureRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[string]bool)
-	for _, p := range s.Points() {
+	for _, r := range res {
+		p := r.Point
 		if seen[p.Key] {
 			t.Fatalf("duplicate key %s", p.Key)
 		}
@@ -330,82 +300,59 @@ func TestPointKeysDistinguishPoints(t *testing.T) {
 	}
 }
 
-// witness stands in for a user that honours a lock discipline: until
-// stop is called it repeatedly takes mu and runs touch, which reads and
-// rewrites (with the same values) every field mu guards. Under -race, an
-// access to those fields made without mu then races with it, whether or
-// not the code under test has a natural concurrent partner for it.
-func witness(mu *sync.Mutex, touch func()) (stop func()) {
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-quit:
-				return
-			default:
-			}
-			mu.Lock()
-			touch()
-			mu.Unlock()
-		}
-	}()
-	return func() { close(quit); <-done }
-}
-
-// TestLockDisciplineSweep runs a sweep in which half the points fail
-// while a second Run, a Results poller and a witness for mu race it, with
-// a progress callback that relies on the sweep serializing its events.
-// Under -race, every dropped lock in sweep.go and progress.go shows up.
+// TestLockDisciplineSweep races the worker pool against the serialized
+// progress callback: eight workers get through 400 points, half of them
+// failing and a quarter served from a warm cache, while the callback
+// mutates unsynchronized state and checks that the done count rises by
+// one per done event. Under -race, a dropped or narrowed lock in Run
+// shows up as a data race on the callback's state or on the counts
+// behind the events.
 func TestLockDisciplineSweep(t *testing.T) {
-	events := 0 // unsynchronized: progress events must be serialized
-	s, err := New(Config{
-		Parallelism: 4,
-		Progress:    func(Event) { events++ },
-	}, grid(200), func(_ context.Context, pt Point[params]) (int64, error) {
-		if pt.Index%2 == 0 {
-			return 0, errors.New("boom")
-		}
-		return pt.Seed, nil
-	})
+	cache, err := NewCache(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopMu := witness(&s.mu, func() {
-		st := s.state
-		s.state = st
-		for i := range s.results {
-			r := s.results[i]
-			s.results[i] = r
+	pts := grid(400)
+	for _, p := range pts[:100] {
+		key, err := PointKey(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	var wg sync.WaitGroup
-	runErrs := make([]error, 2)
-	for i := range runErrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runErrs[i] = s.Run(context.Background())
-		}()
+		if err := cache.Put(key, int64(1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			if _, err := s.Results(); !errors.Is(err, errNotStarted) {
+	// Unsynchronized: progress events must be serialized.
+	var started, done, cached int
+	var keys []string
+	res, err := Run(context.Background(), Config{
+		Parallelism: 8,
+		Cache:       cache,
+		Progress: func(ev Event) {
+			keys = append(keys, ev.Key)
+			if ev.Started {
+				started++
 				return
 			}
+			done++
+			if ev.Cached {
+				cached++
+			}
+			if ev.Done != done {
+				t.Errorf("done event %d reports %d done", done, ev.Done)
+			}
+		},
+	}, pts, func(p params, seed int64) (int64, error) {
+		if index(p)%2 == 0 {
+			return 0, errors.New("boom")
 		}
-	}()
-	wg.Wait()
-	stopMu()
-	twice := 0
-	for _, err := range runErrs {
-		if errors.Is(err, errAlreadyRun) {
-			twice++
-		}
+		return seed, nil
+	})
+	if err == nil {
+		t.Fatal("aggregate error missing")
 	}
-	if twice != 1 || events == 0 {
-		t.Fatalf("runs %v, %d progress events; want exactly one errAlreadyRun and some events", runErrs, events)
+	if len(res) != 400 || done != 400 || started != 300 || cached != 100 || len(keys) != 700 {
+		t.Fatalf("%d results, %d done, %d started, %d cached, %d events; want 400, 400, 300, 100, 700",
+			len(res), done, started, cached, len(keys))
 	}
 }

@@ -46,10 +46,6 @@ type ClientConfig struct {
 	// Sleep waits between redial attempts; nil selects the real-time
 	// sleeper. Tests inject one to record and collapse the schedule.
 	Sleep func(d time.Duration, cancel <-chan struct{}) bool
-	// WriteTimeout bounds one send so a stalled server surfaces as a
-	// reconnect instead of a wedged writer (default DefaultWriteTimeout;
-	// negative disables).
-	WriteTimeout time.Duration
 	// Metrics optionally publishes the jury_wire_client_* families.
 	Metrics *obs.Registry
 	// Trace, when set, is the span-context template stamped onto every
@@ -93,9 +89,6 @@ func (cfg *ClientConfig) fillDefaults() {
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = defaultSleep
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
 	}
 }
 
@@ -302,7 +295,7 @@ func (c *Client) handshake(conn net.Conn) error {
 	if c.cfg.Codec != CodecBinary {
 		return nil
 	}
-	armWriteDeadline(conn, c.cfg.WriteTimeout)
+	armWriteDeadline(conn)
 	_, err := conn.Write(binHandshake)
 	return err
 }
@@ -444,7 +437,7 @@ func (c *Client) writeLoop() {
 				env := batch[i].envelope()
 				buf = c.cfg.Codec.appendEnv(buf, &env)
 			}
-			armWriteDeadline(conn, c.cfg.WriteTimeout)
+			armWriteDeadline(conn)
 			_, err := conn.Write(buf)
 			*bufp = buf[:0]
 			putFrameBuf(bufp)

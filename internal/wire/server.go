@@ -62,9 +62,6 @@ type ServerConfig struct {
 	// TCP peers that answer no pings (default DefaultIdleTimeout;
 	// negative disables reaping).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one push write so a stalled peer cannot wedge
-	// the event loop (default DefaultWriteTimeout; negative disables).
-	WriteTimeout time.Duration
 	// Tracing arms a per-trigger span tracer on every shard's virtual
 	// clock; WriteTrace reads the merged trace back.
 	Tracing bool
@@ -92,9 +89,6 @@ func (cfg *ServerConfig) fillDefaults() {
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = defaultSleep
@@ -481,7 +475,7 @@ func (s *Server) flushConnLocked(sc *srvConn) {
 		return
 	}
 	s.m.pushWrites.Inc() // before the write: a reader of the bytes sees them counted
-	armWriteDeadline(sc.conn, s.cfg.WriteTimeout)
+	armWriteDeadline(sc.conn)
 	_, err := sc.conn.Write(sc.out)
 	sc.out = sc.out[:0]
 	if err != nil {
@@ -696,13 +690,13 @@ func (s *Server) broadcast(r core.Result) {
 	s.connsMu.Unlock()
 }
 
-// armWriteDeadline bounds the next write on conn. Socket deadlines are
-// kernel-absolute, so this is a real-time boundary even when the service
-// clock is injected.
+// armWriteDeadline bounds the next write on conn by DefaultWriteTimeout,
+// so a stalled peer surfaces as a failed write (a dropped connection on
+// the server, a reconnect on the client) instead of a wedged writer.
+// Socket deadlines are kernel-absolute, so this is a real-time boundary
+// even when the service clock is injected.
 //
 //jurylint:allow wallclock -- socket deadlines are inherently wall-clock
-func armWriteDeadline(conn net.Conn, d time.Duration) {
-	if d > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(d))
-	}
+func armWriteDeadline(conn net.Conn) {
+	_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 }

@@ -110,8 +110,8 @@ const (
 	// DefaultIdleTimeout is how long a server connection may sit idle
 	// (no lines received, pings unanswered) before it is reaped.
 	DefaultIdleTimeout = 60 * time.Second
-	// DefaultWriteTimeout bounds one result/ping/stats write so a
-	// stalled peer cannot wedge the event loop.
+	// DefaultWriteTimeout bounds every socket write of the server and
+	// the client, so a stalled peer cannot wedge the writer.
 	DefaultWriteTimeout = 10 * time.Second
 	// DefaultQueueSize is the client's bounded outgoing queue length.
 	DefaultQueueSize = 1024

@@ -173,9 +173,8 @@ func (s *Simulation) wireJury() error {
 			Adaptive:     cfg.AdaptiveTimeout,
 			NoStateAware: cfg.NoStateAware,
 		},
-		RelayAll: cfg.RelayAll,
-		Metrics:  cfg.Metrics,
-		Tracer:   s.tracer,
+		Metrics: cfg.Metrics,
+		Tracer:  s.tracer,
 	}
 	s.System = core.NewSystem(s.Engine, s.Members, sysCfg)
 	for _, ctrl := range s.Controllers {

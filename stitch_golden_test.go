@@ -95,7 +95,7 @@ func TestGoldenStitchDeterministic(t *testing.T) {
 			results, err := sweep.Run(context.Background(),
 				sweep.Config{RootSeed: 1, Parallelism: parallelism},
 				params,
-				func(_ context.Context, pt sweep.Point[point]) (string, error) {
+				func(point, int64) (string, error) {
 					merged, chrome := stitchScenario(t, seed)
 					return merged + "\x00" + chrome, nil
 				})

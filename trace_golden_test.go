@@ -77,7 +77,7 @@ func TestGoldenTraceDeterministic(t *testing.T) {
 			results, err := sweep.Run(context.Background(),
 				sweep.Config{RootSeed: 1, Parallelism: parallelism},
 				params,
-				func(_ context.Context, pt sweep.Point[point]) (string, error) {
+				func(point, int64) (string, error) {
 					// Every point runs the same scenario with the same
 					// fixed seed: identical inputs must yield identical
 					// bytes no matter which worker runs them or when.
