@@ -68,7 +68,7 @@ func runFig(ctx context.Context, args []string, stdout io.Writer) error {
 
 	o := figOpts{out: stdout, dur: *dur, sweep: sweep.Config{RootSeed: *seed, Parallelism: *parallel}}
 	if *progress {
-		o.sweep.Progress = printProgress
+		o.sweep.Progress = func(ev sweep.Event) { fmt.Fprintln(os.Stderr, progressLine(ev)) }
 	}
 	if *cacheDir != "" {
 		cache, err := sweep.NewCache(*cacheDir, experiment.SchemaVersion)
@@ -96,11 +96,11 @@ func runFig(ctx context.Context, args []string, stdout io.Writer) error {
 	return usagef("unknown figure %q (choose from %s)", *fig, strings.Join(names, " "))
 }
 
-// printProgress renders sweep events on stderr so stdout stays clean TSV.
-func printProgress(ev sweep.Event) {
+// progressLine formats a sweep event for -progress (on stderr, so stdout
+// stays clean TSV); a done line ends with the ETA if it rounds to >= 1s.
+func progressLine(ev sweep.Event) string {
 	if ev.Started {
-		fmt.Fprintf(os.Stderr, "juryfig: run %s\n", ev.Key)
-		return
+		return "juryfig: run " + ev.Key
 	}
 	status := "done"
 	switch {
@@ -110,10 +110,10 @@ func printProgress(ev sweep.Event) {
 		status = "cached"
 	}
 	line := fmt.Sprintf("juryfig: [%d/%d] %s %s", ev.Done, ev.Total, status, ev.Key)
-	if ev.ETA > 0 {
-		line += fmt.Sprintf(" (eta %s)", ev.ETA.Round(time.Second))
+	if eta := ev.ETA.Round(time.Second); eta > 0 {
+		line += fmt.Sprintf(" (eta %s)", eta)
 	}
-	fmt.Fprintln(os.Stderr, line)
+	return line
 }
 
 // kmPairs are the (k, m) series of the ONOS and ODL detection CDFs.

@@ -40,6 +40,7 @@ type CacheWrite struct {
 }
 
 // CacheHook observes/mutates cache writes before they reach the store.
+// w is valid only during the call: the controller reuses it.
 type CacheHook func(c *Controller, w *CacheWrite) HookAction
 
 // EgressWrite is a pending southbound network write presented to hooks.
@@ -50,6 +51,7 @@ type EgressWrite struct {
 }
 
 // EgressHook observes/mutates network writes before they leave the node.
+// Like a CacheHook's argument, w is valid only during the call.
 type EgressHook func(c *Controller, w *EgressWrite) HookAction
 
 // Controller is one node of the controller cluster.
@@ -68,6 +70,11 @@ type Controller struct {
 
 	cacheHooks  []CacheHook
 	egressHooks []EgressHook
+	// cacheArg and egressArg are runHooks' reused hook arguments.
+	cacheArg  *CacheWrite
+	egressArg *EgressWrite
+	// idle lists the ingress jobs done or refused, for reuse.
+	idle *ingress
 
 	// OnEgress observes every message actually sent southbound.
 	OnEgress func(dpid topo.DPID, msg openflow.Message, ctx *trigger.Context)
@@ -245,7 +252,12 @@ func (c *Controller) HandleSouthbound(dpid topo.DPID, msg openflow.Message, ctx 
 	if c.crashed {
 		return
 	}
-	j := &ingress{c, dpid, msg, ctx}
+	j := c.idle
+	if j == nil {
+		j = new(ingress)
+	}
+	c.idle = j.next
+	*j = ingress{c: c, dpid: dpid, msg: msg, ctx: ctx}
 	// An injected timing fault delays the trigger on ingress (a slow
 	// replica still responds, just late) without consuming pipeline
 	// capacity, matching the "slow replicas" model of §IV-C C.
@@ -263,20 +275,27 @@ func (c *Controller) HandleSouthbound(dpid topo.DPID, msg openflow.Message, ctx 
 func (c *Controller) submit(j *ingress) {
 	if !c.server.Submit(j) {
 		c.ingressDrops++
+		*j, c.idle = ingress{next: c.idle}, j
 	}
 }
 
-// ingress is one southbound message's job on the pipeline server.
+// ingress is one southbound message's job on the pipeline server; next
+// links it on the controller's idle list.
 type ingress struct {
 	c    *Controller
 	dpid topo.DPID
 	msg  openflow.Message
 	ctx  *trigger.Context
+	next *ingress
 }
 
 func (j *ingress) Service() time.Duration { return j.c.serviceTime(j.msg, j.ctx) }
 
-func (j *ingress) Done() { j.c.process(j.dpid, j.msg, j.ctx) }
+func (j *ingress) Done() {
+	c, dpid, msg, ctx := j.c, j.dpid, j.msg, j.ctx
+	*j, c.idle = ingress{next: c.idle}, j
+	c.process(dpid, msg, ctx)
+}
 
 // serviceTime draws the pipeline service time for a message under the
 // profile's class means, GC-pause schedule and clustering overheads.
@@ -416,11 +435,9 @@ func (c *Controller) handlePacketIn(dpid topo.DPID, pin *openflow.PacketIn, ctx 
 // chain and, if allowed, into the distributed store. done (optional) fires
 // when the write is durable.
 func (c *Controller) WriteCache(cache store.CacheName, op store.Op, key, value string, ctx *trigger.Context, done func()) {
-	w := &CacheWrite{Cache: cache, Op: op, Key: key, Value: value, Ctx: ctx}
-	for _, h := range c.cacheHooks {
-		if h(c, w) == Suppress {
-			return
-		}
+	w, ok := runHooks(c, &c.cacheArg, CacheWrite{Cache: cache, Op: op, Key: key, Value: value, Ctx: ctx}, c.cacheHooks)
+	if !ok {
+		return
 	}
 	var tag string
 	if w.Ctx != nil {
@@ -429,14 +446,31 @@ func (c *Controller) WriteCache(cache store.CacheName, op store.Op, key, value s
 	c.node.WriteTagged(w.Cache, w.Op, w.Key, w.Value, tag, done)
 }
 
+// runHooks presents w to hooks on the reused argument *arg and returns
+// what the chain made of it, and false if a hook suppressed it. *arg is
+// nil while taken, so a hook that writes again gets a fresh argument.
+func runHooks[W any, H ~func(*Controller, *W) HookAction](c *Controller, arg **W, w W, hooks []H) (W, bool) {
+	p := *arg
+	if p == nil {
+		p = new(W)
+	}
+	*arg, *p = nil, w
+	action := Proceed
+	for _, h := range hooks {
+		if action = h(c, p); action == Suppress {
+			break
+		}
+	}
+	w, *arg = *p, p
+	return w, action != Suppress
+}
+
 // sendSouthbound routes a network write through the hook chain and, if
 // allowed, down the wire to the switch after the egress I/O delay.
 func (c *Controller) sendSouthbound(dpid topo.DPID, msg openflow.Message, ctx *trigger.Context) {
-	w := &EgressWrite{DPID: dpid, Msg: msg, Ctx: ctx}
-	for _, h := range c.egressHooks {
-		if h(c, w) == Suppress {
-			return
-		}
+	w, ok := runHooks(c, &c.egressArg, EgressWrite{DPID: dpid, Msg: msg, Ctx: ctx}, c.egressHooks)
+	if !ok {
+		return
 	}
 	downlink, ok := c.downlinks[w.DPID]
 	if !ok {

@@ -420,6 +420,71 @@ func TestPrependHookRunsFirst(t *testing.T) {
 	}
 }
 
+// TestReentrantHooksLeaveOuterWriteIntact: the controller reuses its hook
+// arguments, so a hook that writes again from inside the chain must not
+// change what the rest of the chain, the store or the switch sees of the
+// write it was called for.
+func TestReentrantHooksLeaveOuterWriteIntact(t *testing.T) {
+	r := newRig(t, 1, 2, quietProfile())
+	c := r.ctrl(1)
+	// One write of each kind first, so the outer writes below run on the
+	// reused arguments.
+	c.WriteCache(store.HostDB, store.OpCreate, "warm", "v", nil, nil)
+	c.sendSouthbound(2, &openflow.Hello{}, nil)
+	r.sent[1] = nil
+	c.PrependCacheHook(func(c *Controller, w *CacheWrite) HookAction {
+		if w.Key == "outer" {
+			w.Value = "mutated"
+			c.WriteCache(store.HostDB, store.OpCreate, "inner", "v", nil, nil)
+		}
+		return Proceed
+	})
+	var seen []CacheWrite
+	c.AddCacheHook(func(_ *Controller, w *CacheWrite) HookAction {
+		seen = append(seen, *w)
+		return Proceed
+	})
+	outerCtx := extCtx("t1", 1)
+	c.WriteCache(store.LinksDB, store.OpCreate, "outer", "up", outerCtx, nil)
+	want := []CacheWrite{
+		{Cache: store.HostDB, Op: store.OpCreate, Key: "inner", Value: "v"},
+		{Cache: store.LinksDB, Op: store.OpCreate, Key: "outer", Value: "mutated", Ctx: outerCtx},
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("cache hooks saw %+v, want %+v", seen, want)
+	}
+
+	c.PrependEgressHook(func(c *Controller, w *EgressWrite) HookAction {
+		if w.DPID == 1 {
+			c.sendSouthbound(2, &openflow.BarrierRequest{XID: 2}, nil)
+		}
+		return Proceed
+	})
+	var sent []EgressWrite
+	c.OnEgress = func(dpid topo.DPID, msg openflow.Message, ctx *trigger.Context) {
+		sent = append(sent, EgressWrite{DPID: dpid, Msg: msg, Ctx: ctx})
+	}
+	c.sendSouthbound(1, &openflow.BarrierRequest{XID: 1}, outerCtx)
+	wantSent := []EgressWrite{
+		{DPID: 2, Msg: &openflow.BarrierRequest{XID: 2}},
+		{DPID: 1, Msg: &openflow.BarrierRequest{XID: 1}, Ctx: outerCtx},
+	}
+	if !reflect.DeepEqual(r.sent[1], wantSent) {
+		t.Errorf("egress hooks saw %+v, want %+v", r.sent[1], wantSent)
+	}
+	if !reflect.DeepEqual(sent, wantSent) {
+		t.Errorf("OnEgress saw %+v, want %+v", sent, wantSent)
+	}
+
+	r.run(t)
+	if v, _ := c.Node().Get(store.LinksDB, "outer"); v != "mutated" {
+		t.Errorf("outer write stored %q, want the hook's mutation", v)
+	}
+	if v, _ := c.Node().Get(store.HostDB, "inner"); v != "v" {
+		t.Errorf("inner write stored %q, want v", v)
+	}
+}
+
 // TestCrashStopsProcessing pins the crash model: the controller stops
 // processing at once, but the cluster marks it dead, and fails its
 // switches over, only after FailureDetectionDelay.

@@ -146,7 +146,7 @@ func (m *Module) onEgress(c *controller.Controller, w *controller.EgressWrite) c
 			DPID:       w.DPID,
 			MsgType:    w.Msg.Type(),
 			MsgBody:    CanonicalMessage(w.Msg),
-			WireLen:    openflow.WireLen(w.Msg),
+			WireLen:    w.Msg.Len(),
 		})
 		return controller.Suppress
 	}
@@ -158,7 +158,7 @@ func (m *Module) onEgress(c *controller.Controller, w *controller.EgressWrite) c
 		DPID:       w.DPID,
 		MsgType:    w.Msg.Type(),
 		MsgBody:    CanonicalMessage(w.Msg),
-		WireLen:    openflow.WireLen(w.Msg),
+		WireLen:    w.Msg.Len(),
 	})
 	return controller.Proceed
 }

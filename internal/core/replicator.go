@@ -73,6 +73,8 @@ type Replicator struct {
 	alloc  *trigger.IDAllocator
 	mac    openflow.MAC
 	tracer *obs.Tracer
+	// candidates is pickSecondaries' scratch, reused on every call.
+	candidates []store.NodeID
 
 	// Counters live in the obs registry (labeled by dpid); the accessor
 	// methods below are thin reads over the same instances.
@@ -161,12 +163,14 @@ func (r *Replicator) HandleFromSwitch(msg openflow.Message) {
 		r.tracer.StartTrigger(string(ctx.ID), msg.Type().String())
 	}
 	r.sends.Send(relay{msg: msg, ctx: ctx})
-	for _, id := range r.pickSecondaries(primary) {
+	secondaries := r.pickSecondaries(primary)
+	replicas := make([]trigger.Context, len(secondaries))
+	for i, id := range secondaries {
 		mod, ok := r.modules[id]
 		if !ok {
 			continue
 		}
-		replicaCtx := ctx.ReplicaOf()
+		replicas[i] = *ctx.ReplicaOf()
 		var (
 			copyMsg openflow.Message
 			frame   []byte
@@ -177,11 +181,11 @@ func (r *Replicator) HandleFromSwitch(msg openflow.Message) {
 			size = len(frame) + openflow.HeaderLen + 10 // carried in a fresh PACKET_IN
 		} else {
 			copyMsg = msg
-			size = openflow.WireLen(msg)
+			size = msg.Len()
 		}
 		r.replicatedBytes.Add(int64(size))
 		r.replicatedMsgs.Inc()
-		r.sends.Send(relay{mod: mod, msg: copyMsg, ctx: replicaCtx, frame: frame})
+		r.sends.Send(relay{mod: mod, msg: copyMsg, ctx: &replicas[i], frame: frame})
 	}
 }
 
@@ -195,7 +199,7 @@ func (r *Replicator) ReplicateREST(target store.NodeID, rule controller.FlowRule
 		r.tracer.StartTrigger(string(ctx.ID), "rest-install")
 	}
 	r.eng.Schedule(replicatorLatency, func() { install(target, rule, ctx) })
-	size := int64(len(rule.Encode()) + 64)
+	size := int64(len(rule.AppendEncode(make([]byte, 0, 256))) + 64)
 	for _, id := range r.pickSecondaries(target) {
 		replicaCtx := ctx.ReplicaOf()
 		sid := id
@@ -207,13 +211,14 @@ func (r *Replicator) ReplicateREST(target store.NodeID, rule controller.FlowRule
 
 // pickSecondaries chooses k random live controllers other than primary.
 func (r *Replicator) pickSecondaries(primary store.NodeID) []store.NodeID {
-	alive := r.members.Alive()
-	var candidates []store.NodeID
+	alive := r.members.AppendAlive(r.candidates[:0])
+	candidates := alive[:0]
 	for _, id := range alive {
 		if id != primary {
 			candidates = append(candidates, id)
 		}
 	}
+	r.candidates = alive
 	if len(candidates) <= r.cfg.K {
 		return candidates
 	}

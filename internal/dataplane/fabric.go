@@ -17,6 +17,8 @@ type Fabric struct {
 	topo     *topo.Topology
 	switches map[topo.DPID]*Switch
 	hosts    map[topo.HostID]*Host
+	// hostAt maps a switch port to the lowest-ID host attached to it.
+	hostAt map[topo.Port]*Host
 
 	// HopLatency is the per-link propagation delay (default 50µs).
 	HopLatency time.Duration
@@ -45,6 +47,7 @@ func NewFabric(eng *simnet.Engine, t *topo.Topology) *Fabric {
 		topo:         t,
 		switches:     make(map[topo.DPID]*Switch),
 		hosts:        make(map[topo.HostID]*Host),
+		hostAt:       make(map[topo.Port]*Host),
 		HopLatency:   50 * time.Microsecond,
 		MaxFloodHops: 16,
 		downPorts:    make(map[topo.Port]bool),
@@ -62,6 +65,9 @@ func NewFabric(eng *simnet.Engine, t *topo.Topology) *Fabric {
 	}
 	for _, h := range t.Hosts() {
 		f.hosts[h.ID] = NewHost(f, *h)
+		if _, taken := f.hostAt[h.Attach]; !taken {
+			f.hostAt[h.Attach] = f.hosts[h.ID]
+		}
 	}
 	return f
 }
@@ -159,17 +165,12 @@ func (f *Fabric) carry(from topo.DPID, frame []byte, outPort, inPort uint16, hop
 
 func (f *Fabric) carryOne(from topo.DPID, frame []byte, outPort uint16, hops int) {
 	src := topo.Port{DPID: from, Port: outPort}
-	// Host attachment?
-	for _, h := range f.topo.Hosts() {
-		if h.Attach == src {
-			if hh, ok := f.hosts[h.ID]; ok {
-				f.eng.Schedule(f.HopLatency, func() {
-					f.delivered++
-					hh.Receive(frame)
-				})
-			}
-			return
-		}
+	if hh, ok := f.hostAt[src]; ok {
+		f.eng.Schedule(f.HopLatency, func() {
+			f.delivered++
+			hh.Receive(frame)
+		})
+		return
 	}
 	if f.downPorts[src] {
 		return // link failed: frame lost on the wire

@@ -9,8 +9,9 @@ import (
 // FuzzOpenFlowParse feeds arbitrary bytes to the two parsers that read
 // input from the wire, Parse (controller channel) and ParsePacket (frames
 // in PACKET_IN / PACKET_OUT data), which must never panic. Every message
-// Parse accepts must survive Marshal: parsing the re-encoding gives the
-// same message, and re-encoding that gives the same bytes.
+// Parse accepts must survive Marshal: its Len is the re-encoding's size,
+// parsing the re-encoding gives the same message, and re-encoding that
+// gives the same bytes.
 func FuzzOpenFlowParse(f *testing.F) {
 	for _, msg := range wireSamples() {
 		wire := msg.Marshal()
@@ -33,6 +34,9 @@ func FuzzOpenFlowParse(f *testing.F) {
 			return
 		}
 		wire := msg.Marshal()
+		if msg.Len() != len(wire) {
+			t.Fatalf("%v parsed from %x: Len %d, Marshal %d bytes", msg.Type(), b, msg.Len(), len(wire))
+		}
 		back, err := Parse(wire)
 		if err != nil {
 			t.Fatalf("%v parsed from %x does not reparse from its Marshal %x: %v", msg.Type(), b, wire, err)

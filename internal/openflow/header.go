@@ -119,12 +119,11 @@ type Message interface {
 	Type() MsgType
 	// XID returns the transaction identifier.
 	TransactionID() uint32
+	// Len returns the size of Marshal's encoding without building it.
+	Len() int
 	// Marshal returns the full wire encoding including the header.
 	Marshal() []byte
 }
-
-// WireLen returns the encoded size of msg in bytes.
-func WireLen(msg Message) int { return len(msg.Marshal()) }
 
 // Parse decodes one complete message from b. The slice must contain exactly
 // one message (as produced by Marshal or extracted by a framer).
@@ -206,9 +205,11 @@ func cloneBytes(b []byte) []byte {
 	return out
 }
 
-func marshalWithBody(t MsgType, xid uint32, body []byte) []byte {
-	buf := make([]byte, HeaderLen+len(body))
-	Header{Ver: Version, Type: t, Len: uint16(len(buf)), XID: xid}.put(buf)
-	copy(buf[HeaderLen:], body)
+// newWire allocates an n-byte message, the only allocation of a Marshal,
+// writes its header and ends it with tail; the caller fills the rest.
+func newWire(t MsgType, xid uint32, n int, tail []byte) []byte {
+	buf := make([]byte, n)
+	Header{Ver: Version, Type: t, Len: uint16(n), XID: xid}.put(buf)
+	copy(buf[n-len(tail):], tail)
 	return buf
 }

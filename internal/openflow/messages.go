@@ -78,8 +78,8 @@ func Output(port uint16) Action { return Action{Port: port, MaxLen: 0xFFFF} }
 
 const actionLen = 8
 
-func marshalActions(actions []Action) []byte {
-	buf := make([]byte, len(actions)*actionLen)
+// putActions writes actions into buf, len(actions)*actionLen bytes.
+func putActions(buf []byte, actions []Action) {
 	for i, a := range actions {
 		off := i * actionLen
 		binary.BigEndian.PutUint16(buf[off:off+2], 0) // OFPAT_OUTPUT
@@ -87,7 +87,6 @@ func marshalActions(actions []Action) []byte {
 		binary.BigEndian.PutUint16(buf[off+4:off+6], a.Port)
 		binary.BigEndian.PutUint16(buf[off+6:off+8], a.MaxLen)
 	}
-	return buf
 }
 
 func parseActions(b []byte) ([]Action, error) {
@@ -124,8 +123,11 @@ func (m *Hello) Type() MsgType { return TypeHello }
 // TransactionID implements Message.
 func (m *Hello) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *Hello) Len() int { return HeaderLen }
+
 // Marshal implements Message.
-func (m *Hello) Marshal() []byte { return marshalWithBody(TypeHello, m.XID, nil) }
+func (m *Hello) Marshal() []byte { return newWire(TypeHello, m.XID, m.Len(), nil) }
 
 // EchoRequest is OFPT_ECHO_REQUEST.
 type EchoRequest struct {
@@ -139,8 +141,11 @@ func (m *EchoRequest) Type() MsgType { return TypeEchoRequest }
 // TransactionID implements Message.
 func (m *EchoRequest) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *EchoRequest) Len() int { return HeaderLen + len(m.Data) }
+
 // Marshal implements Message.
-func (m *EchoRequest) Marshal() []byte { return marshalWithBody(TypeEchoRequest, m.XID, m.Data) }
+func (m *EchoRequest) Marshal() []byte { return newWire(TypeEchoRequest, m.XID, m.Len(), m.Data) }
 
 // EchoReply is OFPT_ECHO_REPLY.
 type EchoReply struct {
@@ -154,8 +159,11 @@ func (m *EchoReply) Type() MsgType { return TypeEchoReply }
 // TransactionID implements Message.
 func (m *EchoReply) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *EchoReply) Len() int { return HeaderLen + len(m.Data) }
+
 // Marshal implements Message.
-func (m *EchoReply) Marshal() []byte { return marshalWithBody(TypeEchoReply, m.XID, m.Data) }
+func (m *EchoReply) Marshal() []byte { return newWire(TypeEchoReply, m.XID, m.Len(), m.Data) }
 
 // FeaturesRequest is OFPT_FEATURES_REQUEST.
 type FeaturesRequest struct{ XID uint32 }
@@ -166,8 +174,11 @@ func (m *FeaturesRequest) Type() MsgType { return TypeFeaturesRequest }
 // TransactionID implements Message.
 func (m *FeaturesRequest) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *FeaturesRequest) Len() int { return HeaderLen }
+
 // Marshal implements Message.
-func (m *FeaturesRequest) Marshal() []byte { return marshalWithBody(TypeFeaturesRequest, m.XID, nil) }
+func (m *FeaturesRequest) Marshal() []byte { return newWire(TypeFeaturesRequest, m.XID, m.Len(), nil) }
 
 // FeaturesReply is OFPT_FEATURES_REPLY (ports omitted beyond the count).
 type FeaturesReply struct {
@@ -186,11 +197,17 @@ func (m *FeaturesReply) Type() MsgType { return TypeFeaturesReply }
 // TransactionID implements Message.
 func (m *FeaturesReply) TransactionID() uint32 { return m.XID }
 
+// physPortLen is the size of an ofp_phy_port.
+const physPortLen = 48
+
+// Len implements Message.
+func (m *FeaturesReply) Len() int { return HeaderLen + 24 + len(m.Ports)*physPortLen }
+
 // Marshal implements Message. Each port is encoded as a minimal 48-byte
 // ofp_phy_port carrying only the port number.
 func (m *FeaturesReply) Marshal() []byte {
-	const physPortLen = 48
-	body := make([]byte, 24+len(m.Ports)*physPortLen)
+	buf := newWire(TypeFeaturesReply, m.XID, m.Len(), nil)
+	body := buf[HeaderLen:]
 	binary.BigEndian.PutUint64(body[0:8], m.DatapathID)
 	binary.BigEndian.PutUint32(body[8:12], m.NumBuffers)
 	body[12] = m.NumTables
@@ -200,11 +217,10 @@ func (m *FeaturesReply) Marshal() []byte {
 		off := 24 + i*physPortLen
 		binary.BigEndian.PutUint16(body[off:off+2], p)
 	}
-	return marshalWithBody(TypeFeaturesReply, m.XID, body)
+	return buf
 }
 
 func parseFeaturesReply(h Header, body []byte) (*FeaturesReply, error) {
-	const physPortLen = 48
 	if len(body) < 24 {
 		return nil, ErrTruncated
 	}
@@ -240,15 +256,18 @@ func (m *PacketIn) Type() MsgType { return TypePacketIn }
 // TransactionID implements Message.
 func (m *PacketIn) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *PacketIn) Len() int { return HeaderLen + 10 + len(m.Data) }
+
 // Marshal implements Message.
 func (m *PacketIn) Marshal() []byte {
-	body := make([]byte, 10+len(m.Data))
+	buf := newWire(TypePacketIn, m.XID, m.Len(), m.Data)
+	body := buf[HeaderLen:]
 	binary.BigEndian.PutUint32(body[0:4], m.BufferID)
 	binary.BigEndian.PutUint16(body[4:6], m.TotalLen)
 	binary.BigEndian.PutUint16(body[6:8], m.InPort)
 	body[8] = uint8(m.Reason)
-	copy(body[10:], m.Data)
-	return marshalWithBody(TypePacketIn, m.XID, body)
+	return buf
 }
 
 func parsePacketIn(h Header, body []byte) (*PacketIn, error) {
@@ -280,16 +299,19 @@ func (m *PacketOut) Type() MsgType { return TypePacketOut }
 // TransactionID implements Message.
 func (m *PacketOut) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *PacketOut) Len() int { return HeaderLen + 8 + len(m.Actions)*actionLen + len(m.Data) }
+
 // Marshal implements Message.
 func (m *PacketOut) Marshal() []byte {
-	acts := marshalActions(m.Actions)
-	body := make([]byte, 8+len(acts)+len(m.Data))
+	buf := newWire(TypePacketOut, m.XID, m.Len(), m.Data)
+	body := buf[HeaderLen:]
+	acts := len(m.Actions) * actionLen
 	binary.BigEndian.PutUint32(body[0:4], m.BufferID)
 	binary.BigEndian.PutUint16(body[4:6], m.InPort)
-	binary.BigEndian.PutUint16(body[6:8], uint16(len(acts)))
-	copy(body[8:], acts)
-	copy(body[8+len(acts):], m.Data)
-	return marshalWithBody(TypePacketOut, m.XID, body)
+	binary.BigEndian.PutUint16(body[6:8], uint16(acts))
+	putActions(body[8:8+acts], m.Actions)
+	return buf
 }
 
 func parsePacketOut(h Header, body []byte) (*PacketOut, error) {
@@ -340,10 +362,13 @@ func (m *FlowMod) Type() MsgType { return TypeFlowMod }
 // TransactionID implements Message.
 func (m *FlowMod) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *FlowMod) Len() int { return HeaderLen + MatchLen + 24 + len(m.Actions)*actionLen }
+
 // Marshal implements Message.
 func (m *FlowMod) Marshal() []byte {
-	acts := marshalActions(m.Actions)
-	body := make([]byte, MatchLen+24+len(acts))
+	buf := newWire(TypeFlowMod, m.XID, m.Len(), nil)
+	body := buf[HeaderLen:]
 	m.Match.put(body[0:MatchLen])
 	off := MatchLen
 	binary.BigEndian.PutUint64(body[off:off+8], m.Cookie)
@@ -354,8 +379,8 @@ func (m *FlowMod) Marshal() []byte {
 	binary.BigEndian.PutUint32(body[off+16:off+20], m.BufferID)
 	binary.BigEndian.PutUint16(body[off+20:off+22], m.OutPort)
 	binary.BigEndian.PutUint16(body[off+22:off+24], m.Flags)
-	copy(body[off+24:], acts)
-	return marshalWithBody(TypeFlowMod, m.XID, body)
+	putActions(body[off+24:], m.Actions)
+	return buf
 }
 
 func parseFlowMod(h Header, body []byte) (*FlowMod, error) {
@@ -404,9 +429,13 @@ func (m *FlowRemoved) Type() MsgType { return TypeFlowRemoved }
 // TransactionID implements Message.
 func (m *FlowRemoved) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *FlowRemoved) Len() int { return HeaderLen + MatchLen + 40 }
+
 // Marshal implements Message.
 func (m *FlowRemoved) Marshal() []byte {
-	body := make([]byte, MatchLen+40)
+	buf := newWire(TypeFlowRemoved, m.XID, m.Len(), nil)
+	body := buf[HeaderLen:]
 	m.Match.put(body[0:MatchLen])
 	off := MatchLen
 	binary.BigEndian.PutUint64(body[off:off+8], m.Cookie)
@@ -415,7 +444,7 @@ func (m *FlowRemoved) Marshal() []byte {
 	binary.BigEndian.PutUint32(body[off+12:off+16], m.DurationSec)
 	binary.BigEndian.PutUint64(body[off+24:off+32], m.PacketCount)
 	binary.BigEndian.PutUint64(body[off+32:off+40], m.ByteCount)
-	return marshalWithBody(TypeFlowRemoved, m.XID, body)
+	return buf
 }
 
 func parseFlowRemoved(h Header, body []byte) (*FlowRemoved, error) {
@@ -448,8 +477,11 @@ func (m *BarrierRequest) Type() MsgType { return TypeBarrierRequest }
 // TransactionID implements Message.
 func (m *BarrierRequest) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *BarrierRequest) Len() int { return HeaderLen }
+
 // Marshal implements Message.
-func (m *BarrierRequest) Marshal() []byte { return marshalWithBody(TypeBarrierRequest, m.XID, nil) }
+func (m *BarrierRequest) Marshal() []byte { return newWire(TypeBarrierRequest, m.XID, m.Len(), nil) }
 
 // BarrierReply is OFPT_BARRIER_REPLY.
 type BarrierReply struct{ XID uint32 }
@@ -460,8 +492,11 @@ func (m *BarrierReply) Type() MsgType { return TypeBarrierReply }
 // TransactionID implements Message.
 func (m *BarrierReply) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *BarrierReply) Len() int { return HeaderLen }
+
 // Marshal implements Message.
-func (m *BarrierReply) Marshal() []byte { return marshalWithBody(TypeBarrierReply, m.XID, nil) }
+func (m *BarrierReply) Marshal() []byte { return newWire(TypeBarrierReply, m.XID, m.Len(), nil) }
 
 // ErrorMsg is OFPT_ERROR.
 type ErrorMsg struct {
@@ -477,13 +512,16 @@ func (m *ErrorMsg) Type() MsgType { return TypeError }
 // TransactionID implements Message.
 func (m *ErrorMsg) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *ErrorMsg) Len() int { return HeaderLen + 4 + len(m.Data) }
+
 // Marshal implements Message.
 func (m *ErrorMsg) Marshal() []byte {
-	body := make([]byte, 4+len(m.Data))
+	buf := newWire(TypeError, m.XID, m.Len(), m.Data)
+	body := buf[HeaderLen:]
 	binary.BigEndian.PutUint16(body[0:2], m.ErrType)
 	binary.BigEndian.PutUint16(body[2:4], m.Code)
-	copy(body[4:], m.Data)
-	return marshalWithBody(TypeError, m.XID, body)
+	return buf
 }
 
 func parseErrorMsg(h Header, body []byte) (*ErrorMsg, error) {

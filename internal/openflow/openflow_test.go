@@ -51,6 +51,50 @@ func wireSamples() []Message {
 	}
 }
 
+// lenSamples is wireSamples plus, for every message with a variable part,
+// one with that part empty and one with it as large as the 16-bit header
+// length allows.
+func lenSamples() []Message {
+	const maxLen = 0xFFFF
+	data := func(fixed int) []byte { return make([]byte, maxLen-fixed) }
+	acts := func(fixed int) []Action { return make([]Action, (maxLen-fixed)/actionLen) }
+	return append(wireSamples(),
+		&EchoRequest{}, &EchoRequest{Data: data(HeaderLen)},
+		&EchoReply{}, &EchoReply{Data: data(HeaderLen)},
+		&FeaturesReply{}, &FeaturesReply{Ports: make([]uint16, (maxLen-HeaderLen-24)/physPortLen)},
+		&PacketIn{}, &PacketIn{Data: data(HeaderLen + 10)},
+		&PacketOut{}, &PacketOut{Data: data(HeaderLen + 8)}, &PacketOut{Actions: acts(HeaderLen + 8)},
+		&PacketOut{Actions: []Action{Output(1)}, Data: data(HeaderLen + 8 + actionLen)},
+		&FlowMod{}, &FlowMod{Actions: acts(HeaderLen + MatchLen + 24)},
+		&ErrorMsg{}, &ErrorMsg{Data: data(HeaderLen + 4)},
+		&FlowStatsReply{}, &FlowStatsReply{Flows: make([]FlowStat, (maxLen-HeaderLen-4)/flowStatLen)},
+	)
+}
+
+// TestLenMatchesMarshal pins Len, which the overhead accounting reads,
+// to the size of the encoding Marshal builds and to its header's length.
+func TestLenMatchesMarshal(t *testing.T) {
+	for _, m := range lenSamples() {
+		wire := m.Marshal()
+		if m.Len() != len(wire) {
+			t.Errorf("%v: Len %d, Marshal %d bytes", m.Type(), m.Len(), len(wire))
+		}
+		if h, err := parseHeader(wire); err != nil || int(h.Len) != len(wire) {
+			t.Errorf("%v: header length %d (err %v), Marshal %d bytes", m.Type(), h.Len, err, len(wire))
+		}
+	}
+}
+
+// TestMarshalAllocatesOnce holds every Marshal to the one buffer it
+// returns.
+func TestMarshalAllocatesOnce(t *testing.T) {
+	for _, m := range lenSamples() {
+		if n := testing.AllocsPerRun(20, func() { m.Marshal() }); n != 1 {
+			t.Errorf("%v.Marshal with Len %d allocated %.0f times, want 1", m.Type(), m.Len(), n)
+		}
+	}
+}
+
 func TestHelloRoundTrip(t *testing.T) {
 	got := roundTrip(t, &Hello{XID: 7})
 	if got.(*Hello).XID != 7 {

@@ -31,14 +31,18 @@ func (m *FlowStatsRequest) Type() MsgType { return TypeStatsRequest }
 // TransactionID implements Message.
 func (m *FlowStatsRequest) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *FlowStatsRequest) Len() int { return HeaderLen + 4 + MatchLen + 4 }
+
 // Marshal implements Message.
 func (m *FlowStatsRequest) Marshal() []byte {
-	body := make([]byte, 4+MatchLen+4)
+	buf := newWire(TypeStatsRequest, m.XID, m.Len(), nil)
+	body := buf[HeaderLen:]
 	binary.BigEndian.PutUint16(body[0:2], StatsFlow)
 	m.Match.put(body[4 : 4+MatchLen])
 	body[4+MatchLen] = m.TableID
 	binary.BigEndian.PutUint16(body[4+MatchLen+2:4+MatchLen+4], m.OutPort)
-	return marshalWithBody(TypeStatsRequest, m.XID, body)
+	return buf
 }
 
 func parseStatsRequest(h Header, body []byte) (Message, error) {
@@ -83,9 +87,13 @@ func (m *FlowStatsReply) Type() MsgType { return TypeStatsReply }
 // TransactionID implements Message.
 func (m *FlowStatsReply) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *FlowStatsReply) Len() int { return HeaderLen + 4 + len(m.Flows)*flowStatLen }
+
 // Marshal implements Message.
 func (m *FlowStatsReply) Marshal() []byte {
-	body := make([]byte, 4+len(m.Flows)*flowStatLen)
+	buf := newWire(TypeStatsReply, m.XID, m.Len(), nil)
+	body := buf[HeaderLen:]
 	binary.BigEndian.PutUint16(body[0:2], StatsFlow)
 	off := 4
 	for _, f := range m.Flows {
@@ -101,7 +109,7 @@ func (m *FlowStatsReply) Marshal() []byte {
 		binary.BigEndian.PutUint64(body[o+36:o+44], f.ByteCount)
 		off += flowStatLen
 	}
-	return marshalWithBody(TypeStatsReply, m.XID, body)
+	return buf
 }
 
 func parseStatsReply(h Header, body []byte) (Message, error) {
@@ -158,21 +166,24 @@ func (m *PortStatus) Type() MsgType { return TypePortStatus }
 // TransactionID implements Message.
 func (m *PortStatus) TransactionID() uint32 { return m.XID }
 
+// Len implements Message.
+func (m *PortStatus) Len() int { return HeaderLen + 8 + physPortLen }
+
 // Marshal implements Message. A minimal ofp_phy_port carries the port
 // number and the OFPPS_LINK_DOWN state bit.
 func (m *PortStatus) Marshal() []byte {
-	const physPortLen = 48
-	body := make([]byte, 8+physPortLen)
+	buf := newWire(TypePortStatus, m.XID, m.Len(), nil)
+	body := buf[HeaderLen:]
 	body[0] = uint8(m.Reason)
 	binary.BigEndian.PutUint16(body[8:10], m.Port)
 	if m.Down {
 		binary.BigEndian.PutUint32(body[8+28:8+32], 1) // OFPPS_LINK_DOWN
 	}
-	return marshalWithBody(TypePortStatus, m.XID, body)
+	return buf
 }
 
 func parsePortStatus(h Header, body []byte) (Message, error) {
-	if len(body) < 8+48 {
+	if len(body) < 8+physPortLen {
 		return nil, ErrTruncated
 	}
 	return &PortStatus{

@@ -99,11 +99,15 @@ type Event struct {
 // ErrNotRun marks points never executed because the sweep was cancelled.
 var ErrNotRun = errors.New("sweep: point not executed")
 
+// errExited fails a point whose runner called runtime.Goexit (t.Fatal).
+var errExited = errors.New("sweep: runner exited without returning")
+
 // Run executes run once per parameter point on a pool of
 // cfg.Parallelism workers and returns one result per point, in input
 // order. run must derive all randomness from the seed it is handed and
 // share no mutable state with other points. A failed point does not stop
-// the sweep: its error is on its result and in the returned aggregate.
+// the sweep: its error is on its result and in the returned aggregate; a
+// runner that calls runtime.Goexit fails only its point.
 // On cancellation Run stops handing out points, marks the rest
 // ErrNotRun and returns the results with the context's cause.
 func Run[P, R any](ctx context.Context, cfg Config, params []P, run func(P, int64) (R, error)) ([]Result[P, R], error) {
@@ -158,7 +162,13 @@ func Run[P, R any](ctx context.Context, cfg Config, params []P, run func(P, int6
 			notify(Event{Started: true, Key: pt.Key})
 			mu.Unlock()
 			start := cfg.Clock()
-			res.Value, res.Err = run(pt.Params, pt.Seed)
+			res.Err = errExited
+			ran := make(chan struct{})
+			go func() {
+				defer close(ran)
+				res.Value, res.Err = run(pt.Params, pt.Seed)
+			}()
+			<-ran
 			elapsed = cfg.Clock().Sub(start)
 			if res.Err == nil && cfg.Cache != nil {
 				if err := cfg.Cache.Put(pt.Key, res.Value); err != nil {

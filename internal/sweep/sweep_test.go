@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,6 +161,40 @@ func TestCollectAllCapturesErrors(t *testing.T) {
 	}
 	if failed != 4 {
 		t.Fatalf("expected 4 failures, saw %d", failed)
+	}
+}
+
+// TestRunnerGoexitFailsItsPoint: a runner that ends its goroutine with
+// runtime.Goexit (t.Fatal on a worker) fails its point, and the one
+// worker goes on to the points after it.
+func TestRunnerGoexitFailsItsPoint(t *testing.T) {
+	type out struct {
+		res []Result[params, int64]
+		err error
+	}
+	ch := make(chan out, 1)
+	go func() {
+		res, err := Run(context.Background(), Config{RootSeed: 1, Parallelism: 1}, grid(4),
+			func(p params, _ int64) (int64, error) {
+				if index(p) == 1 {
+					runtime.Goexit()
+				}
+				return 1, nil
+			})
+		ch <- out{res, err}
+	}()
+	select {
+	case o := <-ch:
+		if !errors.Is(o.err, errExited) {
+			t.Fatalf("Run returned %v, want errExited", o.err)
+		}
+		for i, r := range o.res {
+			if want := i != 1; (r.Err == nil) != want || (r.Value == 1) != want {
+				t.Errorf("point %d: value %d, err %v", i, r.Value, r.Err)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after a runner called runtime.Goexit")
 	}
 }
 

@@ -149,11 +149,13 @@ func TestSimFingerprintMultiHop(t *testing.T) {
 // TestSimAllocBudget is the simulator's allocation gate: heap
 // allocations per injected flow over a steady-state window of the
 // sim-onos7 set-up (ONOS n=7, seed 1, LocalPairs, 3000 flows/s, after a
-// one-second warm-up) stay within 145. They were 312 with a heap event
+// one-second warm-up) stay within 71.5. They were 312 with a heap event
 // per schedule and a closure per message at the hot sites, 147.3 on the
-// engine's slab with typed, pre-bound deliveries, and measure 140.4 over
-// 3 073 flows since the LinksDB view memoizes paths; 145 is about 3 %
-// above that, so a regression of five allocations per flow fails here
+// engine's slab with typed, pre-bound deliveries, 140.4 once the LinksDB
+// view memoized paths, and measure 69.5 over 3 073 flows since messages
+// are sized by Len instead of Marshal and the replica path recycles its
+// jobs, hook arguments, contexts and scratch slices; 71.5 is about 3 %
+// above that, so a regression of two allocations per flow fails here
 // before the benchmark's 5 % allocs_per_trigger bound would.
 func TestSimAllocBudget(t *testing.T) {
 	sim, err := jury.New(jury.Config{Seed: 1, Kind: jury.ONOS, ClusterSize: 7, EnableJury: true})
@@ -175,8 +177,8 @@ func TestSimAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	flows = sim.Driver.Flows() - flows
 	perFlow := float64(after.Mallocs-before.Mallocs) / float64(flows)
-	if flows < 2000 || perFlow > 145 {
-		t.Fatalf("%.1f allocations per flow over %d flows; budget 145 over at least 2000, set about 3 %% above the 140.4 per flow this window measured over 3073 flows", perFlow, flows)
+	if flows < 2000 || perFlow > 71.5 {
+		t.Fatalf("%.1f allocations per flow over %d flows; budget 71.5 over at least 2000, set about 3 %% above the 69.5 per flow this window measured over 3073 flows", perFlow, flows)
 	}
 	t.Logf("%.1f allocations per flow over %d flows", perFlow, flows)
 }
