@@ -4,12 +4,13 @@ package analysis
 // as event handlers on the single simnet engine goroutine, so the full
 // contract applies — no wall clock, no global RNG, no goroutines,
 // channels or locks. openflow is pure computation consumed by event
-// handlers and is held to the same contract; so is loadgen, a
+// handlers and is held to the same contract; so is slab, the single-writer
+// string carver the validator and the wire reader share, and loadgen, a
 // single-goroutine event source on the virtual clock.
 var SimPackages = []string{
 	"simnet", "core", "controller", "dataplane", "store", "cluster",
 	"faults", "workload", "trigger", "topo", "policy", "experiment",
-	"openflow", "loadgen",
+	"openflow", "loadgen", "slab",
 }
 
 // BridgePackages carry event-driven components across real TCP and

@@ -8,6 +8,7 @@ import (
 
 	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/openflow"
+	"github.com/jurysdn/jury/internal/slab"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
@@ -108,10 +109,11 @@ func randomResponse(rng *rand.Rand) Response {
 // recount over the stored responses.
 func TestStoredFormsMatchDefinitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
+	var forms slab.Strings // shared by every round, so rounds cross slabs
 	for round := 0; round < 400; round++ {
 		var p pendingTrigger
 		for n := 1 + rng.Intn(14); n > 0; n-- {
-			p.store(randomResponse(rng))
+			p.store(randomResponse(rng), &forms)
 		}
 		tainted, effects := map[store.NodeID]bool{}, map[store.NodeID]bool{}
 		primaries := 0
@@ -187,9 +189,10 @@ func FuzzCanonicalValue(f *testing.F) {
 			}
 		}
 		var p pendingTrigger
+		var forms slab.Strings
 		for _, kind := range []ResponseKind{CacheUpdate, SecondaryExec, CacheUpdate} {
 			p.store(Response{Controller: 1, Primary: 1, Trigger: "τ", Kind: kind,
-				Cache: store.FlowsDB, Op: store.OpCreate, Key: "k", Value: value})
+				Cache: store.FlowsDB, Op: store.OpCreate, Key: "k", Value: value}, &forms)
 		}
 		for i, e := range p.entries {
 			if e.slot != e.r.Slot() || e.body != e.r.Body() {

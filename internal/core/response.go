@@ -15,6 +15,7 @@ import (
 
 	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/openflow"
+	"github.com/jurysdn/jury/internal/slab"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
@@ -192,6 +193,52 @@ func sameBodyFields(a, b *Response) bool {
 		return a.Op == b.Op && a.Value == b.Value
 	}
 	return a.MsgBody == b.MsgBody
+}
+
+// CarveStrings re-points r's string fields at strings carved from s, so r
+// outlives whatever its strings aliased. last holds the strings earlier
+// calls carved, one per field: a field equal to its last value reuses that
+// string — the k secondaries of a trigger sent back to back repeat the
+// primary's Trigger, Cache, Key and Value — and the other non-empty fields
+// are carved and become the new last values.
+func (r *Response) CarveStrings(last *[6]string, s *slab.Strings) {
+	for i, f := range r.stringFields() {
+		switch {
+		case *f == last[i]:
+			*f = last[i]
+		case *f != "":
+			*f = s.String(*f)
+			last[i] = *f
+		}
+	}
+}
+
+// OwnStrings re-points the string fields of rs at one fresh allocation
+// holding exactly their bytes, for responses someone keeps: they pin no
+// slab and nothing else. Repeats share one copy as CarveStrings shares
+// them, so a trigger's responses store its Trigger, Cache, Key and Value
+// once.
+func OwnStrings(rs []Response) {
+	n := 0
+	var last [6]string
+	for i := range rs {
+		for j, f := range rs[i].stringFields() {
+			if *f != "" && *f != last[j] {
+				n += len(*f)
+				last[j] = *f
+			}
+		}
+	}
+	owned := slab.Exact(n)
+	last = [6]string{}
+	for i := range rs {
+		rs[i].CarveStrings(&last, &owned)
+	}
+}
+
+// stringFields points at r's string fields.
+func (r *Response) stringFields() [6]*string {
+	return [6]*string{(*string)(&r.Trigger), (*string)(&r.Cache), &r.Key, &r.Value, &r.MsgBody, &r.Prev}
 }
 
 // Size estimates the validator-bound wire size in bytes. Replicated

@@ -5,6 +5,7 @@ import (
 
 	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/simnet"
+	"github.com/jurysdn/jury/internal/slab"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
@@ -20,8 +21,9 @@ type psiState struct {
 
 // entry is one stored response beside its comparison forms. The forms are
 // computed once, when Submit stores the response, by the definitions in
-// response.go (Slot, Body, appendExpectedFlowMod); consensus and the sanity
-// check only compare these strings.
+// response.go (Slot, Body, appendExpectedFlowMod), and carved from the
+// validator's forms slab; consensus and the sanity check only compare
+// these strings, and none of them outlives the trigger.
 type entry struct {
 	r    Response
 	slot string // r.Slot()
@@ -92,8 +94,8 @@ func (p *pendingTrigger) isPrimaryEntry(r *Response) bool {
 // per-controller counters. An earlier entry of the trigger whose raw
 // fields are byte-equal lends its forms — the k+1 replicas of a benign
 // trigger canonicalize (and JSON-decode) once, not k+1 times — and render
-// makes the rest.
-func (p *pendingTrigger) store(r Response) {
+// makes the rest from forms.
+func (p *pendingTrigger) store(r Response, forms *slab.Strings) {
 	e := entry{r: r}
 	needNet := r.Kind == CacheUpdate && r.Cache == store.FlowsDB && r.Op != store.OpDelete
 	for i := range p.entries {
@@ -114,7 +116,7 @@ func (p *pendingTrigger) store(r Response) {
 		e.slot, e.body = r.Slot(), r.Body() // constant forms
 	}
 	if e.body == "" || needNet {
-		e.render(needNet)
+		e.render(needNet, forms)
 	}
 
 	e.ctrl = -1
@@ -155,9 +157,10 @@ func (p *pendingTrigger) store(r Response) {
 
 // render makes the forms e did not borrow — its slot and body when they
 // are "", its expected FLOW_MOD when needNet — from one decode of a
-// FlowsDB value, back to back in one buffer, and cuts them from one
-// string: one allocation per entry, none for the forms it borrows.
-func (e *entry) render(needNet bool) {
+// FlowsDB value, back to back in a stack buffer, and carves them from
+// forms as one string: no allocation of its own, only forms' share of a
+// slab, and none for the forms it borrows.
+func (e *entry) render(needNet bool, forms *slab.Strings) {
 	r := &e.r
 	var rule *controller.FlowRule
 	if r.IsCache() && r.Cache == store.FlowsDB && (e.body == "" || needNet) {
@@ -183,19 +186,21 @@ func (e *entry) render(needNet bool) {
 	if len(b) == 0 {
 		return
 	}
-	forms := string(b)
+	text := forms.Bytes(b)
 	if e.slot == "" {
-		e.slot = forms[:slotEnd]
+		e.slot = text[:slotEnd]
 	}
 	if e.body == "" {
-		e.body = forms[slotEnd:bodyEnd]
+		e.body = text[slotEnd:bodyEnd]
 	}
 	if needNet {
-		e.netBody = forms[bodyEnd:]
+		e.netBody = text[bodyEnd:]
 	}
 }
 
-// responses copies the first max stored responses out of the pooled state.
+// responses copies the first max stored responses out of the pooled state,
+// their strings into one exact allocation (OwnStrings): a kept alarm's
+// evidence must not pin the slabs a wire reader carved them from.
 func (p *pendingTrigger) responses(max int) []Response {
 	n := len(p.entries)
 	if n > max {
@@ -205,6 +210,7 @@ func (p *pendingTrigger) responses(max int) []Response {
 	for i := range out {
 		out[i] = p.entries[i].r
 	}
+	OwnStrings(out)
 	return out
 }
 
@@ -276,7 +282,7 @@ func (v *Validator) Submit(r Response) {
 		v.lateResponses.Inc()
 		return
 	}
-	p.store(r)
+	p.store(r, &v.forms)
 	if r.Primary != 0 && !p.primaryPsiSet {
 		p.primaryPsi = v.psi[r.Primary]
 		p.primaryPsiSet = true
@@ -345,6 +351,9 @@ func (v *Validator) finish(p *pendingTrigger, res Result, timedOut bool) {
 	case VerdictFault:
 		v.totalFaults.Inc()
 		res.Evidence = p.responses(32)
+		// Every entry carries the trigger's ID: name the alarm with the
+		// evidence's own copy, so a kept alarm pins no wire reader's slab.
+		res.Trigger = res.Evidence[0].Trigger
 		if v.alarms.Len() < maxAlarms {
 			v.alarms.Append(res)
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/simnet"
+	"github.com/jurysdn/jury/internal/slab"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/trigger"
 )
@@ -191,6 +192,9 @@ type Validator struct {
 	slots   []*entry
 	group   []*entry
 	rules   []*entry
+	// forms is the slab the stored responses' comparison forms are carved
+	// from (entry.render); the forms die with their trigger.
+	forms slab.Strings
 
 	// Adaptive timeout state (EWMA of consensus time and deviation).
 	ewmaMean float64

@@ -47,5 +47,14 @@ func FuzzOpenFlowParse(f *testing.F) {
 		if again := back.Marshal(); !bytes.Equal(again, wire) {
 			t.Fatalf("%v re-marshals to %x, first Marshal gave %x", msg.Type(), again, wire)
 		}
+		if pin, ok := msg.(*PacketIn); ok {
+			frame := EncapsulatePacketIn(pin, MAC{0xEE})
+			if !bytes.Equal(frame[len(frame)-len(wire):], wire) {
+				t.Fatalf("PACKET_IN %x encapsulates as %x, not behind its Marshal", wire, frame)
+			}
+			if inner, err := DecapsulatePacketIn(frame); err != nil || !reflect.DeepEqual(inner, msg) {
+				t.Fatalf("PACKET_IN %x decapsulates to %#v (%v), want %#v", wire, inner, err, msg)
+			}
+		}
 	})
 }

@@ -209,7 +209,13 @@ func cloneBytes(b []byte) []byte {
 // writes its header and ends it with tail; the caller fills the rest.
 func newWire(t MsgType, xid uint32, n int, tail []byte) []byte {
 	buf := make([]byte, n)
-	Header{Ver: Version, Type: t, Len: uint16(n), XID: xid}.put(buf)
-	copy(buf[n-len(tail):], tail)
+	putWire(buf, t, xid, tail)
 	return buf
+}
+
+// putWire writes the header of a message that fills buf and ends buf with
+// tail.
+func putWire(buf []byte, t MsgType, xid uint32, tail []byte) {
+	Header{Ver: Version, Type: t, Len: uint16(len(buf)), XID: xid}.put(buf)
+	copy(buf[len(buf)-len(tail):], tail)
 }

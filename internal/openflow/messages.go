@@ -261,13 +261,20 @@ func (m *PacketIn) Len() int { return HeaderLen + 10 + len(m.Data) }
 
 // Marshal implements Message.
 func (m *PacketIn) Marshal() []byte {
-	buf := newWire(TypePacketIn, m.XID, m.Len(), m.Data)
+	buf := make([]byte, m.Len())
+	m.put(buf)
+	return buf
+}
+
+// put writes m into buf, which is m.Len() bytes long; EncapsulatePacketIn
+// writes it behind an Ethernet header in the frame's one buffer.
+func (m *PacketIn) put(buf []byte) {
+	putWire(buf, TypePacketIn, m.XID, m.Data)
 	body := buf[HeaderLen:]
 	binary.BigEndian.PutUint32(body[0:4], m.BufferID)
 	binary.BigEndian.PutUint16(body[4:6], m.TotalLen)
 	binary.BigEndian.PutUint16(body[6:8], m.InPort)
 	body[8] = uint8(m.Reason)
-	return buf
 }
 
 func parsePacketIn(h Header, body []byte) (*PacketIn, error) {

@@ -438,6 +438,24 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 	}
 }
 
+// TestEncapsulateAllocatesOnce holds EncapsulatePacketIn to the one frame
+// it returns, byte-identical to wrapping the PACKET_IN's Marshal in an
+// Ethernet frame, for PACKET_INs with and without data.
+func TestEncapsulateAllocatesOnce(t *testing.T) {
+	for _, inner := range []*PacketIn{
+		{XID: 5, InPort: 2, Data: TCPPacket(MAC{1}, MAC{2}, IPv4{}, IPv4{}, 1, 2, 0, 0)},
+		{XID: 6, BufferID: 9, TotalLen: 60, Reason: 1},
+	} {
+		frame := EncapsulatePacketIn(inner, MAC{0xEE})
+		if want := EthernetFrame(MAC{0xEE}, BroadcastMAC, EthTypeJuryEncap, inner.Marshal()); !bytes.Equal(frame, want) {
+			t.Errorf("encapsulated %+v:\n got %x\nwant %x", inner, frame, want)
+		}
+		if n := testing.AllocsPerRun(20, func() { EncapsulatePacketIn(inner, MAC{0xEE}) }); n != 1 {
+			t.Errorf("EncapsulatePacketIn of a %d-byte PACKET_IN allocated %.0f times, want 1", inner.Len(), n)
+		}
+	}
+}
+
 func TestDecapsulateRejectsPlainFrames(t *testing.T) {
 	frame := TCPPacket(MAC{1}, MAC{2}, IPv4{}, IPv4{}, 1, 2, 0, 0)
 	if _, err := DecapsulatePacketIn(frame); !errors.Is(err, ErrNotEncapsulated) {

@@ -61,11 +61,16 @@ type PacketFields struct {
 // EthernetFrame builds a frame with the given payload.
 func EthernetFrame(src, dst MAC, ethType uint16, payload []byte) []byte {
 	frame := make([]byte, ethHeaderLen+len(payload))
+	putEthernetHeader(frame, src, dst, ethType)
+	copy(frame[ethHeaderLen:], payload)
+	return frame
+}
+
+// putEthernetHeader writes an Ethernet header into frame[:ethHeaderLen].
+func putEthernetHeader(frame []byte, src, dst MAC, ethType uint16) {
 	copy(frame[0:6], dst[:])
 	copy(frame[6:12], src[:])
 	binary.BigEndian.PutUint16(frame[12:14], ethType)
-	copy(frame[14:], payload)
-	return frame
 }
 
 // ARPPacket builds an Ethernet ARP request or reply.
@@ -216,8 +221,12 @@ func ParsePacket(frame []byte, inPort uint16) (PacketFields, error) {
 // with the experimenter ethertype. This is what the OVS replication rules do
 // on the ODL path (§VI-A): the secondary controller receives the original
 // PACKET_IN as the payload of a fresh PACKET_IN and must strip one layer.
+// The header and the PACKET_IN are written into the frame's one buffer.
 func EncapsulatePacketIn(pin *PacketIn, replicatorMAC MAC) []byte {
-	return EthernetFrame(replicatorMAC, BroadcastMAC, EthTypeJuryEncap, pin.Marshal())
+	frame := make([]byte, ethHeaderLen+pin.Len())
+	putEthernetHeader(frame, replicatorMAC, BroadcastMAC, EthTypeJuryEncap)
+	pin.put(frame[ethHeaderLen:])
+	return frame
 }
 
 // DecapsulatePacketIn recovers the inner PACKET_IN from a frame produced by

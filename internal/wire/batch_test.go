@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 
 	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/openflow"
+	"github.com/jurysdn/jury/internal/slab"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
@@ -308,13 +310,18 @@ func light3Response(ctrl store.NodeID, id string, kind core.ResponseKind, tainte
 
 // TestServerIngestAllocBudget is the pin CI can fail on: decoding a
 // light3-shaped response off the stream, batching it and dispatching it to
-// the plane costs at most ONE allocation (the response's string backing),
-// and pushing a result to a binary client costs none once the buffers are
-// warm. Tracer and recorder are off. The measured responses are late
-// responses of a decided trigger, so the worker consuming them allocates
-// nothing either and the process-wide count is the ingest path's alone.
+// the plane costs at most 0.03 allocations per response — its fresh Key
+// and Value, 87 bytes, carved from the reader's 4 KB slab, so one slab per
+// 47 responses (0.021) and nothing else — and pushing a result to a binary
+// client costs none once the buffers are warm. Tracer and recorder are
+// off. The measured responses are late responses of a decided trigger,
+// alternating between two hosts so every one carries strings to copy, and
+// the worker consuming them allocates nothing either: the process-wide
+// count is the ingest path's alone. Each measured run ingests perRun
+// responses, so a slab started in the run counts as its share instead of
+// vanishing in AllocsPerRun's whole-number rounding.
 func TestServerIngestAllocBudget(t *testing.T) {
-	const runs = 500
+	const runs, perRun = 500, 50
 	s := frozenSvc(t, ServerConfig{})
 	conn, br := rawBinary(t, s)
 	stream := frames([]byte{BinMagic},
@@ -334,9 +341,15 @@ func TestServerIngestAllocBudget(t *testing.T) {
 	go func() { _, _ = io.Copy(io.Discard, conn) }()
 
 	late := light3Response(3, "τa", core.SecondaryExec, true)
+	other := late
+	other.Key, other.Value = "0a:00:00:00:56:78", `{"mac":"0a:00:00:00:56:78","ip":"10.0.86.120","dpid":7,"port":4,"vlan":0}`
 	var lates []byte
-	for i := 0; i < 2*runs; i++ {
-		lates = frames(lates, late)
+	for i := 0; i < runs/2+perRun*(runs/perRun+1); i++ {
+		if i%2 == 0 {
+			lates = frames(lates, late)
+		} else {
+			lates = frames(lates, other)
+		}
 	}
 	in := ingest{s: s, sc: &srvConn{}, borrowed: true}
 	fr := NewBinReader(bytes.NewReader(lates), 0)
@@ -357,9 +370,23 @@ func TestServerIngestAllocBudget(t *testing.T) {
 	for i := 0; i < runs/2; i++ {
 		ingestOne() // warm the batch slice, the entry pool and the queue
 	}
-	if got := testing.AllocsPerRun(runs, ingestOne); got > 1 {
-		t.Errorf("decode → batch → dispatch costs %v allocations per response, want at most 1", got)
+	// Under the race detector the plane's batch-slice pool drops a quarter
+	// of what it is handed back, about 0.5 allocations per dispatch that
+	// are the detector's, not the ingest path's: there the gate stays at
+	// one allocation per response.
+	budget := 0.03
+	if raceEnabled {
+		budget = 1
 	}
+	got := testing.AllocsPerRun(runs/perRun, func() {
+		for range perRun {
+			ingestOne()
+		}
+	}) / perRun
+	if got > budget {
+		t.Errorf("decode → batch → dispatch costs %.3f allocations per response, want at most %v", got, budget)
+	}
+	t.Logf("decode → batch → dispatch: %.3f allocations per response", got)
 
 	push := func() {
 		s.broadcast(verdict)
@@ -408,13 +435,18 @@ func flow7Trigger(id string, flow int) []core.Response {
 }
 
 // TestIngestSharesRepeatedStrings holds the reader's string sharing to its
-// promise: a flow7 trigger costs at most two allocations (the primary's
-// strings, the FLOW_MOD body) because the secondaries repeat the primary's;
-// nothing batched aliases the frame buffer it was decoded from; and two
-// triggers whose responses alternate cost at most one allocation per
-// response, the copy-everything price.
+// promise: a flow7 trigger carves only the primary's Trigger, Key and
+// Value and the FLOW_MOD body, about 190 bytes, because the secondaries
+// repeat the primary's strings, so it costs at most 0.07 allocations (one
+// 4 KB slab per 21 triggers, 0.047 measured); nothing batched aliases the
+// frame buffer it was decoded from; and two triggers whose responses
+// alternate, so every field is fresh, cost at most 0.05 allocations per
+// response, the carve-everything price (0.027 measured). Each measured
+// run ingests perRun triggers, so a slab started in the run counts as its
+// share instead of vanishing in AllocsPerRun's whole-number rounding.
 func TestIngestSharesRepeatedStrings(t *testing.T) {
-	const triggers = 64
+	const runs, perRun = 4, 64 // perRun even: the alternating stream pairs triggers
+	const triggers = (runs+1)*perRun + 2
 	var stream, alternating []byte
 	var sent []core.Response
 	for i := 0; i < triggers; i++ {
@@ -441,8 +473,10 @@ func TestIngestSharesRepeatedStrings(t *testing.T) {
 	}
 
 	fr := NewBinReader(bytes.NewReader(stream), 0)
-	if got := testing.AllocsPerRun(triggers/2-1, func() { ingestN(fr, 8) }); got > 2 {
-		t.Errorf("a flow7 trigger costs %v allocations to ingest, want at most 2", got)
+	if got := testing.AllocsPerRun(runs, func() { ingestN(fr, 8*perRun) }) / perRun; got > 0.07 {
+		t.Errorf("a flow7 trigger costs %.3f allocations to ingest, want at most 0.07", got)
+	} else {
+		t.Logf("a flow7 trigger costs %.3f allocations to ingest", got)
 	}
 	ingestN(fr, 16) // two more triggers, batched together
 	buf := fr.buf[:cap(fr.buf)]
@@ -455,7 +489,7 @@ func TestIngestSharesRepeatedStrings(t *testing.T) {
 		buf[i] = 0xFF
 	}
 	for j, r := range in.batch {
-		if want := sent[8*triggers/2+j]; r != want { // after the measured half
+		if want := sent[8*(runs+1)*perRun+j]; r != want { // after the measured triggers
 			t.Fatalf("batched response %d changed with the frame buffer:\n got %+v\nwant %+v", j, r, want)
 		}
 		for _, s := range []string{string(r.Trigger), string(r.Cache), r.Key, r.Value, r.MsgBody, r.Prev} {
@@ -475,8 +509,72 @@ func TestIngestSharesRepeatedStrings(t *testing.T) {
 	}
 
 	fr = NewBinReader(bytes.NewReader(alternating), 0)
-	if got := testing.AllocsPerRun(triggers/2-1, func() { ingestN(fr, 16) }) / 16; got > 1 {
-		t.Errorf("alternating triggers cost %v allocations per response, want at most 1", got)
+	if got := testing.AllocsPerRun(runs, func() { ingestN(fr, 8*perRun) }) / (8 * perRun); got > 0.05 {
+		t.Errorf("alternating triggers cost %.3f allocations per response, want at most 0.05", got)
+	} else {
+		t.Logf("alternating triggers cost %.3f allocations per response", got)
+	}
+}
+
+// TestRetainedEvidenceOwnsItsStrings: a retained alarm's trigger ID and
+// evidence hold their own exact copy of their strings, none of them
+// inside the slab the reader carved the responses from — a kept substring
+// would pin that whole 4 KB slab for as long as the alarm is kept.
+func TestRetainedEvidenceOwnsItsStrings(t *testing.T) {
+	s := frozenSvc(t, ServerConfig{})
+	rs := []core.Response{
+		light3Response(1, "τf", core.CacheUpdate, false),
+		light3Response(2, "τf", core.SecondaryExec, true),
+		light3Response(3, "τf", core.SecondaryExec, true),
+	}
+	for i := 1; i < len(rs); i++ {
+		rs[i].Value = strings.Replace(rs[i].Value, `"port":3`, `"port":9`, 1)
+	}
+	in := ingest{s: s, sc: &srvConn{}, borrowed: true}
+	fr := NewBinReader(bytes.NewReader(frames(nil, rs...)), 0)
+	for range rs {
+		env, err := fr.ReadEnvelope()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.add(env)
+	}
+	var carved []string
+	for i := range in.batch {
+		r := &in.batch[i]
+		carved = append(carved, string(r.Trigger), string(r.Cache), r.Key, r.Value)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(carved[0])))
+	for _, c := range carved {
+		lo = min(lo, uintptr(unsafe.Pointer(unsafe.StringData(c))))
+	}
+	inSlab := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && p >= lo && p < lo+slab.Size
+	}
+	for _, c := range carved {
+		if !inSlab(c) { // a fresh reader carves these few hundred bytes from one slab
+			t.Fatalf("batched string %q is not in the reader's slab", c)
+		}
+	}
+	in.dispatch()
+	waitFor(t, func() bool { return len(s.Alarms()) == 1 })
+	alarm := s.Alarms()[0]
+	if len(alarm.Evidence) != len(rs) {
+		t.Fatalf("alarm %+v carries %d responses of evidence, want %d", alarm, len(alarm.Evidence), len(rs))
+	}
+	if alarm.Trigger != "τf" || inSlab(string(alarm.Trigger)) {
+		t.Fatalf("alarm names trigger %q, inside the reader's slab: %v", alarm.Trigger, inSlab(string(alarm.Trigger)))
+	}
+	for i, r := range alarm.Evidence {
+		if r != rs[i] {
+			t.Fatalf("evidence %d reads\n%+v\nwant\n%+v", i, r, rs[i])
+		}
+		for _, f := range []string{string(r.Trigger), string(r.Cache), r.Key, r.Value, r.MsgBody, r.Prev} {
+			if inSlab(f) {
+				t.Fatalf("evidence %d keeps %q inside the reader's slab", i, f)
+			}
+		}
 	}
 }
 

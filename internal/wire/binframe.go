@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"time"
 	"unsafe"
@@ -477,52 +478,12 @@ func (br *BinReader) discard(n uint64) error {
 }
 
 // CloneResponse deep-copies a decoded response so it can outlive the
-// decoder's borrow window (BinDecoder's ownership contract).
+// decoder's borrow window (BinDecoder's ownership contract). The copy is
+// exact and private (core.OwnStrings), since the caller owns it.
 func CloneResponse(r core.Response) core.Response {
-	var none [6]string
-	ownStrings(&r, &none)
-	return r
-}
-
-// ownStrings re-points every string of r at memory that outlives the
-// borrow window. last holds the strings an earlier call owned, one per
-// field: a field equal to its last value reuses that string, and the
-// other non-empty fields are copied into ONE freshly allocated backing
-// string and become the new last values. A response so costs at most one
-// allocation, and none when every string repeats — the k secondaries of
-// a trigger sent back to back carry the primary's Trigger, Cache, Key and
-// Value. The fields are substrings, so whoever retains one keeps the text
-// it was packed with (a hundred-odd bytes) alive.
-func ownStrings(r *core.Response, last *[6]string) {
-	fields := [6]*string{(*string)(&r.Trigger), (*string)(&r.Cache), &r.Key, &r.Value, &r.MsgBody, &r.Prev}
-	var fresh [6]bool
-	n := 0
-	for i, f := range fields {
-		switch {
-		case *f == last[i]:
-			*f = last[i]
-		case *f != "":
-			fresh[i] = true
-			n += len(*f)
-		}
-	}
-	if n == 0 {
-		return
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, f := range fields {
-		if fresh[i] {
-			b.WriteString(*f)
-		}
-	}
-	text := b.String()
-	for i, f := range fields {
-		if fresh[i] {
-			*f, text = text[:len(*f)], text[len(*f):]
-			last[i] = *f
-		}
-	}
+	rs := [1]core.Response{r}
+	core.OwnStrings(rs[:])
+	return rs[0]
 }
 
 // CloneResult deep-copies a decoded result (evidence included) past the
@@ -531,11 +492,8 @@ func CloneResult(r core.Result) core.Result {
 	r.Trigger = trigger.ID(strings.Clone(string(r.Trigger)))
 	r.Reason = strings.Clone(r.Reason)
 	if len(r.Evidence) > 0 {
-		ev := make([]core.Response, len(r.Evidence))
-		for i := range r.Evidence {
-			ev[i] = CloneResponse(r.Evidence[i])
-		}
-		r.Evidence = ev
+		r.Evidence = slices.Clone(r.Evidence)
+		core.OwnStrings(r.Evidence)
 	}
 	return r
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/jurysdn/jury/internal/core"
 	"github.com/jurysdn/jury/internal/obs"
 	"github.com/jurysdn/jury/internal/shard"
+	"github.com/jurysdn/jury/internal/slab"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/topo"
 )
@@ -586,10 +587,13 @@ type ingest struct {
 	// the validator retains submitted responses and the shift map retains
 	// origin keys, so those are copied before the borrow window closes.
 	borrowed bool
-	// owned is the last owned copy of each string field of a batched
-	// response (ownStrings), so a field that repeats the previous
-	// response's — a secondary's Trigger, Cache, Key and Value — costs no
-	// copy.
+	// strs is the reader's slab: a batched response's fresh strings are
+	// carved from it (core.Response.CarveStrings), so a response costs a
+	// share of one allocation per slab, not one of its own. owned is the
+	// last carved copy of each string field, so a field that repeats the
+	// previous response's — a secondary's Trigger, Cache, Key and Value —
+	// costs no copy at all.
+	strs  slab.Strings
 	owned [6]string
 	// origin is the last trace origin this reader registered, so the
 	// steady state compares one string and takes no lock.
@@ -603,7 +607,7 @@ func (in *ingest) add(env *Envelope) {
 	}
 	in.batch = append(in.batch, *env.Response)
 	if in.borrowed {
-		ownStrings(&in.batch[len(in.batch)-1], &in.owned)
+		in.batch[len(in.batch)-1].CarveStrings(&in.owned, &in.strs)
 	}
 	if tc := env.Trace; tc != nil && tc.Origin != "" && tc.Origin != in.origin {
 		in.origin = strings.Clone(tc.Origin)
