@@ -17,15 +17,15 @@ race:
 
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/jury lint ./...
 
-# verify is the tier-1 gate: compile, vet, enforce the determinism
-# contract with `jury lint`, then run the test suite. Lock discipline is
-# held by the -race tests (`make race`), not by the linter.
+# verify is the tier-1 gate: compile, vet, then run the test suite, which
+# holds the determinism contract (fingerprints, goldens, repeat runs and
+# the errcrit/maprange lint in TestRepoIsLintClean; DESIGN.md
+# "Determinism contract & lint rules"). Lock discipline is held by the
+# -race tests (`make race`).
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) run ./cmd/jury lint ./...
 	$(GO) test ./...
 
 # figures regenerates every TSV series through the cached sweep: reruns

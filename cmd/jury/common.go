@@ -45,8 +45,6 @@ func serveMetrics(addr string, write func(io.Writer) error, out io.Writer) (stop
 // ctx ends. It is the commands' one wall-clock readiness boundary: the
 // switches, controller and validator they drive run over real TCP, so
 // their settling time is real time.
-//
-//jurylint:allow wallclock -- live-harness readiness polling is wall-clock by definition
 func waitUntil(ctx context.Context, timeout time.Duration, cond func() bool) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

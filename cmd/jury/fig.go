@@ -303,8 +303,6 @@ func policyTable(_ context.Context, o figOpts) error {
 // against n policies with the linear and indexed engines. It is the one
 // deliberate microbenchmark in the figure pipeline: §VII-B2(3) reports
 // real CPU time per policy check, so there is no virtual clock to use.
-//
-//jurylint:allow wallclock -- microbenchmark measures real CPU time (§VII-B2(3))
 func policyCost(n int) (linear, indexed time.Duration, err error) {
 	policies := syntheticPolicies(n)
 	lin, err := policy.New(policies)

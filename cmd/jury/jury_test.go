@@ -45,7 +45,7 @@ func TestCommands(t *testing.T) {
 		file string
 	}
 	rows := []row{
-		{name: "bare", code: 2, want: []string{"commands:", "serve", "lint"}},
+		{name: "bare", code: 2, want: []string{"commands:", "serve", "trace"}},
 		{name: "unknown command", args: []string{"nope"}, code: 2, want: []string{`unknown command "nope"`, "trace"}},
 		{name: "fig policy", args: []string{"fig", "-fig", "policy"}, want: []string{"# Policy validation cost", "10000\t"}},
 		{name: "fig unknown", args: []string{"fig", "-fig", "nope"}, code: 2, want: []string{`unknown figure "nope"`}},
@@ -64,8 +64,6 @@ func TestCommands(t *testing.T) {
 		},
 		{name: "trace bad shift", args: []string{"trace", "b=soon=" + b}, code: 2, want: []string{"shift"}},
 		{name: "trace no inputs", args: []string{"trace"}, code: 2, want: []string{"no inputs"}},
-		{name: "lint filtered clean", args: []string{"lint", "cmd/jury"}},
-		{name: "lint unmatched filter", args: []string{"lint", "internal/nosuchpkg"}, code: 2, want: []string{`"internal/nosuchpkg" matches no package`}},
 	}
 	for _, c := range commands {
 		rows = append(rows,
@@ -91,6 +89,33 @@ func TestCommands(t *testing.T) {
 			for _, w := range r.want {
 				if !strings.Contains(got, w) {
 					t.Errorf("jury %q: output lacks %q:\n%s", r.args, w, got)
+				}
+			}
+		})
+	}
+}
+
+// TestOutputRepeats runs jury sim and a figure campaign twice each in one
+// process at a fixed seed and requires byte-identical stdout. Simulation
+// code takes time from the engine's virtual clock and randomness from
+// its seeded RNG, so a wall-clock read or a global-RNG draw anywhere on
+// these paths shows up here as a diff.
+func TestOutputRepeats(t *testing.T) {
+	for _, args := range [][]string{
+		{"sim", "-seed", "42"},
+		{"fig", "-fig", "4d", "-duration", "2s", "-seed", "7"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			var first string
+			for run := 0; run < 2; run++ {
+				var stdout, stderr strings.Builder
+				if code := dispatch(context.Background(), args, &stdout, &stderr); code != 0 {
+					t.Fatalf("jury %q exited %d:\n%s", args, code, stderr.String())
+				}
+				if run == 0 {
+					first = stdout.String()
+				} else if got := stdout.String(); got != first {
+					t.Errorf("jury %q printed different output on its second run:\n--- first ---\n%s--- second ---\n%s", args, first, got)
 				}
 			}
 		})

@@ -241,7 +241,7 @@ func runLive(ctx context.Context, args []string, stdout io.Writer) error {
 
 	// Let handshakes land, seed host bindings at the controller, then
 	// push traffic through every switch.
-	time.Sleep(200 * time.Millisecond) //jurylint:allow wallclock -- live TCP handshake settle is real time
+	time.Sleep(200 * time.Millisecond)
 	ctrlPump.Do(func() {
 		for i := 1; i <= *nSwitches; i++ {
 			mac := topo.HostMAC(i)

@@ -1,12 +1,11 @@
 // Command jury runs every JURY role from one binary: the validator host
 // and the controller side of the paper's deployment (Fig. 2), the
-// simulator, the figure campaigns, trace stitching and the
-// repository's own linter, one subcommand each. `jury` alone lists them;
-// `jury <command> -h` lists a command's flags.
+// simulator, the figure campaigns and trace stitching, one subcommand
+// each. `jury` alone lists them; `jury <command> -h` lists a command's
+// flags.
 //
 // Exit status is 0 on success (and for -h), 2 for a command-line error
-// and 1 for any other failure; `jury lint` exits 1 when it reports
-// diagnostics and 2 when the module cannot be loaded.
+// and 1 for any other failure.
 package main
 
 import (
@@ -30,7 +29,6 @@ var commands = []struct {
 	{"sim", "simulate a clustered deployment and print its report", runSim},
 	{"fig", "regenerate the paper's evaluation figures as TSV", runFig},
 	{"trace", "stitch JSONL span traces of several processes into one timeline", runTrace},
-	{"lint", "run the determinism & concurrency lint suite over the module", runLint},
 }
 
 func main() {

@@ -74,7 +74,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 
 	var tick <-chan time.Time
 	if *statsEvery > 0 {
-		ticker := time.NewTicker(*statsEvery) //jurylint:allow wallclock -- live stats cadence is real time by definition
+		ticker := time.NewTicker(*statsEvery)
 		defer ticker.Stop()
 		tick = ticker.C
 	}

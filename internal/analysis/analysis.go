@@ -1,9 +1,11 @@
-// Package analysis is a self-contained static-analysis framework built on
-// the standard library (go/parser, go/types, go/importer) only, so it runs
-// in offline build environments. It exists to enforce the determinism and
-// concurrency contract that the simnet substrate depends on: model code
-// must not read the wall clock, must not use the global RNG, and must not
-// escape the single-threaded event loop. See DESIGN.md "Determinism
+// Package analysis holds the two static checks no test can stand in for,
+// on a small framework built on the standard library (go/parser,
+// go/types, go/importer) only, so it runs in offline build environments:
+// errcrit (an error a module API returns is not discarded) and maprange
+// (simulation code does not let map iteration order reach its output).
+// TestRepoIsLintClean runs both over the module inside `go test ./...`.
+// The rest of the determinism contract — virtual clock, seeded RNG, one
+// event-loop goroutine — is held by tests; see DESIGN.md "Determinism
 // contract & lint rules".
 //
 // Violations can be suppressed with an annotation comment:
@@ -20,7 +22,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -64,7 +65,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // diagnostics through the pass.
 type Analyzer struct {
 	Name string
-	Doc  string
 	// Packages restricts the analyzer to packages whose import path, or
 	// final path element, matches an entry. Empty means every package.
 	Packages []string
@@ -132,20 +132,6 @@ func runPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		})
 	}
 	return diags
-}
-
-// Format renders diagnostics one per line with filenames relative to
-// root, which keeps driver output and golden files machine-independent.
-func Format(root string, diags []Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		name := d.Pos.Filename
-		if rel, err := filepath.Rel(root, name); err == nil && !strings.HasPrefix(rel, "..") {
-			name = filepath.ToSlash(rel)
-		}
-		fmt.Fprintf(&b, "%s:%d:%d: %s: %s\n", name, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
-	}
-	return b.String()
 }
 
 var allowRe = regexp.MustCompile(`^//jurylint:allow\s+([a-zA-Z0-9_,-]+)`)

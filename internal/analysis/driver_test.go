@@ -1,64 +1,39 @@
 package analysis
 
 import (
-	"flag"
-	"os"
-	"path/filepath"
+	"sync"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from current output")
+// repoRoot is the root of the module this package belongs to.
+const repoRoot = "../.."
 
-// TestDriverGolden runs the full default suite over the seeded mini
-// module and compares the formatted driver output against the golden
-// file, pinning both the diagnostics and their file:line rendering.
-func TestDriverGolden(t *testing.T) {
-	root, err := filepath.Abs(fixtureDir("golden"))
+// loadRepo parses and type-checks the module once for every test that
+// reads it.
+var loadRepo = sync.OnceValues(func() ([]*Package, error) { return LoadModule(repoRoot) })
+
+// repoSuite returns the module's packages and its default suite.
+func repoSuite(t *testing.T) ([]*Package, []*Analyzer) {
+	t.Helper()
+	modPath, err := ModulePath(repoRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("load golden module: %v", err)
-	}
-	diags := RunAnalyzers(pkgs, DefaultSuite("example.com/golden"))
-	got := Format(root, diags)
-
-	goldenPath := filepath.Join("testdata", "golden.txt")
-	if *updateGolden {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden file (run `go test -run Golden -update ./internal/analysis` to create it): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("driver output mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// TestRepoIsLintClean asserts the real module passes its own suite: the
-// tier-1 verify gate (`go run ./cmd/jury lint ./...`) must exit 0.
-func TestRepoIsLintClean(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	modPath, err := ModulePath(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
+	pkgs, err := loadRepo()
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
 	if len(pkgs) < 10 {
 		t.Fatalf("loader found only %d packages; module discovery is broken", len(pkgs))
 	}
-	diags := RunAnalyzers(pkgs, DefaultSuite(modPath))
-	for _, d := range diags {
+	return pkgs, DefaultSuite(modPath)
+}
+
+// TestRepoIsLintClean asserts the real module passes its own suite. It is
+// the lint's only driver: `go test ./...` runs it with the tier-1 tests.
+func TestRepoIsLintClean(t *testing.T) {
+	pkgs, suite := repoSuite(t)
+	for _, d := range RunAnalyzers(pkgs, suite) {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
 }
@@ -69,19 +44,7 @@ func TestRepoIsLintClean(t *testing.T) {
 // annotation left behind by a fixed call site, or naming a rule that no
 // longer exists, fails here.
 func TestAllowAnnotationsAreLive(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	modPath, err := ModulePath(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
-	suite := DefaultSuite(modPath)
+	pkgs, suite := repoSuite(t)
 	rules := make(map[string]bool, len(suite))
 	for _, a := range suite {
 		rules[a.Name] = true

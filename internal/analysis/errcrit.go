@@ -23,7 +23,6 @@ import (
 func NewErrCrit(modulePath string) *Analyzer {
 	return &Analyzer{
 		Name: "errcrit",
-		Doc:  "flags discarded error returns from the module's own functions and methods",
 		Run:  func(pass *Pass) { runErrCrit(pass, modulePath) },
 	}
 }

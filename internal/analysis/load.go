@@ -17,30 +17,10 @@ import (
 // analysis.
 type Package struct {
 	Path  string // import path
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-}
-
-// FindModuleRoot walks upward from dir to the nearest directory holding a
-// go.mod file.
-func FindModuleRoot(dir string) (string, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("analysis: no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
 }
 
 // ModulePath reads the module path from root/go.mod.
@@ -61,9 +41,10 @@ func ModulePath(root string) (string, error) {
 // LoadModule parses and type-checks every non-test package under the
 // module rooted at root. Test files are skipped: the contract applies to
 // model and bridge code, and tests legitimately use wall time, goroutines
-// and ad-hoc randomness. Imports inside the module resolve to the freshly
-// checked packages; everything else resolves through the standard
-// library's offline source importer.
+// and ad-hoc randomness. A module package is type-checked the first time
+// another one imports it, or in directory order if none does; everything
+// outside the module resolves through the standard library's offline
+// source importer.
 func LoadModule(root string) ([]*Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -73,23 +54,20 @@ func LoadModule(root string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	dirs, err := packageDirs(root)
 	if err != nil {
 		return nil, err
 	}
-
 	fset := token.NewFileSet()
-	var pkgs []*parsedPkg
-	byPath := make(map[string]*parsedPkg)
+	imp := &moduleImporter{
+		fset:    fset,
+		root:    root,
+		modPath: modPath,
+		pkgs:    make(map[string]*Package),
+		std:     importer.ForCompiler(fset, "source", nil),
+	}
+	var out []*Package
 	for _, dir := range dirs {
-		files, err := parseDir(fset, dir)
-		if err != nil {
-			return nil, err
-		}
-		if len(files) == 0 {
-			continue
-		}
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return nil, err
@@ -98,45 +76,11 @@ func LoadModule(root string) ([]*Package, error) {
 		if rel != "." {
 			path = modPath + "/" + filepath.ToSlash(rel)
 		}
-		p := &parsedPkg{path: path, dir: dir, files: files}
-		for _, f := range files {
-			for _, imp := range f.Imports {
-				ip := strings.Trim(imp.Path.Value, `"`)
-				if ip == modPath || strings.HasPrefix(ip, modPath+"/") {
-					p.imports = append(p.imports, ip)
-				}
-			}
-		}
-		pkgs = append(pkgs, p)
-		byPath[path] = p
-	}
-
-	order, err := topoSort(pkgs, byPath)
-	if err != nil {
-		return nil, err
-	}
-
-	imp := &moduleImporter{
-		mod: make(map[string]*types.Package),
-		std: importer.ForCompiler(fset, "source", nil),
-	}
-	conf := types.Config{Importer: imp, FakeImportC: true}
-	var out []*Package
-	for _, p := range order {
-		info := newInfo()
-		tpkg, err := conf.Check(p.path, fset, p.files, info)
+		pkg, err := imp.load(path)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: type-check %s: %w", p.path, err)
+			return nil, err
 		}
-		imp.mod[p.path] = tpkg
-		out = append(out, &Package{
-			Path:  p.path,
-			Dir:   p.dir,
-			Fset:  fset,
-			Files: p.files,
-			Types: tpkg,
-			Info:  info,
-		})
+		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
@@ -146,6 +90,12 @@ func LoadModule(root string) ([]*Package, error) {
 // package under the given import path. Used by fixture tests.
 func LoadDir(dir, path string) (*Package, error) {
 	fset := token.NewFileSet()
+	return loadPackage(fset, dir, path, importer.ForCompiler(fset, "source", nil))
+}
+
+// loadPackage parses dir's non-test files and type-checks them as the
+// package at path, resolving its imports through imp.
+func loadPackage(fset *token.FileSet, dir, path string, imp types.Importer) (*Package, error) {
 	files, err := parseDir(fset, dir)
 	if err != nil {
 		return nil, err
@@ -153,25 +103,18 @@ func LoadDir(dir, path string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
-	conf := types.Config{
-		Importer:    importer.ForCompiler(fset, "source", nil),
-		FakeImportC: true,
-	}
-	info := newInfo()
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
-	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-func newInfo() *types.Info {
-	return &types.Info{
+	conf := types.Config{Importer: imp, FakeImportC: true}
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
+	tpkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
+	}
+	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // packageDirs lists directories under root that hold non-test Go files,
@@ -228,65 +171,42 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// parsedPkg is a package that has been parsed but not yet type-checked.
-type parsedPkg struct {
-	path    string
-	dir     string
-	files   []*ast.File
-	imports []string // module-internal imports only
-}
-
-// topoSort orders packages so every module-internal import is checked
-// before its importers.
-func topoSort(pkgs []*parsedPkg, byPath map[string]*parsedPkg) ([]*parsedPkg, error) {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := make(map[string]int)
-	var order []*parsedPkg
-	var visit func(p *parsedPkg) error
-	visit = func(p *parsedPkg) error {
-		switch state[p.path] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("analysis: import cycle through %s", p.path)
-		}
-		state[p.path] = visiting
-		for _, ip := range p.imports {
-			if dep, ok := byPath[ip]; ok {
-				if err := visit(dep); err != nil {
-					return err
-				}
-			}
-		}
-		state[p.path] = done
-		order = append(order, p)
-		return nil
-	}
-	// Deterministic traversal order.
-	sorted := append([]*parsedPkg(nil), pkgs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].path < sorted[j].path })
-	for _, p := range sorted {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
-}
-
-// moduleImporter resolves module-internal imports from already checked
-// packages and defers everything else to the offline source importer.
+// moduleImporter type-checks a module package the first time it is
+// imported and defers everything else to the offline source importer.
 type moduleImporter struct {
-	mod map[string]*types.Package
-	std types.Importer
+	fset          *token.FileSet
+	root, modPath string
+	// pkgs holds every module package loaded so far; a nil entry is one
+	// still being checked, so importing it again is a cycle.
+	pkgs map[string]*Package
+	std  types.Importer
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := m.mod[path]; ok {
+	if !inModule(path, m.modPath) {
+		return m.std.Import(path)
+	}
+	pkg, err := m.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
+}
+
+// load returns the module package at path, type-checking it on first use.
+func (m *moduleImporter) load(path string) (*Package, error) {
+	if pkg, ok := m.pkgs[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("analysis: import cycle through %s", path)
+		}
 		return pkg, nil
 	}
-	return m.std.Import(path)
+	m.pkgs[path] = nil
+	rel := strings.TrimPrefix(strings.TrimPrefix(path, m.modPath), "/")
+	pkg, err := loadPackage(m.fset, filepath.Join(m.root, filepath.FromSlash(rel)), path, m)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = pkg
+	return pkg, nil
 }

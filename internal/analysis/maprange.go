@@ -21,7 +21,6 @@ import (
 func NewMaprange(packages []string) *Analyzer {
 	return &Analyzer{
 		Name:     "maprange",
-		Doc:      "flags order-sensitive map iteration in simulation-driven packages",
 		Packages: packages,
 		Run:      runMaprange,
 	}

@@ -42,6 +42,10 @@ func discardStmt(e *Engine) {
 	e.Run() // want errcrit "discarded"
 }
 
+// discardBlank is the shape of the errcrit mutants of EXPERIMENTS.md's
+// mutant audit that no test killed, such as a discarded engine run in an
+// experiment: the counters of a half-run simulation still read as
+// numbers, so the error never reaches the figure.
 func discardBlank(e *Engine) {
 	_ = e.Run() // want errcrit "discarded"
 }

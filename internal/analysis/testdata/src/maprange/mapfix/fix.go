@@ -43,6 +43,23 @@ func UnsortedKeys(m map[string]int) []string {
 	return keys
 }
 
+// StaleSweep is the controller's stale-links sweep with its sort made a
+// no-op, the maprange mutant of EXPERIMENTS.md's mutant audit that no
+// test killed: the overdue keys reach the emitted writes, and the
+// trigger IDs those writes draw, in map visit order.
+func StaleSweep(lastSeen map[string]int, now, deadline int, emit func(string)) {
+	var stale []string
+	for key, seen := range lastSeen { // want maprange "iteration order is randomized"
+		if now-seen > deadline {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale[:0])
+	for _, key := range stale {
+		emit(key)
+	}
+}
+
 // SortedKeys is the canonical deterministic idiom and stays clean.
 func SortedKeys(m map[string]int) []int {
 	keys := make([]string, 0, len(m))

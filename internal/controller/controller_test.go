@@ -3,6 +3,8 @@ package controller
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -148,6 +150,52 @@ func TestLivenessOverrideSuppressesTracking(t *testing.T) {
 	r.run(t)
 	if c2.Node().Len(store.LinksDB) != 0 {
 		t.Fatal("overridden liveness master still wrote LinksDB")
+	}
+}
+
+// TestStaleLinksGoDownInKeyOrder: links whose LLDP refresh is overdue
+// together are marked down by one sweep in key order, each write on the
+// next trigger ID the controller draws, so which link gets which ID does
+// not depend on map visit order.
+func TestStaleLinksGoDownInKeyOrder(t *testing.T) {
+	p := quietProfile()
+	p.LLDPPeriod = 100 * time.Millisecond
+	r := newRig(t, 1, 4, p)
+	c := r.ctrl(1)
+	// Three links, six LinksDB keys, all last seen at time zero.
+	for _, l := range []struct {
+		src, dst           topo.DPID
+		srcPort, dstInPort uint16
+	}{{1, 2, 3, 4}, {2, 3, 5, 6}, {3, 4, 7, 8}} {
+		frame := openflow.LLDPPacket(controllerMAC(l.src), uint64(l.src), l.srcPort)
+		c.HandleSouthbound(l.dst, &openflow.PacketIn{InPort: l.dstInPort, Data: frame}, extCtx("lldp", 1))
+	}
+	r.run(t)
+	var keys []string
+	var ids []trigger.ID
+	c.AddCacheHook(func(_ *Controller, w *CacheWrite) HookAction {
+		if w.Value == "down" {
+			keys = append(keys, w.Key)
+			ids = append(ids, w.Ctx.ID)
+		}
+		return Proceed
+	})
+	r.eng.Schedule(time.Second, c.sweepStaleLinks)
+	r.run(t)
+	if len(keys) != 6 || !sort.StringsAreSorted(keys) {
+		t.Fatalf("down writes for keys %q, want all six in key order", keys)
+	}
+	seq := func(id trigger.ID) int {
+		n, err := strconv.Atoi(string(id)[strings.LastIndexByte(string(id), '-')+1:])
+		if err != nil {
+			t.Fatalf("trigger ID %q: %v", id, err)
+		}
+		return n
+	}
+	for i := 1; i < len(ids); i++ {
+		if seq(ids[i]) != seq(ids[i-1])+1 {
+			t.Fatalf("down writes drew trigger IDs %q, want consecutive IDs", ids)
+		}
 	}
 }
 

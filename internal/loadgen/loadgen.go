@@ -9,8 +9,8 @@
 // leaves, flaps) owns a private RNG seeded by
 // sweep.DeriveSeed(cfg.Seed, "loadgen/<stream>"), so streams are
 // mutually independent and the event sequence is a pure function of the
-// Config. A Source is single-goroutine and reads no clock, so jurylint
-// holds loadgen to the sim contract.
+// Config. A Source is single-goroutine and reads no clock, so loadgen is
+// held to the sim contract (TestSourceStreamGolden pins its stream).
 package loadgen
 
 import (

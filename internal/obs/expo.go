@@ -41,7 +41,7 @@ func NewExpoHandler(cfg ExpoConfig) (http.Handler, error) {
 		return nil, fmt.Errorf("obs: exposition needs a Write func")
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now //jurylint:allow wallclock -- default clock at the real-time boundary
+		cfg.Clock = time.Now
 	}
 	started := cfg.Clock()
 	mux := http.NewServeMux()

@@ -4,14 +4,13 @@
 // paper's figures, a virtual-clock span tracer keyed by trigger (taint)
 // IDs, and a small HTTP server for /metrics + /healthz.
 //
-// The package is a concurrency bridge in the jurylint suite: counters and
-// gauges are atomic so a live exposition goroutine can scrape them while
+// The package is a concurrency bridge: counters and gauges are atomic so a live exposition goroutine can scrape them while
 // the validator decides triggers, and the HTTP server owns goroutines.
 // The tracer itself, however, is driven from simulation event handlers on
 // a single goroutine and takes its timestamps from the simnet virtual
 // clock, which is what makes traces bit-deterministic: the same seed
 // produces the same bytes at any sweep parallelism. Wall-clock reads are
-// confined to the annotated boundary of the exposition server.
+// confined to the exposition server's default clock.
 package obs
 
 import (

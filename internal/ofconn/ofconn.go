@@ -30,7 +30,7 @@ const (
 // realSleep waits d or until cancel closes, reporting whether the full
 // wait elapsed.
 func realSleep(d time.Duration, cancel <-chan struct{}) bool {
-	t := time.NewTimer(d) //jurylint:allow wallclock -- real-time backoff boundary
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -66,13 +66,13 @@ func NewPumpWithClock(eng *simnet.Engine, tick time.Duration, clock func() time.
 		tick = 2 * time.Millisecond
 	}
 	if clock == nil {
-		clock = time.Now //jurylint:allow wallclock -- default clock at the real-time boundary
+		clock = time.Now
 	}
 	p := &Pump{eng: eng, clock: clock, started: clock(), stop: make(chan struct{})}
 	p.done.Add(1)
 	go func() {
 		defer p.done.Done()
-		ticker := time.NewTicker(tick) //jurylint:allow wallclock -- real-time pump cadence
+		ticker := time.NewTicker(tick)
 		defer ticker.Stop()
 		for {
 			select {

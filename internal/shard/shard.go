@@ -37,8 +37,8 @@
 // set of aggregates. The cluster membership handed to New must not be
 // mutated while the plane runs.
 //
-// This package is a jurylint concurrency bridge: it owns goroutines and
-// channels, unlike the sim-contract core it multiplies.
+// This package is a concurrency bridge: it owns goroutines and channels,
+// unlike the sim-contract core it multiplies.
 package shard
 
 import (

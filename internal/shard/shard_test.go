@@ -266,7 +266,7 @@ func TestPlaneOverflowBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	p.enqueue(w, item{kind: itemStall, gate: gate})
 	for w.depth.Value() != 0 {
-		time.Sleep(100 * time.Microsecond) // wallclock:boundary -- wait for the worker to block on the gate
+		time.Sleep(100 * time.Microsecond) // wait for the worker to block on the gate
 	}
 	p.Submit(execAt(2, 1, "τ", "k", "up", 9, 0)) // fills the depth-1 queue
 
@@ -279,7 +279,7 @@ func TestPlaneOverflowBackpressure(t *testing.T) {
 		p.Submit(execAt(3, 1, "τ", "k", "up", 9, time.Millisecond))
 	}()
 	for w.overflow.Value() == 0 {
-		time.Sleep(100 * time.Microsecond) // wallclock:boundary -- test-only spin on a live counter
+		time.Sleep(100 * time.Microsecond) // test-only spin on a live counter
 	}
 	close(gate)
 	<-done
@@ -384,7 +384,7 @@ func TestPlaneDispatchAfterStop(t *testing.T) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(5 * time.Second): //jurylint:allow wallclock -- liveness watchdog for the dispatch side, not a measurement
+	case <-time.After(5 * time.Second):
 		t.Fatal("a dispatch call blocked after Stop")
 	}
 	if got := p.Stats(); got != before {
@@ -565,7 +565,7 @@ func TestPlaneQueueDepthCountsBeforeSend(t *testing.T) {
 	gate := make(chan struct{})
 	p.enqueue(p.workers[0], item{kind: itemStall, gate: gate})
 	for p.workers[0].depth.Value() != 0 {
-		time.Sleep(100 * time.Microsecond) // wallclock:boundary -- wait for the worker to block on the gate
+		time.Sleep(100 * time.Microsecond) // wait for the worker to block on the gate
 	}
 	for i := 0; i < 3; i++ {
 		p.Advance(time.Duration(i))

@@ -14,11 +14,11 @@
 //
 //	seed(point) = FNV-1a64(rootSeed || key)   (interpreted as int64)
 //
-// The package is a concurrent bridge in the jurylint suite: it is exempt
-// from the eventloop rule (worker pools are its whole point) but held to
-// the wallclock rule (the ETA clock is injected, defaulting to time.Now
-// only at the annotated boundary) and errcrit on Run's error return;
-// TestLockDisciplineSweep holds its one mutex under -race.
+// The package is a concurrent bridge: worker pools are its whole point,
+// but its results must not depend on the schedule (the ETA clock is
+// injected, defaulting to time.Now; TestBatchDeterministicAcrossParallelism
+// holds the output at -parallel 1 and 8), errcrit covers Run's error
+// return, and TestLockDisciplineSweep holds its one mutex under -race.
 package sweep
 
 import (
@@ -118,7 +118,7 @@ func Run[P, R any](ctx context.Context, cfg Config, params []P, run func(P, int6
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now //jurylint:allow wallclock -- default clock at the real-time boundary (ETA accounting only)
+		cfg.Clock = time.Now
 	}
 	results := make([]Result[P, R], len(params))
 	for i, p := range params {

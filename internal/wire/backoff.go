@@ -7,7 +7,7 @@ import (
 
 // Backoff produces a capped exponential retry schedule with jitter from
 // an explicitly seeded RNG, so a given seed always yields the same
-// schedule (the wallclock rule: no global RNG, no hidden entropy). Not
+// schedule (no global RNG, no hidden entropy). Not
 // safe for concurrent use; each retry loop owns one.
 type Backoff struct {
 	// Base is the first delay envelope; Max caps the envelope.

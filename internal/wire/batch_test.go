@@ -407,6 +407,34 @@ func TestServerIngestAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDispatchClearsBatch: once the plane has its copies, the reader's
+// batch holds only zero values, so a stale response cannot keep the slab
+// its strings were carved from alive until the connection sends as many
+// responses again. The plane still decides the trigger from its copies.
+func TestDispatchClearsBatch(t *testing.T) {
+	s := frozenSvc(t, ServerConfig{})
+	rs := benignTrigger("τc")
+	in := ingest{s: s, sc: &srvConn{}, borrowed: true}
+	fr := NewBinReader(bytes.NewReader(frames(nil, rs...)), 0)
+	for range rs {
+		env, err := fr.ReadEnvelope()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.add(env)
+	}
+	in.dispatch()
+	if len(in.batch) != 0 {
+		t.Fatalf("batch holds %d responses after dispatch, want 0", len(in.batch))
+	}
+	for i, r := range in.batch[:cap(in.batch)] {
+		if r != (core.Response{}) {
+			t.Fatalf("batch entry %d still holds %+v after dispatch", i, r)
+		}
+	}
+	waitFor(t, func() bool { return s.Stats().Valid == 1 })
+}
+
 // flow7Trigger is one trigger of the flow7 workloads as every client in
 // the tree sends it, back to back: the primary's FlowsDB write, its
 // FLOW_MOD and six tainted secondaries replaying the write. flow picks the

@@ -80,7 +80,7 @@ func (cfg *ServerConfig) fillDefaults() {
 		cfg.Tick = 5 * time.Millisecond
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now //jurylint:allow wallclock -- default clock at the real-time boundary
+		cfg.Clock = time.Now
 	}
 	if cfg.MaxLineBytes == 0 {
 		cfg.MaxLineBytes = DefaultMaxLineBytes
@@ -409,7 +409,7 @@ func (s *Server) acceptLoop() {
 // per-trigger timers expire, and runs the heartbeat sweep.
 func (s *Server) tickLoop() {
 	defer s.done.Done()
-	ticker := time.NewTicker(s.cfg.Tick) //jurylint:allow wallclock -- real-time service cadence
+	ticker := time.NewTicker(s.cfg.Tick)
 	defer ticker.Stop()
 	for {
 		select {
@@ -643,6 +643,9 @@ func (in *ingest) dispatch() {
 	s.mu.Lock()
 	s.plane.SubmitBatch(in.batch, now.Sub(s.started))
 	s.mu.Unlock()
+	// SubmitBatch copied every response, so the batch's entries are stale:
+	// cleared, they pin no slab their strings were carved from.
+	clear(in.batch)
 	in.batch = in.batch[:0]
 }
 
@@ -699,8 +702,6 @@ func (s *Server) broadcast(r core.Result) {
 // the server, a reconnect on the client) instead of a wedged writer.
 // Socket deadlines are kernel-absolute, so this is a real-time boundary
 // even when the service clock is injected.
-//
-//jurylint:allow wallclock -- socket deadlines are inherently wall-clock
 func armWriteDeadline(conn net.Conn) {
 	_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 }

@@ -133,7 +133,7 @@ type sleepFunc func(d time.Duration, cancel <-chan struct{}) bool
 
 // defaultSleep is the real-time sleeper.
 func defaultSleep(d time.Duration, cancel <-chan struct{}) bool {
-	t := time.NewTimer(d) //jurylint:allow wallclock -- real-time backoff boundary
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
